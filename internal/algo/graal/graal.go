@@ -35,8 +35,8 @@ type GRAAL struct {
 	Alpha float64
 
 	// cache holds the shared artifact cache (algo.Cacheable); nil computes
-	// everything locally. Graphlet orbit counting dominates GRAAL's runtime
-	// and is a pure per-graph function, so it is the artifact cached here.
+	// everything locally. Graphlet orbit counts are GRAAL's only pure
+	// per-graph function, so they are the artifact cached here.
 	cache *cache.Cache
 }
 
@@ -76,13 +76,48 @@ func (g *GRAAL) DefaultAssignment() assign.Method { return assign.SortGreedy }
 //	D(u,v) = sum_o w_o * |log(cu_o+1) - log(cv_o+1)| / log(max(cu_o,cv_o)+2)
 //	S(u,v) = 1 - D(u,v) / sum_o w_o
 func SignatureSimilarity(cu, cv []float64, weights [graphlets.NumOrbits]float64) float64 {
-	var dist, wsum float64
-	for o := 0; o < graphlets.NumOrbits; o++ {
-		w := weights[o]
+	lu1, lu2 := logTables(graphlets.Counts{cu})
+	lv1, lv2 := logTables(graphlets.Counts{cv})
+	return signatureSimilarity(cu, cv, lu1, lv1, lu2, lv2, &weights, weightSum(&weights))
+}
+
+// logTables returns log(c+1) and log(c+2) of every orbit count, flat with
+// NumOrbits entries per node, so the pairwise cost needs no logarithm.
+func logTables(c graphlets.Counts) (l1, l2 []float64) {
+	l1 = make([]float64, 0, len(c)*graphlets.NumOrbits)
+	l2 = make([]float64, 0, len(c)*graphlets.NumOrbits)
+	for _, row := range c {
+		for _, x := range row {
+			l1 = append(l1, math.Log(x+1))
+			l2 = append(l2, math.Log(x+2))
+		}
+	}
+	return l1, l2
+}
+
+func weightSum(weights *[graphlets.NumOrbits]float64) float64 {
+	var wsum float64
+	for _, w := range weights {
 		wsum += w
-		num := math.Abs(math.Log(cu[o]+1) - math.Log(cv[o]+1))
-		den := math.Log(math.Max(cu[o], cv[o]) + 2)
-		dist += w * num / den
+	}
+	return wsum
+}
+
+// signatureSimilarity is S(u, v) from one node's counts and log tables
+// (c, l1 = log(c+1), l2 = log(c+2), one NumOrbits slice each). The
+// denominator log(max(cu,cv)+2) is the table entry of the larger raw
+// count, so every term is bitwise the direct formula.
+func signatureSimilarity(cu, cv, lu1, lv1, lu2, lv2 []float64, weights *[graphlets.NumOrbits]float64, wsum float64) float64 {
+	cu, cv = cu[:graphlets.NumOrbits], cv[:graphlets.NumOrbits]
+	lu1, lv1 = lu1[:graphlets.NumOrbits], lv1[:graphlets.NumOrbits]
+	lu2, lv2 = lu2[:graphlets.NumOrbits], lv2[:graphlets.NumOrbits]
+	var dist float64
+	for o, w := range weights {
+		den := lv2[o]
+		if cu[o] >= cv[o] {
+			den = lu2[o]
+		}
+		dist += w * math.Abs(lu1[o]-lv1[o]) / den
 	}
 	if wsum == 0 {
 		return 0
@@ -107,21 +142,26 @@ func (g *GRAAL) CostMatrixCtx(ctx context.Context, src, dst *graph.Graph) (*matr
 	}
 	cDst := g.cachedCounts(dst)
 	weights := graphlets.OrbitWeights()
+	wsum := weightSum(&weights)
+	src1, src2 := logTables(cSrc)
+	dst1, dst2 := logTables(cDst)
 	maxSum := float64(src.MaxDegree() + dst.MaxDegree())
 	if maxSum == 0 {
 		maxSum = 1
 	}
 	alpha := g.Alpha
 	n, m := src.N(), dst.N()
+	const k = graphlets.NumOrbits
 	cost := matrix.NewDense(n, m)
 	for u := 0; u < n; u++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		du := float64(src.Degree(u))
+		cu, lu1, lu2 := cSrc[u], src1[u*k:(u+1)*k], src2[u*k:(u+1)*k]
 		row := cost.Row(u)
 		for v := 0; v < m; v++ {
-			s := SignatureSimilarity(cSrc[u], cDst[v], weights)
+			s := signatureSimilarity(cu, cDst[v], lu1, dst1[v*k:(v+1)*k], lu2, dst2[v*k:(v+1)*k], &weights, wsum)
 			degTerm := (du + float64(dst.Degree(v))) / maxSum
 			row[v] = 2 - ((1-alpha)*degTerm + alpha*s)
 		}
@@ -135,14 +175,14 @@ func (g *GRAAL) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
 	return g.SimilarityCtx(context.Background(), src, dst)
 }
 
-// SimilarityCtx implements algo.ContextAligner.
+// SimilarityCtx implements algo.ContextAligner. The cost matrix is turned
+// into 2 - cost in place.
 func (g *GRAAL) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
-	cost, err := g.CostMatrixCtx(ctx, src, dst)
+	sim, err := g.CostMatrixCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	sim := matrix.NewDense(cost.Rows, cost.Cols)
-	for i, v := range cost.Data {
+	for i, v := range sim.Data {
 		sim.Data[i] = 2 - v
 	}
 	return sim, nil

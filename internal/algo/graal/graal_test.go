@@ -116,3 +116,44 @@ func TestAlphaExtremes(t *testing.T) {
 		t.Errorf("signatures (%.2f) should not lose badly to degrees (%.2f)", aSig, aDeg)
 	}
 }
+
+// directSimilarity is the signature similarity written straight from the
+// formula, two logarithms and a max per orbit: the reference the
+// table-driven kernel must reproduce bitwise.
+func directSimilarity(cu, cv []float64, weights [graphlets.NumOrbits]float64) float64 {
+	var dist, wsum float64
+	for o, w := range weights {
+		wsum += w
+		num := math.Abs(math.Log(cu[o]+1) - math.Log(cv[o]+1))
+		dist += w * num / math.Log(math.Max(cu[o], cv[o])+2)
+	}
+	return 1 - dist/wsum
+}
+
+// TestCostMatrixMatchesDirectFormula pins the precomputed-log cost matrix
+// and SignatureSimilarity to the direct formula bit for bit, on a noisy
+// pair whose count vectors share many equal and zero entries.
+func TestCostMatrixMatchesDirectFormula(t *testing.T) {
+	p := algotest.Pair(t, 50, 0.05, 19)
+	g := New()
+	cost, err := g.CostMatrix(p.Source, p.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, cd := graphlets.Count(p.Source), graphlets.Count(p.Target)
+	w := graphlets.OrbitWeights()
+	maxSum := float64(p.Source.MaxDegree() + p.Target.MaxDegree())
+	for u := range cs {
+		for v := range cd {
+			s := directSimilarity(cs[u], cd[v], w)
+			if got := SignatureSimilarity(cs[u], cd[v], w); math.Float64bits(got) != math.Float64bits(s) {
+				t.Fatalf("SignatureSimilarity(%d,%d) = %v, want %v", u, v, got, s)
+			}
+			degTerm := float64(p.Source.Degree(u)+p.Target.Degree(v)) / maxSum
+			want := 2 - ((1-g.Alpha)*degTerm + g.Alpha*s)
+			if got := cost.At(u, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cost(%d,%d) = %v, want %v", u, v, got, want)
+			}
+		}
+	}
+}

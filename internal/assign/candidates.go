@@ -165,7 +165,9 @@ func TopKEmbedding(e *Embedding, k, workers int) *Candidates {
 		return c
 	}
 	var queryRows func(lo, hi int)
-	if e.Src.Cols >= bruteForceDim {
+	// The tree's splits and pruning assume ordered coordinates; NaN
+	// entries take the scan, which ranks NaN distances last.
+	if e.Src.Cols >= bruteForceDim || hasNaN(e.Src.Data) || hasNaN(e.Dst.Data) {
 		queryRows = func(lo, hi int) { topKEmbeddingBrute(e, c, lo, hi) }
 	} else {
 		points := make([][]float64, m)
@@ -181,6 +183,15 @@ func TopKEmbedding(e *Embedding, k, workers int) *Candidates {
 		queryRows(0, n)
 	}
 	return c
+}
+
+func hasNaN(xs []float64) bool {
+	for _, x := range xs {
+		if x != x {
+			return true
+		}
+	}
+	return false
 }
 
 // topKEmbeddingTree fills rows [lo, hi) by k-NN queries against the shared
@@ -446,17 +457,21 @@ type nnPair struct {
 }
 
 // nnInsert inserts (d2, j) into the bounded k-nearest selection array, kept
-// in ascending (distance, id) order, and returns the array and the new
-// eviction bound: +Inf until the array fills, the worst kept distance after.
-// Ids arrive ascending, so on equal distance the newcomer sits behind the
-// incumbents — the same tie contract as the k-d tree path. Callers
-// pre-filter against the bound, so a call is always an actual insertion; at
-// candidate-set sizes the copy is cheaper than heap sifts, and the array
-// needs no final sort.
+// in ascending (distance, id) order with NaN after every number, and returns
+// the array and the new eviction bound: +Inf until the array fills, the
+// worst kept distance after. Ids arrive ascending, so on equal distance (or
+// two NaNs) the newcomer sits behind the incumbents — the same tie contract
+// as the k-d tree path. Callers pre-filter against the bound, which a NaN
+// distance or a NaN bound passes, so an entry that ranks after all k kept
+// ones is dropped here. At candidate-set sizes the copy is cheaper than heap
+// sifts, and the array needs no final sort.
 func nnInsert(arr []nnPair, k int, d2 float64, j int) ([]nnPair, float64) {
 	pos := len(arr)
-	for pos > 0 && arr[pos-1].d2 > d2 {
+	for pos > 0 && nnAfter(arr[pos-1].d2, d2) {
 		pos--
+	}
+	if pos == k {
+		return arr, arr[k-1].d2
 	}
 	if len(arr) < k {
 		arr = arr[:len(arr)+1]
@@ -467,6 +482,12 @@ func nnInsert(arr []nnPair, k int, d2 float64, j int) ([]nnPair, float64) {
 		return arr, math.Inf(1)
 	}
 	return arr, arr[len(arr)-1].d2
+}
+
+// nnAfter reports whether distance x ranks strictly after d: it is larger,
+// or it is NaN and d is not.
+func nnAfter(x, d float64) bool {
+	return x > d || (x != x && d == d)
 }
 
 // Matchable reports whether the candidate graph admits a matching that

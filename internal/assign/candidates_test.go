@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -283,4 +284,85 @@ func minIntTest(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestTopKNaNDistances is the regression for a panic in nnInsert: once the
+// selection array was full, a NaN distance passed the !(s >= bound) filter
+// and the insert indexed past k. NaN target rows (NaN distance in every
+// row) and a NaN source row (NaN distance everywhere in that row) must
+// rank after every finite distance, keep ascending-id order among
+// themselves, and never displace a finite candidate.
+func TestTopKNaNDistances(t *testing.T) {
+	const n, m, k = 12, 40, 16
+	nanCols := map[int]bool{3: true, 30: true}
+	const nanRow = 5
+	for _, d := range []int{4, 8, 16} {
+		e := testEmbedding(n, m, d, 31)
+		for j := range nanCols {
+			e.Dst.Row(j)[d-1] = math.NaN()
+		}
+		e.Src.Row(nanRow)[0] = math.NaN()
+		for _, workers := range []int{1, 4} {
+			c := TopKEmbedding(e, k, workers)
+			for i := 0; i < n; i++ {
+				cols, _ := c.Row(i)
+				if i == nanRow {
+					for idx, j := range cols {
+						if j != idx {
+							t.Fatalf("d=%d NaN row: candidates %v, want columns 0..%d in id order", d, cols, k-1)
+						}
+					}
+					continue
+				}
+				// The finite reference: rank the non-NaN columns by
+				// (distance, id).
+				dist := make([]float64, m)
+				matrix.SqDistInto(dist, e.Src.Row(i), e.Dst)
+				var finite []int
+				for j := 0; j < m; j++ {
+					if !nanCols[j] {
+						finite = append(finite, j)
+					}
+				}
+				sort.SliceStable(finite, func(a, b int) bool { return dist[finite[a]] < dist[finite[b]] })
+				for idx, j := range cols {
+					if j != finite[idx] {
+						t.Fatalf("d=%d workers=%d row %d: candidates %v, want %v", d, workers, i, cols, finite[:k])
+					}
+				}
+			}
+		}
+	}
+
+	// The factored path prunes NaN scores instead: the same NaN column and
+	// row patterns leave short or empty rows, never a panic.
+	f := &FactorEmbedding{Us: [][]float64{make([]float64, n)}, Vs: [][]float64{make([]float64, m)}}
+	for i := range f.Us[0] {
+		f.Us[0][i] = float64(i + 1)
+	}
+	for j := range f.Vs[0] {
+		f.Vs[0][j] = float64(j)
+	}
+	for j := range nanCols {
+		f.Vs[0][j] = math.NaN()
+	}
+	f.Us[0][nanRow] = math.NaN()
+	for _, workers := range []int{1, 4} {
+		c := TopKFactor(f, k, workers)
+		for i := 0; i < n; i++ {
+			cols, _ := c.Row(i)
+			want := k
+			if i == nanRow {
+				want = 0
+			}
+			if len(cols) != want {
+				t.Fatalf("factor row %d: %d candidates, want %d", i, len(cols), want)
+			}
+			for _, j := range cols {
+				if nanCols[j] {
+					t.Fatalf("factor row %d kept NaN column %d", i, j)
+				}
+			}
+		}
+	}
 }

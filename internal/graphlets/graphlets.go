@@ -20,9 +20,35 @@
 //	orbit 13: degree-3 node of a diamond (G7)
 //	orbit 14: node of K4                 (G8)
 //
-// Counting uses the combinatorial relations of Lin et al. / ORCA restricted
-// to 4-node graphlets: count triangles and paths locally, then solve for
-// the induced-subgraph orbit counts. All counts are exact.
+// Counting is combinatorial in the style of ORCA (Hočevar & Demšar, "A
+// combinatorial approach to graphlet counting", Bioinformatics 2014),
+// restricted to 4-node graphlets: no subgraph is enumerated. Per-edge
+// triangle counts t(u,v), per-node triangle counts T(x) and the 2-hop sums
+// S(a) = Σ_{b∈N(a)} (d_b−1) are computed once; then, for each node x of
+// degree d, one stamped mark over N(x) yields the common-neighbour counts
+// c_w of the 2-hop nodes w ∉ N[x] and the K4s through x, and the orbit
+// counts follow from linear relations between these quantities and the
+// induced counts:
+//
+//	o0  = d,  o3 = T(x),  o2 = C(d,2) − o3,  o1 = S(x) − 2·o3
+//	o14 = number of K4s containing x
+//	o13 = Σ_a C(t(x,a),2) − 3·o14
+//	o12 = Σ_{(a,b) ⊆ N(x)} (t(a,b)−1) − 3·o14
+//	o10 = T(x)·(d−2) − 2·o13 − 3·o14
+//	o7  = C(d,3) − o10 − o13 − o14
+//	o8  = Σ_w C(c_w,2) − o12
+//	o11 = Σ_{(a,b) ⊆ N(x)} (d_a+d_b−4) − 2·o12 − 2·o13 − 6·o14
+//	o5  = Σ_a (d−1)(d_a−1) − 2·o3 − o11 − 2·o10 − 2·o8 − 4·o13 − 2·o12 − 6·o14
+//	o9  = Σ_a (T(a)−t(x,a)) − 2·o12 − 3·o14
+//	o4  = Σ_a (S(a)−(d−1)) − 2·o3 − o11 − 2·o8 − 2·o9 − 2·o13 − 4·o12 − 6·o14
+//	o6  = Σ_a C(d_a−1,2) − o9 − o11 − o13 − 2·o12 − 3·o14
+//
+// where a ranges over N(x) and (a,b) ⊆ N(x) over the edges between two
+// neighbours of x. Each left-hand sum counts walks or neighbour pairs; the
+// subtracted terms remove the denser graphlets those walks also close. All
+// arithmetic is exact int64, so the counts equal an exhaustive enumeration.
+// The cost is O(Σ_v deg(v)²) plus, for the K4s, one sorted-list merge per
+// edge inside each neighbourhood, i.e. three per triangle.
 package graphlets
 
 import (
@@ -33,217 +59,165 @@ import (
 const NumOrbits = 15
 
 // Counts holds per-node orbit counts: Counts[u][o] is how many times node u
-// touches orbit o.
+// touches orbit o. Count returns rows that share one flat backing array.
 type Counts [][]float64
 
-// Count computes the exact orbit counts for every node of g by direct
-// enumeration of connected 2-, 3- and 4-node induced subgraphs anchored at
-// each node. Complexity is O(sum_v deg(v)^3) in the worst case, adequate
-// for the graph sizes the alignment experiments use.
+// Count computes the exact orbit counts for every node of g with the
+// combinatorial relations in the package documentation, in O(Σ_v deg(v)²)
+// time and O(n + m) scratch space.
 func Count(g *graph.Graph) Counts {
 	n := g.N()
+	flat := make([]float64, n*NumOrbits)
 	c := make(Counts, n)
 	for u := range c {
-		c[u] = make([]float64, NumOrbits)
+		c[u] = flat[u*NumOrbits : (u+1)*NumOrbits : (u+1)*NumOrbits]
 	}
-
-	// Orbit 0: degree.
+	off := make([]int, n+1)
 	for u := 0; u < n; u++ {
-		c[u][0] = float64(g.Degree(u))
+		off[u+1] = off[u] + g.Degree(u)
 	}
 
-	// --- 3-node graphlets ---
-	// Triangles (orbit 3) and 2-paths (orbits 1, 2).
+	// tri[off[u]+i] is t(u, Neighbors(u)[i]): the triangles on that edge.
+	// mark[v] == u+1 stamps v ∈ N(u) for the node u currently examined.
+	tri := make([]int64, off[n])
+	mark := make([]int, n)
 	for u := 0; u < n; u++ {
 		nu := g.Neighbors(u)
-		du := len(nu)
-		// u is the middle of a 2-path for every non-adjacent neighbor pair,
-		// i.e. (du choose 2) minus triangles at u.
-		triAtU := 0
-		for ai := 0; ai < du; ai++ {
-			for bi := ai + 1; bi < du; bi++ {
-				if g.HasEdge(nu[ai], nu[bi]) {
-					triAtU++
-				}
-			}
+		for _, v := range nu {
+			mark[v] = u + 1
 		}
-		c[u][3] = float64(triAtU)
-		pairs := du * (du - 1) / 2
-		c[u][2] = float64(pairs - triAtU)
-	}
-	// Orbit 1: u is an end of a 2-path u-v-w with u !~ w.
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			// neighbors of v other than u and not adjacent to u
-			for _, w := range g.Neighbors(v) {
+		for i, v := range nu {
+			if v < u {
+				continue
+			}
+			var t int64
+			ju := 0
+			for j, w := range g.Neighbors(v) {
 				if w == u {
-					continue
-				}
-				if !g.HasEdge(u, w) {
-					c[u][1]++
+					ju = j
+				} else if mark[w] == u+1 {
+					t++
 				}
 			}
+			tri[off[u]+i] = t
+			tri[off[v]+ju] = t
 		}
+	}
+	triNode := make([]int64, n) // T(x)
+	twoHop := make([]int64, n)  // S(x)
+	for u := 0; u < n; u++ {
+		var t, s int64
+		for i, v := range g.Neighbors(u) {
+			t += tri[off[u]+i]
+			s += int64(g.Degree(v) - 1)
+		}
+		triNode[u] = t / 2
+		twoHop[u] = s
 	}
 
-	// --- 4-node graphlets: enumerate anchored at the smallest node id ---
-	// For exactness we enumerate all connected induced 4-node subgraphs once
-	// via the standard "enumerate connected subsets" expansion, classify the
-	// induced subgraph, and credit each member node with its orbit.
-	enumerate4(g, c)
+	// common[w] is c_w, the common neighbours of x and a 2-hop node w;
+	// touched lists the w with common[w] > 0 so the reset is O(touched).
+	common := make([]int64, n)
+	var touched []int
+	for x := 0; x < n; x++ {
+		nx := g.Neighbors(x)
+		d := int64(len(nx))
+		stamp := x + 1
+		for _, a := range nx {
+			mark[a] = stamp
+		}
+		var (
+			pairTri  int64 // Σ_a C(t(x,a),2)
+			triAway  int64 // Σ_a (T(a) − t(x,a))
+			walks3   int64 // Σ_a (S(a) − (d−1))
+			leafPair int64 // Σ_a C(d_a−1,2)
+			degAway  int64 // Σ_a (d_a−1)
+			edgeTri  int64 // Σ_{(a,b)⊆N(x)} (t(a,b)−1)
+			edgeDeg  int64 // Σ_{(a,b)⊆N(x)} (d_a+d_b−4)
+			k4       int64
+		)
+		touched = touched[:0]
+		for ia, a := range nx {
+			txa := tri[off[x]+ia]
+			na := g.Neighbors(a)
+			da := int64(len(na))
+			pairTri += txa * (txa - 1) / 2
+			triAway += triNode[a] - txa
+			walks3 += twoHop[a] - (d - 1)
+			leafPair += (da - 1) * (da - 2) / 2
+			degAway += da - 1
+			for ib, b := range na {
+				if b == x {
+					continue
+				}
+				if mark[b] != stamp {
+					if common[b] == 0 {
+						touched = append(touched, b)
+					}
+					common[b]++
+					continue
+				}
+				if b < a {
+					continue
+				}
+				nb := g.Neighbors(b)
+				edgeTri += tri[off[a]+ib] - 1
+				edgeDeg += da + int64(len(nb)) - 4
+				k4 += commonMarked(na[ib+1:], nb, mark, stamp)
+			}
+		}
+		var cycles int64 // Σ_w C(c_w,2)
+		for _, w := range touched {
+			cw := common[w]
+			cycles += cw * (cw - 1) / 2
+			common[w] = 0
+		}
+
+		t := triNode[x]
+		o14 := k4
+		o13 := pairTri - 3*o14
+		o12 := edgeTri - 3*o14
+		o10 := t*(d-2) - 2*o13 - 3*o14
+		o7 := d*(d-1)*(d-2)/6 - o10 - o13 - o14
+		o8 := cycles - o12
+		o11 := edgeDeg - 2*o12 - 2*o13 - 6*o14
+		o5 := (d-1)*degAway - 2*t - o11 - 2*o10 - 2*o8 - 4*o13 - 2*o12 - 6*o14
+		o9 := triAway - 2*o12 - 3*o14
+		o4 := walks3 - 2*t - o11 - 2*o8 - 2*o9 - 2*o13 - 4*o12 - 6*o14
+		o6 := leafPair - o9 - o11 - o13 - 2*o12 - 3*o14
+
+		row := c[x]
+		for o, v := range [NumOrbits]int64{
+			d, twoHop[x] - 2*t, d*(d-1)/2 - t, t,
+			o4, o5, o6, o7, o8, o9, o10, o11, o12, o13, o14,
+		} {
+			row[o] = float64(v)
+		}
+	}
 	return c
 }
 
-// enumerate4 enumerates each connected induced 4-node subgraph exactly once
-// using the ESU algorithm (Wernicke 2006) and increments the orbit counters
-// of its nodes. ESU invariant: only nodes with id greater than the root may
-// join, and each candidate enters the extension set exactly once — when its
-// first neighbor inside the subgraph is added.
-func enumerate4(g *graph.Graph, c Counts) {
-	n := g.N()
-	sub := make([]int, 0, 4)
-	inSub := make([]bool, n)
-	var extend func(ext []int, root int)
-	extend = func(ext []int, root int) {
-		if len(sub) == 4 {
-			classify4(g, sub, c)
-			return
-		}
-		for i := 0; i < len(ext); i++ {
-			v := ext[i]
-			// Extension for the recursive call: the not-yet-tried remainder
-			// of ext plus the exclusive neighbors of v (neighbors > root not
-			// adjacent to any current subgraph node).
-			newExt := append([]int(nil), ext[i+1:]...)
-			for _, w := range g.Neighbors(v) {
-				if w <= root || inSub[w] {
-					continue
-				}
-				exclusive := true
-				for _, s := range sub {
-					if g.HasEdge(s, w) {
-						exclusive = false
-						break
-					}
-				}
-				if !exclusive {
-					continue
-				}
-				dup := false
-				for _, x := range newExt {
-					if x == w {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					newExt = append(newExt, w)
-				}
+// commonMarked counts the elements shared by the ascending lists p and q
+// that carry the given stamp — with p = the part of N(a) above b and
+// q = N(b), the nodes c > b closing a triangle (a, b, c) inside N(x).
+func commonMarked(p, q []int, mark []int, stamp int) int64 {
+	var k int64
+	i, j := 0, 0
+	for i < len(p) && j < len(q) {
+		switch {
+		case p[i] < q[j]:
+			i++
+		case p[i] > q[j]:
+			j++
+		default:
+			if mark[p[i]] == stamp {
+				k++
 			}
-			sub = append(sub, v)
-			inSub[v] = true
-			extend(newExt, root)
-			inSub[v] = false
-			sub = sub[:len(sub)-1]
+			i++
+			j++
 		}
 	}
-	for root := 0; root < n; root++ {
-		var ext []int
-		for _, v := range g.Neighbors(root) {
-			if v > root {
-				ext = append(ext, v)
-			}
-		}
-		sub = append(sub[:0], root)
-		inSub[root] = true
-		extend(ext, root)
-		inSub[root] = false
-		sub = sub[:0]
-	}
-}
-
-// classify4 identifies the induced graphlet on the 4 nodes of sub and
-// credits orbits.
-func classify4(g *graph.Graph, sub []int, c Counts) {
-	var deg [4]int
-	edges := 0
-	var adj [4][4]bool
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			if g.HasEdge(sub[i], sub[j]) {
-				adj[i][j] = true
-				adj[j][i] = true
-				deg[i]++
-				deg[j]++
-				edges++
-			}
-		}
-	}
-	switch edges {
-	case 3:
-		// path P4 (degrees 1,1,2,2) or star K1,3 (degrees 1,1,1,3)
-		maxd := 0
-		for _, d := range deg {
-			if d > maxd {
-				maxd = d
-			}
-		}
-		if maxd == 3 {
-			for i, d := range deg {
-				if d == 3 {
-					c[sub[i]][7]++ // star center
-				} else {
-					c[sub[i]][6]++ // star leaf
-				}
-			}
-		} else {
-			for i, d := range deg {
-				if d == 1 {
-					c[sub[i]][4]++ // path end
-				} else {
-					c[sub[i]][5]++ // path middle
-				}
-			}
-		}
-	case 4:
-		// cycle C4 (all degree 2) or tailed triangle / paw (degrees 1,2,2,3)
-		isCycle := true
-		for _, d := range deg {
-			if d != 2 {
-				isCycle = false
-				break
-			}
-		}
-		if isCycle {
-			for i := 0; i < 4; i++ {
-				c[sub[i]][8]++
-			}
-		} else {
-			for i, d := range deg {
-				switch d {
-				case 1:
-					c[sub[i]][9]++ // pendant leaf
-				case 3:
-					c[sub[i]][10]++ // attachment node (in triangle, holds tail)
-				default:
-					c[sub[i]][11]++ // other two triangle nodes
-				}
-			}
-		}
-	case 5:
-		// diamond K4 minus an edge: degrees 2,2,3,3
-		for i, d := range deg {
-			if d == 2 {
-				c[sub[i]][12]++
-			} else {
-				c[sub[i]][13]++
-			}
-		}
-	case 6:
-		for i := 0; i < 4; i++ {
-			c[sub[i]][14]++
-		}
-	}
+	return k
 }
 
 // OrbitWeights returns the GRAAL orbit weights w_o = 1 - log(o_count)/log(15)

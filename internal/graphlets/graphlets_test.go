@@ -1,10 +1,11 @@
 package graphlets
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
+	"graphalign/internal/gen"
 	"graphalign/internal/graph"
 )
 
@@ -118,24 +119,22 @@ func TestK4Orbits(t *testing.T) {
 	}
 }
 
-// bruteForceCount enumerates all 4-subsets directly for cross-checking ESU.
+// bruteForceCount is the exhaustive oracle: orbits 0-3 from every node
+// pair and triple, orbits 4-14 by classifying the induced subgraph on every
+// connected 4-subset.
 func bruteForceCount(g *graph.Graph) Counts {
 	n := g.N()
 	c := make(Counts, n)
 	for u := range c {
 		c[u] = make([]float64, NumOrbits)
+		c[u][0] = float64(g.Degree(u))
 	}
-	// Orbits 0-3 trivially recomputed via the public Count paths; here we
-	// only cross-check 4-node orbits (4..14).
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			for x := b + 1; x < n; x++ {
+				classify3(g, []int{a, b, x}, c)
 				for y := x + 1; y < n; y++ {
-					sub := []int{a, b, x, y}
-					if !connected4(g, sub) {
-						continue
-					}
-					classify4(g, sub, c)
+					classify4(g, []int{a, b, x, y}, c)
 				}
 			}
 		}
@@ -143,52 +142,114 @@ func bruteForceCount(g *graph.Graph) Counts {
 	return c
 }
 
-func connected4(g *graph.Graph, sub []int) bool {
-	visited := map[int]bool{sub[0]: true}
-	queue := []int{sub[0]}
-	inSub := map[int]bool{}
-	for _, s := range sub {
-		inSub[s] = true
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if inSub[v] && !visited[v] {
-				visited[v] = true
-				queue = append(queue, v)
+// inducedDegrees returns each member's degree inside the subgraph induced
+// by sub, and its edge count.
+func inducedDegrees(g *graph.Graph, sub []int) (deg []int, edges int) {
+	deg = make([]int, len(sub))
+	for i := range sub {
+		for j := i + 1; j < len(sub); j++ {
+			if g.HasEdge(sub[i], sub[j]) {
+				deg[i]++
+				deg[j]++
+				edges++
 			}
 		}
 	}
-	return len(visited) == 4
+	return deg, edges
 }
 
-func TestPropertyESUMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var edges []graph.Edge
-		n := 10
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.3 {
-					edges = append(edges, graph.Edge{U: u, V: v})
-				}
-			}
+// classify3 credits the orbits of a connected induced 3-node subgraph.
+func classify3(g *graph.Graph, sub []int, c Counts) {
+	deg, edges := inducedDegrees(g, sub)
+	for i, d := range deg {
+		switch {
+		case edges == 3:
+			c[sub[i]][3]++
+		case edges == 2 && d == 1:
+			c[sub[i]][1]++
+		case edges == 2 && d == 2:
+			c[sub[i]][2]++
 		}
-		g := graph.MustNew(n, edges)
-		esu := Count(g)
-		brute := bruteForceCount(g)
-		for u := 0; u < n; u++ {
-			for o := 4; o < NumOrbits; o++ {
-				if esu[u][o] != brute[u][o] {
-					return false
-				}
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+}
+
+// classify4 credits the orbits of the induced 4-node subgraph when it is
+// connected. Without an isolated member the only disconnected case is two
+// disjoint edges (2 edges); otherwise the edge count, the maximum degree
+// and a node's own degree fix the graphlet and the node's orbit.
+func classify4(g *graph.Graph, sub []int, c Counts) {
+	deg, edges := inducedDegrees(g, sub)
+	maxd := 0
+	for _, d := range deg {
+		if d == 0 {
+			return
+		}
+		maxd = max(maxd, d)
+	}
+	if edges == 2 {
+		return
+	}
+	for i, d := range deg {
+		var o int
+		switch {
+		case edges == 3 && maxd == 3:
+			o = map[int]int{1: 6, 3: 7}[d] // claw: leaf, centre
+		case edges == 3:
+			o = map[int]int{1: 4, 2: 5}[d] // path: end, middle
+		case edges == 4 && maxd == 2:
+			o = 8 // 4-cycle
+		case edges == 4:
+			o = map[int]int{1: 9, 2: 11, 3: 10}[d] // paw: leaf, triangle node, attachment
+		case edges == 5:
+			o = map[int]int{2: 12, 3: 13}[d] // diamond
+		default:
+			o = 14
+		}
+		c[sub[i]][o]++
+	}
+}
+
+// TestPropertyCountMatchesBruteForce checks every orbit of Count against
+// the exhaustive oracle on degenerate shapes, random ER graphs and
+// high-skew Holme–Kim graphs, whose hubs and dense cores exercise every
+// correction term of the combinatorial relations.
+func TestPropertyCountMatchesBruteForce(t *testing.T) {
+	var star, clique, path []graph.Edge
+	for v := 1; v < 9; v++ {
+		star = append(star, graph.Edge{U: 0, V: v})
+		path = append(path, graph.Edge{U: v - 1, V: v})
+	}
+	for u := 0; u < 7; u++ {
+		for v := u + 1; v < 7; v++ {
+			clique = append(clique, graph.Edge{U: u, V: v})
+		}
+	}
+	cases := map[string]*graph.Graph{
+		"empty":        graph.MustNew(0, nil),
+		"isolated":     graph.MustNew(5, nil),
+		"edge+isolate": graph.MustNew(4, []graph.Edge{{U: 1, V: 2}}),
+		"star":         graph.MustNew(9, star),
+		"clique":       graph.MustNew(7, clique),
+		"path":         graph.MustNew(9, path),
+		"two-edges":    graph.MustNew(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}),
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cases[fmt.Sprintf("er-%d", seed)] = gen.ErdosRenyi(12+int(seed)%6, 0.15+0.05*float64(seed%8), rng)
+		cases[fmt.Sprintf("holme-kim-%d", seed)] = gen.PowerlawCluster(18+int(seed)%8, 1+int(seed)%4, 0.9, rng)
+	}
+	for name, g := range cases {
+		got, want := Count(g), bruteForceCount(g)
+		if len(got) != g.N() {
+			t.Fatalf("%s: %d rows for %d nodes", name, len(got), g.N())
+		}
+		for u := range want {
+			for o := range want[u] {
+				if got[u][o] != want[u][o] {
+					t.Errorf("%s: node %d orbit %d = %v, want %v", name, u, o, got[u][o], want[u][o])
+				}
+			}
+		}
 	}
 }
 
@@ -226,5 +287,17 @@ func TestOrbitWeightsPositive(t *testing.T) {
 	}
 	if w[0] != 1 {
 		t.Errorf("degree orbit should have weight 1, got %v", w[0])
+	}
+}
+
+// BenchmarkCount counts a 2000-node powerlaw graph. The combinatorial
+// relations take milliseconds here; enumerating the connected 4-node
+// subgraphs takes tens of seconds, so the bench smoke catches a regression
+// to enumeration cost.
+func BenchmarkCount(b *testing.B) {
+	g := gen.PowerlawCluster(2000, 5, 0.5, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	for b.Loop() {
+		Count(g)
 	}
 }

@@ -115,25 +115,20 @@ func (m *Dense) T() *Dense {
 // Mul returns a*b. Large products are row-blocked across the worker pool;
 // the result is bitwise identical to the serial computation.
 func Mul(a, b *Dense) *Dense {
+	return MulTo(NewDense(a.Rows, b.Cols), a, b)
+}
+
+// MulTo writes a*b into out (a.Rows x b.Cols, overwritten; it must not
+// alias a or b) and returns out, so iterative callers reuse one buffer.
+// Each element sums a(i,k)*b(k,j) over the nonzero a(i,k) in ascending k,
+// starting from +0 — bitwise the textbook triple loop with a zero skip —
+// for any worker count.
+func MulTo(out, a, b *Dense) *Dense {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewDense(a.Rows, b.Cols)
-	mulRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	}
+	out.mustShape(a.Rows, b.Cols)
+	mulRows := func(lo, hi int) { mulKernel(out, a, b, lo, hi) }
 	if work := a.Rows * a.Cols * b.Cols; work >= parallelFlops {
 		parallel.Blocks(0, a.Rows, mulRows)
 	} else {
@@ -142,34 +137,130 @@ func Mul(a, b *Dense) *Dense {
 	return out
 }
 
+// mulKernel computes rows [lo, hi) of out = a*b. The nonzero k of a row are
+// gathered first and applied four at a time: each output element is loaded
+// once per four b rows and its four products are added in ascending k, so
+// the per-element summation order is that of the one-k-at-a-time loop
+// while the loads and stores of out drop fourfold.
+func mulKernel(out, a, b *Dense, lo, hi int) {
+	n := b.Cols
+	ks := make([]int, 0, a.Cols)
+	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		clear(orow)
+		ks = ks[:0]
+		for k, av := range arow {
+			if av != 0 {
+				ks = append(ks, k)
+			}
+		}
+		p := 0
+		for ; p+4 <= len(ks); p += 4 {
+			k0, k1, k2, k3 := ks[p], ks[p+1], ks[p+2], ks[p+3]
+			a0, a1, a2, a3 := arow[k0], arow[k1], arow[k2], arow[k3]
+			b0 := b.Data[k0*n : (k0+1)*n : (k0+1)*n][:len(orow)]
+			b1 := b.Data[k1*n : (k1+1)*n : (k1+1)*n][:len(orow)]
+			b2 := b.Data[k2*n : (k2+1)*n : (k2+1)*n][:len(orow)]
+			b3 := b.Data[k3*n : (k3+1)*n : (k3+1)*n][:len(orow)]
+			for j := range orow {
+				o := orow[j]
+				o += a0 * b0[j]
+				o += a1 * b1[j]
+				o += a2 * b2[j]
+				o += a3 * b3[j]
+				orow[j] = o
+			}
+		}
+		for ; p < len(ks); p++ {
+			k := ks[p]
+			av := arow[k]
+			brow := b.Data[k*n : (k+1)*n : (k+1)*n][:len(orow)]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
 // MulABT returns a * bᵀ, i.e. out[i][j] = <a.Row(i), b.Row(j)>. Large
 // products are row-blocked across the worker pool; the result is bitwise
 // identical to the serial computation.
 func MulABT(a, b *Dense) *Dense {
+	return MulABTTo(NewDense(a.Rows, b.Rows), a, b)
+}
+
+// MulABTTo writes a * bᵀ into out (a.Rows x b.Rows, overwritten; it must
+// not alias a or b) and returns out. Each element is the dot product
+// accumulated in ascending k from +0, for any worker count.
+func MulABTTo(out, a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: mulABT shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewDense(a.Rows, b.Rows)
-	mulRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var s float64
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				orow[j] = s
-			}
-		}
-	}
+	out.mustShape(a.Rows, b.Rows)
+	mulRows := func(lo, hi int) { mulABTKernel(out, a, b, lo, hi) }
 	if work := a.Rows * a.Cols * b.Rows; work >= parallelFlops {
 		parallel.Blocks(0, a.Rows, mulRows)
 	} else {
 		mulRows(0, a.Rows)
 	}
 	return out
+}
+
+// mulABTKernel computes rows [lo, hi) of out = a*bᵀ in 2x4 tiles: two rows
+// of a against four rows of b with eight independent accumulator chains,
+// which hides the FP add latency and loads each a and b value once per tile
+// instead of once per dot product. Every chain still runs k-ascending, so
+// each element is bitwise the plain dot product. An odd last row and the
+// columns past the last multiple of four fall back to single chains.
+func mulABTKernel(out, a, b *Dense, lo, hi int) {
+	d := a.Cols
+	m := b.Rows
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		x0 := a.Row(i)
+		x1 := a.Row(i + 1)[:len(x0)]
+		o0, o1 := out.Row(i), out.Row(i+1)
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			base := j * d
+			y0 := b.Data[base : base+d : base+d][:len(x0)]
+			y1 := b.Data[base+d : base+2*d : base+2*d][:len(x0)]
+			y2 := b.Data[base+2*d : base+3*d : base+3*d][:len(x0)]
+			y3 := b.Data[base+3*d : base+4*d : base+4*d][:len(x0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, u := range x0 {
+				v := x1[k]
+				c0, c1, c2, c3 := y0[k], y1[k], y2[k], y3[k]
+				s00 += u * c0
+				s01 += u * c1
+				s02 += u * c2
+				s03 += u * c3
+				s10 += v * c0
+				s11 += v * c1
+				s12 += v * c2
+				s13 += v * c3
+			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
+		}
+		for ; j < m; j++ {
+			y := b.Row(j)[:len(x0)]
+			var s0, s1 float64
+			for k, u := range x0 {
+				s0 += u * y[k]
+				s1 += x1[k] * y[k]
+			}
+			o0[j], o1[j] = s0, s1
+		}
+	}
+	if i < hi {
+		x := a.Row(i)
+		orow := out.Row(i)
+		for j := 0; j < m; j++ {
+			orow[j] = Dot(x, b.Row(j))
+		}
+	}
 }
 
 // PairwiseSqDist returns the a.Rows x b.Rows matrix of squared Euclidean
@@ -356,6 +447,12 @@ func (m *Dense) AddOuterScaled(u, v []float64, s float64) {
 		for j, vv := range v {
 			row[j] += c * vv
 		}
+	}
+}
+
+func (m *Dense) mustShape(rows, cols int) {
+	if m.Rows != rows || m.Cols != cols {
+		panic(fmt.Sprintf("matrix: shape %dx%d, want %dx%d", m.Rows, m.Cols, rows, cols))
 	}
 }
 

@@ -78,37 +78,36 @@ func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []fl
 		}
 	}
 
-	// Initial plan: product measure mu nuᵀ.
+	// Initial plan: product measure mu nuᵀ. The plan is updated in place
+	// and every per-iteration product lands in a buffer allocated once.
 	t := matrix.Outer(mu, nu)
+	caT := matrix.NewDense(n, m)    // Ca T
+	caTcbT := matrix.NewDense(n, m) // Ca T Cbᵀ
 	grad := matrix.NewDense(n, m)
+	kernel := matrix.NewDense(n, m)
 	for it := 0; it < opts.OuterIters; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// grad = cst - 2 * Ca T Cbᵀ
-		caT := matrix.Mul(ca, t)         // n x m
-		caTcbT := matrix.MulABT(caT, cb) // n x m  (caT * cbᵀ)
+		matrix.MulTo(caT, ca, t)
+		matrix.MulABTTo(caTcbT, caT, cb)
 		copy(grad.Data, cst.Data)
 		grad.AddScaled(caTcbT, -2)
 		// Proximal step: cost = grad - beta * log(T_prev); folding the log
 		// prior into the kernel is equivalent to Sinkhorn on
 		// exp(-(grad)/beta) ∘ T_prev.
-		prox := matrix.NewDense(n, m)
-		for i := range prox.Data {
-			prox.Data[i] = grad.Data[i]
-		}
-		tNew, err := sinkhornWithPrior(ctx, prox, t, mu, nu, opts.Beta, opts.SinkhornIters)
-		if err != nil {
+		if err := sinkhornWithPrior(ctx, grad, t, kernel, mu, nu, opts.Beta, opts.SinkhornIters); err != nil {
 			return nil, err
 		}
-		t = tNew
 	}
 	return t, nil
 }
 
 // sinkhornWithPrior solves min <C,T> + beta*KL(T || prior) over Pi(mu, nu)
 // by scaling the kernel prior ∘ exp(-C/beta), checking ctx once per round.
-func sinkhornWithPrior(ctx context.Context, c, prior *matrix.Dense, mu, nu []float64, beta float64, iters int) (*matrix.Dense, error) {
+// The plan overwrites prior; k is scratch of the same shape for the kernel.
+func sinkhornWithPrior(ctx context.Context, c, prior, k *matrix.Dense, mu, nu []float64, beta float64, iters int) error {
 	n, m := c.Rows, c.Cols
 	minC := c.Data[0]
 	for _, v := range c.Data {
@@ -116,7 +115,6 @@ func sinkhornWithPrior(ctx context.Context, c, prior *matrix.Dense, mu, nu []flo
 			minC = v
 		}
 	}
-	k := matrix.NewDense(n, m)
 	for i, v := range c.Data {
 		k.Data[i] = prior.Data[i] * expStable(-(v-minC)/beta)
 	}
@@ -131,7 +129,7 @@ func sinkhornWithPrior(ctx context.Context, c, prior *matrix.Dense, mu, nu []flo
 	const tiny = 1e-300
 	for it := 0; it < iters; it++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < n; i++ {
 			row := k.Row(i)
@@ -162,16 +160,15 @@ func sinkhornWithPrior(ctx context.Context, c, prior *matrix.Dense, mu, nu []flo
 			v[j] = nu[j] / s
 		}
 	}
-	t := matrix.NewDense(n, m)
 	for i := 0; i < n; i++ {
 		krow := k.Row(i)
-		trow := t.Row(i)
+		trow := prior.Row(i)
 		ui := u[i]
 		for j, kv := range krow {
 			trow[j] = ui * kv * v[j]
 		}
 	}
-	return t, nil
+	return nil
 }
 
 func expStable(x float64) float64 {
