@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -227,4 +228,32 @@ func TestSolveGreedySparseStarvedFallback(t *testing.T) {
 		[][]float64{{1}, {0.9}, {0.8}}, 4)
 	got := SolveGreedySparse(c)
 	assertSameMapping(t, "sg-starved", got, []int{0, 1, 2})
+}
+
+// TestSolveGreedySparseMatchesReference checks the sparse greedy against
+// the full-sort reference when every column is a candidate. Values are
+// quantized so that ties are common, and some are NaN, which the value
+// comparison does not order: the two must still agree pair for pair.
+func TestSolveGreedySparseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(30)
+		m := 1 + rng.Intn(30)
+		sim := matrix.NewDense(n, m)
+		cols := make([][]int, n)
+		vals := make([][]float64, n)
+		for i := range cols {
+			for j := 0; j < m; j++ {
+				v := float64(rng.Intn(5)) / 4
+				if trial%2 == 1 && rng.Intn(10) == 0 {
+					v = math.NaN()
+				}
+				sim.Set(i, j, v)
+				cols[i] = append(cols[i], j)
+				vals[i] = append(vals[i], v)
+			}
+		}
+		got := SolveGreedySparse(candidatesFromRows(cols, vals, m))
+		assertSameMapping(t, "sparse-vs-reference", got, solveGreedyReference(sim))
+	}
 }

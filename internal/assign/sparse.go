@@ -1,7 +1,8 @@
 package assign
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"graphalign/internal/matrix"
 )
@@ -54,14 +55,19 @@ func SolveGreedySparse(c *Candidates) []int {
 			pairs = append(pairs, pair{i, j, vals[ci]})
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].v != pairs[b].v {
-			return pairs[a].v > pairs[b].v
+	// The value order is the plain > comparison, not cmp.Compare, so that
+	// a NaN value sorts exactly as it always has.
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if a.v != b.v {
+			if a.v > b.v {
+				return -1
+			}
+			return 1
 		}
-		if pairs[a].i != pairs[b].i {
-			return pairs[a].i < pairs[b].i
+		if a.i != b.i {
+			return cmp.Compare(a.i, b.i)
 		}
-		return pairs[a].j < pairs[b].j
+		return cmp.Compare(a.j, b.j)
 	})
 	mapping := make([]int, n)
 	for i := range mapping {

@@ -50,11 +50,12 @@ func TruncatedSVDCtx(ctx context.Context, a *matrix.Dense, k, iters int, rng *ra
 	if iters < 1 {
 		iters = 1
 	}
+	at := a.T()
 	for q := 0; q < iters; q++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		z := matrix.Mul(a.T(), y) // n x p
+		z := matrix.Mul(at, y) // n x p
 		orthonormalizeColumns(z)
 		y = matrix.Mul(a, z) // m x p
 		orthonormalizeColumns(y)

@@ -21,14 +21,27 @@ func SVD(a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense) {
 // SVDCtx is SVD with cooperative cancellation checked once per Jacobi sweep;
 // it returns ctx.Err() and nil factors when interrupted.
 func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
-	m, n := a.Rows, a.Cols
-	u = a.Clone()
-	v = matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+	ut, s, vt, err := jacobiT(ctx, a.T())
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	// One-sided Jacobi: repeatedly orthogonalize pairs of columns of u,
-	// accumulating rotations in v.
+	return transposed(ut), s, transposed(vt), nil
+}
+
+// jacobiT is the one-sided Jacobi SVD of a = utᵀ, run on the transposed
+// factors so that the columns the sweeps pair up are contiguous rows. It
+// overwrites ut (n x m) with Uᵀ and returns it with the descending singular
+// values and Vᵀ (n x n). Every sum and rotation runs in the same index order
+// as the column form, so the factors are bitwise those of the textbook
+// column sweep.
+func jacobiT(ctx context.Context, ut *matrix.Dense) (*matrix.Dense, []float64, *matrix.Dense, error) {
+	n := ut.Rows
+	vt := matrix.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		vt.Set(i, i, 1)
+	}
+	// One-sided Jacobi: repeatedly orthogonalize pairs of columns of U
+	// (rows of ut), accumulating rotations in V (rows of vt).
 	const maxSweeps = 60
 	eps := 1e-14
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -37,14 +50,17 @@ func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64,
 		}
 		off := 0.0
 		for p := 0; p < n-1; p++ {
+			up, vp := ut.Row(p), vt.Row(p)
 			for q := p + 1; q < n; q++ {
+				// Re-slicing to len(up) lets the compiler drop the bounds
+				// checks on uq in the loops below.
+				uq := ut.Row(q)[:len(up)]
 				var alpha, beta, gamma float64
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					alpha += up * up
-					beta += uq * uq
-					gamma += up * uq
+				for i, x := range up {
+					y := uq[i]
+					alpha += x * x
+					beta += y * y
+					gamma += x * y
 				}
 				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) {
 					continue
@@ -54,17 +70,16 @@ func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64,
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				sn := c * t
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					u.Set(i, p, c*up-sn*uq)
-					u.Set(i, q, sn*up+c*uq)
+				for i, x := range up {
+					y := uq[i]
+					up[i] = c*x - sn*y
+					uq[i] = sn*x + c*y
 				}
-				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-sn*vq)
-					v.Set(i, q, sn*vp+c*vq)
+				vq := vt.Row(q)[:len(vp)]
+				for i, x := range vp {
+					y := vq[i]
+					vp[i] = c*x - sn*y
+					vq[i] = sn*x + c*y
 				}
 			}
 		}
@@ -72,18 +87,19 @@ func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64,
 			break
 		}
 	}
-	// Column norms of u are the singular values.
-	s = make([]float64, n)
+	// Column norms of U are the singular values.
+	s := make([]float64, n)
 	for j := 0; j < n; j++ {
+		row := ut.Row(j)
 		var nrm float64
-		for i := 0; i < m; i++ {
-			nrm += u.At(i, j) * u.At(i, j)
+		for _, x := range row {
+			nrm += x * x
 		}
 		nrm = math.Sqrt(nrm)
 		s[j] = nrm
 		if nrm > 0 {
-			for i := 0; i < m; i++ {
-				u.Set(i, j, u.At(i, j)/nrm)
+			for i, x := range row {
+				row[i] = x / nrm
 			}
 		}
 	}
@@ -97,19 +113,25 @@ func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64,
 		}
 		if best != j {
 			s[j], s[best] = s[best], s[j]
-			for i := 0; i < m; i++ {
-				uj, ub := u.At(i, j), u.At(i, best)
-				u.Set(i, j, ub)
-				u.Set(i, best, uj)
-			}
-			for i := 0; i < n; i++ {
-				vj, vb := v.At(i, j), v.At(i, best)
-				v.Set(i, j, vb)
-				v.Set(i, best, vj)
-			}
+			swapRows(ut, j, best)
+			swapRows(vt, j, best)
 		}
 	}
-	return u, s, v, nil
+	return ut, s, vt, nil
+}
+
+// transposed returns the transpose of m, reusing m's storage when it is
+// square.
+func transposed(m *matrix.Dense) *matrix.Dense {
+	if m.Rows != m.Cols {
+		return m.T()
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			m.Data[i*m.Cols+j], m.Data[j*m.Cols+i] = m.Data[j*m.Cols+i], m.Data[i*m.Cols+j]
+		}
+	}
+	return m
 }
 
 // SVDAny computes the thin SVD for any shape, transposing internally when
@@ -125,12 +147,13 @@ func SVDAnyCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float
 	if a.Rows >= a.Cols {
 		return SVDCtx(ctx, a)
 	}
-	vt, s, ut, err := SVDCtx(ctx, a.T())
+	// The Jacobi sweeps on aᵀ = U' s V'ᵀ work on (aᵀ)ᵀ = a itself and
+	// return U'ᵀ and V'ᵀ; a = V' s U'ᵀ.
+	upT, s, vpT, err := jacobiT(ctx, a.Clone())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// a = (aᵀ)ᵀ = (vt s utᵀ)ᵀ = ut s vtᵀ
-	return ut, s, vt, nil
+	return transposed(vpT), s, transposed(upT), nil
 }
 
 // PseudoInverse returns the Moore–Penrose pseudo-inverse of a, computed from

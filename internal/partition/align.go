@@ -1,10 +1,11 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"graphalign/internal/algo"
@@ -238,11 +239,11 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 			bn = append(bn, bnode{u, cross})
 		}
 	}
-	sort.Slice(bn, func(a, b int) bool {
-		if bn[a].cross != bn[b].cross {
-			return bn[a].cross > bn[b].cross
+	slices.SortFunc(bn, func(a, b bnode) int {
+		if a.cross != b.cross {
+			return cmp.Compare(b.cross, a.cross)
 		}
-		return bn[a].u < bn[b].u
+		return cmp.Compare(a.u, b.u)
 	})
 	frac := opts.BoundaryFrac
 	if frac <= 0 {
@@ -262,7 +263,7 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 	for i, b := range bn {
 		rows[i] = b.u
 	}
-	sort.Ints(rows)
+	slices.Sort(rows)
 	boundarySize = len(rows)
 	inB := make([]bool, n1)
 	for _, u := range rows {
@@ -275,11 +276,19 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 	}
 	deg1, deg2 := src.Degrees(), dst.Degrees()
 
+	// Scratch reused across rounds. poolStamp marks pool membership with
+	// the round number, so neither it nor colOf is cleared between rounds.
+	owner := make([]int, n2)
+	candBuf := make([]refineCand, len(rows)*refineCandidates)
+	rowCands := make([][]refineCand, len(rows))
+	poolStamp := make([]int, n2)
+	colOf := make([]int, n2)
+	var live, pool []int
+
 	for round := 0; round < maxRounds; round++ {
 		if ctx.Err() != nil {
 			return boundarySize, rounds, moved
 		}
-		owner := make([]int, n2)
 		for v := range owner {
 			owner[v] = -1
 		}
@@ -289,64 +298,69 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 			}
 		}
 
-		// Per-row candidate scoring, fanned out with one writer per slot.
-		type cand struct {
-			v     int
-			score float64 // composite bid value
-			agree float64 // pure neighborhood agreement (the objective)
-		}
-		rowCands := make([][]cand, len(rows))
-		parallel.For(opts.Workers, len(rows), func(r int) {
-			u := rows[r]
-			agree := make(map[int]float64)
-			for _, w := range src.Neighbors(u) {
-				t := mapping[w]
-				if t < 0 {
-					continue
-				}
-				for _, v := range dst.Neighbors(t) {
-					if owner[v] == -1 || inB[owner[v]] {
-						agree[v]++
+		// Per-row candidate scoring in contiguous row blocks. Each block
+		// accumulates agreement counts in its own n2-length scratch, reset
+		// through the touched list, and keeps a row's best candidates in
+		// that row's fixed slots of candBuf.
+		parallel.Blocks(opts.Workers, len(rows), func(lo, hi int) {
+			acc := make([]float64, n2)
+			seen := make([]bool, n2)
+			var touched []int
+			for r := lo; r < hi; r++ {
+				u := rows[r]
+				touched = touched[:0]
+				for _, w := range src.Neighbors(u) {
+					t := mapping[w]
+					if t < 0 {
+						continue
+					}
+					for _, v := range dst.Neighbors(t) {
+						if owner[v] == -1 || inB[owner[v]] {
+							if !seen[v] {
+								seen[v] = true
+								touched = append(touched, v)
+							}
+							acc[v]++
+						}
 					}
 				}
-			}
-			cur := mapping[u]
-			if cur >= 0 {
-				if _, ok := agree[cur]; !ok {
-					agree[cur] = 0
+				cur := mapping[u]
+				if cur >= 0 && !seen[cur] {
+					seen[cur] = true
+					touched = append(touched, cur)
 				}
-			}
-			cands := make([]cand, 0, len(agree))
-			for v, a := range agree {
-				score := a + 0.25/(1+absInt(deg1[u]-deg2[v]))
-				if v == cur {
-					score += 0.5
+				top := candBuf[r*refineCandidates : r*refineCandidates : (r+1)*refineCandidates]
+				for _, v := range touched {
+					a := acc[v]
+					score := a + 0.25/(1+absInt(deg1[u]-deg2[v]))
+					if v == cur {
+						score += 0.5
+					}
+					top = insertCand(top, refineCand{v: v, score: score, agree: a})
+					acc[v] = 0
+					seen[v] = false
 				}
-				cands = append(cands, cand{v: v, score: score, agree: a})
+				rowCands[r] = top
 			}
-			sort.Slice(cands, func(x, y int) bool {
-				if cands[x].score != cands[y].score {
-					return cands[x].score > cands[y].score
-				}
-				return cands[x].v < cands[y].v
-			})
-			if len(cands) > refineCandidates {
-				cands = cands[:refineCandidates]
-			}
-			rowCands[r] = cands
 		})
 
 		// Rows with no candidates keep their assignment and sit the auction
 		// out; the remaining rows bid over the union of their candidates.
-		var live []int
-		poolSet := make(map[int]bool)
+		stamp := round + 1
+		live, pool = live[:0], pool[:0]
+		addPool := func(v int) {
+			if poolStamp[v] != stamp {
+				poolStamp[v] = stamp
+				pool = append(pool, v)
+			}
+		}
 		for r, cands := range rowCands {
 			if len(cands) == 0 {
 				continue
 			}
 			live = append(live, r)
 			for _, c := range cands {
-				poolSet[c.v] = true
+				addPool(c.v)
 			}
 		}
 		if len(live) == 0 {
@@ -359,23 +373,18 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 		// |pool| >= |live|, so the guard below is purely defensive.
 		for _, r := range live {
 			if v := mapping[rows[r]]; v >= 0 {
-				poolSet[v] = true
+				addPool(v)
 			}
 		}
-		for v := 0; v < n2 && len(poolSet) < len(live); v++ {
+		for v := 0; v < n2 && len(pool) < len(live); v++ {
 			if owner[v] == -1 {
-				poolSet[v] = true
+				addPool(v)
 			}
 		}
-		if len(poolSet) < len(live) {
+		if len(pool) < len(live) {
 			return boundarySize, rounds, moved
 		}
-		pool := make([]int, 0, len(poolSet))
-		for v := range poolSet {
-			pool = append(pool, v)
-		}
-		sort.Ints(pool)
-		colOf := make(map[int]int, len(pool))
+		slices.Sort(pool)
 		for j, v := range pool {
 			colOf[v] = j
 		}
@@ -454,6 +463,41 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 		moved += changed
 	}
 	return boundarySize, rounds, moved
+}
+
+// refineCand is one scored boundary-refinement candidate.
+type refineCand struct {
+	v     int
+	score float64 // composite bid value
+	agree float64 // pure neighborhood agreement (the objective)
+}
+
+// candBefore is the candidate order: score descending, ties to the lower
+// target. It is total, so keeping the first refineCandidates under it
+// equals sorting every candidate and taking the prefix.
+func candBefore(a, b refineCand) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.v < b.v
+}
+
+// insertCand inserts c into top, which is kept in candBefore order, and
+// drops the last element once len(top) reaches cap(top).
+func insertCand(top []refineCand, c refineCand) []refineCand {
+	i := len(top)
+	if i < cap(top) {
+		top = top[:i+1]
+	} else if !candBefore(c, top[i-1]) {
+		return top
+	} else {
+		i--
+	}
+	for ; i > 0 && candBefore(c, top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = c
+	return top
 }
 
 func absInt(x int) float64 {
