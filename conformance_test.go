@@ -52,7 +52,7 @@ func TestConformance(t *testing.T) {
 // aligner through the core runner with Partitions 0 (the zero value) or 1
 // must produce exactly the mapping of a plain monolithic alignment — the
 // sharding layer may not perturb the default path in any way. It lives here
-// rather than in algotest because it exercises core.RunInstanceMapped, and
+// rather than in algotest because it exercises core.RunInstance, and
 // algotest cannot import core without an import cycle.
 func TestPartitionOffIdentity(t *testing.T) {
 	if testing.Short() {
@@ -75,12 +75,13 @@ func TestPartitionOffIdentity(t *testing.T) {
 				return a
 			}
 			p := algotest.Pair(t, n, 0.02, 31337)
-			want, err := algo.Align(mk(), p.Source, p.Target, assign.JonkerVolgenant)
+			mono, err := algo.Run(context.Background(), mk(), p.Source, p.Target, algo.Plan{Method: assign.JonkerVolgenant})
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := mono.Mapping
 			for _, parts := range []int{0, 1} {
-				res, got := core.RunInstanceMapped(context.Background(), mk(), p,
+				res, got := core.RunInstance(context.Background(), mk(), p,
 					assign.JonkerVolgenant, core.RunSpec{Partitions: parts})
 				if res.Err != nil {
 					t.Fatalf("Partitions=%d: %v", parts, res.Err)

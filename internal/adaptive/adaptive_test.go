@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestAdaptiveOnSparseGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := New()
-	if _, err := algo.Align(a, base, target, assign.JonkerVolgenant); err != nil {
+	if _, err := algo.Run(context.Background(), a, base, target, algo.Plan{Method: assign.JonkerVolgenant}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Chosen() != "IsoRank" {

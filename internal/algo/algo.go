@@ -57,62 +57,37 @@ func Similarity(ctx context.Context, a Aligner, src, dst *graph.Graph) (*matrix.
 	return a.Similarity(src, dst)
 }
 
-// EmbeddingAligner is optionally implemented by aligners whose similarity
-// matrix is a monotone non-increasing function of the distance between
-// per-node embedding rows (REGAL, CONE, GRASP). EmbeddingsCtx returns that
-// factored form — the embeddings plus the distance-to-similarity map —
-// without materializing the dense |V_src| x |V_dst| matrix, so the sparse
-// assignment pipeline can run k-NN candidate search directly over the
-// embeddings. The contract: Embedding.Similarity() must equal what
-// SimilarityCtx returns under the same ctx (same values, same shape), and
-// the returned matrices are private to the caller.
-type EmbeddingAligner interface {
-	EmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.Embedding, error)
+// ScoringAligner is optionally implemented by aligners whose similarity has
+// a form the sparse pipeline can read row by row without materializing the
+// dense |V_src| x |V_dst| matrix: an embedding distance kernel (REGAL, CONE,
+// GRASP) or an explicit low-rank factor product (NSD, LREA). The contract is
+// bitwise: the scorer's Similarity() must equal what SimilarityCtx returns
+// under the same ctx, and the returned scorer is private to the caller.
+type ScoringAligner interface {
+	ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error)
 }
 
-// FactorAligner is optionally implemented by aligners whose similarity
-// matrix is an explicit low-rank sum of outer products (NSD's iterated
-// degree-vector series, LREA's factored power iteration). FactorsCtx returns
-// that factored form without materializing the dense |V_src| x |V_dst|
-// product, so the sparse assignment pipeline can score per-row top-k
-// candidates straight off the factors. The contract is bitwise:
-// FactorEmbedding.Similarity() must equal what SimilarityCtx returns under
-// the same ctx (the same AddOuterScaled accumulation in the same term
-// order), and the returned factors are private to the caller.
-type FactorAligner interface {
-	FactorsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.FactorEmbedding, error)
-}
-
-// IncrementalEmbedder is an optional refinement of EmbeddingAligner for
-// evolving-target sessions (internal/incremental): RefreshEmbeddingsCtx
-// re-embeds (src, dst) after target-side edits, reusing whatever internal
-// state the previous call on the same pair lineage left behind, and
-// restricting fresh target-side work to the nodes scope allows (nil = all).
-// The first call — or any call whose state no longer matches the inputs
+// IncrementalScorer is an optional refinement of ScoringAligner for
+// evolving-target sessions (internal/incremental): RefreshScorerCtx
+// recomputes the scorer of (src, dst) after target-side edits, reusing
+// whatever internal state the previous call on the same pair lineage left
+// behind, and restricting fresh target-side work to the nodes scope allows
+// (nil = all; implementations whose terms are global may ignore it). The
+// first call — or any call whose state no longer matches the inputs
 // (different source graph, changed shape) — computes from scratch and is
-// equivalent to EmbeddingsCtx. When the target's fingerprint is unchanged
-// since the previous call the result must be bitwise identical to the
-// previous one (the noop-replay contract). Outside those cases the result
-// may carry bounded staleness: rows whose inputs moved less than the
-// implementation's refresh tolerance keep their previous vectors until the
-// accumulated movement crosses it.
+// equivalent to ScorerCtx. When the target's fingerprint is unchanged since
+// the previous call the result must be bitwise identical to the previous one
+// (the noop-replay contract). Outside those cases the result may carry
+// bounded staleness: rows whose inputs moved less than the implementation's
+// refresh tolerance keep their previous values until the accumulated
+// movement crosses it.
 //
 // Implementations keep per-instance state, so an instance used for refresh
-// must not be shared across sessions; the returned embedding is private to
-// the caller.
-type IncrementalEmbedder interface {
-	EmbeddingAligner
-	RefreshEmbeddingsCtx(ctx context.Context, src, dst *graph.Graph, scope []bool) (*assign.Embedding, error)
-}
-
-// IncrementalFactorer is IncrementalEmbedder for FactorAligners: a
-// per-instance stateful refresh of the factor bundle after target-side
-// edits, with the same lineage, noop-bitwise, and bounded-staleness
-// contract. Factor refreshes have no per-node scope (rank-one terms are
-// global), so the dirty scope does not appear in the signature.
-type IncrementalFactorer interface {
-	FactorAligner
-	RefreshFactorsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.FactorEmbedding, error)
+// must not be shared across sessions; the returned scorer is private to the
+// caller and of the same concrete type on every call.
+type IncrementalScorer interface {
+	ScoringAligner
+	RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, scope []bool) (assign.Scorer, error)
 }
 
 // Instrumented is optionally implemented by aligners that can report the
@@ -145,172 +120,108 @@ func ApplyCache(a Aligner, c *cache.Cache) {
 	}
 }
 
-// Align runs a full alignment: similarity followed by the requested
-// assignment method. Nearest-neighbor extractions are restricted to
-// one-to-one outputs, as the paper does for comparability.
-func Align(a Aligner, src, dst *graph.Graph, method assign.Method) ([]int, error) {
-	mapping, _, _, err := AlignTimed(a, src, dst, method)
-	return mapping, err
+// Plan configures one alignment run.
+type Plan struct {
+	// Method is the assignment method. Nearest-neighbor extractions are
+	// restricted to one-to-one outputs, as the paper does for comparability.
+	Method assign.Method
+	// TopK, when positive, routes the assignment through the sparse
+	// pipeline: the similarity is reduced to per-row top-k candidates — read
+	// straight off the scorer of a ScoringAligner, so the dense matrix is
+	// never materialized — and solved by the sparse variant of Method (exact
+	// methods map to the ε-scaling auction with a dense-JV fallback when the
+	// candidate graph leaves rows unmatchable; see assign.SolveSparse).
+	// Zero keeps the dense solvers.
+	TopK int
+	// Workers bounds the sparse pipeline's parallel fan-out (0 = one per
+	// CPU); the mapping is identical for any value.
+	Workers int
+	// Span, when non-nil, is the run span: the similarity and assign stages
+	// become phases under it, Instrumented aligners record their inner
+	// phases there, and the assignment metrics go to its tracer's registry.
+	Span *obsv.Span
 }
 
-// AlignCtx is Align under a context: cancellation or deadline expiry aborts
-// the similarity iteration cooperatively and surfaces the context error.
-func AlignCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method) ([]int, error) {
-	mapping, _, _, err := AlignTimedCtx(ctx, a, src, dst, method)
-	return mapping, err
+// Result is what Run reports besides the mapping's error.
+type Result struct {
+	// Mapping[u] is the target node aligned to source node u.
+	Mapping []int
+	// SimTime is the similarity computation alone — the paper's runtime
+	// figures exclude assignment. AssignTime covers candidate generation
+	// and the solve.
+	SimTime, AssignTime time.Duration
+	// Stats reports what the sparse pipeline did (zero on the dense path).
+	Stats assign.SparseStats
 }
 
-// AlignTimed is Align reporting how the runtime splits between the
-// similarity computation and the assignment step — the distinction the
-// paper's runtime figures are built on (they exclude assignment).
-func AlignTimed(a Aligner, src, dst *graph.Graph, method assign.Method) (mapping []int, simTime, assignTime time.Duration, err error) {
-	return AlignTimedCtx(context.Background(), a, src, dst, method)
-}
-
-// AlignTimedCtx is AlignTimed under a context. The context is threaded into
-// ContextAligner similarity loops and checked between pipeline stages; the
-// assignment solvers themselves run to completion (they are polynomial in
-// the already-computed similarity matrix, never the hanging stage).
-func AlignTimedCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method) (mapping []int, simTime, assignTime time.Duration, err error) {
+// Run aligns src to dst with a: similarity followed by the assignment plan.
+// ctx is threaded into ContextAligner similarity loops and checked between
+// the stages; the assignment solvers run to completion (they are polynomial
+// in the already-computed similarity, never the hanging stage). Errors are
+// prefixed with the failing stage, "similarity: " or "assignment: ".
+func Run(ctx context.Context, a Aligner, src, dst *graph.Graph, plan Plan) (Result, error) {
+	var res Result
 	if src.N() > dst.N() {
-		return nil, 0, 0, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
+		return res, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
 	}
-	t0 := time.Now()
-	sim, err := Similarity(ctx, a, src, dst)
-	simTime = time.Since(t0)
-	if err != nil {
-		return nil, simTime, 0, fmt.Errorf("algo: %s similarity: %w", a.Name(), err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, simTime, 0, fmt.Errorf("algo: %s similarity: %w", a.Name(), err)
-	}
-	t1 := time.Now()
-	mapping, err = assign.Solve(method, sim)
-	if err != nil {
-		return nil, simTime, time.Since(t1), fmt.Errorf("algo: %s assignment: %w", a.Name(), err)
-	}
-	if method == assign.NearestNeighbor {
-		mapping = assign.EnforceOneToOne(sim, mapping)
-	}
-	assignTime = time.Since(t1)
-	return mapping, simTime, assignTime, nil
-}
-
-// AlignObservedTimedCtx is AlignTimedCtx wrapped in an observability run:
-// a run span for the whole alignment with "similarity" and "assign" phase
-// spans inside, plus the aligner's own inner phases when it implements
-// Instrumented. A nil tracer degrades to exactly AlignTimedCtx — every obsv
-// call no-ops — so callers wire it unconditionally.
-func AlignObservedTimedCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method, tr *obsv.Tracer) (mapping []int, simTime, assignTime time.Duration, err error) {
-	if src.N() > dst.N() {
-		return nil, 0, 0, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
-	}
-	run := tr.StartRun(a.Name(), map[string]any{
-		"assign": string(method),
-		"n_src":  src.N(),
-		"n_dst":  dst.N(),
-	})
 	if inst, ok := a.(Instrumented); ok {
-		inst.SetSpan(run)
+		inst.SetSpan(plan.Span)
 	}
-	endErr := func(err error) error {
-		run.Set("err", err.Error())
-		run.End()
-		return err
-	}
+	reg := plan.Span.Registry()
 
-	sp := run.Phase("similarity")
+	sp := plan.Span.Phase("similarity")
 	t0 := time.Now()
-	sim, err := Similarity(ctx, a, src, dst)
-	simTime = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, simTime, 0, endErr(fmt.Errorf("algo: %s similarity: %w", a.Name(), err))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, simTime, 0, endErr(fmt.Errorf("algo: %s similarity: %w", a.Name(), err))
-	}
-
-	sp = run.Phase("assign")
-	sp.Set("method", string(method))
-	t1 := time.Now()
-	mapping, err = assign.Solve(method, sim)
-	if err != nil {
-		sp.End()
-		return nil, simTime, time.Since(t1), endErr(fmt.Errorf("algo: %s assignment: %w", a.Name(), err))
-	}
-	if method == assign.NearestNeighbor {
-		mapping = assign.EnforceOneToOne(sim, mapping)
-	}
-	assignTime = time.Since(t1)
-	sp.End()
-	run.End()
-	return mapping, simTime, assignTime, nil
-}
-
-// AlignSparseTimedCtx is AlignTimedCtx through the sparse assignment
-// pipeline: the similarity is reduced to per-row top-k candidates — via k-NN
-// over raw embeddings for EmbeddingAligners, via factor-space scoring for
-// FactorAligners (neither materializes the dense matrix), via bounded-heap
-// row selection otherwise — and solved by the sparse variant of the
-// requested method (exact methods map to the ε-scaling auction, with a
-// dense-JV fallback when the candidate graph leaves rows unmatchable; see
-// assign.SolveSparse). topk <= 0 keeps every column. Candidate generation is
-// accounted to assignTime: simTime keeps the paper's meaning of "similarity
-// computation only".
-func AlignSparseTimedCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method, topk, workers int) (mapping []int, simTime, assignTime time.Duration, stats assign.SparseStats, err error) {
-	if src.N() > dst.N() {
-		return nil, 0, 0, stats, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
-	}
-	var cands *assign.Candidates
-	var dense func() *matrix.Dense
-	if ea, ok := a.(EmbeddingAligner); ok {
-		t0 := time.Now()
-		emb, eerr := ea.EmbeddingsCtx(ctx, src, dst)
-		simTime = time.Since(t0)
-		if eerr != nil {
-			return nil, simTime, 0, stats, fmt.Errorf("algo: %s embeddings: %w", a.Name(), eerr)
-		}
-		t1 := time.Now()
-		cands = assign.TopKEmbedding(emb, topk, workers)
-		dense = emb.Similarity
-		defer func() { assignTime += time.Since(t1) }()
-	} else if fa, ok := a.(FactorAligner); ok {
-		t0 := time.Now()
-		fac, ferr := fa.FactorsCtx(ctx, src, dst)
-		simTime = time.Since(t0)
-		if ferr != nil {
-			return nil, simTime, 0, stats, fmt.Errorf("algo: %s factors: %w", a.Name(), ferr)
-		}
-		t1 := time.Now()
-		cands = assign.TopKFactor(fac, topk, workers)
-		dense = fac.Similarity
-		defer func() { assignTime += time.Since(t1) }()
+	var scorer assign.Scorer
+	var err error
+	if sa, ok := a.(ScoringAligner); ok && plan.TopK > 0 {
+		sp.Set("factored", true)
+		scorer, err = sa.ScorerCtx(ctx, src, dst)
 	} else {
-		t0 := time.Now()
-		sim, serr := Similarity(ctx, a, src, dst)
-		simTime = time.Since(t0)
-		if serr != nil {
-			return nil, simTime, 0, stats, fmt.Errorf("algo: %s similarity: %w", a.Name(), serr)
+		var sim *matrix.Dense
+		if sim, err = Similarity(ctx, a, src, dst); err == nil {
+			scorer = assign.DenseScorer{Sim: sim}
 		}
-		t1 := time.Now()
-		cands = assign.TopKDense(sim, topk, workers)
-		dense = func() *matrix.Dense { return sim }
-		defer func() { assignTime += time.Since(t1) }()
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, simTime, 0, stats, fmt.Errorf("algo: %s similarity: %w", a.Name(), cerr)
+	res.SimTime = time.Since(t0)
+	sp.End()
+	if err == nil {
+		err = ctx.Err()
 	}
-	mapping, stats, err = assign.SolveSparse(method, cands, dense, workers)
 	if err != nil {
-		return nil, simTime, assignTime, stats, fmt.Errorf("algo: %s sparse assignment: %w", a.Name(), err)
+		return res, fmt.Errorf("similarity: %w", err)
 	}
-	return mapping, simTime, assignTime, stats, nil
-}
 
-// AlignDefault runs Align with the algorithm's author-proposed assignment.
-func AlignDefault(a Aligner, src, dst *graph.Graph) ([]int, error) {
-	return Align(a, src, dst, a.DefaultAssignment())
+	sp = plan.Span.Phase("assign")
+	defer sp.End()
+	sp.Set("method", string(plan.Method))
+	sp.Set("size", src.N())
+	reg.Histogram("lap_solve_size", obsv.SizeBuckets()).Observe(float64(src.N()))
+	t1 := time.Now()
+	if plan.TopK > 0 {
+		sp.Set("topk", plan.TopK)
+		cands := assign.TopK(scorer, plan.TopK, plan.Workers)
+		res.Mapping, res.Stats, err = assign.SolveSparse(plan.Method, cands, scorer, plan.Workers)
+		if err == nil {
+			reg.Histogram("assign_candidates_per_row", obsv.SizeBuckets()).Observe(float64(res.Stats.CandidatesPerRow))
+			reg.Histogram("assign_auction_rounds", obsv.SizeBuckets()).Observe(float64(res.Stats.Rounds))
+			sp.Set("auction_rounds", res.Stats.Rounds)
+			sp.Set("fallback", res.Stats.FellBack)
+			if res.Stats.FellBack {
+				reg.Counter("assign_fallbacks_total").Add(1)
+			}
+		}
+	} else {
+		sim := scorer.Similarity()
+		res.Mapping, err = assign.Solve(plan.Method, sim)
+		if err == nil && plan.Method == assign.NearestNeighbor {
+			res.Mapping = assign.EnforceOneToOne(sim, res.Mapping)
+		}
+	}
+	res.AssignTime = time.Since(t1)
+	if err != nil {
+		return Result{SimTime: res.SimTime, AssignTime: res.AssignTime}, fmt.Errorf("assignment: %w", err)
+	}
+	return res, nil
 }
 
 // DegreePrior computes the paper's degree-based prior similarity

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -30,6 +31,12 @@ func line(n int) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
+// align runs a dense plan and returns the mapping.
+func align(a Aligner, src, dst *graph.Graph, method assign.Method) ([]int, error) {
+	res, err := Run(context.Background(), a, src, dst, Plan{Method: method})
+	return res.Mapping, err
+}
+
 func TestAlignUsesSimilarity(t *testing.T) {
 	sim := matrix.DenseFromRows([][]float64{
 		{0, 1, 0},
@@ -37,7 +44,7 @@ func TestAlignUsesSimilarity(t *testing.T) {
 		{0, 0, 1},
 	})
 	g := line(3)
-	mapping, err := Align(stubAligner{sim: sim}, g, g, assign.JonkerVolgenant)
+	mapping, err := align(stubAligner{sim: sim}, g, g, assign.JonkerVolgenant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +57,14 @@ func TestAlignUsesSimilarity(t *testing.T) {
 }
 
 func TestAlignRejectsLargerSource(t *testing.T) {
-	if _, err := Align(stubAligner{}, line(4), line(3), assign.SortGreedy); err == nil {
+	if _, err := align(stubAligner{}, line(4), line(3), assign.SortGreedy); err == nil {
 		t.Error("larger source accepted")
 	}
 }
 
 func TestAlignPropagatesErrors(t *testing.T) {
 	wantErr := errors.New("boom")
-	_, err := Align(stubAligner{err: wantErr}, line(3), line(3), assign.SortGreedy)
+	_, err := align(stubAligner{err: wantErr}, line(3), line(3), assign.SortGreedy)
 	if err == nil || !errors.Is(err, wantErr) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -71,7 +78,7 @@ func TestAlignNNIsOneToOne(t *testing.T) {
 		{0.8, 0.1, 0.3},
 	})
 	g := line(3)
-	mapping, err := Align(stubAligner{sim: sim}, g, g, assign.NearestNeighbor)
+	mapping, err := align(stubAligner{sim: sim}, g, g, assign.NearestNeighbor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +94,8 @@ func TestAlignNNIsOneToOne(t *testing.T) {
 func TestAlignDefault(t *testing.T) {
 	sim := matrix.DenseFromRows([][]float64{{1, 0}, {0, 1}})
 	g := line(2)
-	mapping, err := AlignDefault(stubAligner{sim: sim}, g, g)
+	a := stubAligner{sim: sim}
+	mapping, err := align(a, g, g, a.DefaultAssignment())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,11 +266,11 @@ func (c *CONE) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matri
 	return regal.EmbeddingSimilarity(rot, yd), nil
 }
 
-// EmbeddingsCtx implements algo.EmbeddingAligner: the subspace-aligned
+// ScorerCtx implements algo.ScoringAligner: the subspace-aligned
 // embeddings in factored form with the exp(-d²) kernel CONE shares with
 // REGAL, for the sparse assignment pipeline's k-NN candidate search.
 // Materializing the returned Embedding reproduces SimilarityCtx exactly.
-func (c *CONE) EmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (c *CONE) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	rot, yd, err := c.alignedEmbeddingsCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err

@@ -108,12 +108,12 @@ func (g *GRASP) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matr
 	return sim, nil
 }
 
-// EmbeddingsCtx implements algo.EmbeddingAligner: the aligned spectral
+// ScorerCtx implements algo.ScoringAligner: the aligned spectral
 // feature rows in factored form with GRASP's negated-squared-distance
 // similarity, for the sparse assignment pipeline's k-NN candidate search.
 // Materializing the returned Embedding reproduces SimilarityCtx exactly
 // (same squared-distance accumulation order).
-func (g *GRASP) EmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (g *GRASP) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	featSrc, featDst, err := g.featuresCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ type LREA struct {
 	// which is what the factored iteration uses.
 	OverlapWeight, BaselineWeight, ConflictPenalty float64
 
-	// RefreshIters is the number of warm power iterations RefreshFactorsCtx
+	// RefreshIters is the number of warm power iterations RefreshScorerCtx
 	// runs from the previous converged iterate after an edit batch; the
 	// dominant eigenvector moves little under small perturbations, so far
 	// fewer steps than a cold start's Iters suffice (0 means 8).
@@ -54,10 +54,10 @@ type LREA struct {
 	// everything locally.
 	cache *cache.Cache
 
-	// state is the last iterate RefreshFactorsCtx warm-starts from; nil
+	// state is the last iterate RefreshScorerCtx warm-starts from; nil
 	// until the first refresh call. Instances used through the refresher
 	// carry pair-specific state and must not be shared
-	// (algo.IncrementalFactorer's contract).
+	// (algo.IncrementalScorer's contract).
 	state *refreshState
 }
 
@@ -89,7 +89,7 @@ func (l *LREA) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
 // SimilarityCtx implements algo.ContextAligner; ctx is checked once per
 // factored power iteration. Densification runs the same AddOuterScaled
 // calls in the same term order as FactorEmbedding.Similarity, so this and
-// the FactorsCtx path agree bitwise.
+// the ScorerCtx path agree bitwise.
 func (l *LREA) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	x, err := l.computeFactors(ctx, src, dst)
 	if err != nil {
@@ -98,13 +98,18 @@ func (l *LREA) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matri
 	return x.Similarity(), nil
 }
 
-// FactorsCtx implements algo.FactorAligner: the final factored iterate X as
-// the rank-one term list the published algorithm maintains internally —
-// LREA never needs the dense matrix at all on the sparse pipeline. Like
-// SimilarityCtx, each call recomputes (the iteration reads only cached
-// adjacencies); the returned factors are private to the caller.
-func (l *LREA) FactorsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.FactorEmbedding, error) {
-	return l.computeFactors(ctx, src, dst)
+// ScorerCtx implements algo.ScoringAligner: the final factored iterate X as
+// the rank-one term list (an *assign.FactorEmbedding) the published
+// algorithm maintains internally — LREA never needs the dense matrix at all
+// on the sparse pipeline. Like SimilarityCtx, each call recomputes (the
+// iteration reads only cached adjacencies); the returned factors are private
+// to the caller.
+func (l *LREA) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
+	f, err := l.computeFactors(ctx, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // computeFactors runs the factored power iteration and returns the final
@@ -147,7 +152,7 @@ func (l *LREA) computeFactors(ctx context.Context, src, dst *graph.Graph) (*assi
 
 // iterate advances the factored power iteration by iters steps from x.
 // Input factor slices are only read; every returned slice is fresh — which
-// is what lets RefreshFactorsCtx warm-start from retained state without
+// is what lets RefreshScorerCtx warm-start from retained state without
 // cloning it first.
 func (l *LREA) iterate(ctx context.Context, aSrc, aDst *matrix.CSR, x factored, iters int) (factored, error) {
 	n, m := len(x.us[0]), len(x.vs[0])

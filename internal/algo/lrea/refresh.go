@@ -8,7 +8,7 @@ import (
 	"graphalign/internal/graph"
 )
 
-// This file implements algo.IncrementalFactorer for LREA. Power iteration is
+// This file implements algo.IncrementalScorer for LREA. Power iteration is
 // self-correcting: started from the previous converged iterate instead of
 // the uniform rank-one X_0, it re-approaches the perturbed dominant
 // eigenvector in RefreshIters steps instead of the cold start's Iters —
@@ -20,7 +20,7 @@ import (
 // bulk rebuild. The refresher still removes ~80% of the factor-computation
 // cost; it is an honest improvement, not this package's headline speedup.
 
-// refreshState is the retained iterate RefreshFactorsCtx warm-starts from.
+// refreshState is the retained iterate RefreshScorerCtx warm-starts from.
 // f is owned by the state; iterate only reads its slices and returns fresh
 // ones, and callers get clones.
 type refreshState struct {
@@ -29,12 +29,13 @@ type refreshState struct {
 	f              *assign.FactorEmbedding
 }
 
-// RefreshFactorsCtx implements algo.IncrementalFactorer: FactorsCtx
-// semantics against the current target, warm-starting the factored power
-// iteration from the previous result. An unchanged target fingerprint
+// RefreshScorerCtx implements algo.IncrementalScorer: ScorerCtx semantics
+// against the current target, warm-starting the factored power iteration
+// from the previous result; the dirty scope is ignored (every term is
+// global). An unchanged target fingerprint
 // returns the previous bundle bitwise; a new source fingerprint or changed
 // node count falls back to a cold iteration.
-func (l *LREA) RefreshFactorsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.FactorEmbedding, error) {
+func (l *LREA) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []bool) (assign.Scorer, error) {
 	srcKey, dstKey := cache.GraphKey(src), cache.GraphKey(dst)
 	st := l.state
 	if st == nil || st.srcKey != srcKey || st.n != src.N() || st.m != dst.N() {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphalign/internal/assign"
 	"graphalign/internal/gen"
 	"graphalign/internal/graph"
 	"graphalign/internal/noise"
@@ -23,25 +24,38 @@ func refreshPair(t *testing.T, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return pair.Source, pair.Target
 }
 
-// The first refresh call is a cold iteration (bitwise FactorsCtx), and an
+// refresh and batch unwrap the FactorEmbedding the scorer methods return.
+func refresh(ctx context.Context, a *LREA, src, dst *graph.Graph, scope []bool) (*assign.FactorEmbedding, error) {
+	s, err := a.RefreshScorerCtx(ctx, src, dst, scope)
+	f, _ := s.(*assign.FactorEmbedding)
+	return f, err
+}
+
+func batch(ctx context.Context, a *LREA, src, dst *graph.Graph) (*assign.FactorEmbedding, error) {
+	s, err := a.ScorerCtx(ctx, src, dst)
+	f, _ := s.(*assign.FactorEmbedding)
+	return f, err
+}
+
+// The first refresh call is a cold iteration (bitwise ScorerCtx), and an
 // unchanged target reproduces it bitwise — the warm iteration must never
 // advance on an empty delta.
 func TestRefreshFirstCallAndNoop(t *testing.T) {
 	src, dst := refreshPair(t, 40, 41)
 	ctx := context.Background()
 	l := New()
-	got, err := l.RefreshFactorsCtx(ctx, src, dst)
+	got, err := refresh(ctx, l, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().FactorsCtx(ctx, src, dst)
+	want, err := batch(ctx, New(), src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("first refresh differs from the batch pipeline")
 	}
-	again, err := l.RefreshFactorsCtx(ctx, src, dst)
+	again, err := refresh(ctx, l, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +70,7 @@ func TestRefreshWarmIterationSane(t *testing.T) {
 	src, dst := refreshPair(t, 40, 42)
 	ctx := context.Background()
 	l := New()
-	if _, err := l.RefreshFactorsCtx(ctx, src, dst); err != nil {
+	if _, err := refresh(ctx, l, src, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
@@ -69,7 +83,7 @@ func TestRefreshWarmIterationSane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := l.RefreshFactorsCtx(ctx, src, dst)
+		f, err := refresh(ctx, l, src, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,14 +115,14 @@ func TestRefreshSourceChangeRecaptures(t *testing.T) {
 	src2, _ := refreshPair(t, 30, 44)
 	ctx := context.Background()
 	l := New()
-	if _, err := l.RefreshFactorsCtx(ctx, src, dst); err != nil {
+	if _, err := refresh(ctx, l, src, dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.RefreshFactorsCtx(ctx, src2, dst)
+	got, err := refresh(ctx, l, src2, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().FactorsCtx(ctx, src2, dst)
+	want, err := batch(ctx, New(), src2, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,10 @@ type NSD struct {
 	// CONE's NSD warm start share it.
 	cache *cache.Cache
 
-	// state is the last full capture RefreshFactorsCtx re-iterates
+	// state is the last full capture RefreshScorerCtx re-iterates
 	// incrementally; nil until the first refresh call. Instances used through
 	// the refresher carry pair-specific state and must not be shared
-	// (algo.IncrementalFactorer's contract).
+	// (algo.IncrementalScorer's contract).
 	state *refreshState
 }
 
@@ -179,14 +179,19 @@ func (n *NSD) computeFactors(ctx context.Context, src, dst *graph.Graph) (*assig
 	return f, nil
 }
 
-// FactorsCtx implements algo.FactorAligner: the NSD power series in its
-// natural factored form, Components x (Iters+1) rank-one terms whose
-// densification is bitwise SimilarityCtx's result. With a cache attached the
-// factor bundle is memoized per (pair, params) — under its own key, distinct
-// from the densified nsdsim entry — and a deep clone is returned.
-func (n *NSD) FactorsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.FactorEmbedding, error) {
+// ScorerCtx implements algo.ScoringAligner: the NSD power series in its
+// natural factored form (an *assign.FactorEmbedding), Components x (Iters+1)
+// rank-one terms whose densification is bitwise SimilarityCtx's result. With
+// a cache attached the factor bundle is memoized per (pair, params) — under
+// its own key, distinct from the densified nsdsim entry — and a deep clone
+// is returned.
+func (n *NSD) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	if n.cache == nil {
-		return n.computeFactors(ctx, src, dst)
+		f, err := n.computeFactors(ctx, src, dst)
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
 	}
 	key := fmt.Sprintf("%s/nsdfac/a%g/i%d/c%d", cache.PairKey(src, dst), n.Alpha, n.Iters, n.Components)
 	v, err := n.cache.GetOrCompute(ctx, key, func() (any, int64, error) {

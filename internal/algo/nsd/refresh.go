@@ -8,7 +8,7 @@ import (
 	"graphalign/internal/graph"
 )
 
-// This file implements algo.IncrementalFactorer for NSD. The factored power
+// This file implements algo.IncrementalScorer for NSD. The factored power
 // series splits cleanly by side: the source iterates z_c^(k) never see the
 // target, so across target-side edit batches the whole Us half of the bundle
 // is bitwise static, and a refresh only re-runs the w iterates — per
@@ -16,7 +16,7 @@ import (
 // adjacency, a vanishing fraction of the cold cost (which is dominated by
 // the dense ns×nd degree prior and its truncated SVD).
 //
-// The bounded staleness the algo.IncrementalFactorer contract allows lives
+// The bounded staleness the algo.IncrementalScorer contract allows lives
 // in the starting vectors: z_c^(0)/w_c^(0) come from the SVD of the degree
 // prior captured at the last full compute and are frozen across refreshes,
 // so degree drift from edits reaches the iteration only through the
@@ -26,7 +26,7 @@ import (
 // marginally. A new source fingerprint or a changed node count on either
 // side recaptures everything.
 
-// refreshState is the captured factor bundle RefreshFactorsCtx re-iterates
+// refreshState is the captured factor bundle RefreshScorerCtx re-iterates
 // across edit batches. f is owned by the state (callers get clones); its
 // Vs[c·(iters+1)] entries are the frozen prior components and are never
 // overwritten in place.
@@ -37,11 +37,12 @@ type refreshState struct {
 	f              *assign.FactorEmbedding
 }
 
-// RefreshFactorsCtx implements algo.IncrementalFactorer: FactorsCtx
-// semantics against the current target, reusing the previous capture's
-// source iterates and frozen prior components. An unchanged target
-// fingerprint returns the previous bundle bitwise.
-func (n *NSD) RefreshFactorsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.FactorEmbedding, error) {
+// RefreshScorerCtx implements algo.IncrementalScorer: ScorerCtx semantics
+// against the current target, reusing the previous capture's source
+// iterates and frozen prior components. Every term is global, so the dirty
+// scope is ignored. An unchanged target fingerprint returns the previous
+// bundle bitwise.
+func (n *NSD) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []bool) (assign.Scorer, error) {
 	srcKey, dstKey := cache.GraphKey(src), cache.GraphKey(dst)
 	st := n.state
 	if st == nil || st.srcKey != srcKey || st.ns != src.N() || st.nd != dst.N() {
@@ -72,7 +73,7 @@ func (n *NSD) RefreshFactorsCtx(ctx context.Context, src, dst *graph.Graph) (*as
 // iterations) and replaces the instance state. It deliberately bypasses the
 // artifact-cache memoization: an evolving target mints a new pair key per
 // batch, and caching those bundles would only churn the budget.
-func (n *NSD) recapture(ctx context.Context, src, dst *graph.Graph, srcKey, dstKey string) (*assign.FactorEmbedding, error) {
+func (n *NSD) recapture(ctx context.Context, src, dst *graph.Graph, srcKey, dstKey string) (assign.Scorer, error) {
 	f, err := n.computeFactors(ctx, src, dst)
 	if err != nil {
 		return nil, err

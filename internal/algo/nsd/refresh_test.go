@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphalign/internal/assign"
 	"graphalign/internal/gen"
 	"graphalign/internal/graph"
 	"graphalign/internal/noise"
@@ -22,24 +23,37 @@ func refreshPair(t *testing.T, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return pair.Source, pair.Target
 }
 
-// The first refresh call is the full pipeline (bitwise FactorsCtx), and an
+// refresh and batch unwrap the FactorEmbedding the scorer methods return.
+func refresh(ctx context.Context, a *NSD, src, dst *graph.Graph, scope []bool) (*assign.FactorEmbedding, error) {
+	s, err := a.RefreshScorerCtx(ctx, src, dst, scope)
+	f, _ := s.(*assign.FactorEmbedding)
+	return f, err
+}
+
+func batch(ctx context.Context, a *NSD, src, dst *graph.Graph) (*assign.FactorEmbedding, error) {
+	s, err := a.ScorerCtx(ctx, src, dst)
+	f, _ := s.(*assign.FactorEmbedding)
+	return f, err
+}
+
+// The first refresh call is the full pipeline (bitwise ScorerCtx), and an
 // unchanged target reproduces it bitwise.
 func TestRefreshFirstCallAndNoop(t *testing.T) {
 	src, dst := refreshPair(t, 50, 31)
 	ctx := context.Background()
 	n := New()
-	got, err := n.RefreshFactorsCtx(ctx, src, dst)
+	got, err := refresh(ctx, n, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().FactorsCtx(ctx, src, dst)
+	want, err := batch(ctx, New(), src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("first refresh differs from the batch pipeline")
 	}
-	again, err := n.RefreshFactorsCtx(ctx, src, dst)
+	again, err := refresh(ctx, n, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +71,7 @@ func TestRefreshKeepsSourceSideStatic(t *testing.T) {
 	src, dst := refreshPair(t, 50, 32)
 	ctx := context.Background()
 	n := New()
-	prev, err := n.RefreshFactorsCtx(ctx, src, dst)
+	prev, err := refresh(ctx, n, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +87,7 @@ func TestRefreshKeepsSourceSideStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := n.RefreshFactorsCtx(ctx, src, dst)
+		got, err := refresh(ctx, n, src, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,14 +113,14 @@ func TestRefreshSourceChangeRecaptures(t *testing.T) {
 	src2, _ := refreshPair(t, 40, 34)
 	ctx := context.Background()
 	n := New()
-	if _, err := n.RefreshFactorsCtx(ctx, src, dst); err != nil {
+	if _, err := refresh(ctx, n, src, dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := n.RefreshFactorsCtx(ctx, src2, dst)
+	got, err := refresh(ctx, n, src2, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().FactorsCtx(ctx, src2, dst)
+	want, err := batch(ctx, New(), src2, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

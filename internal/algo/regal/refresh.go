@@ -10,7 +10,7 @@ import (
 	"graphalign/internal/matrix"
 )
 
-// This file implements algo.IncrementalEmbedder for REGAL. The xNetMF
+// This file implements algo.IncrementalScorer for REGAL. The xNetMF
 // pipeline splits naturally at the signature matrix: everything downstream
 // of a node's signature row (its landmark-similarity row and its projected,
 // normalized embedding row) depends only on that row plus the landmark
@@ -28,12 +28,12 @@ import (
 // would recapture on virtually every batch (each landmark shadows a K-hop
 // zone, and the zones jointly cover most of the graph), forfeiting
 // incrementality; pinning instead bounds each refreshed row's error by the
-// basis's own staleness, which the algo.IncrementalEmbedder contract
+// basis's own staleness, which the algo.IncrementalScorer contract
 // allows. Fallbacks that do recapture the full pipeline: a new source
 // fingerprint, a changed node count, or a changed bucket count (the
 // signature histograms become incomparable).
 
-// refreshState is the captured xNetMF pipeline RefreshEmbeddingsCtx patches
+// refreshState is the captured xNetMF pipeline RefreshScorerCtx patches
 // across edit batches.
 type refreshState struct {
 	srcKey, dstKey string
@@ -99,14 +99,14 @@ func sigDrifted(old, fresh []float64, tol float64) bool {
 	return maxDiff/(maxAbs+1e-12) > tol
 }
 
-// RefreshEmbeddingsCtx implements algo.IncrementalEmbedder: EmbeddingsCtx
+// RefreshScorerCtx implements algo.IncrementalScorer: ScorerCtx
 // semantics, but reusing the previous capture where the target's edits
 // cannot have reached. scope (nil = all) flags the target nodes whose
 // signatures may have changed — for REGAL that is every node within K hops
 // of an edited edge's endpoints. An unchanged target fingerprint returns the
 // previous embeddings bitwise; see the file comment for the full-recapture
 // fallbacks.
-func (r *REGAL) RefreshEmbeddingsCtx(ctx context.Context, src, dst *graph.Graph, scope []bool) (*assign.Embedding, error) {
+func (r *REGAL) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, scope []bool) (assign.Scorer, error) {
 	srcKey, dstKey := cache.GraphKey(src), cache.GraphKey(dst)
 	st := r.state
 	if st == nil || st.srcKey != srcKey || st.n2 != dst.N() {
@@ -180,7 +180,7 @@ func (r *REGAL) RefreshEmbeddingsCtx(ctx context.Context, src, dst *graph.Graph,
 }
 
 // recapture runs the full pipeline and replaces the instance state.
-func (r *REGAL) recapture(ctx context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (r *REGAL) recapture(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	st, err := r.embedState(ctx, src, dst)
 	if err != nil {
 		return nil, err

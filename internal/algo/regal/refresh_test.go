@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"graphalign/internal/assign"
 	"graphalign/internal/gen"
 	"graphalign/internal/graph"
 	"graphalign/internal/matrix"
@@ -23,25 +24,38 @@ func refreshPair(t *testing.T, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return pair.Source, pair.Target
 }
 
-// The first refresh call is the full pipeline: it must match EmbeddingsCtx
+// refresh and batch unwrap the Embedding the scorer methods return.
+func refresh(ctx context.Context, a *REGAL, src, dst *graph.Graph, scope []bool) (*assign.Embedding, error) {
+	s, err := a.RefreshScorerCtx(ctx, src, dst, scope)
+	f, _ := s.(*assign.Embedding)
+	return f, err
+}
+
+func batch(ctx context.Context, a *REGAL, src, dst *graph.Graph) (*assign.Embedding, error) {
+	s, err := a.ScorerCtx(ctx, src, dst)
+	f, _ := s.(*assign.Embedding)
+	return f, err
+}
+
+// The first refresh call is the full pipeline: it must match ScorerCtx
 // bitwise, and an unchanged target must reproduce it bitwise (the
-// algo.IncrementalEmbedder noop contract).
+// algo.IncrementalScorer noop contract).
 func TestRefreshFirstCallAndNoop(t *testing.T) {
 	src, dst := refreshPair(t, 60, 21)
 	ctx := context.Background()
 	r := New()
-	got, err := r.RefreshEmbeddingsCtx(ctx, src, dst, nil)
+	got, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().EmbeddingsCtx(ctx, src, dst)
+	want, err := batch(ctx, New(), src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Src, want.Src) || !reflect.DeepEqual(got.Dst, want.Dst) {
 		t.Fatal("first refresh differs from the batch pipeline")
 	}
-	again, err := r.RefreshEmbeddingsCtx(ctx, src, dst, nil)
+	again, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +96,7 @@ func TestRefreshReprojectionExact(t *testing.T) {
 	ctx := context.Background()
 	r := New()
 	r.RefreshTol = 0
-	prev, err := r.RefreshEmbeddingsCtx(ctx, src, dst, nil)
+	prev, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +110,7 @@ func TestRefreshReprojectionExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.RefreshEmbeddingsCtx(ctx, src, dst, nil)
+		got, err := refresh(ctx, r, src, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +142,7 @@ func TestRefreshScopeBoundsWork(t *testing.T) {
 	src, dst := refreshPair(t, 60, 23)
 	ctx := context.Background()
 	r := New()
-	prev, err := r.RefreshEmbeddingsCtx(ctx, src, dst, nil)
+	prev, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +155,7 @@ func TestRefreshScopeBoundsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RefreshEmbeddingsCtx(ctx, src, dst2, make([]bool, dst2.N()))
+	got, err := refresh(ctx, r, src, dst2, make([]bool, dst2.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +171,14 @@ func TestRefreshSourceChangeRecaptures(t *testing.T) {
 	src2, _ := refreshPair(t, 50, 25)
 	ctx := context.Background()
 	r := New()
-	if _, err := r.RefreshEmbeddingsCtx(ctx, src, dst, nil); err != nil {
+	if _, err := refresh(ctx, r, src, dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RefreshEmbeddingsCtx(ctx, src2, dst, nil)
+	got, err := refresh(ctx, r, src2, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := New().EmbeddingsCtx(ctx, src2, dst)
+	want, err := batch(ctx, New(), src2, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,10 @@ type REGAL struct {
 	// Seed drives landmark sampling.
 	Seed int64
 	// RefreshTol bounds the relative structural-signature drift
-	// RefreshEmbeddingsCtx absorbs without reprojecting a node: a node whose
+	// RefreshScorerCtx absorbs without reprojecting a node: a node whose
 	// signature moved by at most this relative amount keeps its previous
 	// embedding row bitwise. 0 reprojects on any change (exact signatures,
-	// still incremental); the algo.IncrementalEmbedder contract allows the
+	// still incremental); the algo.IncrementalScorer contract allows the
 	// bounded staleness a positive tolerance introduces.
 	RefreshTol float64
 
@@ -52,10 +52,10 @@ type REGAL struct {
 	// also lets CONE's REGAL warm start share it.
 	cache *cache.Cache
 
-	// state is the last full pipeline capture RefreshEmbeddingsCtx patches
+	// state is the last full pipeline capture RefreshScorerCtx patches
 	// incrementally; nil until the first refresh call. Instances used through
 	// the refresher carry pair-specific state and must not be shared
-	// (algo.IncrementalEmbedder's contract).
+	// (algo.IncrementalScorer's contract).
 	state *refreshState
 }
 
@@ -143,7 +143,7 @@ func regalSim(sig *matrix.Dense, i, l int, gamma float64) float64 {
 // embedState runs the full xNetMF pipeline and returns every intermediate
 // the incremental refresher needs alongside the embeddings: the joint
 // signature matrix, the landmark set, and the Nyström projection. EmbedCtx
-// uses it as the plain batch path; RefreshEmbeddingsCtx keeps the returned
+// uses it as the plain batch path; RefreshScorerCtx keeps the returned
 // state on the instance and patches it in place across edit batches.
 func (r *REGAL) embedState(ctx context.Context, src, dst *graph.Graph) (*refreshState, error) {
 	n1, n2 := src.N(), dst.N()
@@ -258,14 +258,14 @@ func (r *REGAL) computeSimilarity(ctx context.Context, src, dst *graph.Graph) (*
 	return EmbeddingSimilarity(ySrc, yDst), nil
 }
 
-// EmbeddingsCtx implements algo.EmbeddingAligner: the xNetMF embeddings in
+// ScorerCtx implements algo.ScoringAligner: the xNetMF embeddings in
 // factored form with REGAL's exp(-d²) kernel, for the sparse assignment
 // pipeline's k-NN candidate search. Materializing the returned Embedding
 // reproduces SimilarityCtx exactly (same squared-distance accumulation
 // order). With a cache attached the embedding pair is memoized per
 // (pair, params) — sharing the dominant cost across assignment methods and
 // reps — and private clones are returned.
-func (r *REGAL) EmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (r *REGAL) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	ySrc, yDst, err := r.embedCached(ctx, src, dst)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@
 package algotest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,11 +42,11 @@ func ERPair(t *testing.T, n int, level float64, seed int64) noise.Pair {
 // Accuracy aligns the pair with the given method and returns accuracy.
 func Accuracy(t *testing.T, a algo.Aligner, p noise.Pair, m assign.Method) float64 {
 	t.Helper()
-	mapping, err := algo.Align(a, p.Source, p.Target, m)
+	res, err := algo.Run(context.Background(), a, p.Source, p.Target, algo.Plan{Method: m})
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name(), err)
 	}
-	return metrics.Accuracy(mapping, p.TrueMap)
+	return metrics.Accuracy(res.Mapping, p.TrueMap)
 }
 
 // CheckRecovers asserts the aligner reaches at least minAcc accuracy on a

@@ -36,9 +36,9 @@ type Conformance struct {
 	RelabelTol float64
 	// SparseTopK, when positive, additionally runs the sparse-pipeline
 	// contracts with this per-row candidate count: sparse self-alignment
-	// must clear SelfMinAcc, and aligners exposing a factored similarity
-	// (algo.FactorAligner / algo.EmbeddingAligner) must produce candidates
-	// identical to dense top-k selection over the materialized matrix.
+	// must clear SelfMinAcc, and aligners exposing a scorer
+	// (algo.ScoringAligner) must produce candidates identical to dense top-k
+	// selection over the materialized matrix.
 	SparseTopK int
 	// Partitioned, when positive, additionally runs the partition-align-
 	// stitch contracts at this shard count: partitioned self-alignment must
@@ -182,11 +182,11 @@ func CheckSelfAlignment(t *testing.T, a algo.Aligner, n int, minAcc float64) {
 	for i := range identity {
 		identity[i] = i
 	}
-	mapping, err := algo.Align(a, base, base, assign.JonkerVolgenant)
+	res, err := algo.Run(context.Background(), a, base, base, algo.Plan{Method: assign.JonkerVolgenant})
 	if err != nil {
 		t.Fatalf("%s: self-alignment failed: %v", a.Name(), err)
 	}
-	if acc := metrics.Accuracy(mapping, identity); acc < minAcc {
+	if acc := metrics.Accuracy(res.Mapping, identity); acc < minAcc {
 		t.Errorf("%s: self-alignment accuracy %.3f < %.3f", a.Name(), acc, minAcc)
 	}
 }
@@ -232,46 +232,36 @@ func CheckSparseSelfAlignment(t *testing.T, a algo.Aligner, n, topk int, minAcc 
 	for i := range identity {
 		identity[i] = i
 	}
-	mapping, _, _, _, err := algo.AlignSparseTimedCtx(context.Background(), a, base, base,
-		assign.JonkerVolgenant, topk, 1)
+	res, err := algo.Run(context.Background(), a, base, base,
+		algo.Plan{Method: assign.JonkerVolgenant, TopK: topk, Workers: 1})
 	if err != nil {
 		t.Fatalf("%s: sparse self-alignment failed: %v", a.Name(), err)
 	}
-	if acc := metrics.Accuracy(mapping, identity); acc < minAcc {
+	if acc := metrics.Accuracy(res.Mapping, identity); acc < minAcc {
 		t.Errorf("%s: sparse self-alignment accuracy %.3f < %.3f", a.Name(), acc, minAcc)
 	}
 }
 
-// CheckSparseCandidateIdentity asserts the factored candidate contract for
-// aligners exposing a factored similarity: candidates generated straight
-// from the factors (never materializing the dense matrix) must equal dense
-// top-k selection over the materialized matrix entry for entry — same
-// columns, bitwise the same scores. Aligners with neither factored form are
-// skipped.
+// CheckSparseCandidateIdentity asserts the scorer candidate contract for
+// aligners exposing a scorer: candidates generated straight from it (never
+// materializing the dense matrix) must equal dense top-k selection over the
+// materialized matrix entry for entry — same columns, bitwise the same
+// scores. Aligners without a scorer are skipped.
 func CheckSparseCandidateIdentity(t *testing.T, a algo.Aligner, n, topk int) {
 	t.Helper()
 	p := Pair(t, n, 0.02, 99991)
 	ctx := context.Background()
 
-	var sparse, dense *assign.Candidates
-	switch fa := a.(type) {
-	case algo.EmbeddingAligner:
-		emb, err := fa.EmbeddingsCtx(ctx, p.Source, p.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse = assign.TopKEmbedding(emb, topk, 1)
-		dense = assign.TopKDense(emb.Similarity(), topk, 1)
-	case algo.FactorAligner:
-		f, err := fa.FactorsCtx(ctx, p.Source, p.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse = assign.TopKFactor(f, topk, 1)
-		dense = assign.TopKDense(f.Similarity(), topk, 1)
-	default:
-		t.Skipf("%s exposes no factored similarity", a.Name())
+	sa, ok := a.(algo.ScoringAligner)
+	if !ok {
+		t.Skipf("%s exposes no scorer", a.Name())
 	}
+	s, err := sa.ScorerCtx(ctx, p.Source, p.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := assign.TopK(s, topk, 1)
+	dense := assign.TopK(assign.DenseScorer{Sim: s.Similarity()}, topk, 1)
 	if sparse.Rows != dense.Rows || sparse.Cols != dense.Cols || sparse.K != dense.K {
 		t.Fatalf("%s: candidate shape (%d,%d,%d) vs dense (%d,%d,%d)", a.Name(),
 			sparse.Rows, sparse.Cols, sparse.K, dense.Rows, dense.Cols, dense.K)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"graphalign/internal/matrix"
 	"graphalign/internal/parallel"
 )
 
@@ -74,13 +73,13 @@ type SparseStats struct {
 }
 
 // SolveSparse dispatches a sparse assignment method over a candidate set.
-// dense lazily materializes the full similarity matrix and is only invoked
-// on the auction's unmatchable-fallback path (it may be nil when the caller
+// s is the similarity c was selected from; its Similarity is only invoked
+// on the auction's unmatchable-fallback path (s may be nil when the caller
 // can guarantee matchability; the fallback then returns an error). workers
 // bounds the auction's parallel bidding fan-out (0 = one per CPU); the
 // returned mapping is identical for any worker count. The NN variant is
 // restricted to one-to-one, as the paper requires of every method.
-func SolveSparse(method Method, c *Candidates, dense func() *matrix.Dense, workers int) ([]int, SparseStats, error) {
+func SolveSparse(method Method, c *Candidates, s Scorer, workers int) ([]int, SparseStats, error) {
 	if c.Rows > c.Cols {
 		return nil, SparseStats{}, fmt.Errorf("assign: source larger than target (%d > %d)", c.Rows, c.Cols)
 	}
@@ -95,7 +94,7 @@ func SolveSparse(method Method, c *Candidates, dense func() *matrix.Dense, worke
 	case SortGreedySparse:
 		return SolveGreedySparse(c), stats, nil
 	}
-	// A row left without candidates by factor-space pruning can never be
+	// A row left without candidates by NaN pruning can never be
 	// matched: Hopcroft–Karp would report the graph unmatchable and the
 	// solve would silently land on the dense fallback, masking the defect.
 	// Surface it as a typed error instead (NN/SG above have documented
@@ -113,10 +112,10 @@ func SolveSparse(method Method, c *Candidates, dense func() *matrix.Dense, worke
 		return mapping, st, nil
 	}
 	st.FellBack = true
-	if dense == nil {
+	if s == nil {
 		return nil, st, fmt.Errorf("assign: candidate graph unmatchable and no dense fallback")
 	}
-	return SolveJV(dense()), st, nil
+	return SolveJV(s.Similarity()), st, nil
 }
 
 // auctionMaxRounds bounds the bidding rounds of one ε phase. Theory bounds

@@ -38,7 +38,7 @@ func TestAuctionAgreesWithJVDense(t *testing.T) {
 				for i := range sim.Data {
 					sim.Data[i] = reg.draw()
 				}
-				c := TopKDense(sim, m, 1) // full candidate set
+				c := TopK(DenseScorer{sim}, m, 1) // full candidate set
 				mapping, stats, ok := SolveAuction(c, 1)
 				if !ok {
 					t.Fatalf("trial %d: auction failed on a full candidate set", trial)
@@ -82,9 +82,8 @@ func TestAuctionAgreesWithJVBanded(t *testing.T) {
 		m := n + rng.Intn(3)
 		b := 1 + rng.Intn(3)
 		sim := bandedInstance(n, m, b, rng)
-		c := TopKDense(sim, 2*b+1, 1)
-		dense := func() *matrix.Dense { return sim }
-		mapping, stats, err := SolveSparse(AuctionSparse, c, dense, 1)
+		c := TopK(DenseScorer{sim}, 2*b+1, 1)
+		mapping, stats, err := SolveSparse(AuctionSparse, c, DenseScorer{sim}, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -109,8 +108,8 @@ func TestAuctionStarvedFallsBackToJV(t *testing.T) {
 		{0.9, 0, 0, 0},
 		{0.8, 0, 0, 0},
 	})
-	c := TopKDense(sim, 1, 1)
-	mapping, stats, err := SolveSparse(AuctionSparse, c, func() *matrix.Dense { return sim }, 1)
+	c := TopK(DenseScorer{sim}, 1, 1)
+	mapping, stats, err := SolveSparse(AuctionSparse, c, DenseScorer{sim}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +127,12 @@ func TestAuctionStarvedFallsBackToJV(t *testing.T) {
 func TestAuctionFallbackWithoutDenseErrors(t *testing.T) {
 	sim := matrix.DenseFromRows([][]float64{{1, 0}, {0.9, 0}, {0.8, 0}})
 	// Rows > cols is rejected up front.
-	c := TopKDense(sim, 2, 1)
+	c := TopK(DenseScorer{sim}, 2, 1)
 	if _, _, err := SolveSparse(AuctionSparse, c, nil, 1); err == nil {
 		t.Fatal("expected error for rows > cols")
 	}
 	// Unmatchable graph with no dense fallback available.
-	starved := TopKDense(matrix.DenseFromRows([][]float64{{1, 0, 0}, {0.9, 0, 0}}), 1, 1)
+	starved := TopK(DenseScorer{matrix.DenseFromRows([][]float64{{1, 0, 0}, {0.9, 0, 0}})}, 1, 1)
 	if _, _, err := SolveSparse(AuctionSparse, starved, nil, 1); err == nil {
 		t.Fatal("expected error when fallback is needed but dense is nil")
 	}

@@ -11,9 +11,9 @@ import "math"
 // the dense-JV fallback — correct, but it abandons the sparse solve entirely
 // and, for the incremental mode, leaves no auction state to warm-start from.
 //
-// Augment* repairs the graph instead: it runs Hopcroft–Karp once, and gives
+// Augment repairs the graph instead: it runs Hopcroft–Karp once, and gives
 // each unmatched row exactly one extra candidate — a distinct free column
-// under the maximum matching, scored with the producer's own kernel so the
+// under the maximum matching, scored with the similarity's own Score so the
 // entry is a real (row, column) similarity, not an invented value. Matching ∪
 // augmented edges is a row-perfect matching by construction, so the result
 // always passes Matchable. An unmatched row can never already hold a free
@@ -33,11 +33,12 @@ import "math"
 // onto augmented edges are ones the candidate lists could never seat anyway.
 const augmentPairBudget = 1 << 22
 
-// AugmentEmbedding returns a row-saturating version of c, scoring added
-// entries with the embedding's distance kernel (the same arithmetic the top-k
-// producers use). When c is already matchable it is returned unchanged with a
-// nil column list; otherwise the result is a fresh candidate set with stride
-// K+1 and augCols[i] holding row i's added column (-1 for rows left alone).
+// Augment returns a row-saturating version of c, scoring added entries with
+// s.Score (the same arithmetic TopK selects with); NaN scores are clamped to
+// 0 so the added entry stays usable by the auction. When c is already
+// matchable it is returned unchanged with a nil column list; otherwise the
+// result is a fresh candidate set with stride K+1 and augCols[i] holding row
+// i's added column (-1 for rows left alone).
 //
 // seed and prevAug, when non-nil, are a previous call's match and augCols
 // returns: the maximum matching is grown from seed's still-valid pairs
@@ -47,20 +48,7 @@ const augmentPairBudget = 1 << 22
 // reshuffling wholesale (every reshuffled row is a solver-visible change the
 // caller would have to treat as dirty). match reports the base-graph matching
 // the repair was built on, for use as the next call's seed.
-func AugmentEmbedding(c *Candidates, e *Embedding, seed, prevAug []int) (aug *Candidates, augCols, match []int) {
-	return augment(c, func(i, j int) float64 {
-		return e.SimFromDist2(sqDistAsc(e.Src.Row(i), e.Dst.Row(j)))
-	}, seed, prevAug)
-}
-
-// AugmentFactor is AugmentEmbedding for factored similarities; NaN scores
-// (factor-space pruning) are clamped to 0 so the added entry stays usable by
-// the auction.
-func AugmentFactor(c *Candidates, f *FactorEmbedding, seed, prevAug []int) (aug *Candidates, augCols, match []int) {
-	return augment(c, func(i, j int) float64 { return factorScoreOne(f, i, j) }, seed, prevAug)
-}
-
-func augment(c *Candidates, score func(i, j int) float64, seed, prevAug []int) (*Candidates, []int, []int) {
+func Augment(c *Candidates, s Scorer, seed, prevAug []int) (aug *Candidates, augCols, match []int) {
 	if c.Rows > c.Cols {
 		return c, nil, nil // structurally unmatchable; nothing to repair
 	}
@@ -84,7 +72,7 @@ func augment(c *Candidates, score func(i, j int) float64, seed, prevAug []int) (
 			free = append(free, j)
 		}
 	}
-	augCols := make([]int, c.Rows)
+	augCols = make([]int, c.Rows)
 	for i := range augCols {
 		augCols[i] = -1
 	}
@@ -112,7 +100,7 @@ func augment(c *Candidates, score func(i, j int) float64, seed, prevAug []int) (
 				if used[p] {
 					continue
 				}
-				v := score(i, j)
+				v := s.Score(i, j)
 				if math.IsNaN(v) {
 					v = 0
 				}
@@ -151,7 +139,7 @@ func augment(c *Candidates, score func(i, j int) float64, seed, prevAug []int) (
 		n := copy(dstC, cols)
 		copy(dstV, vals)
 		if j := augCols[i]; j >= 0 {
-			v := score(i, j)
+			v := s.Score(i, j)
 			if math.IsNaN(v) {
 				v = 0
 			}

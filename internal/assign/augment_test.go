@@ -103,20 +103,18 @@ func augmentInvariants(t *testing.T, base, aug *Candidates, augCols []int, score
 func TestAugmentEmbeddingRepairsDegenerateGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := degenerateEmbedding(60, 60, 6, 4, rng)
-	base := TopKEmbedding(e, 5, 1)
+	base := TopK(e, 5, 1)
 	if base.Matchable() {
 		t.Skip("degenerate construction unexpectedly matchable")
 	}
-	aug, augCols, match := AugmentEmbedding(e2c(base), e, nil, nil)
+	aug, augCols, match := Augment(e2c(base), e, nil, nil)
 	if augCols == nil {
 		t.Fatal("unmatchable base returned without repair columns")
 	}
 	if len(match) != base.Rows {
 		t.Fatalf("match length %d, want %d", len(match), base.Rows)
 	}
-	augmentInvariants(t, base, aug, augCols, func(i, j int) float64 {
-		return e.SimFromDist2(sqDistAsc(e.Src.Row(i), e.Dst.Row(j)))
-	})
+	augmentInvariants(t, base, aug, augCols, e.Score)
 }
 
 // e2c is the identity; it exists so the test reads as passing the base set.
@@ -125,11 +123,11 @@ func e2c(c *Candidates) *Candidates { return c }
 func TestAugmentMatchableIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := randEmbedding(40, 50, 8, rng)
-	base := TopKEmbedding(e, 12, 1)
+	base := TopK(e, 12, 1)
 	if !base.Matchable() {
 		t.Skip("random embedding unexpectedly unmatchable")
 	}
-	aug, augCols, match := AugmentEmbedding(base, e, nil, nil)
+	aug, augCols, match := Augment(base, e, nil, nil)
 	if aug != base || augCols != nil {
 		t.Fatal("matchable base was not returned unchanged")
 	}
@@ -144,13 +142,13 @@ func TestAugmentMatchableIsIdentity(t *testing.T) {
 func TestAugmentDeterministicAndSticky(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := degenerateEmbedding(50, 55, 6, 3, rng)
-	base := TopKEmbedding(e, 5, 1)
-	a1, cols1, match1 := AugmentEmbedding(base, e, nil, nil)
-	a2, cols2, _ := AugmentEmbedding(base, e, nil, nil)
+	base := TopK(e, 5, 1)
+	a1, cols1, match1 := Augment(base, e, nil, nil)
+	a2, cols2, _ := Augment(base, e, nil, nil)
 	if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(cols1, cols2) {
 		t.Fatal("repeated repair of identical inputs differs")
 	}
-	a3, cols3, _ := AugmentEmbedding(base, e, match1, cols1)
+	a3, cols3, _ := Augment(base, e, match1, cols1)
 	if !reflect.DeepEqual(a1, a3) || !reflect.DeepEqual(cols1, cols3) {
 		t.Fatal("seeded repair of identical inputs differs from unseeded")
 	}
@@ -165,14 +163,12 @@ func TestAugmentFactorNaNClamped(t *testing.T) {
 			f.Us[t2][i] = f.Us[t2][0]
 		}
 	}
-	base := TopKFactor(f, 3, 1)
+	base := TopK(f, 3, 1)
 	if base.Matchable() {
 		t.Skip("collapsed factors unexpectedly matchable")
 	}
-	aug, augCols, _ := AugmentFactor(base, f, nil, nil)
-	augmentInvariants(t, base, aug, augCols, func(i, j int) float64 {
-		return factorScoreOne(f, i, j)
-	})
+	aug, augCols, _ := Augment(base, f, nil, nil)
+	augmentInvariants(t, base, aug, augCols, f.Score)
 	for i, j := range augCols {
 		if j < 0 {
 			continue
@@ -191,14 +187,14 @@ func TestAugmentFactorNaNClamped(t *testing.T) {
 func TestAugmentedGraphSolvesWithoutFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := degenerateEmbedding(80, 80, 6, 5, rng)
-	base := TopKEmbedding(e, 5, 1)
+	base := TopK(e, 5, 1)
 	if base.Matchable() {
 		t.Skip("degenerate construction unexpectedly matchable")
 	}
 	if _, _, ok := SolveAuction(base, 1); ok {
 		t.Fatal("unmatchable base unexpectedly solved")
 	}
-	aug, _, _ := AugmentEmbedding(base, e, nil, nil)
+	aug, _, _ := Augment(base, e, nil, nil)
 	mapping, _, ok := SolveAuction(aug, 1)
 	if !ok {
 		t.Fatal("auction refused the repaired graph")
@@ -217,8 +213,8 @@ func TestAugmentedGraphSolvesWithoutFallback(t *testing.T) {
 func TestAugmentSeedStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e := degenerateEmbedding(60, 66, 6, 4, rng)
-	base := TopKEmbedding(e, 5, 1)
-	_, cols1, match1 := AugmentEmbedding(base, e, nil, nil)
+	base := TopK(e, 5, 1)
+	_, cols1, match1 := Augment(base, e, nil, nil)
 	if cols1 == nil {
 		t.Skip("degenerate construction unexpectedly matchable")
 	}
@@ -228,8 +224,8 @@ func TestAugmentSeedStability(t *testing.T) {
 	for k := range q {
 		q[k] += 0.5
 	}
-	next := TopKEmbedding(e, 5, 1)
-	_, cols2, _ := AugmentEmbedding(next, e, match1, cols1)
+	next := TopK(e, 5, 1)
+	_, cols2, _ := Augment(next, e, match1, cols1)
 	moved := 0
 	for i := 1; i < base.Rows; i++ {
 		c2 := -1

@@ -27,13 +27,13 @@ func BenchmarkSolveJV(b *testing.B) {
 
 func BenchmarkAuctionPipeline(b *testing.B) {
 	// Candidate generation + auction solve: the full sparse assignment stage
-	// as RunInstanceSpec executes it for a non-embedding aligner.
+	// as core.RunInstance executes it for a non-embedding aligner.
 	for _, n := range benchSizes() {
 		sim := randomSim(n, n, int64(n))
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := TopKDense(sim, 16, 1)
+				c := TopK(DenseScorer{sim}, 16, 1)
 				if _, _, ok := SolveAuction(c, 1); !ok {
 					b.Fatal("auction fell back")
 				}
@@ -46,7 +46,7 @@ func BenchmarkSolveAuction(b *testing.B) {
 	// Auction solve alone over precomputed candidates.
 	for _, n := range benchSizes() {
 		sim := randomSim(n, n, int64(n))
-		c := TopKDense(sim, 16, 1)
+		c := TopK(DenseScorer{sim}, 16, 1)
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -64,7 +64,7 @@ func BenchmarkTopKDense(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				TopKDense(sim, 16, 1)
+				TopK(DenseScorer{sim}, 16, 1)
 			}
 		})
 	}
@@ -75,7 +75,7 @@ func BenchmarkTopKEmbedding(b *testing.B) {
 	// crossover width where the k-d tree degrades to a near-full scan on
 	// unstructured embeddings and generation switches to the blocked
 	// brute-force kernel (DESIGN.md §12). Narrower embeddings take the tree
-	// (TopKEmbeddingTree below); the aligners' real widths are wider still —
+	// (BenchmarkTopKEmbeddingTree below); the aligners' real widths are wider still —
 	// REGAL emits 10·log2(n_src+n_dst)+1 ≈ 121 dims at n=2048 — for which
 	// the honest dense comparison must also pay materialization, see
 	// TopKEmbeddingWide vs EmbeddingDensePath.
@@ -84,7 +84,7 @@ func BenchmarkTopKEmbedding(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				TopKEmbedding(e, 16, 1)
+				TopK(e, 16, 1)
 			}
 		})
 	}
@@ -98,7 +98,7 @@ func BenchmarkTopKEmbeddingTree(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d/k16/d4", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				TopKEmbedding(e, 16, 1)
+				TopK(e, 16, 1)
 			}
 		})
 	}
@@ -107,12 +107,12 @@ func BenchmarkTopKEmbeddingTree(b *testing.B) {
 func BenchmarkTopKEmbeddingWide(b *testing.B) {
 	// The wide regime (d=64): brute-force distance scan, O(n m d). Compare
 	// against EmbeddingDensePath — the pipeline it replaces — not against
-	// TopKDense alone, whose input someone already paid O(n m d) to build.
+	// dense top-k alone, whose input someone already paid O(n m d) to build.
 	e := testEmbedding(2048, 2048, 64, 2048)
 	b.Run("n2048/k16/d64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			TopKEmbedding(e, 16, 1)
+			TopK(e, 16, 1)
 		}
 	})
 }
@@ -125,7 +125,7 @@ func BenchmarkEmbeddingDensePath(b *testing.B) {
 	b.Run("n2048/k16/d64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			TopKDense(e.Similarity(), 16, 1)
+			TopK(DenseScorer{e.Similarity()}, 16, 1)
 		}
 	})
 }
@@ -138,7 +138,7 @@ func BenchmarkTopKFactor(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d/k16/r48", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				TopKFactor(f, 16, 1)
+				TopK(f, 16, 1)
 			}
 		})
 	}
@@ -151,7 +151,7 @@ func BenchmarkFactorDensePath(b *testing.B) {
 	b.Run("n2048/k16/r48", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			TopKDense(f.Similarity(), 16, 1)
+			TopK(DenseScorer{f.Similarity()}, 16, 1)
 		}
 	})
 }

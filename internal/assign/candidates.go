@@ -26,9 +26,9 @@ type Candidates struct {
 	Col []int
 	Val []float64
 	// Len, when non-nil, gives each row's actual candidate count (<= K):
-	// producers that prune candidates (TopKFactor dropping NaN scores) leave
-	// short rows padded with Col -1 / Val 0, and Row trims the padding. Nil
-	// means every row holds exactly K candidates.
+	// producers that prune candidates (TopK dropping NaN scores) leave short
+	// rows padded with Col -1 / Val 0, and Row trims the padding. Nil means
+	// every row holds exactly K candidates.
 	Len []int
 }
 
@@ -42,63 +42,176 @@ func (c *Candidates) Row(i int) ([]int, []float64) {
 	return c.Col[lo:hi], c.Val[lo:hi]
 }
 
+// slots returns row i's full K-wide storage, padding included.
+func (c *Candidates) slots(i int) ([]int, []float64) {
+	return c.Col[i*c.K : (i+1)*c.K], c.Val[i*c.K : (i+1)*c.K]
+}
+
 // candidateBudget is the approximate per-call work (rows * cols) above which
 // candidate generation fans rows out across the worker pool. Each row is
 // selected by exactly one goroutine, so results are identical for any worker
 // count.
 const candidateBudget = 1 << 18
 
-// TopKDense reduces a dense similarity matrix to its per-row top-k candidate
-// set via bounded-heap partial selection: O(m log k) per row instead of the
-// O(m log m) of a full row sort. Rows are fanned out across at most workers
-// goroutines (0 = one per CPU, 1 = sequential); the output is identical for
-// any worker count. k <= 0 or k >= Cols keeps every column (the candidate
-// set is then dense, just reordered).
-func TopKDense(sim *matrix.Dense, k, workers int) *Candidates {
-	n, m := sim.Rows, sim.Cols
+// Scorer is a similarity matrix the sparse pipeline reads row by row, so it
+// never has to be materialized: a dense matrix (DenseScorer), a distance
+// kernel over per-node embeddings (Embedding) or a low-rank factor product
+// (FactorEmbedding). Aligners expose theirs through algo.ScoringAligner.
+type Scorer interface {
+	// Shape returns the similarity's dimensions (source rows, target cols).
+	Shape() (rows, cols int)
+	// ScoreRow returns row i's exact scores. buf (len cols) is scratch the
+	// implementation may fill and return; a scorer holding the row already
+	// returns a view instead. Treat the result as read-only.
+	ScoreRow(i int, buf []float64) []float64
+	// Score returns entry (i, j), bitwise equal to ScoreRow(i, ·)[j].
+	Score(i, j int) float64
+	// Similarity materializes the dense matrix, bitwise what the aligner's
+	// own dense path computes; the sparse solve's dense-JV fallback uses it.
+	Similarity() *matrix.Dense
+}
+
+// DenseScorer is a materialized similarity matrix as a Scorer.
+type DenseScorer struct{ Sim *matrix.Dense }
+
+// Shape implements Scorer.
+func (d DenseScorer) Shape() (int, int) { return d.Sim.Rows, d.Sim.Cols }
+
+// ScoreRow implements Scorer with a view of the stored row.
+func (d DenseScorer) ScoreRow(i int, _ []float64) []float64 { return d.Sim.Row(i) }
+
+// Score implements Scorer.
+func (d DenseScorer) Score(i, j int) float64 { return d.Sim.At(i, j) }
+
+// Similarity implements Scorer; the matrix is returned, not copied.
+func (d DenseScorer) Similarity() *matrix.Dense { return d.Sim }
+
+// TopK reduces a similarity to its per-row top-k candidate set, ordered
+// (score desc, column asc). k <= 0 or k >= cols keeps every column. Rows
+// are fanned out across at most workers goroutines (0 = one per CPU, 1 =
+// sequential); the output is identical for any worker count.
+//
+// An Embedding selects with its k-NN kernels and keeps NaN distances, ranked
+// last. Every other scorer bounded-heap selects from ScoreRow, O(m log k) per
+// row, and prunes NaN scores: rows left short are padded with Col -1 / Val 0
+// and recorded in Candidates.Len, and a fully starved row surfaces as a
+// *StarvedRowError from SolveSparse.
+func TopK(s Scorer, k, workers int) *Candidates {
+	n, m := s.Shape()
 	if k <= 0 || k > m {
 		k = m
 	}
 	c := &Candidates{Rows: n, Cols: m, K: k,
 		Col: make([]int, n*k), Val: make([]float64, n*k)}
-	selectRows := func(lo, hi int) {
-		heap := make([]pair, 0, k)
-		for i := lo; i < hi; i++ {
-			heap = selectTopK(heap[:0], sim.Row(i), k)
-			// Heap-sort the selection in place into descending (v, asc j)
-			// order: repeatedly move the weakest candidate to the tail.
-			cols, vals := c.Row(i)
-			for l := len(heap) - 1; l > 0; l-- {
-				heap[0], heap[l] = heap[l], heap[0]
-				topKSiftDownN(heap, 0, l)
-			}
-			for idx, p := range heap {
-				cols[idx], vals[idx] = p.j, p.v
-			}
-		}
-	}
-	if n*m >= candidateBudget && parallel.Workers(workers) > 1 {
-		parallel.Blocks(workers, n, selectRows)
-	} else {
-		selectRows(0, n)
-	}
+	selectRows(s, c, nil, workers)
+	c.syncLen()
 	return c
 }
 
-// selectTopK pushes row's k strongest (value, column) entries onto h (reused
-// storage, passed in emptied) using the bounded min-heap ordered by
-// (v asc, j desc): the root is the weakest kept candidate, and among equal
-// values the larger column is evicted first, so ties keep the smaller column.
+// selectRows recomputes candidate rows of c from s: every row when rows is
+// nil, else the listed ones. The kernel is picked once per call.
+func selectRows(s Scorer, c *Candidates, rows []int, workers int) {
+	count := c.Rows
+	if rows != nil {
+		count = len(rows)
+	}
+	if count == 0 || c.Cols == 0 {
+		return
+	}
+	var kernel func(lo, hi int)
+	if e, ok := s.(*Embedding); ok {
+		kernel = e.knnKernel(c, rows)
+	} else {
+		kernel = func(lo, hi int) {
+			buf := make([]float64, c.Cols)
+			heap := make([]pair, 0, c.K)
+			for idx := lo; idx < hi; idx++ {
+				i := rowAt(rows, idx)
+				heap = selectScoreRow(c, i, s.ScoreRow(i, buf), heap)
+			}
+		}
+	}
+	if count*c.Cols >= candidateBudget && parallel.Workers(workers) > 1 {
+		parallel.Blocks(workers, count, kernel)
+	} else {
+		kernel(0, count)
+	}
+}
+
+// rowAt maps a kernel's loop index to a row: the index itself when rows is
+// nil, else rows[idx].
+func rowAt(rows []int, idx int) int {
+	if rows == nil {
+		return idx
+	}
+	return rows[idx]
+}
+
+// syncLen derives Len from the rows' padding: a row is short when its last
+// slot holds column -1. Len stays nil when every row is full.
+func (c *Candidates) syncLen() {
+	c.Len = nil
+	if c.K == 0 {
+		return
+	}
+	for i := 0; i < c.Rows; i++ {
+		if c.Col[(i+1)*c.K-1] >= 0 {
+			continue
+		}
+		c.Len = make([]int, c.Rows)
+		for r := range c.Len {
+			cols, _ := c.slots(r)
+			l := c.K
+			for l > 0 && cols[l-1] < 0 {
+				l--
+			}
+			c.Len[r] = l
+		}
+		return
+	}
+}
+
+// selectScoreRow bounded-heap selects row's non-NaN top-K into c's row i,
+// padding short rows with Col -1 / Val 0, and returns the reusable heap
+// storage.
+func selectScoreRow(c *Candidates, i int, row []float64, heap []pair) []pair {
+	k := c.K
+	heap = selectTopK(heap[:0], row, k)
+	// Heap-sort the selection in place into descending (v, asc j) order:
+	// repeatedly move the weakest candidate to the tail.
+	cols, vals := c.slots(i)
+	for l := len(heap) - 1; l > 0; l-- {
+		heap[0], heap[l] = heap[l], heap[0]
+		topKSiftDownN(heap, 0, l)
+	}
+	for idx, p := range heap {
+		cols[idx], vals[idx] = p.j, p.v
+	}
+	for idx := len(heap); idx < k; idx++ {
+		cols[idx], vals[idx] = -1, 0
+	}
+	return heap
+}
+
+// selectTopK pushes row's k strongest non-NaN (value, column) entries onto
+// h (reused storage, passed in emptied) using the bounded min-heap ordered
+// by (v asc, j desc): the root is the weakest kept candidate, and among
+// equal values the larger column is evicted first, so ties keep the smaller
+// column. A NaN compares false against every bound, so admitting one would
+// let it evict a real score and never leave; the test sits behind the bound
+// check, off the common path.
 func selectTopK(h []pair, row []float64, k int) []pair {
 	for j, v := range row {
 		if len(h) < k {
-			h = append(h, pair{0, j, v})
-			topKSiftUp(h, len(h)-1)
+			if v == v {
+				h = append(h, pair{0, j, v})
+				topKSiftUp(h, len(h)-1)
+			}
 			continue
 		}
 		// Columns arrive in increasing j, so on equal value the incumbent
 		// (smaller j) wins and the newcomer is skipped.
-		if v <= h[0].v {
+		if v <= h[0].v || v != v {
 			continue
 		}
 		h[0] = pair{0, j, v}
@@ -111,8 +224,8 @@ func selectTopK(h []pair, row []float64, k int) []pair {
 // for the source and target graphs plus the monotone non-increasing map from
 // squared Euclidean row distance to similarity score. Aligners whose
 // similarity is a pure function of embedding distance (REGAL, CONE, GRASP)
-// expose this via algo.EmbeddingAligner so the sparse pipeline can run k-NN
-// candidate search directly over the embeddings and never materialize the
+// return it from algo.ScoringAligner, so the sparse pipeline runs k-NN
+// candidate search directly over the embeddings and never materializes the
 // dense n x m similarity matrix.
 type Embedding struct {
 	Src, Dst *matrix.Dense
@@ -120,6 +233,37 @@ type Embedding struct {
 	// and a Dst row into the aligner's similarity score. It must be monotone
 	// non-increasing so that nearest-in-embedding equals best-similarity.
 	SimFromDist2 func(d2 float64) float64
+}
+
+// Shape implements Scorer.
+func (e *Embedding) Shape() (int, int) { return e.Src.Rows, e.Dst.Rows }
+
+// ScoreRow implements Scorer: each entry is one dimension-ascending distance
+// chain, bitwise the k-NN kernels' and matrix.PairwiseSqDist's values.
+func (e *Embedding) ScoreRow(i int, buf []float64) []float64 {
+	q := e.Src.Row(i)
+	for j := range buf {
+		buf[j] = e.SimFromDist2(sqDistAsc(q, e.Dst.Row(j)))
+	}
+	return buf
+}
+
+// Score implements Scorer.
+func (e *Embedding) Score(i, j int) float64 {
+	return e.SimFromDist2(sqDistAsc(e.Src.Row(i), e.Dst.Row(j)))
+}
+
+// sqDistAsc is the squared Euclidean distance accumulated dimension-ascending
+// in a single chain — bitwise the per-target chains of topKEmbeddingBrute and
+// matrix.PairwiseSqDist — so probe distances compare exactly against stored
+// candidate values.
+func sqDistAsc(q, r []float64) float64 {
+	var s float64
+	for t, v := range q {
+		d := v - r[t]
+		s += d * d
+	}
+	return s
 }
 
 // Similarity materializes the full dense similarity matrix from the
@@ -134,55 +278,42 @@ func (e *Embedding) Similarity() *matrix.Dense {
 	return sim
 }
 
-// bruteForceDim is the embedding width at and above which TopKEmbedding
-// abandons the k-d tree for a row-blocked brute-force distance scan. On the
-// unstructured embeddings the aligners produce, tree traversal visits nearly
-// every node from d≈8 upward (the usual curse-of-dimensionality folklore
-// says d ≳ 32, but measured visit counts cross ~85% of nodes already at
-// d=8 — see DESIGN.md §12), at which point the tree only adds traversal
-// overhead over the flat scan.
+// bruteForceDim is the embedding width at and above which the embedding's
+// candidate search abandons the k-d tree for a row-blocked brute-force
+// distance scan. On the unstructured embeddings the aligners produce, tree
+// traversal visits nearly every node from d≈8 upward (the usual
+// curse-of-dimensionality folklore says d ≳ 32, but measured visit counts
+// cross ~85% of nodes already at d=8 — see DESIGN.md §12), at which point the
+// tree only adds traversal overhead over the flat scan.
 const bruteForceDim = 8
 
-// TopKEmbedding builds the per-row candidate set straight from the factored
-// embedding, never materializing the dense Rows x Cols similarity matrix.
+// knnKernel returns the embedding's row selector for selectRows.
 // Low-dimensional embeddings (d < bruteForceDim) run k-nearest-neighbor
 // queries against a k-d tree over the target rows with per-worker reusable
 // scratch; wider ones use a brute-force distance scan fused with bounded
 // selection (see topKEmbeddingBrute) — O(m d) per row with no per-query
-// allocation either way. Both paths fan rows out
-// across at most workers goroutines; results are identical for any worker
-// count and across the two paths. Within a row, candidates are ordered by
-// ascending distance with ties broken by lower column id, which is
-// descending similarity order because SimFromDist2 is monotone.
-func TopKEmbedding(e *Embedding, k, workers int) *Candidates {
-	n, m := e.Src.Rows, e.Dst.Rows
-	if k <= 0 || k > m {
-		k = m
-	}
-	c := &Candidates{Rows: n, Cols: m, K: k,
-		Col: make([]int, n*k), Val: make([]float64, n*k)}
-	if n == 0 || m == 0 {
-		return c
-	}
-	var queryRows func(lo, hi int)
+// allocation either way. Results are identical across the two paths. Within
+// a row, candidates are ordered by ascending distance with ties broken by
+// lower column id, which is descending similarity order because
+// SimFromDist2 is monotone.
+func (e *Embedding) knnKernel(c *Candidates, rows []int) func(lo, hi int) {
 	// The tree's splits and pruning assume ordered coordinates; NaN
 	// entries take the scan, which ranks NaN distances last.
 	if e.Src.Cols >= bruteForceDim || hasNaN(e.Src.Data) || hasNaN(e.Dst.Data) {
-		queryRows = func(lo, hi int) { topKEmbeddingBrute(e, c, lo, hi) }
-	} else {
-		points := make([][]float64, m)
-		for j := 0; j < m; j++ {
-			points[j] = e.Dst.Row(j)
+		if e.Src.Cols != e.Dst.Cols {
+			panic("assign: embedding side dims differ")
 		}
-		tree := kdtree.Build(points)
-		queryRows = func(lo, hi int) { topKEmbeddingTree(tree, e, c, lo, hi) }
+		if e.Src.Cols == 8 {
+			return func(lo, hi int) { topKEmbeddingBrute8(e, c, rows, lo, hi) }
+		}
+		return func(lo, hi int) { topKEmbeddingBrute(e, c, rows, lo, hi) }
 	}
-	if n*k >= 1<<12 && parallel.Workers(workers) > 1 {
-		parallel.Blocks(workers, n, queryRows)
-	} else {
-		queryRows(0, n)
+	points := make([][]float64, c.Cols)
+	for j := range points {
+		points[j] = e.Dst.Row(j)
 	}
-	return c
+	tree := kdtree.Build(points)
+	return func(lo, hi int) { topKEmbeddingTree(tree, e, c, rows, lo, hi) }
 }
 
 func hasNaN(xs []float64) bool {
@@ -194,21 +325,23 @@ func hasNaN(xs []float64) bool {
 	return false
 }
 
-// topKEmbeddingTree fills rows [lo, hi) by k-NN queries against the shared
-// k-d tree over the target rows, one reusable Scratch per worker block.
-func topKEmbeddingTree(tree *kdtree.Tree, e *Embedding, c *Candidates, lo, hi int) {
+// topKEmbeddingTree fills rows [lo, hi) (indices into rows; see rowAt) by
+// k-NN queries against the shared k-d tree over the target rows, one
+// reusable Scratch per worker block.
+func topKEmbeddingTree(tree *kdtree.Tree, e *Embedding, c *Candidates, rows []int, lo, hi int) {
 	s := kdtree.NewScratch()
-	for i := lo; i < hi; i++ {
+	for idx := lo; idx < hi; idx++ {
+		i := rowAt(rows, idx)
 		ids, dists := tree.NearestKInto(e.Src.Row(i), c.K, s)
-		cols, vals := c.Row(i)
-		for idx, id := range ids {
-			cols[idx] = id
-			vals[idx] = e.SimFromDist2(dists[idx])
+		cols, vals := c.slots(i)
+		for p, id := range ids {
+			cols[p] = id
+			vals[p] = e.SimFromDist2(dists[p])
 		}
 	}
 }
 
-// topKEmbeddingBrute fills rows [lo, hi) by a flat distance scan fused with
+// topKEmbeddingBrute fills rows [lo, hi) (see rowAt) by a flat distance scan fused with
 // bounded selection: target rows are processed eight at a time with
 // independent accumulator chains — each distance accumulates
 // dimension-ascending in its own chain, bitwise the PairwiseSqDist /
@@ -223,19 +356,13 @@ func topKEmbeddingTree(tree *kdtree.Tree, e *Embedding, c *Candidates, lo, hi in
 // tree path's (distance asc, id asc) contract. Bound tests are written
 // !(x >= bound) so non-finite distances take the same insert path a
 // buffered scan would.
-func topKEmbeddingBrute(e *Embedding, c *Candidates, lo, hi int) {
+func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 	m, k := c.Cols, c.K
 	d := e.Dst.Cols
-	if e.Src.Cols != d {
-		panic("assign: embedding side dims differ")
-	}
-	if d == 8 {
-		topKEmbeddingBrute8(e, c, lo, hi)
-		return
-	}
 	data := e.Dst.Data
 	heap := make([]nnPair, 0, k)
-	for i := lo; i < hi; i++ {
+	for idx := lo; idx < hi; idx++ {
+		i := rowAt(rows, idx)
 		q := e.Src.Row(i)
 		heap = heap[:0]
 		bound := math.Inf(1)
@@ -309,7 +436,7 @@ func topKEmbeddingBrute(e *Embedding, c *Candidates, lo, hi int) {
 			}
 		}
 		// The insertion array is already in ascending (distance, id) order.
-		cols, vals := c.Row(i)
+		cols, vals := c.slots(i)
 		for idx, p := range heap {
 			cols[idx] = p.j
 			vals[idx] = e.SimFromDist2(p.d2)
@@ -326,11 +453,12 @@ func topKEmbeddingBrute(e *Embedding, c *Candidates, lo, hi int) {
 // distance still accumulates dimension-ascending in its own chain —
 // bitwise identical to the generic kernel and to matrix.PairwiseSqDist —
 // and the selection contract is unchanged.
-func topKEmbeddingBrute8(e *Embedding, c *Candidates, lo, hi int) {
+func topKEmbeddingBrute8(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 	m, k := c.Cols, c.K
 	data := e.Dst.Data
 	heap := make([]nnPair, 0, k)
-	for i := lo; i < hi; i++ {
+	for idx := lo; idx < hi; idx++ {
+		i := rowAt(rows, idx)
 		q := e.Src.Row(i)
 		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
 		heap = heap[:0]
@@ -442,7 +570,7 @@ func topKEmbeddingBrute8(e *Embedding, c *Candidates, lo, hi int) {
 				heap, bound = nnInsert(heap, k, s, j)
 			}
 		}
-		cols, vals := c.Row(i)
+		cols, vals := c.slots(i)
 		for idx, p := range heap {
 			cols[idx] = p.j
 			vals[idx] = e.SimFromDist2(p.d2)
@@ -500,23 +628,14 @@ func (c *Candidates) Matchable() bool {
 	if c.Rows > c.Cols {
 		return false
 	}
-	return c.maxMatching() == c.Rows
-}
-
-// maxMatching is Hopcroft–Karp over the candidate bipartite graph, returning
-// the maximum number of simultaneously matchable rows.
-func (c *Candidates) maxMatching() int {
 	mm, _, _ := c.maxMatchingState(nil)
-	return mm
+	return mm == c.Rows
 }
 
-// MaxMatching returns the maximum number of simultaneously matchable rows
-// (Hopcroft–Karp over the candidate edges).
-func (c *Candidates) MaxMatching() int { return c.maxMatching() }
-
-// maxMatchingState runs Hopcroft–Karp and additionally returns the matching
-// itself (row -> col and col -> row, -1 for free), for callers that repair an
-// unmatchable candidate graph (see AugmentEmbedding/AugmentFactor). seed,
+// maxMatchingState runs Hopcroft–Karp over the candidate bipartite graph and
+// returns the maximum number of simultaneously matchable rows plus the
+// matching itself (row -> col and col -> row, -1 for free), for callers that
+// repair an unmatchable candidate graph (see Augment). seed,
 // when length Rows, pre-matches each (i, seed[i]) pair that is still a
 // candidate edge and collision-free (first row wins, ascending) before the
 // search runs; Hopcroft–Karp only grows a matching, so seeded pairs survive

@@ -1,8 +1,10 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -50,7 +52,7 @@ func TestTopKDenseMatchesNaive(t *testing.T) {
 				for i := range sim.Data {
 					sim.Data[i] = reg.draw()
 				}
-				c := TopKDense(sim, k, 1)
+				c := TopK(DenseScorer{sim}, k, 1)
 				if c.Rows != n || c.Cols != m || c.K != k {
 					t.Fatalf("shape: got (%d,%d,%d) want (%d,%d,%d)", c.Rows, c.Cols, c.K, n, m, k)
 				}
@@ -69,27 +71,56 @@ func TestTopKDenseMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestTopKDenseDegenerateK(t *testing.T) {
-	sim := randomSim(4, 6, 3)
-	for _, k := range []int{0, -1, 6, 100} {
-		c := TopKDense(sim, k, 1)
-		if c.K != 6 {
-			t.Fatalf("k=%d: got K=%d, want full 6", k, c.K)
+// checkDegenerateK: k <= 0 and k >= cols keep every column.
+func checkDegenerateK(t *testing.T, s Scorer) {
+	t.Helper()
+	_, m := s.Shape()
+	for _, k := range []int{0, -1, m, 100} {
+		if c := TopK(s, k, 1); c.K != m {
+			t.Fatalf("k=%d: got K=%d, want full %d", k, c.K, m)
+		}
+	}
+}
+
+func TestTopKDenseDegenerateK(t *testing.T) { checkDegenerateK(t, DenseScorer{randomSim(4, 6, 3)}) }
+
+// checkParallelIdentical: every worker count selects bitwise what the
+// serial pass does.
+func checkParallelIdentical(t *testing.T, s Scorer, k int, workers ...int) {
+	t.Helper()
+	serial := TopK(s, k, 1)
+	for _, w := range workers {
+		par := TopK(s, k, w)
+		for i := range serial.Col {
+			if serial.Col[i] != par.Col[i] || serial.Val[i] != par.Val[i] {
+				t.Fatalf("workers=%d diverges from serial at flat index %d", w, i)
+			}
 		}
 	}
 }
 
 func TestTopKDenseParallelIdentical(t *testing.T) {
 	// 512*512 = 2^18 crosses candidateBudget, engaging the parallel path.
-	sim := randomSim(512, 512, 9)
-	serial := TopKDense(sim, 16, 1)
-	for _, workers := range []int{0, 2, 4} {
-		par := TopKDense(sim, 16, workers)
-		for i := range serial.Col {
-			if serial.Col[i] != par.Col[i] || serial.Val[i] != par.Val[i] {
-				t.Fatalf("workers=%d diverges from serial at flat index %d", workers, i)
-			}
-		}
+	checkParallelIdentical(t, DenseScorer{randomSim(512, 512, 9)}, 16, 0, 2, 4)
+}
+
+// TestTopKDenseNaNPruned: a NaN score is never selected. It compares false
+// against every bound, so a bounded heap that admits it lets it evict the
+// weakest real candidate and never leave: [1, NaN, 2] with k=2 used to
+// select [NaN 2].
+func TestTopKDenseNaNPruned(t *testing.T) {
+	sim := matrix.DenseFromRows([][]float64{{1, math.NaN(), 2}, {3, 1, 2}})
+	c := TopK(DenseScorer{sim}, 2, 1)
+	cols, vals := c.Row(0)
+	if !reflect.DeepEqual(cols, []int{2, 0}) || !reflect.DeepEqual(vals, []float64{2, 1}) {
+		t.Fatalf("row 0 = %v %v, want [2 0] [2 1]", cols, vals)
+	}
+	if c.Len != nil {
+		t.Fatalf("Len = %v, want nil: both rows keep k finite scores", c.Len)
+	}
+	c = TopK(DenseScorer{sim}, 3, 1)
+	if cols, _ := c.Row(0); !reflect.DeepEqual(cols, []int{2, 0}) || !reflect.DeepEqual(c.Len, []int{2, 3}) {
+		t.Fatalf("k=3: row 0 = %v, Len = %v; want [2 0] and [2 3]", cols, c.Len)
 	}
 }
 
@@ -108,25 +139,33 @@ func testEmbedding(n, m, d int, seed int64) *Embedding {
 	return &Embedding{Src: src, Dst: dst, SimFromDist2: func(d2 float64) float64 { return -d2 }}
 }
 
+// checkMatchesDenseTopK: candidates read off a scorer equal TopK over its
+// materialized matrix entry for entry — same columns, bitwise the same
+// values — and finite scores leave no short rows.
+func checkMatchesDenseTopK(t *testing.T, tag string, s Scorer, k int) {
+	t.Helper()
+	dense := TopK(DenseScorer{s.Similarity()}, k, 1)
+	got := TopK(s, k, 1)
+	if got.Rows != dense.Rows || got.Cols != dense.Cols || got.K != dense.K {
+		t.Fatalf("%s: shape mismatch: %+v vs %+v", tag, got, dense)
+	}
+	if got.Len != nil {
+		t.Fatalf("%s: finite scores must not set Len", tag)
+	}
+	for i := range dense.Col {
+		if dense.Col[i] != got.Col[i] || dense.Val[i] != got.Val[i] {
+			t.Fatalf("%s: candidates diverge from dense top-k at flat %d: (%d,%v) vs (%d,%v)",
+				tag, i, got.Col[i], got.Val[i], dense.Col[i], dense.Val[i])
+		}
+	}
+}
+
 func TestTopKEmbeddingMatchesDenseTopK(t *testing.T) {
 	// d=4 exercises the k-d tree path, d=8 and d=16 the brute-force scan
 	// (d >= bruteForceDim); both must agree with dense selection bitwise.
 	for _, d := range []int{4, 8, 16} {
 		for trial := int64(0); trial < 5; trial++ {
-			e := testEmbedding(40, 55, d, 100+trial)
-			sim := e.Similarity()
-			k := 7
-			dense := TopKDense(sim, k, 1)
-			emb := TopKEmbedding(e, k, 1)
-			if emb.Rows != dense.Rows || emb.Cols != dense.Cols || emb.K != dense.K {
-				t.Fatalf("shape mismatch: %+v vs %+v", emb, dense)
-			}
-			for i := range dense.Col {
-				if dense.Col[i] != emb.Col[i] || dense.Val[i] != emb.Val[i] {
-					t.Fatalf("d=%d trial %d: k-NN candidates diverge from dense top-k at flat %d: (%d,%v) vs (%d,%v)",
-						d, trial, i, emb.Col[i], emb.Val[i], dense.Col[i], dense.Val[i])
-				}
-			}
+			checkMatchesDenseTopK(t, fmt.Sprintf("d=%d trial %d", d, trial), testEmbedding(40, 55, d, 100+trial), 7)
 		}
 	}
 }
@@ -148,9 +187,9 @@ func TestTopKEmbeddingBruteMatchesTree(t *testing.T) {
 				points[j] = e.Dst.Row(j)
 			}
 			ct := mk()
-			topKEmbeddingTree(kdtree.Build(points), e, ct, 0, e.Src.Rows)
+			topKEmbeddingTree(kdtree.Build(points), e, ct, nil, 0, e.Src.Rows)
 			cb := mk()
-			topKEmbeddingBrute(e, cb, 0, e.Src.Rows)
+			topKEmbeddingBrute(e, cb, nil, 0, e.Src.Rows)
 			for i := range ct.Col {
 				if ct.Col[i] != cb.Col[i] || ct.Val[i] != cb.Val[i] {
 					t.Fatalf("d=%d trial %d: tree and brute paths diverge at flat %d: (%d,%v) vs (%d,%v)",
@@ -169,10 +208,10 @@ func TestTopKEmbeddingAllocFree(t *testing.T) {
 	for _, d := range []int{4, 8} {
 		e := testEmbedding(300, 300, d, 55)
 		allocs := testing.AllocsPerRun(5, func() {
-			TopKEmbedding(e, 16, 1)
+			TopK(e, 16, 1)
 		})
 		if allocs > 64 {
-			t.Errorf("d=%d: TopKEmbedding allocated %v times/op, want <= 64", d, allocs)
+			t.Errorf("d=%d: TopK allocated %v times/op, want <= 64", d, allocs)
 		}
 	}
 }
@@ -183,7 +222,7 @@ func TestTopKEmbeddingTiesPreferLowerColumn(t *testing.T) {
 	src := matrix.DenseFromRows([][]float64{{0, 0}})
 	dst := matrix.DenseFromRows([][]float64{{1, 0}, {1, 0}, {0, 0}, {1, 0}})
 	e := &Embedding{Src: src, Dst: dst, SimFromDist2: func(d2 float64) float64 { return -d2 }}
-	c := TopKEmbedding(e, 3, 1)
+	c := TopK(e, 3, 1)
 	cols, _ := c.Row(0)
 	want := []int{2, 0, 1}
 	for i, j := range want {
@@ -194,14 +233,7 @@ func TestTopKEmbeddingTiesPreferLowerColumn(t *testing.T) {
 }
 
 func TestTopKEmbeddingParallelIdentical(t *testing.T) {
-	e := testEmbedding(600, 600, 3, 77)
-	serial := TopKEmbedding(e, 8, 1)
-	par := TopKEmbedding(e, 8, 4)
-	for i := range serial.Col {
-		if serial.Col[i] != par.Col[i] || serial.Val[i] != par.Val[i] {
-			t.Fatalf("parallel k-NN diverges from serial at flat index %d", i)
-		}
-	}
+	checkParallelIdentical(t, testEmbedding(600, 600, 3, 77), 8, 4)
 }
 
 func candidatesFromRows(cols [][]int, vals [][]float64, m int) *Candidates {
@@ -303,7 +335,7 @@ func TestTopKNaNDistances(t *testing.T) {
 		}
 		e.Src.Row(nanRow)[0] = math.NaN()
 		for _, workers := range []int{1, 4} {
-			c := TopKEmbedding(e, k, workers)
+			c := TopK(e, k, workers)
 			for i := 0; i < n; i++ {
 				cols, _ := c.Row(i)
 				if i == nanRow {
@@ -348,7 +380,7 @@ func TestTopKNaNDistances(t *testing.T) {
 	}
 	f.Us[0][nanRow] = math.NaN()
 	for _, workers := range []int{1, 4} {
-		c := TopKFactor(f, k, workers)
+		c := TopK(f, k, workers)
 		for i := 0; i < n; i++ {
 			cols, _ := c.Row(i)
 			want := k

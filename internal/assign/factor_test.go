@@ -2,6 +2,7 @@ package assign
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,8 +50,8 @@ func quantizedFactor(n, m, r int, seed int64) *FactorEmbedding {
 }
 
 // TestTopKFactorMatchesDenseTopK pins the factored path's core contract:
-// candidates scored against the factors equal TopKDense over the densified
-// matrix entry for entry — same columns, bitwise the same values.
+// candidates scored against the factors equal TopK over the densified
+// matrix entry for entry, including under heavy score ties.
 func TestTopKFactorMatchesDenseTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	factors := []struct {
@@ -66,21 +67,8 @@ func TestTopKFactorMatchesDenseTopK(t *testing.T) {
 				n, m := 1+rng.Intn(30), 1+rng.Intn(40)
 				r := 1 + rng.Intn(8)
 				k := 1 + rng.Intn(m)
-				f := fc.mk(n, m, r, 400+trial)
-				dense := TopKDense(f.Similarity(), k, 1)
-				fac := TopKFactor(f, k, 1)
-				if fac.Rows != dense.Rows || fac.Cols != dense.Cols || fac.K != dense.K {
-					t.Fatalf("trial %d: shape mismatch: %+v vs %+v", trial, fac, dense)
-				}
-				if fac.Len != nil {
-					t.Fatalf("trial %d: finite scores must not set Len", trial)
-				}
-				for i := range dense.Col {
-					if dense.Col[i] != fac.Col[i] || dense.Val[i] != fac.Val[i] {
-						t.Fatalf("trial %d (n=%d m=%d r=%d k=%d): factored candidates diverge at flat %d: (%d,%v) vs (%d,%v)",
-							trial, n, m, r, k, i, fac.Col[i], fac.Val[i], dense.Col[i], dense.Val[i])
-					}
-				}
+				checkMatchesDenseTopK(t, fmt.Sprintf("trial %d (n=%d m=%d r=%d k=%d)", trial, n, m, r, k),
+					fc.mk(n, m, r, 400+trial), k)
 			}
 		})
 	}
@@ -88,33 +76,16 @@ func TestTopKFactorMatchesDenseTopK(t *testing.T) {
 
 func TestTopKFactorParallelIdentical(t *testing.T) {
 	// 512*512 crosses candidateBudget, engaging the parallel path.
-	f := testFactor(512, 512, 12, 77)
-	serial := TopKFactor(f, 16, 1)
-	for _, workers := range []int{0, 2, 4} {
-		par := TopKFactor(f, 16, workers)
-		for i := range serial.Col {
-			if serial.Col[i] != par.Col[i] || serial.Val[i] != par.Val[i] {
-				t.Fatalf("workers=%d diverges from serial at flat index %d", workers, i)
-			}
-		}
-	}
+	checkParallelIdentical(t, testFactor(512, 512, 12, 77), 16, 0, 2, 4)
 }
 
-func TestTopKFactorDegenerateK(t *testing.T) {
-	f := testFactor(4, 6, 3, 9)
-	for _, k := range []int{0, -1, 6, 100} {
-		c := TopKFactor(f, k, 1)
-		if c.K != 6 {
-			t.Fatalf("k=%d: got K=%d, want full 6", k, c.K)
-		}
-	}
-}
+func TestTopKFactorDegenerateK(t *testing.T) { checkDegenerateK(t, testFactor(4, 6, 3, 9)) }
 
 func TestTopKFactorNilWeights(t *testing.T) {
 	f := testFactor(10, 12, 4, 33)
 	g := &FactorEmbedding{Us: f.Us, Vs: f.Vs} // nil Weights = all ones
 	ones := &FactorEmbedding{Us: f.Us, Vs: f.Vs, Weights: []float64{1, 1, 1, 1}}
-	cg, co := TopKFactor(g, 5, 1), TopKFactor(ones, 5, 1)
+	cg, co := TopK(g, 5, 1), TopK(ones, 5, 1)
 	for i := range cg.Col {
 		if cg.Col[i] != co.Col[i] || cg.Val[i] != co.Val[i] {
 			t.Fatalf("nil weights diverge from explicit ones at flat %d", i)
@@ -131,7 +102,7 @@ func TestTopKFactorNaNPruning(t *testing.T) {
 		Us: [][]float64{{math.Inf(1), 1}},
 		Vs: [][]float64{{0, 2, 3}},
 	}
-	c := TopKFactor(f, 3, 1)
+	c := TopK(f, 3, 1)
 	if c.Len == nil {
 		t.Fatal("pruned rows must set Len")
 	}
@@ -160,11 +131,11 @@ func TestSolveSparseStarvedRow(t *testing.T) {
 		Us: [][]float64{{1, math.NaN()}},
 		Vs: [][]float64{{3, 2}},
 	}
-	c := TopKFactor(f, 2, 1)
+	c := TopK(f, 2, 1)
 	if c.Len == nil || c.Len[1] != 0 {
 		t.Fatalf("row 1 should be starved, Len = %v", c.Len)
 	}
-	_, _, err := SolveSparse(JonkerVolgenant, c, f.Similarity, 1)
+	_, _, err := SolveSparse(JonkerVolgenant, c, f, 1)
 	if err == nil {
 		t.Fatal("starved row must error on the exact sparse path")
 	}
@@ -211,7 +182,8 @@ func TestFactorEmbeddingClone(t *testing.T) {
 	if f.Us[0][0] == g.Us[0][0] || f.Weights[1] == g.Weights[1] {
 		t.Fatal("Clone must deep-copy factors")
 	}
-	if f.Rows() != g.Rows() || f.Cols() != g.Cols() || f.Rank() != g.Rank() {
+	fn, fm := f.Shape()
+	if gn, gm := g.Shape(); fn != gn || fm != gm || f.Rank() != g.Rank() {
 		t.Fatal("Clone changed shape")
 	}
 }

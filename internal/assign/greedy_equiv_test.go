@@ -166,7 +166,7 @@ func TestSolveNNSparseMatchesDenseNN(t *testing.T) {
 			sim.Data[i] = float64(rng.Intn(5)) // ties abound
 		}
 		k := 1 + rng.Intn(m)
-		c := TopKDense(sim, k, 1)
+		c := TopK(DenseScorer{sim}, k, 1)
 		sparse := SolveNNSparse(c)
 		dense := SolveNN(sim)
 		// Each row's best candidate is its global argmax whenever k >= 1:
@@ -189,7 +189,7 @@ func TestEnforceOneToOneSparseMatchesDenseAtFullK(t *testing.T) {
 		for i := range sim.Data {
 			sim.Data[i] = float64(rng.Intn(4))
 		}
-		c := TopKDense(sim, m, 1)
+		c := TopK(DenseScorer{sim}, m, 1)
 		nn := SolveNN(sim)
 		got := EnforceOneToOneSparse(c, nn)
 		want := EnforceOneToOne(sim, nn)
@@ -207,7 +207,7 @@ func TestEnforceOneToOneSparseIsOneToOneAndMaximal(t *testing.T) {
 			sim.Data[i] = rng.Float64()
 		}
 		k := 1 + rng.Intn(m)
-		c := TopKDense(sim, k, 1)
+		c := TopK(DenseScorer{sim}, k, 1)
 		out := EnforceOneToOneSparse(c, SolveNNSparse(c))
 		if !isOneToOne(out, m) {
 			t.Fatalf("trial %d: not one-to-one: %v", trial, out)

@@ -1,16 +1,11 @@
 package assign
 
-import (
-	"math"
-
-	"graphalign/internal/kdtree"
-	"graphalign/internal/parallel"
-)
+import "graphalign/internal/parallel"
 
 // This file holds the merge variant of the incremental candidate update.
-// UpdateTopKEmbedding/UpdateTopKFactor are bitwise-exact against a full
-// rebuild, which forces them to fully rescan every row a moved target could
-// have entered — O(Cols · d) per affected row, and the affected fraction
+// UpdateTopK is bitwise-exact against a full rebuild, which forces it to
+// fully rescan every row a moved target could have entered — O(Cols · d)
+// per affected row, and the affected fraction
 // grows like K · changedCols / Cols, so a few hundred moved targets already
 // drag in most rows. The merge variant instead rebuilds each row's list
 // from what is already known exactly: surviving old entries keep their
@@ -23,12 +18,11 @@ import (
 // target drops out of a row's list the vacated slot is filled from the known
 // entries rather than a full rescan, so an unmoved column scoring between
 // the row's old and new k-th bound can be missed until the row's own
-// embedding moves (which forces a true rescan). Whenever a row's new k-th
+// inputs move (which forces a true rescan). Whenever a row's new k-th
 // bound is at least its old bound — the common case, a moved target entering
 // — the merged list equals the exact rebuild. The incremental session uses
 // this variant only when the caller already opted into tolerance-based
-// staleness (Options.ColTolerance > 0); exact mode keeps the Update
-// functions.
+// staleness (Options.ColTolerance > 0); exact mode keeps UpdateTopK.
 
 // mergeWorthwhile reports whether the per-row merge can beat a bulk rebuild:
 // each row pays O(changedCols) rescores, so the merge loses once the moved
@@ -62,20 +56,20 @@ func simInsert(arr []simPair, k int, v float64, j int) []simPair {
 	return arr
 }
 
-// MergeTopKEmbedding is the merge-variant incremental candidate update over
-// an embedding delta: e is the new embedding, prev the candidate set built
-// over the old one, changedRows/changedCols the source rows and target rows
-// whose vectors changed (everything else bitwise-unchanged). Rows whose own
-// embedding moved are fully rescanned with the TopKEmbedding kernels;
-// every other row merges its surviving entries with fresh scores of the
-// moved targets (see the file comment for the exactness contract). Returns
-// the new candidate set and the rows whose lists changed, ascending. prev
-// is not mutated. Deltas too large for per-row work fall back to the bulk
-// rebuild, making the result exact.
-func MergeTopKEmbedding(prev *Candidates, e *Embedding, changedRows, changedCols []int, workers int) (*Candidates, []int) {
+// MergeTopK is the merge-variant incremental candidate update: s is the new
+// similarity, prev the candidate set built over the old one,
+// changedRows/changedCols the source rows and target columns whose inputs
+// changed (every other score bitwise-unchanged). Rows that changed
+// themselves are fully rescanned with TopK's row kernels; every other row
+// merges its surviving entries with fresh scores of the changed columns
+// (see the file comment for the exactness contract), dropping NaN scores as
+// TopK does. Returns the new candidate set and the rows whose lists
+// changed, ascending. prev is not mutated. Deltas too large for per-row
+// work fall back to the bulk rebuild, making the result exact.
+func MergeTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, workers int) (*Candidates, []int) {
 	n, m := prev.Rows, prev.Cols
 	if !mergeWorthwhile(len(changedRows), n, len(changedCols), m) {
-		next := TopKEmbedding(e, prev.K, workers)
+		next := TopK(s, prev.K, workers)
 		return next, DiffRows(prev, next)
 	}
 	next := prev.Clone()
@@ -100,98 +94,15 @@ func MergeTopKEmbedding(prev *Candidates, e *Embedding, changedRows, changedCols
 			cols, vals := prev.Row(i)
 			arr = arr[:0]
 			for idx, j := range cols {
-				if j >= 0 && !changed[j] {
-					arr = append(arr, simPair{vals[idx], j})
-				}
-			}
-			q := e.Src.Row(i)
-			for _, j := range changedCols {
-				arr = simInsert(arr, prev.K, e.SimFromDist2(sqDistAsc(q, e.Dst.Row(j))), j)
-			}
-			dirtyFlag[i] = writeMerged(next, i, arr, cols, vals)
-		}
-	}
-	if n*(len(changedCols)+prev.K) >= candidateBudget && parallel.Workers(workers) > 1 {
-		parallel.Blocks(workers, n, mergeRows)
-	} else {
-		mergeRows(0, n)
-	}
-	if len(changedRows) > 0 {
-		var rescanOne func(i int)
-		if e.Src.Cols >= bruteForceDim {
-			rescanOne = func(i int) { topKEmbeddingBrute(e, next, i, i+1) }
-		} else {
-			points := make([][]float64, m)
-			for j := 0; j < m; j++ {
-				points[j] = e.Dst.Row(j)
-			}
-			tree := kdtree.Build(points)
-			rescanOne = func(i int) { topKEmbeddingTree(tree, e, next, i, i+1) }
-		}
-		rescanRows := func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				rescanOne(changedRows[idx])
-			}
-		}
-		if len(changedRows)*m >= candidateBudget && parallel.Workers(workers) > 1 {
-			parallel.Blocks(workers, len(changedRows), rescanRows)
-		} else {
-			rescanRows(0, len(changedRows))
-		}
-	}
-	return next, mergedDirty(prev, next, dirtyFlag, changedRows)
-}
-
-// MergeTopKFactor is MergeTopKEmbedding for factored similarities, with
-// TopKFactor's NaN-pruning semantics: moved columns whose fresh score is NaN
-// are dropped from the merge rather than selected, and per-row candidate
-// counts (Candidates.Len) are maintained exactly as the bulk path would.
-func MergeTopKFactor(prev *Candidates, f *FactorEmbedding, changedRows, changedCols []int, workers int) (*Candidates, []int) {
-	n, m := prev.Rows, prev.Cols
-	if !mergeWorthwhile(len(changedRows), n, len(changedCols), m) {
-		next := TopKFactor(f, prev.K, workers)
-		return next, DiffRows(prev, next)
-	}
-	next := prev.Clone()
-	if len(changedRows) == 0 && len(changedCols) == 0 {
-		return next, nil
-	}
-	rescan := make([]bool, n)
-	for _, i := range changedRows {
-		rescan[i] = true
-	}
-	changed := make([]bool, m)
-	for _, j := range changedCols {
-		changed[j] = true
-	}
-	newLen := make([]int, n)
-	if prev.Len != nil {
-		copy(newLen, prev.Len)
-	} else {
-		for i := range newLen {
-			newLen[i] = prev.K
-		}
-	}
-	dirtyFlag := make([]bool, n)
-	mergeRows := func(lo, hi int) {
-		arr := make([]simPair, 0, prev.K)
-		for i := lo; i < hi; i++ {
-			if rescan[i] {
-				continue
-			}
-			cols, vals := prev.Row(i)
-			arr = arr[:0]
-			for idx, j := range cols {
-				if j >= 0 && !changed[j] {
+				if !changed[j] {
 					arr = append(arr, simPair{vals[idx], j})
 				}
 			}
 			for _, j := range changedCols {
-				if v := factorScoreOne(f, i, j); !math.IsNaN(v) {
+				if v := s.Score(i, j); v == v {
 					arr = simInsert(arr, prev.K, v, j)
 				}
 			}
-			newLen[i] = len(arr)
 			dirtyFlag[i] = writeMerged(next, i, arr, cols, vals)
 		}
 	}
@@ -201,41 +112,21 @@ func MergeTopKFactor(prev *Candidates, f *FactorEmbedding, changedRows, changedC
 		mergeRows(0, n)
 	}
 	if len(changedRows) > 0 {
-		rescanRows := func(lo, hi int) {
-			buf := make([]float64, m)
-			heap := make([]pair, 0, prev.K)
-			for idx := lo; idx < hi; idx++ {
-				i := changedRows[idx]
-				factorScoreRow(f, i, buf)
-				heap, newLen[i] = factorSelectRow(next, i, buf, heap)
-			}
-		}
-		if len(changedRows)*m >= candidateBudget && parallel.Workers(workers) > 1 {
-			parallel.Blocks(workers, len(changedRows), rescanRows)
-		} else {
-			rescanRows(0, len(changedRows))
-		}
+		selectRows(s, next, changedRows, workers)
 	}
-	next.Len = nil
-	for _, l := range newLen {
-		if l < prev.K {
-			next.Len = newLen
-			break
-		}
-	}
+	next.syncLen()
 	return next, mergedDirty(prev, next, dirtyFlag, changedRows)
 }
 
 // writeMerged stores a merged selection into next's row i (padding short
-// rows with Col -1 / Val 0, as the factor path's pruning leaves them) and
+// rows with Col -1 / Val 0, as TopK's NaN pruning leaves them) and
 // reports whether the stored row differs from the previous (cols, vals).
 func writeMerged(next *Candidates, i int, arr []simPair, prevCols []int, prevVals []float64) bool {
-	k := next.K
-	cols, vals := next.Col[i*k:(i+1)*k], next.Val[i*k:(i+1)*k]
+	cols, vals := next.slots(i)
 	for idx, p := range arr {
 		cols[idx], vals[idx] = p.j, p.v
 	}
-	for idx := len(arr); idx < k; idx++ {
+	for idx := len(arr); idx < next.K; idx++ {
 		cols[idx], vals[idx] = -1, 0
 	}
 	if len(arr) != len(prevCols) {

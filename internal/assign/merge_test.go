@@ -1,19 +1,24 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// mergeInvariants checks the merge contract for one embedding-update result:
-// stored values are the exact current scores, rows are in candidate storage
-// order, fully rescanned rows match the bulk rebuild bitwise, every bulk
-// entry drawn from the merge's pool (previous entries plus moved columns)
-// survives, and the dirty list is exactly the rows that differ from prev.
-func mergeInvariants(t *testing.T, tag string, prev, merged, bulk *Candidates, e *Embedding, changedRows, changedCols, dirty []int) {
+// checkMergeInvariants merges TopK(s, k) to the edited scorer s2 and checks
+// the merge contract: stored values are the exact current scores, rows are
+// in candidate storage order, fully rescanned rows match the bulk rebuild
+// bitwise, every bulk entry drawn from the merge's pool (previous entries
+// plus moved columns) survives, and the dirty list is exactly the rows that
+// differ from prev.
+func checkMergeInvariants(t *testing.T, tag string, s, s2 Scorer, k int, changedRows, changedCols []int) {
 	t.Helper()
+	prev := TopK(s, k, 1)
+	bulk := TopK(s2, k, 1)
+	merged, dirty := MergeTopK(prev, s2, changedRows, changedCols, 1)
 	rescan := make([]bool, merged.Rows)
 	for _, i := range changedRows {
 		rescan[i] = true
@@ -31,9 +36,8 @@ func mergeInvariants(t *testing.T, tag string, prev, merged, bulk *Candidates, e
 			}
 			continue
 		}
-		q := e.Src.Row(i)
 		for idx, j := range cols {
-			if want := e.SimFromDist2(sqDistAsc(q, e.Dst.Row(j))); vals[idx] != want {
+			if want := s2.Score(i, j); vals[idx] != want {
 				t.Fatalf("%s: row %d entry %d (col %d): stored %v, exact %v", tag, i, idx, j, vals[idx], want)
 			}
 			if idx > 0 && (vals[idx-1] < vals[idx] || (vals[idx-1] == vals[idx] && cols[idx-1] > cols[idx])) {
@@ -68,18 +72,9 @@ func TestMergeTopKEmbeddingInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{4, 8, 16} {
 		for trial := 0; trial < 10; trial++ {
-			n, m, k := 40+rng.Intn(20), 50+rng.Intn(20), 5
-			e := randEmbedding(n, m, d, rng)
-			prev := TopKEmbedding(e, k, 1)
-			e2 := randEmbedding(n, m, d, rng)
-			copy(e2.Src.Data, e.Src.Data)
-			copy(e2.Dst.Data, e.Dst.Data)
-			changedRows := perturbRows(e2.Src, 1+rng.Intn(3), rng)
-			changedCols := perturbRows(e2.Dst, 1+rng.Intn(4), rng)
-
-			bulk := TopKEmbedding(e2, k, 1)
-			merged, dirty := MergeTopKEmbedding(prev, e2, changedRows, changedCols, 1)
-			mergeInvariants(t, "embedding-merge", prev, merged, bulk, e2, changedRows, changedCols, dirty)
+			e := randEmbedding(40+rng.Intn(20), 50+rng.Intn(20), d, rng)
+			e2, changedRows, changedCols := editEmbedding(e, 3, 4, rng)
+			checkMergeInvariants(t, fmt.Sprintf("d=%d trial %d", d, trial), e, e2, 5, changedRows, changedCols)
 		}
 	}
 }
@@ -91,14 +86,12 @@ func TestMergeTopKEmbeddingFullPoolExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n, m, k := 40, 12, 12
 	e := randEmbedding(n, m, 6, rng)
-	prev := TopKEmbedding(e, k, 1)
-	e2 := randEmbedding(n, m, 6, rng)
-	copy(e2.Src.Data, e.Src.Data)
-	copy(e2.Dst.Data, e.Dst.Data)
+	prev := TopK(e, k, 1)
+	e2 := &Embedding{Src: e.Src.Clone(), Dst: e.Dst.Clone(), SimFromDist2: e.SimFromDist2}
 	changedCols := perturbRows(e2.Dst, 3, rng)
 
-	bulk := TopKEmbedding(e2, k, 1)
-	merged, dirty := MergeTopKEmbedding(prev, e2, nil, changedCols, 1)
+	bulk := TopK(e2, k, 1)
+	merged, dirty := MergeTopK(prev, e2, nil, changedCols, 1)
 	candsEqual(t, "embedding-merge-full", merged, bulk)
 	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
@@ -108,8 +101,8 @@ func TestMergeTopKEmbeddingFullPoolExact(t *testing.T) {
 func TestMergeTopKEmbeddingNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := randEmbedding(30, 40, 8, rng)
-	prev := TopKEmbedding(e, 4, 1)
-	merged, dirty := MergeTopKEmbedding(prev, e, nil, nil, 1)
+	prev := TopK(e, 4, 1)
+	merged, dirty := MergeTopK(prev, e, nil, nil, 1)
 	candsEqual(t, "embedding-merge-nochange", merged, prev)
 	if len(dirty) != 0 {
 		t.Fatalf("no-op merge reported dirty rows %v", dirty)
@@ -125,14 +118,12 @@ func TestMergeTopKEmbeddingLargeDeltaShortcut(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	n, m, k := 30, 24, 4
 	e := randEmbedding(n, m, 8, rng)
-	prev := TopKEmbedding(e, k, 1)
-	e2 := randEmbedding(n, m, 8, rng)
-	copy(e2.Src.Data, e.Src.Data)
-	copy(e2.Dst.Data, e.Dst.Data)
+	prev := TopK(e, k, 1)
+	e2 := &Embedding{Src: e.Src.Clone(), Dst: e.Dst.Clone(), SimFromDist2: e.SimFromDist2}
 	changedCols := perturbRows(e2.Dst, m/2, rng)
 
-	bulk := TopKEmbedding(e2, k, 1)
-	merged, dirty := MergeTopKEmbedding(prev, e2, nil, changedCols, 1)
+	bulk := TopK(e2, k, 1)
+	merged, dirty := MergeTopK(prev, e2, nil, changedCols, 1)
 	candsEqual(t, "embedding-merge-shortcut", merged, bulk)
 	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
@@ -142,50 +133,9 @@ func TestMergeTopKEmbeddingLargeDeltaShortcut(t *testing.T) {
 func TestMergeTopKFactorInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 15; trial++ {
-		n, m, rank, k := 30+rng.Intn(20), 40+rng.Intn(20), 3, 5
-		f := randFactors(n, m, rank, rng)
-		prev := TopKFactor(f, k, 1)
-
-		f2 := f.Clone()
-		var changedRows, changedCols []int
-		for c := 0; c <= rng.Intn(2); c++ {
-			i := rng.Intn(n)
-			f2.Us[rng.Intn(rank)][i] = rng.NormFloat64()
-			changedRows = append(changedRows, i)
-		}
-		for c := 0; c <= rng.Intn(3); c++ {
-			j := rng.Intn(m)
-			f2.Vs[rng.Intn(rank)][j] = rng.NormFloat64()
-			changedCols = append(changedCols, j)
-		}
-		bulk := TopKFactor(f2, k, 1)
-		merged, dirty := MergeTopKFactor(prev, f2, changedRows, changedCols, 1)
-
-		rescan := make([]bool, n)
-		for _, i := range changedRows {
-			rescan[i] = true
-		}
-		for i := 0; i < n; i++ {
-			cols, vals := merged.Row(i)
-			if rescan[i] {
-				bc, bv := bulk.Row(i)
-				if !reflect.DeepEqual(cols, bc) || !reflect.DeepEqual(vals, bv) {
-					t.Fatalf("trial %d: rescanned row %d differs from bulk", trial, i)
-				}
-				continue
-			}
-			for idx, j := range cols {
-				if want := factorScoreOne(f2, i, j); vals[idx] != want {
-					t.Fatalf("trial %d: row %d col %d stored %v, exact %v", trial, i, j, vals[idx], want)
-				}
-				if idx > 0 && (vals[idx-1] < vals[idx] || (vals[idx-1] == vals[idx] && cols[idx-1] > cols[idx])) {
-					t.Fatalf("trial %d: row %d out of order: %v %v", trial, i, cols, vals)
-				}
-			}
-		}
-		if want := DiffRows(prev, merged); !reflect.DeepEqual(dirty, want) {
-			t.Fatalf("trial %d: dirty = %v, want %v", trial, dirty, want)
-		}
+		f := randFactors(30+rng.Intn(20), 40+rng.Intn(20), 3, rng)
+		f2, changedRows, changedCols := editFactors(f, rng)
+		checkMergeInvariants(t, fmt.Sprintf("trial %d", trial), f, f2, 5, changedRows, changedCols)
 	}
 }
 
@@ -196,14 +146,14 @@ func TestMergeTopKFactorNaNPruning(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	n, m, rank, k := 30, 40, 2, 5
 	f := randFactors(n, m, rank, rng)
-	prev := TopKFactor(f, k, 1)
+	prev := TopK(f, k, 1)
 
 	f2 := f.Clone()
 	poisoned := 7
 	for r := 0; r < rank; r++ {
 		f2.Vs[r][poisoned] = math.NaN()
 	}
-	merged, _ := MergeTopKFactor(prev, f2, nil, []int{poisoned}, 1)
+	merged, _ := MergeTopK(prev, f2, nil, []int{poisoned}, 1)
 	for i := 0; i < n; i++ {
 		cols, vals := merged.Row(i)
 		for idx, j := range cols {

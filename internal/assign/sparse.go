@@ -14,10 +14,10 @@ import (
 // the candidate pool from n*m to n*k, which is the difference between
 // O(nm log(nm)) and O(nk log(nk)) sorting.
 //
-// It is equivalent to SolveGreedySparse over TopKDense candidates (per-row
+// It is equivalent to SolveGreedySparse over TopK candidates (per-row
 // bounded-heap partial selection, ties on value keep the smaller column).
 func SolveGreedyTopK(sim *matrix.Dense, k int) []int {
-	return SolveGreedySparse(TopKDense(sim, k, 1))
+	return SolveGreedySparse(TopK(DenseScorer{sim}, k, 1))
 }
 
 // SolveNNSparse assigns each row its best candidate — by construction the
@@ -216,7 +216,7 @@ func topKSiftDown(h []pair, i int) {
 }
 
 // topKSiftDownN sifts h[i] down within the heap prefix h[:length], which lets
-// the in-place heap-sort in TopKDense shrink the heap without reslicing.
+// the in-place heap-sort in selectScoreRow shrink the heap without reslicing.
 func topKSiftDownN(h []pair, i, length int) {
 	for {
 		l, r := 2*i+1, 2*i+2

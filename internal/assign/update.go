@@ -1,7 +1,8 @@
 package assign
 
 import (
-	"graphalign/internal/kdtree"
+	"slices"
+
 	"graphalign/internal/parallel"
 )
 
@@ -24,22 +25,18 @@ func (c *Candidates) Clone() *Candidates {
 func DiffRows(a, b *Candidates) []int {
 	var dirty []int
 	for i := 0; i < a.Rows; i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		same := len(ac) == len(bc)
-		if same {
-			for idx := range ac {
-				if ac[idx] != bc[idx] || av[idx] != bv[idx] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
+		if rowDiffers(a, b, i) {
 			dirty = append(dirty, i)
 		}
 	}
 	return dirty
+}
+
+// rowDiffers reports whether row i's candidate list differs between a and b.
+func rowDiffers(a, b *Candidates, i int) bool {
+	ac, av := a.Row(i)
+	bc, bv := b.Row(i)
+	return !slices.Equal(ac, bc) || !slices.Equal(av, bv)
 }
 
 // updateWorthwhile reports whether a per-row incremental update can beat a
@@ -49,39 +46,27 @@ func updateWorthwhile(changedRows, n, changedCols, m int) bool {
 	return 4*changedRows < n && 4*changedCols < m
 }
 
-// sqDistAsc is the squared Euclidean distance accumulated dimension-ascending
-// in a single chain — bitwise the per-target chains of topKEmbeddingBrute and
-// matrix.PairwiseSqDist — so probe distances compare exactly against stored
-// candidate values.
-func sqDistAsc(q, r []float64) float64 {
-	var s float64
-	for t, v := range q {
-		d := v - r[t]
-		s += d * d
-	}
-	return s
-}
-
-// UpdateTopKEmbedding incrementally rebuilds the candidate set after an
-// embedding delta: e is the new embedding, prev the candidate set built over
-// the old one, changedRows the source rows and changedCols the target rows
-// whose embedding vectors changed (everything else must be bitwise-unchanged).
-// Rows are rescanned only when the delta can affect them — the row's own
-// embedding moved, a current candidate's target moved, or a moved target's
-// new distance reaches the row's k-th-nearest bound (probed with the exact
-// accumulation schedule of the bulk kernels, so the conservative comparison
-// never misses an entrant). Rescans run the same per-row kernels as
-// TopKEmbedding, so the result equals TopKEmbedding(e, prev.K, ·) bitwise;
-// when the delta is too large for per-row work to win (see updateWorthwhile)
-// it simply runs the bulk rebuild.
+// UpdateTopK incrementally rebuilds the candidate set after a similarity
+// delta: s is the new similarity, prev the candidate set TopK built over the
+// old one, changedRows the source rows and changedCols the target columns
+// whose inputs changed (every other score must be bitwise-unchanged; a
+// factor-weight change means every row changed). Rows are rescanned only
+// when the delta can affect them — the row itself changed, a current
+// candidate's column changed, the row is short (NaN pruning left spare
+// capacity), or a changed column's new score reaches the row's k-th bound
+// (probed with Score, bitwise the bulk kernels' value, so the conservative
+// comparison never misses an entrant). Rescans run TopK's row kernels, so
+// the result equals TopK(s, prev.K, ·) bitwise; when the delta is too large
+// for per-row work to win (see updateWorthwhile) it simply runs the bulk
+// rebuild.
 //
 // Returns the new candidate set and the rows whose candidate lists actually
 // changed, ascending — the warm-started auction's dirty set. prev is not
 // mutated.
-func UpdateTopKEmbedding(prev *Candidates, e *Embedding, changedRows, changedCols []int, workers int) (*Candidates, []int) {
+func UpdateTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, workers int) (*Candidates, []int) {
 	n, m := prev.Rows, prev.Cols
 	if !updateWorthwhile(len(changedRows), n, len(changedCols), m) {
-		next := TopKEmbedding(e, prev.K, workers)
+		next := TopK(s, prev.K, workers)
 		return next, DiffRows(prev, next)
 	}
 	rescan := make([]bool, n)
@@ -99,100 +84,6 @@ func UpdateTopKEmbedding(prev *Candidates, e *Embedding, changedRows, changedCol
 					continue
 				}
 				cols, vals := prev.Row(i)
-				need := len(vals) < prev.K
-				for _, j := range cols {
-					if j >= 0 && changed[j] {
-						need = true
-						break
-					}
-				}
-				if !need {
-					worst := vals[len(vals)-1]
-					q := e.Src.Row(i)
-					for _, j := range changedCols {
-						v := e.SimFromDist2(sqDistAsc(q, e.Dst.Row(j)))
-						// Not strictly below the kept worst: the moved target
-						// could enter (ties resolve by column id, so equality
-						// must rescan too).
-						if !(v < worst) {
-							need = true
-							break
-						}
-					}
-				}
-				rescan[i] = need
-			}
-		}
-		if n*len(changedCols) >= candidateBudget && parallel.Workers(workers) > 1 {
-			parallel.Blocks(workers, n, probeRows)
-		} else {
-			probeRows(0, n)
-		}
-	}
-	list := make([]int, 0, len(changedRows))
-	for i, r := range rescan {
-		if r {
-			list = append(list, i)
-		}
-	}
-	next := prev.Clone()
-	if len(list) > 0 {
-		var rescanOne func(i int)
-		if e.Src.Cols >= bruteForceDim {
-			rescanOne = func(i int) { topKEmbeddingBrute(e, next, i, i+1) }
-		} else {
-			points := make([][]float64, m)
-			for j := 0; j < m; j++ {
-				points[j] = e.Dst.Row(j)
-			}
-			tree := kdtree.Build(points)
-			rescanOne = func(i int) { topKEmbeddingTree(tree, e, next, i, i+1) }
-		}
-		rescanRows := func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				rescanOne(list[idx])
-			}
-		}
-		if len(list)*prev.K >= 1<<12 && parallel.Workers(workers) > 1 {
-			parallel.Blocks(workers, len(list), rescanRows)
-		} else {
-			rescanRows(0, len(list))
-		}
-	}
-	return next, dirtyAmong(prev, next, list)
-}
-
-// UpdateTopKFactor is UpdateTopKEmbedding for factored similarities: f is the
-// new factor bundle, changedRows the source rows with any changed Us entry,
-// changedCols the target columns with any changed Vs entry (weights changing
-// means every row changed — pass all rows). Probes replay factorScoreRow's
-// exact per-entry accumulation chain (factorScoreOne), rescans run the
-// TopKFactor per-row kernels, so the result equals TopKFactor(f, prev.K, ·)
-// bitwise, including NaN pruning and short-row bookkeeping.
-func UpdateTopKFactor(prev *Candidates, f *FactorEmbedding, changedRows, changedCols []int, workers int) (*Candidates, []int) {
-	n, m := prev.Rows, prev.Cols
-	if !updateWorthwhile(len(changedRows), n, len(changedCols), m) {
-		next := TopKFactor(f, prev.K, workers)
-		return next, DiffRows(prev, next)
-	}
-	rescan := make([]bool, n)
-	for _, i := range changedRows {
-		rescan[i] = true
-	}
-	if len(changedCols) > 0 {
-		changed := make([]bool, m)
-		for _, j := range changedCols {
-			changed[j] = true
-		}
-		probeRows := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if rescan[i] {
-					continue
-				}
-				cols, vals := prev.Row(i)
-				// Short rows have spare capacity: any moved column could slip
-				// in, so rescan unconditionally rather than model NaN pruning
-				// in the probe.
 				need := len(vals) < prev.K
 				if !need {
 					for _, j := range cols {
@@ -205,8 +96,10 @@ func UpdateTopKFactor(prev *Candidates, f *FactorEmbedding, changedRows, changed
 				if !need {
 					worst := vals[len(vals)-1]
 					for _, j := range changedCols {
-						v := factorScoreOne(f, i, j)
-						if !(v < worst) {
+						// Not strictly below the kept worst: the changed column
+						// could enter (ties resolve by column id, so equality
+						// must rescan too).
+						if !(s.Score(i, j) < worst) {
 							need = true
 							break
 						}
@@ -228,36 +121,9 @@ func UpdateTopKFactor(prev *Candidates, f *FactorEmbedding, changedRows, changed
 		}
 	}
 	next := prev.Clone()
-	newLen := make([]int, n)
-	if prev.Len != nil {
-		copy(newLen, prev.Len)
-	} else {
-		for i := range newLen {
-			newLen[i] = prev.K
-		}
-	}
 	if len(list) > 0 {
-		rescanRows := func(lo, hi int) {
-			buf := make([]float64, m)
-			heap := make([]pair, 0, prev.K)
-			for idx := lo; idx < hi; idx++ {
-				i := list[idx]
-				factorScoreRow(f, i, buf)
-				heap, newLen[i] = factorSelectRow(next, i, buf, heap)
-			}
-		}
-		if len(list)*m >= candidateBudget && parallel.Workers(workers) > 1 {
-			parallel.Blocks(workers, len(list), rescanRows)
-		} else {
-			rescanRows(0, len(list))
-		}
-	}
-	next.Len = nil
-	for _, l := range newLen {
-		if l < prev.K {
-			next.Len = newLen
-			break
-		}
+		selectRows(s, next, list, workers)
+		next.syncLen()
 	}
 	return next, dirtyAmong(prev, next, list)
 }
@@ -268,18 +134,7 @@ func UpdateTopKFactor(prev *Candidates, f *FactorEmbedding, changedRows, changed
 func dirtyAmong(prev, next *Candidates, rescanned []int) []int {
 	var dirty []int
 	for _, i := range rescanned {
-		pc, pv := prev.Row(i)
-		nc, nv := next.Row(i)
-		same := len(pc) == len(nc)
-		if same {
-			for idx := range pc {
-				if pc[idx] != nc[idx] || pv[idx] != nv[idx] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
+		if rowDiffers(prev, next, i) {
 			dirty = append(dirty, i)
 		}
 	}

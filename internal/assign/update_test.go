@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,30 +54,59 @@ func candsEqual(t *testing.T, tag string, a, b *Candidates) {
 	}
 }
 
-// The incremental embedding update must be indistinguishable from a bulk
-// rebuild — bitwise — across the tree (d<8), specialized (d=8) and generic
-// brute-force (d>8) kernels, and its dirty set must be exactly the rows whose
+// checkUpdateMatchesBulk: the exact update of TopK(s, k) to the edited
+// scorer s2 is bitwise a bulk TopK(s2, k) — including rows that shrink or
+// grow through NaN pruning — and its dirty set is exactly the rows whose
 // lists changed.
+func checkUpdateMatchesBulk(t *testing.T, tag string, s, s2 Scorer, k int, changedRows, changedCols []int) {
+	t.Helper()
+	prev := TopK(s, k, 1)
+	bulk := TopK(s2, k, 1)
+	upd, dirty := UpdateTopK(prev, s2, changedRows, changedCols, 1)
+	candsEqual(t, tag, upd, bulk)
+	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
+		t.Fatalf("%s: dirty = %v, want %v", tag, dirty, want)
+	}
+}
+
+// editEmbedding returns a copy of e with a few source rows and target rows
+// moved (up to maxRows and maxCols of each), and the moved indices.
+func editEmbedding(e *Embedding, maxRows, maxCols int, rng *rand.Rand) (*Embedding, []int, []int) {
+	e2 := &Embedding{Src: e.Src.Clone(), Dst: e.Dst.Clone(), SimFromDist2: e.SimFromDist2}
+	changedRows := perturbRows(e2.Src, 1+rng.Intn(maxRows), rng)
+	changedCols := perturbRows(e2.Dst, 1+rng.Intn(maxCols), rng)
+	return e2, changedRows, changedCols
+}
+
+// editFactors returns a copy of f with a few Us and Vs entries redrawn, and
+// the source rows and target columns they belong to.
+func editFactors(f *FactorEmbedding, rng *rand.Rand) (*FactorEmbedding, []int, []int) {
+	f2 := f.Clone()
+	n, m := f.Shape()
+	var changedRows, changedCols []int
+	for c := 0; c <= rng.Intn(2); c++ {
+		i := rng.Intn(n)
+		f2.Us[rng.Intn(f.Rank())][i] = rng.NormFloat64()
+		changedRows = append(changedRows, i)
+	}
+	for c := 0; c <= rng.Intn(3); c++ {
+		j := rng.Intn(m)
+		f2.Vs[rng.Intn(f.Rank())][j] = rng.NormFloat64()
+		changedCols = append(changedCols, j)
+	}
+	return f2, changedRows, changedCols
+}
+
+// The embedding update runs across the tree (d<8), specialized (d=8) and
+// generic brute-force (d>8) kernels.
 func TestUpdateTopKEmbeddingMatchesBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range []int{4, 8, 16} {
 		for trial := 0; trial < 10; trial++ {
-			n, m, k := 40+rng.Intn(20), 50+rng.Intn(20), 5
+			n, m := 40+rng.Intn(20), 50+rng.Intn(20)
 			e := randEmbedding(n, m, d, rng)
-			prev := TopKEmbedding(e, k, 1)
-			// New embedding: copy, then move a few rows on each side.
-			e2 := randEmbedding(n, m, d, rng)
-			copy(e2.Src.Data, e.Src.Data)
-			copy(e2.Dst.Data, e.Dst.Data)
-			changedRows := perturbRows(e2.Src, 1+rng.Intn(3), rng)
-			changedCols := perturbRows(e2.Dst, 1+rng.Intn(3), rng)
-
-			bulk := TopKEmbedding(e2, k, 1)
-			upd, dirty := UpdateTopKEmbedding(prev, e2, changedRows, changedCols, 1)
-			candsEqual(t, "embedding-update", upd, bulk)
-			if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
-				t.Fatalf("d=%d trial %d: dirty = %v, want %v", d, trial, dirty, want)
-			}
+			e2, changedRows, changedCols := editEmbedding(e, 3, 3, rng)
+			checkUpdateMatchesBulk(t, fmt.Sprintf("d=%d trial %d", d, trial), e, e2, 5, changedRows, changedCols)
 		}
 	}
 }
@@ -84,8 +114,8 @@ func TestUpdateTopKEmbeddingMatchesBulk(t *testing.T) {
 func TestUpdateTopKEmbeddingNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := randEmbedding(30, 40, 8, rng)
-	prev := TopKEmbedding(e, 4, 1)
-	upd, dirty := UpdateTopKEmbedding(prev, e, nil, nil, 1)
+	prev := TopK(e, 4, 1)
+	upd, dirty := UpdateTopK(prev, e, nil, nil, 1)
 	candsEqual(t, "embedding-nochange", upd, prev)
 	if len(dirty) != 0 {
 		t.Fatalf("no-op update reported dirty rows %v", dirty)
@@ -112,33 +142,12 @@ func randFactors(n, m, rank int, rng *rand.Rand) *FactorEmbedding {
 	return f
 }
 
-// The incremental factor update must match a bulk TopKFactor bitwise,
-// including rows that shrink or grow through NaN pruning.
 func TestUpdateTopKFactorMatchesBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 15; trial++ {
-		n, m, rank, k := 30+rng.Intn(20), 40+rng.Intn(20), 3, 5
-		f := randFactors(n, m, rank, rng)
-		prev := TopKFactor(f, k, 1)
-
-		f2 := f.Clone()
-		var changedRows, changedCols []int
-		for c := 0; c <= rng.Intn(2); c++ {
-			i := rng.Intn(n)
-			f2.Us[rng.Intn(rank)][i] = rng.NormFloat64()
-			changedRows = append(changedRows, i)
-		}
-		for c := 0; c <= rng.Intn(3); c++ {
-			j := rng.Intn(m)
-			f2.Vs[rng.Intn(rank)][j] = rng.NormFloat64()
-			changedCols = append(changedCols, j)
-		}
-		bulk := TopKFactor(f2, k, 1)
-		upd, dirty := UpdateTopKFactor(prev, f2, changedRows, changedCols, 1)
-		candsEqual(t, "factor-update", upd, bulk)
-		if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
-			t.Fatalf("trial %d: dirty = %v, want %v", trial, dirty, want)
-		}
+		f := randFactors(30+rng.Intn(20), 40+rng.Intn(20), 3, rng)
+		f2, changedRows, changedCols := editFactors(f, rng)
+		checkUpdateMatchesBulk(t, fmt.Sprintf("trial %d", trial), f, f2, 5, changedRows, changedCols)
 	}
 }
 
@@ -147,17 +156,11 @@ func TestUpdateTopKFactorLargeDeltaShortcut(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, m, rank, k := 20, 25, 2, 4
 	f := randFactors(n, m, rank, rng)
-	prev := TopKFactor(f, k, 1)
 	f2 := f.Clone()
 	var changedCols []int
 	for j := 0; j < m; j++ {
 		f2.Vs[0][j] = rng.NormFloat64()
 		changedCols = append(changedCols, j)
 	}
-	bulk := TopKFactor(f2, k, 1)
-	upd, dirty := UpdateTopKFactor(prev, f2, nil, changedCols, 1)
-	candsEqual(t, "factor-shortcut", upd, bulk)
-	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
-		t.Fatalf("dirty = %v, want %v", dirty, want)
-	}
+	checkUpdateMatchesBulk(t, "factor-shortcut", f, f2, k, nil, changedCols)
 }

@@ -19,7 +19,7 @@ func TestWarmAuctionEmptyDirtyByteIdentical(t *testing.T) {
 		for i := range sim.Data {
 			sim.Data[i] = rng.Float64()
 		}
-		c := TopKDense(sim, m, 1)
+		c := TopK(DenseScorer{sim}, m, 1)
 		cold, state, _, ok := SolveAuctionState(c, 1)
 		if !ok {
 			t.Fatalf("trial %d: cold solve failed", trial)
@@ -65,7 +65,7 @@ func TestWarmAuctionAgreesWithJVAcrossEdits(t *testing.T) {
 		for i := range sim.Data {
 			sim.Data[i] = rng.Float64()
 		}
-		c := TopKDense(sim, m, 1)
+		c := TopK(DenseScorer{sim}, m, 1)
 		mapping, state, _, ok := SolveAuctionState(c, 1)
 		if !ok {
 			t.Fatalf("trial %d: cold solve failed", trial)
@@ -82,7 +82,7 @@ func TestWarmAuctionAgreesWithJVAcrossEdits(t *testing.T) {
 					}
 				}
 			}
-			cNext := TopKDense(next, m, 1)
+			cNext := TopK(DenseScorer{next}, m, 1)
 			dirty := DiffRows(c, cNext)
 			warm, wstate, wstats, ok := SolveAuctionWarm(cNext, mapping, state, dirty, 1)
 			if !ok {
@@ -112,7 +112,7 @@ func TestWarmAuctionRepairsBadSeeds(t *testing.T) {
 		for i := range sim.Data {
 			sim.Data[i] = rng.Float64()
 		}
-		c := TopKDense(sim, m, 1)
+		c := TopK(DenseScorer{sim}, m, 1)
 		mapping, state, _, ok := SolveAuctionState(c, 1)
 		if !ok {
 			t.Fatalf("trial %d: cold solve failed", trial)
@@ -144,7 +144,7 @@ func TestWarmAuctionRepairsBadSeeds(t *testing.T) {
 // signal cold-solve fallback, not panic or mis-seed.
 func TestWarmAuctionRejectsShapeMismatch(t *testing.T) {
 	sim := matrix.DenseFromRows([][]float64{{1, 0}, {0, 1}})
-	c := TopKDense(sim, 2, 1)
+	c := TopK(DenseScorer{sim}, 2, 1)
 	mapping, state, _, ok := SolveAuctionState(c, 1)
 	if !ok {
 		t.Fatal("cold solve failed")

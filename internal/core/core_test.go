@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -53,7 +54,7 @@ func smallPair(t *testing.T) noise.Pair {
 
 func TestRunInstance(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstance(isorank.New(), p, assign.JonkerVolgenant)
+	res := runOnce(context.Background(), isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -70,7 +71,7 @@ func TestRunInstance(t *testing.T) {
 
 func TestRunInstanceNNOneToOne(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstance(isorank.New(), p, assign.NearestNeighbor)
+	res := runOnce(context.Background(), isorank.New(), p, assign.NearestNeighbor, RunSpec{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -450,7 +450,7 @@ func runInstances(opts Options, cell, label string, build func(i int) (algo.Alig
 		case opts.MemProfile:
 			// Deliberately no cache in profiled mode: AllocBytes measures one
 			// algorithm's own footprint, which shared artifacts would distort.
-			runs[i] = runInstanceProfiled(ctx, a, pairs[i], method, opts.runSpec())
+			runs[i] = RunInstanceProfiled(ctx, a, pairs[i], method, opts.runSpec())
 		default:
 			algo.ApplyCache(a, opts.Cache)
 			spec := opts.runSpec()
@@ -468,7 +468,7 @@ func runInstances(opts Options, cell, label string, build func(i int) (algo.Alig
 					return sa, err
 				}
 			}
-			runs[i] = RunInstanceSpec(ctx, a, pairs[i], method, spec)
+			runs[i], _ = RunInstance(ctx, a, pairs[i], method, spec)
 		}
 		// A run cut short by grid-wide cancellation (as opposed to its own
 		// budget) is incomplete, not failed: leave it out of the journal so a

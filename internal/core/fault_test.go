@@ -101,7 +101,7 @@ func TestRunTimeoutIsolatesHangingRun(t *testing.T) {
 func TestPanicIsRecoveredWithStack(t *testing.T) {
 	reg := obsv.NewRegistry()
 	tr := obsv.New().SetRegistry(reg)
-	res := RunInstanceCtx(context.Background(), panicAligner{}, smallPair(t), assign.JonkerVolgenant, tr, 0)
+	res := runOnce(context.Background(), panicAligner{}, smallPair(t), assign.JonkerVolgenant, RunSpec{Tracer: tr})
 	if !errors.Is(res.Err, ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic cause", res.Err)
 	}
@@ -153,7 +153,7 @@ func TestPanickingRunLeavesPoolAlive(t *testing.T) {
 func TestTimeoutCountsInRegistry(t *testing.T) {
 	reg := obsv.NewRegistry()
 	tr := obsv.New().SetRegistry(reg)
-	res := RunInstanceCtx(context.Background(), hangAligner{}, smallPair(t), assign.JonkerVolgenant, tr, 10*time.Millisecond)
+	res := runOnce(context.Background(), hangAligner{}, smallPair(t), assign.JonkerVolgenant, RunSpec{Tracer: tr, Budget: 10 * time.Millisecond})
 	if !errors.Is(res.Err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout cause", res.Err)
 	}

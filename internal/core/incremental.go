@@ -32,7 +32,7 @@ type IncrementalSpec struct {
 	Options incremental.Options
 }
 
-// runInstanceIncremental is the IncrementalSpec branch of RunInstanceMapped.
+// runInstanceIncremental is the IncrementalSpec branch of RunInstance.
 // The assignment method is fixed by the mode (the warm-startable ε-scaling
 // auction, falling back to dense JV when the candidate graph is
 // unmatchable), so the requested method is ignored; the caller's deferred

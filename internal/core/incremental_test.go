@@ -40,7 +40,7 @@ func editStream(t *testing.T, g *graph.Graph, batches, size int, seed int64) [][
 func TestRunInstanceIncremental(t *testing.T) {
 	p := smallPair(t)
 	batches := editStream(t, p.Target, 3, 2, 11)
-	res, mapping := RunInstanceMapped(context.Background(), regal.New(), p, "",
+	res, mapping := RunInstance(context.Background(), regal.New(), p, "",
 		RunSpec{AssignTopK: 10, Incremental: &IncrementalSpec{Batches: batches}})
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -71,9 +71,9 @@ func TestRunInstanceIncremental(t *testing.T) {
 // over the same candidate lists.
 func TestRunInstanceIncrementalEmptyStreamMatchesCold(t *testing.T) {
 	p := smallPair(t)
-	_, cold := RunInstanceMapped(context.Background(), regal.New(), p, assign.AuctionSparse,
+	_, cold := RunInstance(context.Background(), regal.New(), p, assign.AuctionSparse,
 		RunSpec{AssignTopK: 10})
-	res, warm := RunInstanceMapped(context.Background(), regal.New(), p, "",
+	res, warm := RunInstance(context.Background(), regal.New(), p, "",
 		RunSpec{AssignTopK: 10, Incremental: &IncrementalSpec{}})
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -90,7 +90,7 @@ func TestRunInstanceIncrementalEmptyStreamMatchesCold(t *testing.T) {
 // classified run error, not a panic.
 func TestRunInstanceIncrementalDenseOnly(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstanceSpec(context.Background(), isorank.New(), p, "",
+	res := runOnce(context.Background(), isorank.New(), p, "",
 		RunSpec{AssignTopK: 10, Incremental: &IncrementalSpec{}})
 	if res.Err == nil {
 		t.Fatal("expected error for dense-only aligner in incremental mode")

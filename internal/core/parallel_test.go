@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -153,14 +154,14 @@ func TestRunAveragedParallelRace(t *testing.T) {
 // Options.MemProfile routes the fan-out through the profiled path.
 func TestMemProfilePopulatesAllocBytes(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstance(mustAligner(t, "NSD"), p, assign.JonkerVolgenant)
+	res := runOnce(context.Background(), mustAligner(t, "NSD"), p, assign.JonkerVolgenant, RunSpec{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if res.AllocBytes != 0 {
 		t.Errorf("plain RunInstance measured AllocBytes = %d, want 0", res.AllocBytes)
 	}
-	prof := RunInstanceProfiled(mustAligner(t, "NSD"), p, assign.JonkerVolgenant)
+	prof := RunInstanceProfiled(context.Background(), mustAligner(t, "NSD"), p, assign.JonkerVolgenant, RunSpec{})
 	if prof.Err != nil {
 		t.Fatal(prof.Err)
 	}

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -17,7 +16,6 @@ import (
 
 	"graphalign/internal/algo"
 	"graphalign/internal/assign"
-	"graphalign/internal/matrix"
 	"graphalign/internal/metrics"
 	"graphalign/internal/noise"
 	"graphalign/internal/obsv"
@@ -41,8 +39,8 @@ type RunResult struct {
 	// AllocBytes is the total heap allocated during the run (a
 	// single-process proxy for the paper's peak-memory measurements). It is
 	// only populated by RunInstanceProfiled: process-wide allocation deltas
-	// are meaningless when other runs execute concurrently, so the plain
-	// RunInstance path leaves it zero and the memory experiments opt into
+	// are meaningless when other runs execute concurrently, so RunInstance
+	// leaves it zero and the memory experiments opt into
 	// the serialized profiled mode instead (Options.MemProfile).
 	AllocBytes uint64
 	// Err records a failed run; Scores are zero in that case. The paper
@@ -50,40 +48,19 @@ type RunResult struct {
 	Err error
 }
 
-// RunInstance aligns pair.Source to pair.Target with the given algorithm
-// and assignment method and scores the result against the instance's
-// ground truth. It is safe to call concurrently as long as each call gets
-// its own Aligner instance; AllocBytes is left zero (see RunInstanceProfiled).
-func RunInstance(a algo.Aligner, pair noise.Pair, method assign.Method) RunResult {
-	return RunInstanceCtx(context.Background(), a, pair, method, nil, 0)
-}
-
-// RunInstanceTraced is RunInstance reporting through a tracer: the run is
-// bracketed by run_start/run_end events, the similarity, assignment and
-// scoring stages become nested phase spans, and algorithms implementing
-// algo.Instrumented record their own inner phases under the run span. A nil
-// tracer reduces to exactly RunInstance — tracing never changes the
-// computation, only what is observed about it.
-func RunInstanceTraced(a algo.Aligner, pair noise.Pair, method assign.Method, tr *obsv.Tracer) RunResult {
-	return RunInstanceCtx(context.Background(), a, pair, method, tr, 0)
-}
-
 // RunSpec bundles the optional knobs of a single run: observability,
 // fault-tolerance, and the sparse assignment pipeline. The zero value means
-// untraced, unbounded, dense assignment — exactly RunInstance.
+// untraced, unbounded, dense assignment.
 type RunSpec struct {
 	// Tracer receives run/phase spans; nil disables tracing.
 	Tracer *obsv.Tracer
-	// Budget bounds the run's wall clock (off when zero); see RunInstanceCtx.
+	// Budget bounds the run's wall clock (off when zero); see RunInstance.
 	Budget time.Duration
 	// AssignTopK, when positive, routes the assignment through the sparse
-	// candidate pipeline: the similarity is reduced to per-row top-k
-	// candidates (via k-NN over raw embeddings for algo.EmbeddingAligners,
-	// skipping the dense matrix entirely; via bounded-heap row selection
-	// otherwise) and solved by the sparse variant of the requested method —
-	// exact methods map to the ε-scaling auction with a dense-JV fallback
-	// when rows are unmatchable. Zero keeps the dense solvers and is
-	// byte-identical to the pre-sparse pipeline.
+	// candidate pipeline (algo.Plan.TopK): the similarity is reduced to
+	// per-row top-k candidates — read off an algo.ScoringAligner's scorer
+	// without materializing the dense matrix — and solved by the sparse
+	// variant of the requested method. Zero keeps the dense solvers.
 	AssignTopK int
 	// Workers bounds the sparse pipeline's intra-run parallel fan-out
 	// (candidate generation and auction bidding rounds); 0 means one per
@@ -111,32 +88,29 @@ type RunSpec struct {
 	Incremental *IncrementalSpec
 }
 
-// RunInstanceCtx is the fault-tolerant run entry point: the similarity stage
-// observes ctx through the algorithm's cooperative cancellation checks, a
-// positive budget bounds the run's wall clock (deadline exceeded becomes a
-// *TimeoutError unwrapping to ErrTimeout), and a panic anywhere in the run
-// is recovered into a *PanicError unwrapping to ErrPanic with the stack
-// captured — the calling worker survives. With a background context and zero
-// budget it is exactly RunInstanceTraced. A parent-context cancellation
-// (ctx.Err() == context.Canceled) passes through unclassified so callers
-// can distinguish "the whole grid was stopped" from "this run timed out".
-func RunInstanceCtx(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, tr *obsv.Tracer, budget time.Duration) RunResult {
-	return RunInstanceSpec(ctx, a, pair, method, RunSpec{Tracer: tr, Budget: budget})
-}
-
-// RunInstanceSpec is RunInstanceCtx with the full run configuration,
-// including the sparse assignment pipeline (RunSpec.AssignTopK).
-func RunInstanceSpec(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) RunResult {
-	res, _ := RunInstanceMapped(ctx, a, pair, method, spec)
-	return res
-}
-
-// RunInstanceMapped is RunInstanceSpec also returning the alignment mapping
-// itself (mapping[u] = the pair.Target node aligned to pair.Source node u,
-// -1 for unmatched). The experiment framework only needs the scores, but a
-// serving front-end must hand the mapping back to the client; the mapping is
-// nil exactly when res.Err is non-nil.
-func RunInstanceMapped(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) (res RunResult, outMapping []int) {
+// RunInstance aligns pair.Source to pair.Target with the given algorithm
+// and assignment method, scores the result against the instance's ground
+// truth, and returns the scores together with the mapping itself
+// (mapping[u] = the pair.Target node aligned to pair.Source node u, -1 for
+// unmatched; nil exactly when res.Err is non-nil). It is safe to call
+// concurrently as long as each call gets its own Aligner instance;
+// AllocBytes is left zero (see RunInstanceProfiled).
+//
+// The run is fault-tolerant: the similarity stage observes ctx through the
+// algorithm's cooperative cancellation checks, a positive spec.Budget bounds
+// the run's wall clock (deadline exceeded becomes a *TimeoutError unwrapping
+// to ErrTimeout), and a panic anywhere in the run is recovered into a
+// *PanicError unwrapping to ErrPanic with the stack captured — the calling
+// worker survives. A parent-context cancellation (ctx.Err() ==
+// context.Canceled) passes through unclassified so callers can distinguish
+// "the whole grid was stopped" from "this run timed out".
+//
+// With spec.Tracer set, the run is bracketed by run_start/run_end events,
+// the similarity, assignment and scoring stages become nested phase spans,
+// and algorithms implementing algo.Instrumented record their own inner
+// phases under the run span. Tracing never changes the computation, only
+// what is observed about it.
+func RunInstance(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) (res RunResult, outMapping []int) {
 	tr, budget := spec.Tracer, spec.Budget
 	if budget > 0 {
 		var cancel context.CancelFunc
@@ -170,91 +144,24 @@ func RunInstanceMapped(ctx context.Context, a algo.Aligner, pair noise.Pair, met
 		return runInstancePartitioned(ctx, a, pair, method, spec, run, reg)
 	}
 
-	// Similarity stage. With the sparse pipeline on and an aligner that can
-	// expose embeddings or explicit low-rank factors, the dense matrix is
-	// never materialized: the stage produces the factored form instead.
-	sparse := spec.AssignTopK > 0
-	var emb *assign.Embedding
-	var fac *assign.FactorEmbedding
-	ea, haveEmb := a.(algo.EmbeddingAligner)
-	fa, haveFac := a.(algo.FactorAligner)
-	useEmb := sparse && haveEmb
-	useFac := sparse && !useEmb && haveFac
-	var sim *matrix.Dense
-	var err error
-	sp := run.Phase("similarity")
-	t0 := time.Now()
-	if useEmb {
-		sp.Set("factored", true)
-		emb, err = ea.EmbeddingsCtx(ctx, pair.Source, pair.Target)
-	} else if useFac {
-		sp.Set("factored", true)
-		fac, err = fa.FactorsCtx(ctx, pair.Source, pair.Target)
-	} else {
-		sim, err = algo.Similarity(ctx, a, pair.Source, pair.Target)
-	}
-	res.SimilarityTime = time.Since(t0)
-	sp.End()
+	out, err := algo.Run(ctx, a, pair.Source, pair.Target, algo.Plan{
+		Method: method, TopK: spec.AssignTopK, Workers: spec.Workers, Span: run,
+	})
+	res.SimilarityTime, res.AssignTime = out.SimTime, out.AssignTime
 	if err != nil {
-		res.Err = classifyRunErr(fmt.Errorf("similarity: %w", err), budget, reg)
+		res.Err = classifyRunErr(err, budget, reg)
 		return endRunErr(run, reg, res), nil
 	}
 
-	sp = run.Phase("assign")
-	sp.Set("method", string(method))
-	n := pair.Source.N()
-	sp.Set("size", n)
-	reg.Histogram("lap_solve_size", obsv.SizeBuckets()).Observe(float64(n))
-	t1 := time.Now()
-	var mapping []int
-	if sparse {
-		sp.Set("topk", spec.AssignTopK)
-		var cands *assign.Candidates
-		var dense func() *matrix.Dense
-		if useEmb {
-			cands = assign.TopKEmbedding(emb, spec.AssignTopK, spec.Workers)
-			dense = emb.Similarity
-		} else if useFac {
-			cands = assign.TopKFactor(fac, spec.AssignTopK, spec.Workers)
-			dense = fac.Similarity
-		} else {
-			cands = assign.TopKDense(sim, spec.AssignTopK, spec.Workers)
-			dense = func() *matrix.Dense { return sim }
-		}
-		var stats assign.SparseStats
-		mapping, stats, err = assign.SolveSparse(method, cands, dense, spec.Workers)
-		if err == nil {
-			reg.Histogram("assign_candidates_per_row", obsv.SizeBuckets()).Observe(float64(stats.CandidatesPerRow))
-			reg.Histogram("assign_auction_rounds", obsv.SizeBuckets()).Observe(float64(stats.Rounds))
-			sp.Set("auction_rounds", stats.Rounds)
-			if stats.FellBack {
-				reg.Counter("assign_fallbacks_total").Add(1)
-				sp.Set("fallback", true)
-			}
-		}
-	} else {
-		mapping, err = assign.Solve(method, sim)
-		if err == nil && method == assign.NearestNeighbor {
-			mapping = assign.EnforceOneToOne(sim, mapping)
-		}
-	}
-	if err != nil {
-		sp.End()
-		res.Err = classifyRunErr(fmt.Errorf("assignment: %w", err), budget, reg)
-		return endRunErr(run, reg, res), nil
-	}
-	res.AssignTime = time.Since(t1)
-	sp.End()
-
-	sp = run.Phase("metrics")
-	res.Scores = metrics.All(pair.Source, pair.Target, mapping, pair.TrueMap)
+	sp := run.Phase("metrics")
+	res.Scores = metrics.All(pair.Source, pair.Target, out.Mapping, pair.TrueMap)
 	sp.End()
 	run.End()
-	return res, mapping
+	return res, out.Mapping
 }
 
 // runInstancePartitioned is the partition-align-stitch branch of
-// RunInstanceMapped: the shard fan-out replaces the monolithic
+// RunInstance: the shard fan-out replaces the monolithic
 // similarity/assign stages, and the partition layer's co-partition + shard
 // wall time is reported as SimilarityTime with stitch + refinement as
 // AssignTime, preserving the result shape the drivers average. The caller's
@@ -325,16 +232,12 @@ var memProfileMu sync.Mutex
 // other's delta; background runtime activity (GC metadata, timers) is still
 // included, so treat AllocBytes as an upper-bound proxy for the paper's
 // peak-memory numbers, not an exact footprint.
-func RunInstanceProfiled(a algo.Aligner, pair noise.Pair, method assign.Method) RunResult {
-	return runInstanceProfiled(context.Background(), a, pair, method, RunSpec{})
-}
-
-func runInstanceProfiled(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) RunResult {
+func RunInstanceProfiled(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) RunResult {
 	memProfileMu.Lock()
 	defer memProfileMu.Unlock()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := RunInstanceSpec(ctx, a, pair, method, spec)
+	res, _ := RunInstance(ctx, a, pair, method, spec)
 	runtime.ReadMemStats(&after)
 	res.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	return res

@@ -10,91 +10,103 @@ import (
 	"graphalign/internal/algo/nsd"
 	"graphalign/internal/algo/regal"
 	"graphalign/internal/assign"
+	"graphalign/internal/noise"
 )
 
-// TestRunInstanceSpecSparseDense exercises the sparse assignment pipeline for
-// a non-embedding aligner (IsoRank: dense similarity, bounded-heap top-k) on
-// every dense method it can map from.
+// runOnce is RunInstance without the mapping.
+func runOnce(ctx context.Context, a algo.Aligner, p noise.Pair, method assign.Method, spec RunSpec) RunResult {
+	res, _ := RunInstance(ctx, a, p, method, spec)
+	return res
+}
+
+// sparseCase is one entry of the sparse-pipeline table: an aligner, whether
+// it must expose a scorer (so the dense matrix is never materialized), the
+// methods to run, and whether its sparse accuracy must reach the dense
+// pipeline's (true for factors, whose top-k is bitwise dense top-k over the
+// densified matrix).
+type sparseCase struct {
+	a         algo.Aligner
+	scorer    bool
+	methods   []assign.Method
+	atLeastJV bool
+}
+
+// checkSparseRun runs each case through RunSpec.AssignTopK and checks the
+// result is a valid scored mapping with measured assignment time.
+func checkSparseRun(t *testing.T, cases ...sparseCase) {
+	t.Helper()
+	p := smallPair(t)
+	for _, c := range cases {
+		if _, ok := c.a.(algo.ScoringAligner); ok != c.scorer {
+			t.Fatalf("%s: implements algo.ScoringAligner = %v, want %v", c.a.Name(), ok, c.scorer)
+		}
+		for _, method := range c.methods {
+			res := runOnce(context.Background(), c.a, p, method, RunSpec{AssignTopK: 10})
+			if res.Err != nil {
+				t.Fatalf("%s %s: %v", c.a.Name(), method, res.Err)
+			}
+			if res.Scores.Accuracy < 0 || res.Scores.Accuracy > 1 {
+				t.Fatalf("%s %s: accuracy %v out of range", c.a.Name(), method, res.Scores.Accuracy)
+			}
+			if res.AssignTime <= 0 {
+				t.Errorf("%s %s: assignment time not measured", c.a.Name(), method)
+			}
+			// MNC is only defined over valid mappings; a negative value would
+			// signal a malformed extraction.
+			if res.Scores.MNC < 0 {
+				t.Errorf("%s %s: MNC %v negative", c.a.Name(), method, res.Scores.MNC)
+			}
+			if !c.atLeastJV {
+				continue
+			}
+			dense := runOnce(context.Background(), c.a, p, method, RunSpec{})
+			if dense.Err != nil {
+				t.Fatalf("%s dense: %v", c.a.Name(), dense.Err)
+			}
+			if res.Scores.Accuracy < dense.Scores.Accuracy-1e-12 {
+				t.Fatalf("%s: factored sparse accuracy %v below dense %v",
+					c.a.Name(), res.Scores.Accuracy, dense.Scores.Accuracy)
+			}
+		}
+	}
+}
+
+var allSparseMethods = []assign.Method{assign.JonkerVolgenant, assign.NearestNeighbor, assign.SortGreedy}
+
+// TestRunInstanceSpecSparseDense: a dense-only aligner (IsoRank) reaches the
+// sparse pipeline through bounded-heap selection over its matrix, on every
+// dense method it can map from.
 func TestRunInstanceSpecSparseDense(t *testing.T) {
-	p := smallPair(t)
-	for _, method := range []assign.Method{assign.JonkerVolgenant, assign.NearestNeighbor, assign.SortGreedy} {
-		res := RunInstanceSpec(context.Background(), isorank.New(), p, method,
-			RunSpec{AssignTopK: 10})
-		if res.Err != nil {
-			t.Fatalf("%s: %v", method, res.Err)
-		}
-		if res.Scores.Accuracy < 0 || res.Scores.Accuracy > 1 {
-			t.Fatalf("%s: accuracy %v out of range", method, res.Scores.Accuracy)
-		}
-		if res.AssignTime <= 0 {
-			t.Errorf("%s: assignment time not measured", method)
-		}
-		// MNC is only defined over valid mappings; a negative value would
-		// signal a malformed extraction.
-		if res.Scores.MNC < 0 {
-			t.Errorf("%s: MNC %v negative", method, res.Scores.MNC)
-		}
-	}
+	checkSparseRun(t, sparseCase{a: isorank.New(), methods: allSparseMethods})
 }
 
-// TestRunInstanceSpecSparseEmbedding routes REGAL through the factored
-// embedding path (k-NN candidate generation, no dense similarity matrix) and
-// checks the result is a valid scored mapping.
+// TestRunInstanceSpecSparseEmbedding: REGAL's scorer is an embedding, so
+// candidates come from k-NN search with no dense similarity matrix.
 func TestRunInstanceSpecSparseEmbedding(t *testing.T) {
-	p := smallPair(t)
-	var a algo.Aligner = regal.New()
-	if _, ok := a.(algo.EmbeddingAligner); !ok {
-		t.Fatal("REGAL must implement algo.EmbeddingAligner")
-	}
-	res := RunInstanceSpec(context.Background(), a, p, assign.JonkerVolgenant,
-		RunSpec{AssignTopK: 10})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Scores.Accuracy < 0 || res.Scores.Accuracy > 1 {
-		t.Fatalf("accuracy %v out of range", res.Scores.Accuracy)
-	}
+	checkSparseRun(t, sparseCase{a: regal.New(), scorer: true, methods: allSparseMethods})
 }
 
-// TestRunInstanceSpecSparseFactored routes NSD and LREA through the factored
-// candidate path (top-k against the rank-one factor lists, no dense
-// similarity matrix) and checks each yields exactly the dense pipeline's
-// scores: TopKFactor selects bitwise what TopKDense would from the densified
-// matrix, so with the same solver the mapping must agree.
+// TestRunInstanceSpecSparseFactored: NSD's and LREA's scorers are factor
+// lists; candidates are scored against them with no dense matrix, and with
+// the same solver family the result must not lose accuracy to the dense
+// pipeline.
 func TestRunInstanceSpecSparseFactored(t *testing.T) {
-	p := smallPair(t)
-	aligners := []algo.Aligner{nsd.New(), lrea.New()}
-	for _, a := range aligners {
-		if _, ok := a.(algo.FactorAligner); !ok {
-			t.Fatalf("%s must implement algo.FactorAligner", a.Name())
-		}
-		res := RunInstanceSpec(context.Background(), a, p, assign.JonkerVolgenant,
-			RunSpec{AssignTopK: 10})
-		if res.Err != nil {
-			t.Fatalf("%s: %v", a.Name(), res.Err)
-		}
-		dense := RunInstanceSpec(context.Background(), a, p, assign.JonkerVolgenant, RunSpec{})
-		if dense.Err != nil {
-			t.Fatalf("%s dense: %v", a.Name(), dense.Err)
-		}
-		if res.Scores.Accuracy < dense.Scores.Accuracy-1e-12 {
-			t.Fatalf("%s: factored sparse accuracy %v below dense %v",
-				a.Name(), res.Scores.Accuracy, dense.Scores.Accuracy)
-		}
-	}
+	checkSparseRun(t,
+		sparseCase{a: nsd.New(), scorer: true, methods: []assign.Method{assign.JonkerVolgenant}, atLeastJV: true},
+		sparseCase{a: lrea.New(), scorer: true, methods: []assign.Method{assign.JonkerVolgenant}, atLeastJV: true})
 }
 
 // TestRunInstanceSpecSparseMatchesAcrossWorkers: the sparse pipeline is
 // deterministic in the worker count.
 func TestRunInstanceSpecSparseMatchesAcrossWorkers(t *testing.T) {
 	p := smallPair(t)
-	ref := RunInstanceSpec(context.Background(), isorank.New(), p, assign.JonkerVolgenant,
+	ref := runOnce(context.Background(), isorank.New(), p, assign.JonkerVolgenant,
 		RunSpec{AssignTopK: 10, Workers: 1})
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
 	for _, workers := range []int{2, 4} {
-		res := RunInstanceSpec(context.Background(), isorank.New(), p, assign.JonkerVolgenant,
+		res := runOnce(context.Background(), isorank.New(), p, assign.JonkerVolgenant,
 			RunSpec{AssignTopK: 10, Workers: workers})
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -109,15 +121,24 @@ func TestRunInstanceSpecSparseMatchesAcrossWorkers(t *testing.T) {
 
 // TestRunInstanceSpecZeroTopKUnchanged: AssignTopK=0 must reproduce the
 // dense pipeline exactly (the byte-identity contract the golden test checks
-// end to end).
+// end to end): the mapping is JV over the aligner's own matrix.
 func TestRunInstanceSpecZeroTopKUnchanged(t *testing.T) {
 	p := smallPair(t)
-	dense := RunInstance(isorank.New(), p, assign.JonkerVolgenant)
-	spec := RunInstanceSpec(context.Background(), isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
-	if dense.Err != nil || spec.Err != nil {
-		t.Fatal(dense.Err, spec.Err)
+	sim, err := isorank.New().Similarity(p.Source, p.Target)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dense.Scores != spec.Scores {
-		t.Fatalf("scores differ: %+v vs %+v", dense.Scores, spec.Scores)
+	want, err := assign.Solve(assign.JonkerVolgenant, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, got := RunInstance(context.Background(), isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for u := range want {
+		if got[u] != want[u] {
+			t.Fatalf("mapping[%d] = %d, want %d", u, got[u], want[u])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -150,6 +151,11 @@ func TestRunExperimentEvents(t *testing.T) {
 	}
 }
 
+// runTraced is an untimed run reporting through tr.
+func runTraced(a algo.Aligner, pair noise.Pair, method assign.Method, tr *obsv.Tracer) RunResult {
+	return runOnce(context.Background(), a, pair, method, RunSpec{Tracer: tr})
+}
+
 // TestRunInstanceTracedSpans checks the span tree of a single run: the
 // similarity/assign/metrics framework phases plus the algorithm's own inner
 // phases, all parented to the run span.
@@ -173,7 +179,7 @@ func TestRunInstanceTracedSpans(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := &eventSink{}
 			tr := obsv.New(sink).SetRegistry(obsv.NewRegistry())
-			res := RunInstanceTraced(tc.build(), pair, assign.JonkerVolgenant, tr)
+			res := runTraced(tc.build(), pair, assign.JonkerVolgenant, tr)
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
@@ -226,8 +232,8 @@ func phaseNames(m map[string]obsv.Event) []string {
 // with and without a tracer, and no panic from the nil-span plumbing.
 func TestRunInstanceTracedNilTracer(t *testing.T) {
 	pair := tracePair(t, 60)
-	plain := RunInstance(isorank.New(), pair, assign.JonkerVolgenant)
-	traced := RunInstanceTraced(isorank.New(), pair, assign.JonkerVolgenant,
+	plain := runOnce(context.Background(), isorank.New(), pair, assign.JonkerVolgenant, RunSpec{})
+	traced := runTraced(isorank.New(), pair, assign.JonkerVolgenant,
 		obsv.New(&eventSink{}))
 	if plain.Err != nil || traced.Err != nil {
 		t.Fatal(plain.Err, traced.Err)
@@ -242,8 +248,8 @@ func TestRunCounters(t *testing.T) {
 	pair := tracePair(t, 60)
 	reg := obsv.NewRegistry()
 	tr := obsv.New().SetRegistry(reg)
-	RunInstanceTraced(isorank.New(), pair, assign.JonkerVolgenant, tr)
-	RunInstanceTraced(isorank.New(), pair, assign.JonkerVolgenant, tr)
+	runTraced(isorank.New(), pair, assign.JonkerVolgenant, tr)
+	runTraced(isorank.New(), pair, assign.JonkerVolgenant, tr)
 	if v := reg.Counter("runs_total").Value(); v != 2 {
 		t.Errorf("runs_total = %d, want 2", v)
 	}

@@ -83,7 +83,7 @@ type ApplyStats struct {
 	// changed — the warm auction's re-bid set.
 	DirtyRows int
 	// AugmentedRows is the number of rows holding a matchability-repair
-	// candidate (see assign.AugmentEmbedding); 0 when the top-k lists already
+	// candidate (see assign.Augment); 0 when the top-k lists already
 	// admit a row-perfect matching.
 	AugmentedRows int
 	// ComponentHits counts target-graph connected components whose
@@ -99,9 +99,8 @@ type ApplyStats struct {
 	Rounds    int
 	// Noop reports an empty edit batch.
 	Noop bool
-	// RefreshTime covers the embedding/factor recompute and change
-	// detection; CandidateTime the incremental top-k update; SolveTime the
-	// assignment.
+	// RefreshTime covers the scorer recompute and change detection;
+	// CandidateTime the incremental top-k update; SolveTime the assignment.
 	RefreshTime   time.Duration
 	CandidateTime time.Duration
 	SolveTime     time.Duration
@@ -109,27 +108,24 @@ type ApplyStats struct {
 
 // Session is one incremental alignment: a fixed source graph aligned to an
 // evolving target. All methods are safe for concurrent use (serialized
-// internally); the embedding/candidate/price state is private to the
-// session.
+// internally); the scorer/candidate/price state is private to the session.
 type Session struct {
 	mu sync.Mutex
 	a  algo.Aligner
-	ea algo.EmbeddingAligner
-	fa algo.FactorAligner
-	// ie/ifa are the aligner's incremental refresh capabilities when it has
-	// them (algo.IncrementalEmbedder / algo.IncrementalFactorer); nil falls
-	// back to full recompute + row diff on every apply.
-	ie   algo.IncrementalEmbedder
-	ifa  algo.IncrementalFactorer
+	sa algo.ScoringAligner
+	// is is the aligner's incremental refresh capability when it has one;
+	// nil falls back to full recompute + row diff on every apply.
+	is   algo.IncrementalScorer
 	opts Options
 	reg  *obsv.Registry
 
 	src, dst *graph.Graph
-	emb      *assign.Embedding
-	fac      *assign.FactorEmbedding
-	cands    *assign.Candidates
+	// scorer is the effective similarity the candidate lists were built
+	// from (see patch).
+	scorer assign.Scorer
+	cands  *assign.Candidates
 	// solve is the solver-facing candidate set: the base lists made
-	// row-saturating by assign.Augment* so the auction never has to refuse
+	// row-saturating by assign.Augment so the auction never has to refuse
 	// the instance (low-rank similarities routinely violate Hall's condition
 	// and would otherwise force the dense-JV fallback on every apply, which
 	// leaves no auction state to warm-start from). augCol records each row's
@@ -149,16 +145,13 @@ type Session struct {
 	applies  int
 }
 
-// ErrNotIncremental reports an aligner exposing neither embeddings nor
-// explicit factors — the incremental pipeline has nothing to update
-// per-row for dense-only methods.
-var ErrNotIncremental = errors.New("incremental: aligner exposes neither embeddings nor factors")
+// ErrNotIncremental reports an aligner without a scorer — the incremental
+// pipeline has nothing to update per-row for dense-only methods.
+var ErrNotIncremental = errors.New("incremental: aligner exposes no scorer")
 
 // NewSession cold-aligns src to dst with a and returns a session warm for
-// subsequent Apply calls. The aligner must implement algo.EmbeddingAligner
-// or algo.FactorAligner (the same precedence as the sparse pipeline:
-// embeddings win when both are available) and must not be shared with
-// concurrent users.
+// subsequent Apply calls. The aligner must implement algo.ScoringAligner
+// and must not be shared with concurrent users.
 func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts Options) (*Session, error) {
 	if opts.TopK <= 0 {
 		return nil, fmt.Errorf("incremental: TopK must be positive, got %d", opts.TopK)
@@ -172,28 +165,18 @@ func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts
 	}
 	algo.ApplyCache(a, opts.Cache)
 	s := &Session{a: a, opts: opts, reg: reg, src: src, dst: dst}
-	s.ea, _ = a.(algo.EmbeddingAligner)
-	if s.ea != nil {
-		s.ie, _ = a.(algo.IncrementalEmbedder)
-	} else {
-		s.fa, _ = a.(algo.FactorAligner)
-		if s.fa == nil {
-			return nil, ErrNotIncremental
-		}
-		s.ifa, _ = a.(algo.IncrementalFactorer)
+	s.sa, _ = a.(algo.ScoringAligner)
+	if s.sa == nil {
+		return nil, ErrNotIncremental
 	}
-	if err := s.refresh(ctx, dst); err != nil {
-		return nil, err
+	s.is, _ = a.(algo.IncrementalScorer)
+	var err error
+	if s.scorer, err = s.score(ctx, dst, nil); err != nil {
+		return nil, fmt.Errorf("scorer: %w", err)
 	}
-	if s.emb != nil {
-		s.cands = assign.TopKEmbedding(s.emb, opts.TopK, opts.Workers)
-	} else {
-		s.cands = assign.TopKFactor(s.fac, opts.TopK, opts.Workers)
-	}
+	s.cands = assign.TopK(s.scorer, opts.TopK, opts.Workers)
 	s.augmentCandidates(nil, nil)
-	if err := s.coldSolve(); err != nil {
-		return nil, err
-	}
+	s.coldSolve()
 	s.touchComponents(dst)
 	reg.Counter("incr_sessions_total").Add(1)
 	return s, nil
@@ -247,11 +230,10 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	sp := run.Phase("refresh")
 	t0 := time.Now()
 	scope := dirtyScope(s.dst, newDst, edits, s.opts.DirtyHops)
+	fresh, err := s.score(ctx, newDst, scope)
 	var changedRows, changedCols []int
-	if s.emb != nil {
-		changedRows, changedCols, err = s.refreshEmbedding(ctx, newDst, scope)
-	} else {
-		changedRows, changedCols, err = s.refreshFactors(ctx, newDst, scope)
+	if err == nil {
+		changedRows, changedCols = s.patch(fresh, scope)
 	}
 	st.RefreshTime = time.Since(t0)
 	sp.End()
@@ -269,18 +251,11 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	// membership staleness, O(changedCols) per row) replaces the exact update
 	// (whose conservative probe degenerates to rescanning most rows once a
 	// few hundred columns move). Exact mode keeps the bitwise-exact update.
-	var next *assign.Candidates
-	var dirty []int
-	switch {
-	case s.emb != nil && s.opts.ColTolerance > 0:
-		next, dirty = assign.MergeTopKEmbedding(s.cands, s.emb, changedRows, changedCols, s.opts.Workers)
-	case s.emb != nil:
-		next, dirty = assign.UpdateTopKEmbedding(s.cands, s.emb, changedRows, changedCols, s.opts.Workers)
-	case s.opts.ColTolerance > 0:
-		next, dirty = assign.MergeTopKFactor(s.cands, s.fac, changedRows, changedCols, s.opts.Workers)
-	default:
-		next, dirty = assign.UpdateTopKFactor(s.cands, s.fac, changedRows, changedCols, s.opts.Workers)
+	update := assign.UpdateTopK
+	if s.opts.ColTolerance > 0 {
+		update = assign.MergeTopK
 	}
+	next, dirty := update(s.cands, s.scorer, changedRows, changedCols, s.opts.Workers)
 	s.cands = next
 	// Re-derive the solver-facing augmented set from the merged lists; rows
 	// whose augmented entry moved join the dirty set (their solver-visible
@@ -310,12 +285,7 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 		}
 	}
 	if !tryWarm {
-		if err := s.coldSolve(); err != nil {
-			sp.End()
-			run.Set("err", err.Error())
-			run.End()
-			return st, err
-		}
+		s.coldSolve()
 		s.reg.Counter("incr_cold_fallbacks_total").Add(1)
 	}
 	st.SolveTime = time.Since(t2)
@@ -338,113 +308,77 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	return st, nil
 }
 
-// refresh recomputes the similarity stage for the given target and installs
-// it wholesale (the initial cold start). Refresh-capable aligners are primed
-// through their refresher so the first Apply already finds captured state;
-// a refresher's first call runs the same full pipeline, bitwise.
-func (s *Session) refresh(ctx context.Context, dst *graph.Graph) error {
-	if s.ea != nil {
-		var emb *assign.Embedding
-		var err error
-		if s.ie != nil {
-			emb, err = s.ie.RefreshEmbeddingsCtx(ctx, s.src, dst, nil)
-		} else {
-			emb, err = s.ea.EmbeddingsCtx(ctx, s.src, dst)
-		}
-		if err != nil {
-			return fmt.Errorf("embeddings: %w", err)
-		}
-		s.emb = emb
-		return nil
+// score recomputes the similarity stage for the given target: through the
+// aligner's refresher when it has one (it recomputes only inside the dirty
+// scope and returns everything else bitwise from its captured state — the
+// dominant per-apply saving), else by a full recompute whose row diff in
+// patch finds what moved. A refresher's first call runs the same full
+// pipeline, bitwise, and primes its state for the first Apply.
+func (s *Session) score(ctx context.Context, dst *graph.Graph, scope []bool) (assign.Scorer, error) {
+	if s.is != nil {
+		return s.is.RefreshScorerCtx(ctx, s.src, dst, scope)
 	}
-	var fac *assign.FactorEmbedding
-	var err error
-	if s.ifa != nil {
-		fac, err = s.ifa.RefreshFactorsCtx(ctx, s.src, dst)
-	} else {
-		fac, err = s.fa.FactorsCtx(ctx, s.src, dst)
-	}
-	if err != nil {
-		return fmt.Errorf("factors: %w", err)
-	}
-	s.fac = fac
-	return nil
+	return s.sa.ScorerCtx(ctx, s.src, dst)
 }
 
-// refreshEmbedding recomputes embeddings for the edited target and patches
-// the rows that moved beyond tolerance into the session's effective
-// embedding, returning the changed source rows and target columns. Rows
-// within tolerance keep their previous vectors so the effective embedding
-// stays bitwise-consistent with the retained candidate lists — the contract
-// assign.UpdateTopKEmbedding requires — and so staleness is measured
-// against each row's last refresh, not the last apply.
-func (s *Session) refreshEmbedding(ctx context.Context, dst *graph.Graph, scope []bool) (changedRows, changedCols []int, err error) {
-	// A refresh-capable aligner recomputes only inside the dirty scope and
-	// returns everything else bitwise from its captured state — the dominant
-	// per-apply saving; plain aligners pay a full recompute and rely on the
-	// diff below.
-	var fresh *assign.Embedding
-	if s.ie != nil {
-		fresh, err = s.ie.RefreshEmbeddingsCtx(ctx, s.src, dst, scope)
-	} else {
-		fresh, err = s.ea.EmbeddingsCtx(ctx, s.src, dst)
+// patch folds a recomputed scorer into the session's effective one and
+// returns the source rows and target columns whose inputs moved beyond
+// ColTolerance (columns restricted to the dirty scope). Only those are
+// copied in: rows within tolerance keep their previous values, so the
+// effective scorer stays bitwise-consistent with the retained candidate
+// lists — the contract assign.UpdateTopK requires — and staleness is
+// measured against each row's last refresh, not the last apply. A row's
+// inputs are its embedding vector, or its cross-term coefficient vector
+// (Us[0][i], …, Us[r-1][i]) for factors. A change of type, shape, rank or
+// factor weights rescales every score, so it replaces the scorer wholesale
+// and marks everything changed (the candidate update then takes its bulk
+// shortcut).
+func (s *Session) patch(fresh assign.Scorer, scope []bool) (changedRows, changedCols []int) {
+	tol := s.opts.ColTolerance
+	switch cur := s.scorer.(type) {
+	case *assign.Embedding:
+		f, ok := fresh.(*assign.Embedding)
+		if ok && f.Src.Cols == cur.Src.Cols && f.Src.Rows == cur.Src.Rows && f.Dst.Rows == cur.Dst.Rows {
+			changedRows = changedDenseRows(cur.Src, f.Src, tol)
+			changedCols = inScope(changedDenseRows(cur.Dst, f.Dst, tol), scope)
+			for _, i := range changedRows {
+				copy(cur.Src.Row(i), f.Src.Row(i))
+			}
+			for _, j := range changedCols {
+				copy(cur.Dst.Row(j), f.Dst.Row(j))
+			}
+			return changedRows, changedCols
+		}
+	case *assign.FactorEmbedding:
+		f, ok := fresh.(*assign.FactorEmbedding)
+		if ok && f.Rank() == cur.Rank() && sameShape(f, cur) && sameWeights(f.Weights, cur.Weights) {
+			changedRows = changedFactorRows(cur.Us, f.Us, tol)
+			changedCols = inScope(changedFactorRows(cur.Vs, f.Vs, tol), scope)
+			for t := range f.Us {
+				for _, i := range changedRows {
+					cur.Us[t][i] = f.Us[t][i]
+				}
+				for _, j := range changedCols {
+					cur.Vs[t][j] = f.Vs[t][j]
+				}
+			}
+			return changedRows, changedCols
+		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if fresh.Src.Cols != s.emb.Src.Cols || fresh.Src.Rows != s.emb.Src.Rows ||
-		fresh.Dst.Rows != s.emb.Dst.Rows {
-		// Dimensionality drift (e.g. a rank change): replace wholesale and
-		// mark everything changed — UpdateTopKEmbedding then takes its bulk
-		// shortcut.
-		s.emb = fresh
-		return allIndices(fresh.Src.Rows), allIndices(fresh.Dst.Rows), nil
-	}
-	changedRows = changedDenseRows(s.emb.Src, fresh.Src, s.opts.ColTolerance)
-	changedCols = inScope(changedDenseRows(s.emb.Dst, fresh.Dst, s.opts.ColTolerance), scope)
-	for _, i := range changedRows {
-		copy(s.emb.Src.Row(i), fresh.Src.Row(i))
-	}
-	for _, j := range changedCols {
-		copy(s.emb.Dst.Row(j), fresh.Dst.Row(j))
-	}
-	return changedRows, changedCols, nil
+	s.scorer = fresh
+	n, m := fresh.Shape()
+	return allIndices(n), allIndices(m)
 }
 
-// refreshFactors is refreshEmbedding for factored similarities. A row
-// counts as changed when its cross-term coefficient vector (Us[0][i], …,
-// Us[r-1][i]) moved beyond tolerance. Any change to the term weights or the
-// rank rescales every score, so those degrade to a full refresh.
-func (s *Session) refreshFactors(ctx context.Context, dst *graph.Graph, scope []bool) (changedRows, changedCols []int, err error) {
-	var fresh *assign.FactorEmbedding
-	if s.ifa != nil {
-		fresh, err = s.ifa.RefreshFactorsCtx(ctx, s.src, dst)
-	} else {
-		fresh, err = s.fa.FactorsCtx(ctx, s.src, dst)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if fresh.Rank() != s.fac.Rank() || fresh.Rows() != s.fac.Rows() ||
-		fresh.Cols() != s.fac.Cols() || !sameWeights(fresh.Weights, s.fac.Weights) {
-		s.fac = fresh
-		return allIndices(fresh.Rows()), allIndices(fresh.Cols()), nil
-	}
-	changedRows = changedFactorRows(s.fac.Us, fresh.Us, s.opts.ColTolerance)
-	changedCols = inScope(changedFactorRows(s.fac.Vs, fresh.Vs, s.opts.ColTolerance), scope)
-	for t := range fresh.Us {
-		for _, i := range changedRows {
-			s.fac.Us[t][i] = fresh.Us[t][i]
-		}
-		for _, j := range changedCols {
-			s.fac.Vs[t][j] = fresh.Vs[t][j]
-		}
-	}
-	return changedRows, changedCols, nil
+// sameShape reports whether two scorers have equal dimensions.
+func sameShape(a, b assign.Scorer) bool {
+	an, am := a.Shape()
+	bn, bm := b.Shape()
+	return an == bn && am == bm
 }
 
 // augmentCandidates rebuilds the solver-facing candidate set from the current
-// base lists (see assign.AugmentEmbedding) and returns, ascending, the rows
+// base lists (see assign.Augment) and returns, ascending, the rows
 // whose augmented entry changed since the previous solve — they must join the
 // warm solve's dirty set. changedRows/changedCols are this apply's refresh
 // deltas: an augmented entry's value is a pure function of its row's source
@@ -452,11 +386,7 @@ func (s *Session) refreshFactors(ctx context.Context, dst *graph.Graph, scope []
 // those did, or when the repair picked a different column.
 func (s *Session) augmentCandidates(changedRows, changedCols []int) []int {
 	prev := s.augCol
-	if s.emb != nil {
-		s.solve, s.augCol, s.augSeed = assign.AugmentEmbedding(s.cands, s.emb, s.augSeed, prev)
-	} else {
-		s.solve, s.augCol, s.augSeed = assign.AugmentFactor(s.cands, s.fac, s.augSeed, prev)
-	}
+	s.solve, s.augCol, s.augSeed = assign.Augment(s.cands, s.scorer, s.augSeed, prev)
 	if prev == nil && s.augCol == nil {
 		return nil
 	}
@@ -516,7 +446,7 @@ func unionAsc(a, b []int) []int {
 // (augmented) candidates, capturing its price vector for the next warm
 // start; a tripped round cap degrades to the dense JV fallback, which yields
 // no reusable auction state.
-func (s *Session) coldSolve() error {
+func (s *Session) coldSolve() {
 	c := s.solve
 	if c == nil {
 		c = s.cands
@@ -524,16 +454,9 @@ func (s *Session) coldSolve() error {
 	mapping, state, _, ok := assign.SolveAuctionState(c, s.opts.Workers)
 	if ok {
 		s.mapping, s.state, s.warmable = mapping, state, true
-		return nil
+		return
 	}
-	var dense func() []int
-	if s.emb != nil {
-		dense = func() []int { return assign.SolveJV(s.emb.Similarity()) }
-	} else {
-		dense = func() []int { return assign.SolveJV(s.fac.Similarity()) }
-	}
-	s.mapping, s.state, s.warmable = dense(), assign.AuctionState{}, false
-	return nil
+	s.mapping, s.state, s.warmable = assign.SolveJV(s.scorer.Similarity()), assign.AuctionState{}, false
 }
 
 // touchComponents counts the target components whose per-component degree

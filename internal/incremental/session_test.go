@@ -46,7 +46,7 @@ func localEmbed(g *graph.Graph) *matrix.Dense {
 	return m
 }
 
-func (localAligner) EmbeddingsCtx(_ context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (localAligner) ScorerCtx(_ context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	return &assign.Embedding{
 		Src:          localEmbed(src),
 		Dst:          localEmbed(dst),
@@ -55,7 +55,7 @@ func (localAligner) EmbeddingsCtx(_ context.Context, src, dst *graph.Graph) (*as
 }
 
 func (a localAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	e, _ := a.EmbeddingsCtx(context.Background(), src, dst)
+	e, _ := a.ScorerCtx(context.Background(), src, dst)
 	return e.Similarity(), nil
 }
 
@@ -76,7 +76,7 @@ func degreeEmbed(g *graph.Graph) *matrix.Dense {
 	return m
 }
 
-func (degreeAligner) EmbeddingsCtx(_ context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (degreeAligner) ScorerCtx(_ context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	return &assign.Embedding{
 		Src:          degreeEmbed(src),
 		Dst:          degreeEmbed(dst),
@@ -85,7 +85,7 @@ func (degreeAligner) EmbeddingsCtx(_ context.Context, src, dst *graph.Graph) (*a
 }
 
 func (a degreeAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	e, _ := a.EmbeddingsCtx(context.Background(), src, dst)
+	e, _ := a.ScorerCtx(context.Background(), src, dst)
 	return e.Similarity(), nil
 }
 

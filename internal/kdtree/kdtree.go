@@ -7,7 +7,7 @@
 // one contiguous backing array at build time. Queries are iterative (an
 // explicit visit stack instead of recursion) and allocation-free in steady
 // state when the caller supplies a reusable Scratch — the layout that lets
-// assign.TopKEmbedding issue millions of queries without garbage.
+// assign.TopK over an embedding issue millions of queries without garbage.
 package kdtree
 
 import (

@@ -139,8 +139,8 @@ func bruteNearestKTied(pts [][]float64, q []float64, k int) []int {
 }
 
 // TestNearestKTieContract pins the documented ordering — (distance asc,
-// id asc) — which TopKEmbedding needs to agree bitwise with dense top-k
-// selection. Quantized coordinates force many exact distance ties.
+// id asc) — which assign.TopK over an embedding needs to agree bitwise with
+// dense top-k selection. Quantized coordinates force many exact distance ties.
 func TestNearestKTieContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {

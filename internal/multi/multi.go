@@ -11,6 +11,7 @@
 package multi
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -85,11 +86,11 @@ func AlignAll(a algo.Aligner, graphs []*graph.Graph, opts Options) (*Alignment, 
 			out.ToReference[i] = graph.IdentityPermutation(g.N())
 			continue
 		}
-		mapping, err := algo.Align(a, g, graphs[ref], method)
+		res, err := algo.Run(context.Background(), a, g, graphs[ref], algo.Plan{Method: method})
 		if err != nil {
 			return nil, fmt.Errorf("multi: aligning graph %d to reference: %w", i, err)
 		}
-		out.ToReference[i] = mapping
+		out.ToReference[i] = res.Mapping
 	}
 
 	// Join through the reference: cluster key = reference node.

@@ -380,6 +380,15 @@ func (s *Span) Phase(name string) *Span {
 	return child
 }
 
+// Registry returns the metrics registry of the span's tracer (nil for a nil
+// span or a tracer without one — Registry methods tolerate both).
+func (s *Span) Registry() *Registry {
+	if s == nil {
+		return nil
+	}
+	return s.tr.Registry()
+}
+
 // Set annotates the span with a key/value pair included in its end event
 // (e.g. iteration counts, convergence flags, subproblem sizes).
 func (s *Span) Set(key string, value any) {

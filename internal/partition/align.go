@@ -26,8 +26,8 @@ type Options struct {
 	// identical for any value.
 	Workers int
 	// TopK, when positive, routes each shard's assignment through the
-	// sparse candidate pipeline (algo.AlignSparseTimedCtx) instead of the
-	// dense solvers — the composition that keeps large shards subquadratic.
+	// sparse candidate pipeline (algo.Plan.TopK) instead of the dense
+	// solvers — the composition that keeps large shards subquadratic.
 	TopK int
 	// ShardBudget bounds each shard's wall clock (0 = none). A shard over
 	// budget fails the whole run with a context.DeadlineExceeded-wrapping
@@ -44,9 +44,10 @@ type Options struct {
 	// full re-bid recovers the monolithic mapping almost exactly, while a
 	// 1/8 cap leaves most of the boundary loss in place.
 	BoundaryFrac float64
-	// Tracer, when non-nil, gives each shard a per-shard child trace
-	// (shard_start / shard_done events) layered on the PR 7/8 plumbing, so
-	// a daemon job's progress stream shows shards as they complete.
+	// Tracer, when non-nil, gives each shard a per-shard child trace:
+	// shard_start / shard_done events around a run span holding the shard's
+	// similarity and assign phases, so a daemon job's progress stream shows
+	// shards as they complete and a trace shows where each shard's time went.
 	Tracer *obsv.Tracer
 	// Span, when non-nil, is the enclosing run span; the partition, shard,
 	// stitch and refine stages become phases under it.
@@ -187,12 +188,14 @@ func alignShard(ctx context.Context, mk func() (algo.Aligner, error), src, dst *
 	if err != nil {
 		return sm, err
 	}
-	var local []int
-	if opts.TopK > 0 {
-		local, _, _, _, err = algo.AlignSparseTimedCtx(ctx, a, sub1, sub2, method, opts.TopK, 1)
-	} else {
-		local, _, _, err = algo.AlignTimedCtx(ctx, a, sub1, sub2, method)
+	run := shardTr.StartRun(a.Name(), map[string]any{
+		"assign": string(method), "shard": i, "n_src": sub1.N(), "n_dst": sub2.N(),
+	})
+	res, err := algo.Run(ctx, a, sub1, sub2, algo.Plan{Method: method, TopK: opts.TopK, Workers: 1, Span: run})
+	if err != nil {
+		run.Set("err", err.Error())
 	}
+	run.End()
 	wall := time.Since(t0)
 	opts.Registry.Histogram("partition_shard_seconds", obsv.DurationBuckets()).Observe(wall.Seconds())
 	fields := map[string]any{"shard": i, "seconds": wall.Seconds()}
@@ -203,7 +206,7 @@ func alignShard(ctx context.Context, mk func() (algo.Aligner, error), src, dst *
 	if err != nil {
 		return sm, err
 	}
-	return ShardMapping{Src: srcIDs, Dst: dstIDs, Local: local}, nil
+	return ShardMapping{Src: srcIDs, Dst: dstIDs, Local: res.Mapping}, nil
 }
 
 // refine re-bids the cross-partition boundary nodes through the auction

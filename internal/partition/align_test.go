@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,6 +204,56 @@ func TestAlignObservability(t *testing.T) {
 	counters, _ := reg.Snapshot()["counters"].(map[string]int64)
 	if counters["partition_runs_total"] != 1 {
 		t.Errorf("partition_runs_total=%d, want 1", counters["partition_runs_total"])
+	}
+}
+
+// TestAlignTracesShardPhases: every shard of a traced sharded run carries
+// its own run span, under the shard's trace id, holding the similarity
+// phase and the assign phase annotated with the sparse pipeline's topk,
+// auction_rounds and fallback attributes — and tracing leaves the mapping
+// unchanged.
+func TestAlignTracesShardPhases(t *testing.T) {
+	g1, g2 := testGraphs(t, 120, 140)
+	opts := Options{K: 3, Workers: 2, TopK: 8}
+	plain, _, err := Align(context.Background(), nsdFactory, g1, g2, assign.JonkerVolgenant, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &captureSink{}
+	opts.Tracer = obsv.New(sink).SetTraceID("root")
+	traced, st, err := Align(context.Background(), nsdFactory, g1, g2, assign.JonkerVolgenant, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range plain {
+		if traced[u] != plain[u] {
+			t.Fatalf("tracing changed mapping[%d]: %d vs %d", u, traced[u], plain[u])
+		}
+	}
+	phases := map[string]map[string]obsv.Event{} // trace id -> phase name -> event
+	for _, e := range sink.events {
+		if e.Type == "phase" && strings.HasPrefix(e.Trace, "root/shard-") {
+			if phases[e.Trace] == nil {
+				phases[e.Trace] = map[string]obsv.Event{}
+			}
+			phases[e.Trace][e.Name] = e
+		}
+	}
+	for i := 0; i < st.Shards; i++ {
+		id := fmt.Sprintf("root/shard-%03d", i)
+		if _, ok := phases[id]["similarity"]; !ok {
+			t.Errorf("%s: no similarity phase (have %v)", id, phases[id])
+		}
+		asg, ok := phases[id]["assign"]
+		if !ok {
+			t.Errorf("%s: no assign phase", id)
+			continue
+		}
+		for _, key := range []string{"topk", "auction_rounds", "fallback"} {
+			if _, ok := asg.Fields[key]; !ok {
+				t.Errorf("%s: assign phase lacks %q (fields %v)", id, key, asg.Fields)
+			}
+		}
 	}
 }
 

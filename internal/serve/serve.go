@@ -7,7 +7,7 @@
 //
 // The design deliberately reuses the batch substrate grown by the earlier
 // PRs instead of inventing a parallel one: jobs execute through
-// core.RunInstanceMapped (context threading, RunTimeout classification,
+// core.RunInstance (context threading, RunTimeout classification,
 // panic recovery, sparse assignment pipeline), artifacts flow through
 // internal/cache (single-flight, LRU-bounded), intra-run fan-out uses
 // internal/parallel via the aligners, and observability is internal/obsv
@@ -344,7 +344,7 @@ func (s *Server) worker() {
 }
 
 // runJob executes one job end to end. Fault isolation is inherited from
-// core.RunInstanceMapped: a panic inside the aligner poisons only this job,
+// core.RunInstance: a panic inside the aligner poisons only this job,
 // a blown budget classifies as core.ErrTimeout, and a client cancellation
 // surfaces as context.Canceled.
 func (s *Server) runJob(j *Job) {
@@ -406,7 +406,7 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 	start := time.Now()
-	res, mapping := core.RunInstanceMapped(ctx, a,
+	res, mapping := core.RunInstance(ctx, a,
 		noise.Pair{Source: j.src, Target: j.dst},
 		method, spec)
 	wall := time.Since(start)

@@ -118,11 +118,11 @@ func TestLifecycleSubmitRunningDone(t *testing.T) {
 	if st := j.Status(); st != StatusDone {
 		t.Fatalf("status = %s, err = %v", st, j.Err())
 	}
-	want, err := algo.Align(&fakeAligner{name: "ok"}, src, dst, assign.NearestNeighbor)
+	res, err := algo.Run(context.Background(), &fakeAligner{name: "ok"}, src, dst, algo.Plan{Method: assign.NearestNeighbor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := j.Mapping()
+	want, got := res.Mapping, j.Mapping()
 	if len(got) != len(want) {
 		t.Fatalf("mapping length %d, want %d", len(got), len(want))
 	}

@@ -22,8 +22,8 @@ var ErrNoSession = errors.New("serve: no such session")
 // (POST /v1/sessions). The knobs mirror incremental.Options; see DESIGN.md
 // §16 for their semantics.
 type SessionSpec struct {
-	// Algo is the canonical algorithm name; it must expose embeddings or
-	// factors (algo.EmbeddingAligner / algo.FactorAligner), or creation
+	// Algo is the canonical algorithm name; it must expose a scorer
+	// (algo.ScoringAligner: REGAL, CONE, GRASP, NSD, LREA), or creation
 	// fails with incremental.ErrNotIncremental.
 	Algo string
 	// TopK is the candidate list length (0 = 10).

@@ -30,7 +30,7 @@ func embEmbed(g *graph.Graph) *matrix.Dense {
 	return m
 }
 
-func (embAligner) EmbeddingsCtx(_ context.Context, src, dst *graph.Graph) (*assign.Embedding, error) {
+func (embAligner) ScorerCtx(_ context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	return &assign.Embedding{
 		Src:          embEmbed(src),
 		Dst:          embEmbed(dst),
@@ -39,7 +39,7 @@ func (embAligner) EmbeddingsCtx(_ context.Context, src, dst *graph.Graph) (*assi
 }
 
 func (a embAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	e, _ := a.EmbeddingsCtx(context.Background(), src, dst)
+	e, _ := a.ScorerCtx(context.Background(), src, dst)
 	return e.Similarity(), nil
 }
 

@@ -62,11 +62,11 @@ func TestPartitionQualityGuardrail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mono, err := algo.Align(a, p.Source, p.Target, assign.JonkerVolgenant)
+			mono, err := algo.Run(context.Background(), a, p.Source, p.Target, algo.Plan{Method: assign.JonkerVolgenant})
 			if err != nil {
 				t.Fatalf("%s level %g unsharded: %v", name, level, err)
 			}
-			monoAcc := metrics.Accuracy(mono, p.TrueMap)
+			monoAcc := metrics.Accuracy(mono.Mapping, p.TrueMap)
 
 			sharded, _, err := partition.Align(context.Background(),
 				func() (algo.Aligner, error) { return graphalign.NewAligner(name) },
