@@ -12,6 +12,7 @@ package graphalign
 // Run the full-fidelity versions with cmd/alignbench and a larger -scale.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -204,7 +205,7 @@ func BenchmarkSymEigen(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := linalg.SymEigen(m); err != nil {
+		if _, _, err := linalg.SymEigenCtx(context.Background(), m); err != nil {
 			b.Fatal(err)
 		}
 	}

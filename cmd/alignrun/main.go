@@ -6,8 +6,9 @@
 //	alignrun -algo CONE -src a.edges -dst b.edges [-assign JV] [-truth truth.txt]
 //
 // The mapping is printed one "srcLabel dstLabel" pair per line on stdout;
-// metrics go to stderr. When -truth is given (lines of "src dst" dense
-// ids), accuracy is reported as well.
+// metrics go to stderr. When -truth is given (lines of "srcLabel dstLabel",
+// the node labels of the -src and -dst files, as graphgen -truth writes
+// them), accuracy is reported as well.
 //
 // -trace-out run.jsonl streams structured span events (a run span with
 // similarity/assign phases plus the algorithm's inner phases) as JSONL,
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"graphalign"
@@ -55,7 +57,7 @@ func main() {
 		srcPath  = flag.String("src", "", "source graph edge list (required)")
 		dstPath  = flag.String("dst", "", "target graph edge list (required)")
 		method   = flag.String("assign", "", "assignment method NN, SG, MWM, JV (default: the algorithm's own)")
-		truthP   = flag.String("truth", "", "ground-truth file of 'src dst' dense-id lines")
+		truthP   = flag.String("truth", "", "ground-truth file of 'srcLabel dstLabel' lines")
 		quiet    = flag.Bool("q", false, "suppress the mapping output, print only metrics")
 		traceOut = flag.String("trace-out", "", "write span events as JSONL to this file (alignstat summary input)")
 		parts    = flag.Int("partitions", 0, "partition-align-stitch sharding: co-partition into this many matched cluster pairs, align shards independently and stitch with boundary refinement; 0 = off (monolithic)")
@@ -129,7 +131,7 @@ func main() {
 
 	var trueMap []int
 	if *truthP != "" {
-		trueMap, err = readTruth(*truthP, src.N())
+		trueMap, err = readTruth(*truthP, srcLabels, dstLabels)
 		if err != nil {
 			fatal(err)
 		}
@@ -245,27 +247,49 @@ func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOu
 	return sess.Mapping(), sess.Target(), simTime, assignTime, nil
 }
 
-func readTruth(path string, n int) ([]int, error) {
+// readTruth reads "srcLabel dstLabel" lines and resolves both columns
+// through the label tables of the two edge-list files, which number nodes
+// by first appearance. Source nodes without a line map to -1. A malformed
+// line or a label absent from its graph is an error.
+func readTruth(path string, srcLabels, dstLabels []string) ([]int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := make([]int, n)
+	srcID, dstID := labelIndex(srcLabels), labelIndex(dstLabels)
+	out := make([]int, len(srcLabels))
 	for i := range out {
 		out[i] = -1
 	}
 	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var u, v int
-		if _, err := fmt.Sscan(sc.Text(), &u, &v); err != nil {
+	for line := 1; sc.Scan(); line++ {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
 			continue
 		}
-		if u >= 0 && u < n {
-			out[u] = v
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("truth line %d: want \"srcLabel dstLabel\", got %q", line, sc.Text())
 		}
+		u, ok := srcID[fields[0]]
+		if !ok {
+			return nil, fmt.Errorf("truth line %d: %q is not a node of -src", line, fields[0])
+		}
+		v, ok := dstID[fields[1]]
+		if !ok {
+			return nil, fmt.Errorf("truth line %d: %q is not a node of -dst", line, fields[1])
+		}
+		out[u] = v
 	}
 	return out, sc.Err()
+}
+
+func labelIndex(labels []string) map[string]int {
+	id := make(map[string]int, len(labels))
+	for i, l := range labels {
+		id[l] = i
+	}
+	return id
 }
 
 func fatal(err error) {

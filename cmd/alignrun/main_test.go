@@ -7,11 +7,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"graphalign"
 	"graphalign/internal/gen"
+	"graphalign/internal/metrics"
 	"graphalign/internal/noise"
 	"graphalign/internal/obsv/tracefile"
 )
@@ -158,5 +161,79 @@ func TestTimeSplitReported(t *testing.T) {
 		if !strings.Contains(out, field) {
 			t.Errorf("metrics line missing %s:\n%s", field, out)
 		}
+	}
+}
+
+// TestTruthFromGraphgen: the ground truth graphgen -perturb -truth writes,
+// read back by alignrun -truth on the same files, scores exactly the
+// accuracy of the true correspondence computed in process. Both edge-list
+// files are re-numbered by first appearance when read, so the truth file
+// has to name nodes by label.
+func TestTruthFromGraphgen(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.edges")
+	noisy := filepath.Join(dir, "noisy.edges")
+	truth := filepath.Join(dir, "truth.txt")
+	if err := graphalign.WriteGraphFile(base, gen.PowerlawCluster(400, 3, 0.3, rand.New(rand.NewSource(3)))); err != nil {
+		t.Fatal(err)
+	}
+	graphgen := filepath.Join(dir, "graphgen")
+	if out, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", graphgen, "graphalign/cmd/graphgen").CombinedOutput(); err != nil {
+		t.Fatalf("building graphgen: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(graphgen, "-perturb", base, "-noise", "one-way", "-level", "0.01", "-seed", "7",
+		"-out", noisy, "-truth", truth).CombinedOutput(); err != nil {
+		t.Fatalf("graphgen: %v\n%s", err, out)
+	}
+	out, err := run(t, "-algo", "REGAL", "-src", base, "-dst", noisy, "-truth", truth, "-q")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	_, got, ok := strings.Cut(out, "accuracy=")
+	if !ok {
+		t.Fatalf("metrics line missing accuracy:\n%s", out)
+	}
+	got = strings.Fields(got)[0]
+
+	// The same perturbation in process (graphgen seeds its generator with
+	// -seed and draws nothing before the noise), mapped into the node
+	// numbering alignrun reads the target file with.
+	src, _, err := graphalign.ReadGraphFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, dstLabels, err := graphalign.ReadGraphFile(noisy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := noise.Apply(src, noise.OneWay, 0.01, noise.Options{}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pair.Target.M() != dst.M() {
+		t.Fatalf("in-process perturbation has %d edges, graphgen's %d", pair.Target.M(), dst.M())
+	}
+	dstID := make(map[string]int, len(dstLabels))
+	for i, l := range dstLabels {
+		dstID[l] = i
+	}
+	trueMap := make([]int, src.N())
+	for u, v := range pair.TrueMap {
+		id, ok := dstID[strconv.Itoa(v)]
+		if !ok {
+			id = -1
+		}
+		trueMap[u] = id
+	}
+	mapping, err := graphalign.Align("REGAL", src, dst, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := metrics.Accuracy(mapping, trueMap)
+	if want := fmt.Sprintf("%.4f", acc); got != want {
+		t.Errorf("alignrun -truth accuracy = %s, in-process accuracy = %s", got, want)
+	}
+	if acc < 0.5 {
+		t.Errorf("in-process accuracy %.4f: the instance is too hard to tell a right truth from a wrong one", acc)
 	}
 }

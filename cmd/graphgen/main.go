@@ -8,8 +8,10 @@
 //	graphgen -perturb base.edges -noise one-way -level 0.05 -out noisy.edges -truth truth.txt
 //
 // Models: ER, BA, WS, NW, PL, CONFIG. Datasets: the Table 2 stand-ins (see
-// `graphgen -datasets`). When perturbing, the ground-truth permutation is
-// written one "src dst" pair per line to -truth.
+// `graphgen -datasets`). When perturbing, the ground truth is written to
+// -truth one "srcLabel dstLabel" pair per line: the node's label in the
+// perturbed input and its counterpart's label in -out. Nodes the noise left
+// isolated have no line in -out, so they get no truth line either.
 package main
 
 import (
@@ -54,7 +56,7 @@ func main() {
 
 	switch {
 	case *perturb != "":
-		src, _, err := graphalign.ReadGraphFile(*perturb)
+		src, srcLabels, err := graphalign.ReadGraphFile(*perturb)
 		if err != nil {
 			fatal(err)
 		}
@@ -66,7 +68,7 @@ func main() {
 			fatal(err)
 		}
 		if *truth != "" {
-			if err := writeTruth(*truth, pair.TrueMap); err != nil {
+			if err := writeTruth(*truth, srcLabels, pair.Target, pair.TrueMap); err != nil {
 				fatal(err)
 			}
 		}
@@ -91,14 +93,18 @@ func main() {
 	}
 }
 
-func writeTruth(path string, trueMap []int) error {
+// writeTruth writes trueMap as label pairs. The target is written with
+// dense integer ids, so node v's label in that file is v itself.
+func writeTruth(path string, srcLabels []string, dst *graphalign.Graph, trueMap []int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(f)
 	for u, v := range trueMap {
-		fmt.Fprintf(w, "%d %d\n", u, v)
+		if dst.Degree(v) > 0 {
+			fmt.Fprintf(w, "%s %d\n", srcLabels[u], v)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()

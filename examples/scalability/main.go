@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,7 @@ func main() {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			if _, err := a.Similarity(pair.Source, pair.Target); err != nil {
+			if _, err := a.Similarity(context.Background(), pair.Source, pair.Target); err != nil {
 				log.Fatal(err)
 			}
 			elapsed := time.Since(start)

@@ -100,8 +100,6 @@ func (t Thresholds) withDefaults() Thresholds {
 // input graphs' structural profile.
 type Adaptive struct {
 	Thresholds Thresholds
-	// chosen records the last dispatch decision for inspection.
-	chosen string
 }
 
 // New returns an Adaptive aligner with default thresholds.
@@ -115,10 +113,6 @@ func (a *Adaptive) Name() string { return "Adaptive" }
 // DefaultAssignment implements algo.Aligner; JV is the study's common
 // assignment stage.
 func (a *Adaptive) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
-
-// Chosen reports which algorithm the last Similarity call dispatched to
-// ("" before the first call).
-func (a *Adaptive) Chosen() string { return a.chosen }
 
 // Select returns the aligner the profile dispatches to, without running it.
 func (a *Adaptive) Select(p Profile) algo.Aligner {
@@ -145,17 +139,10 @@ func (a *Adaptive) Select(p Profile) algo.Aligner {
 	}
 }
 
-// Similarity implements algo.Aligner by profiling and dispatching.
-func (a *Adaptive) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return a.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner: the context reaches whichever
-// algorithm the profile dispatches to.
-func (a *Adaptive) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
-	inner := a.Select(Profiles(src, dst))
-	a.chosen = inner.Name()
-	return algo.Similarity(ctx, inner, src, dst)
+// Similarity implements algo.Aligner by profiling and dispatching; the
+// context reaches whichever algorithm the profile dispatches to.
+func (a *Adaptive) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+	return a.Select(Profiles(src, dst)).Similarity(ctx, src, dst)
 }
 
 func maxInt(a, b int) int {

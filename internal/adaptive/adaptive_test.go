@@ -68,8 +68,8 @@ func TestAdaptiveAligns(t *testing.T) {
 		t.Errorf("adaptive accuracy %.3f on isomorphic powerlaw instance", acc)
 	}
 	// PL graphs have skewed degrees: should have dispatched to S-GWL.
-	if a.Chosen() != "S-GWL" {
-		t.Errorf("chosen = %q, want S-GWL on a powerlaw instance", a.Chosen())
+	if got := a.Select(Profiles(p.Source, p.Target)).Name(); got != "S-GWL" {
+		t.Errorf("chosen = %q, want S-GWL on a powerlaw instance", got)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestAdaptiveOnSparseGraph(t *testing.T) {
 	if _, err := algo.Run(context.Background(), a, base, target, algo.Plan{Method: assign.JonkerVolgenant}); err != nil {
 		t.Fatal(err)
 	}
-	if a.Chosen() != "IsoRank" {
-		t.Errorf("chosen = %q, want IsoRank on a degree-2 graph", a.Chosen())
+	if got := a.Select(Profiles(base, target)).Name(); got != "IsoRank" {
+		t.Errorf("chosen = %q, want IsoRank on a degree-2 graph", got)
 	}
 }
 
@@ -112,4 +112,8 @@ func TestThresholdDefaults(t *testing.T) {
 	if custom.LargeN != 10 {
 		t.Error("custom threshold overridden")
 	}
+}
+
+func TestCancellation(t *testing.T) {
+	algotest.CheckCancellation(t, New(), 40)
 }

@@ -26,42 +26,30 @@ type Aligner interface {
 	// Name returns the algorithm's short name as used in the paper.
 	Name() string
 	// Similarity computes the |V_src| x |V_dst| matrix of node-to-node
-	// similarity scores (higher means more likely to correspond).
-	Similarity(src, dst *graph.Graph) (*matrix.Dense, error)
+	// similarity scores (higher means more likely to correspond). It
+	// observes cooperative cancellation: once ctx is done it returns
+	// ctx.Err(), possibly wrapped, promptly. A ctx that is never cancelled
+	// does not change the result.
+	Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error)
 	// DefaultAssignment is the extraction method proposed by the original
 	// authors (Table 1's "Assign" column).
 	DefaultAssignment() assign.Method
 }
 
-// ContextAligner is optionally implemented by aligners whose similarity
-// computation observes cooperative cancellation. SimilarityCtx must behave
-// exactly like Similarity when ctx is never cancelled (same results from the
-// same inputs), and return ctx.Err() — possibly wrapped — promptly once ctx
-// is done. All ten built-in algorithms implement it; the Similarity helper
-// dispatches through it when available.
-type ContextAligner interface {
-	SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error)
-}
-
-// Similarity computes a's similarity matrix under ctx: aligners that
-// implement ContextAligner get the context threaded into their iteration
-// loops; plain aligners run to completion and the context is checked before
-// the call. With context.Background() this is exactly a.Similarity(src, dst).
+// Similarity computes a's similarity matrix under ctx, checking ctx before
+// the call so that an already-cancelled run does no work at all.
 func Similarity(ctx context.Context, a Aligner, src, dst *graph.Graph) (*matrix.Dense, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ca, ok := a.(ContextAligner); ok {
-		return ca.SimilarityCtx(ctx, src, dst)
-	}
-	return a.Similarity(src, dst)
+	return a.Similarity(ctx, src, dst)
 }
 
 // ScoringAligner is optionally implemented by aligners whose similarity has
 // a form the sparse pipeline can read row by row without materializing the
 // dense |V_src| x |V_dst| matrix: an embedding distance kernel (REGAL, CONE,
 // GRASP) or an explicit low-rank factor product (NSD, LREA). The contract is
-// bitwise: the scorer's Similarity() must equal what SimilarityCtx returns
+// bitwise: the scorer's Similarity() must equal what Similarity returns
 // under the same ctx, and the returned scorer is private to the caller.
 type ScoringAligner interface {
 	ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error)
@@ -155,7 +143,7 @@ type Result struct {
 }
 
 // Run aligns src to dst with a: similarity followed by the assignment plan.
-// ctx is threaded into ContextAligner similarity loops and checked between
+// ctx is threaded into the similarity loops and checked between
 // the stages; the assignment solvers run to completion (they are polynomial
 // in the already-computed similarity, never the hanging stage). Errors are
 // prefixed with the failing stage, "similarity: " or "assignment: ".

@@ -18,7 +18,7 @@ type stubAligner struct {
 }
 
 func (s stubAligner) Name() string { return "stub" }
-func (s stubAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
+func (s stubAligner) Similarity(_ context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	return s.sim, s.err
 }
 func (s stubAligner) DefaultAssignment() assign.Method { return assign.SortGreedy }

@@ -64,15 +64,11 @@ func (c *CONE) Name() string { return "CONE" }
 // nearest neighbor over aligned embeddings.
 func (c *CONE) DefaultAssignment() assign.Method { return assign.NearestNeighbor }
 
-// Embed computes the NetMF-style proximity embedding of one graph.
-func (c *CONE) Embed(g *graph.Graph) (*matrix.Dense, error) {
-	return c.EmbedCtx(context.Background(), g)
-}
-
-// EmbedCtx is Embed with cooperative cancellation checked per random-walk
-// window power and threaded into the factorization. With a cache attached
-// the embedding is memoized per (graph, Dim, Window, NegSamples) — it is a
-// deterministic function of those inputs — and a private clone is returned.
+// EmbedCtx computes the NetMF-style proximity embedding of one graph.
+// Cancellation is checked per random-walk window power and threaded into
+// the factorization. With a cache attached the embedding is memoized per
+// (graph, Dim, Window, NegSamples) — it is a deterministic function of
+// those inputs — and a private clone is returned.
 func (c *CONE) EmbedCtx(ctx context.Context, g *graph.Graph) (*matrix.Dense, error) {
 	if c.cache == nil {
 		return c.computeEmbed(ctx, g)
@@ -160,20 +156,13 @@ func (c *CONE) computeEmbed(ctx context.Context, g *graph.Graph) (*matrix.Dense,
 	return emb, nil
 }
 
-// AlignEmbeddings runs the alternating Wasserstein/Procrustes refinement
-// and returns the rotated source embeddings alongside the target ones. The
-// initial correspondence comes from the warmStart plan (the original's
-// convex Frank–Wolfe initialization is replaced by a degree-prior plan —
-// both serve only to break the orthogonal ambiguity between the two
-// independently computed embeddings).
-func (c *CONE) AlignEmbeddings(ySrc, yDst, warmStart *matrix.Dense) (*matrix.Dense, *matrix.Dense) {
-	rot, yd, _ := c.AlignEmbeddingsCtx(context.Background(), ySrc, yDst, warmStart)
-	return rot, yd
-}
-
-// AlignEmbeddingsCtx is AlignEmbeddings with cooperative cancellation
-// checked once per Wasserstein/Procrustes alternation and threaded into the
-// Sinkhorn rounds.
+// AlignEmbeddingsCtx runs the alternating Wasserstein/Procrustes
+// refinement and returns the rotated source embeddings alongside the target
+// ones. The initial correspondence comes from the warmStart plan (the
+// original's convex Frank–Wolfe initialization is replaced by a
+// degree-prior plan — both serve only to break the orthogonal ambiguity
+// between the two independently computed embeddings). Cancellation is
+// checked once per alternation and threaded into the Sinkhorn rounds.
 func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *matrix.Dense) (*matrix.Dense, *matrix.Dense, error) {
 	n1, n2 := ySrc.Rows, yDst.Rows
 	mu := ot.UniformWeights(n1)
@@ -186,7 +175,10 @@ func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *ma
 	if warmStart != nil {
 		// One Procrustes step against the warm-start correspondence.
 		target := matrix.Mul(warmStart, yDst).Scale(float64(n1))
-		q := linalg.PolarOrthogonal(matrix.Mul(ySrc.T(), target))
+		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrc.T(), target))
+		if err != nil {
+			return nil, nil, err
+		}
 		rotated = matrix.Mul(ySrc, q)
 	}
 	for it := 0; it < iters; it++ {
@@ -215,7 +207,10 @@ func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *ma
 		// Procrustes step: Q = argmin ||Ysrc Q - P Ydst|| = U Vᵀ from the
 		// SVD of Ysrcᵀ (n1 P Ydst).
 		target := matrix.Mul(plan, yDst).Scale(float64(n1)) // n1 x d
-		q := linalg.PolarOrthogonal(matrix.Mul(ySrc.T(), target))
+		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrc.T(), target))
+		if err != nil {
+			return nil, nil, err
+		}
 		rotated = matrix.Mul(ySrc, q)
 	}
 	return rotated, yDst, nil
@@ -251,14 +246,10 @@ func alignmentDim(n int) int {
 // and the full alternation continues from the winner. A partially correct
 // anchor suffices — its correct mass dominates the rotation estimate while
 // its errors average out.
-func (c *CONE) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return c.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx reaches the embedding
-// factorizations, the warm-start similarities, and every pilot and full
-// alternation round.
-func (c *CONE) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+//
+// ctx reaches the embedding factorizations, the warm-start similarities,
+// and every pilot and full alternation round.
+func (c *CONE) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	rot, yd, err := c.alignedEmbeddingsCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err
@@ -269,7 +260,7 @@ func (c *CONE) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matri
 // ScorerCtx implements algo.ScoringAligner: the subspace-aligned
 // embeddings in factored form with the exp(-d²) kernel CONE shares with
 // REGAL, for the sparse assignment pipeline's k-NN candidate search.
-// Materializing the returned Embedding reproduces SimilarityCtx exactly.
+// Materializing the returned Embedding reproduces Similarity exactly.
 func (c *CONE) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	rot, yd, err := c.alignedEmbeddingsCtx(ctx, src, dst)
 	if err != nil {
@@ -336,14 +327,14 @@ func (c *CONE) warmStarts(ctx context.Context, src, dst *graph.Graph) ([]*matrix
 	var out []*matrix.Dense
 	nsdAligner := nsd.New()
 	nsdAligner.SetCache(c.cache)
-	nsdSim, err := nsdAligner.SimilarityCtx(ctx, src, dst)
+	nsdSim, err := nsdAligner.Similarity(ctx, src, dst)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, permutationPlan(assign.SolveJV(nsdSim), dst.N()))
 	regalAligner := regal.New()
 	regalAligner.SetCache(c.cache)
-	regalSim, err := regalAligner.SimilarityCtx(ctx, src, dst)
+	regalSim, err := regalAligner.Similarity(ctx, src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -403,45 +394,6 @@ func meanNNDistance(a, b *matrix.Dense) float64 {
 		total += best
 	}
 	return total / float64(a.Rows)
-}
-
-// SharpenRows zeroes all but the k largest entries of each row and
-// normalizes each row to unit sum, turning a dense similarity into a sparse
-// soft correspondence (exported for warm-start experimentation).
-func SharpenRows(m *matrix.Dense, k int) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		// Find the k-th largest value by partial selection.
-		if k < len(row) {
-			vals := append([]float64(nil), row...)
-			for a := 0; a < k; a++ {
-				best := a
-				for b := a + 1; b < len(vals); b++ {
-					if vals[b] > vals[best] {
-						best = b
-					}
-				}
-				vals[a], vals[best] = vals[best], vals[a]
-			}
-			thresh := vals[k-1]
-			for j, v := range row {
-				if v < thresh {
-					row[j] = 0
-				}
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += v
-		}
-		if sum > 0 {
-			for j := range row {
-				row[j] /= sum
-			}
-		}
-	}
-	// Scale to total mass 1 so it acts like a transport plan.
-	m.Scale(1 / float64(m.Rows))
 }
 
 // mulCSRDense returns s*d for CSR s.

@@ -1,6 +1,7 @@
 package cone
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestDefaultAssignment(t *testing.T) {
 
 func TestEmbedProperties(t *testing.T) {
 	p := algotest.Pair(t, 50, 0, 51)
-	emb, err := New().Embed(p.Source)
+	emb, err := New().EmbedCtx(context.Background(), p.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestEmbedProperties(t *testing.T) {
 func TestDimensionClamp(t *testing.T) {
 	c := New() // Dim 512 on a 50-node graph must clamp
 	p := algotest.Pair(t, 50, 0, 52)
-	emb, err := c.Embed(p.Source)
+	emb, err := c.EmbedCtx(context.Background(), p.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,33 +61,12 @@ func TestDimensionClamp(t *testing.T) {
 	}
 }
 
-func TestSharpenRows(t *testing.T) {
-	m := matrix.DenseFromRows([][]float64{
-		{5, 1, 4, 2},
-		{0, 0, 0, 0},
-	})
-	SharpenRows(m, 2)
-	// Row 0 keeps {5, 4} normalized then scaled by 1/rows.
-	if m.At(0, 1) != 0 || m.At(0, 3) != 0 {
-		t.Errorf("small entries not zeroed: %v", m.Row(0))
-	}
-	if math.Abs(m.At(0, 0)+m.At(0, 2)-0.5) > 1e-12 {
-		t.Errorf("row mass = %v, want 0.5 (1/rows)", m.At(0, 0)+m.At(0, 2))
-	}
-	// Zero rows stay zero without NaN.
-	for _, v := range m.Row(1) {
-		if v != 0 {
-			t.Error("zero row modified")
-		}
-	}
-}
-
 func TestAlignEmbeddingsImprovesOverRaw(t *testing.T) {
 	// A rotated copy of an embedding must be re-alignable: build ySrc and a
-	// rotated yDst and verify AlignEmbeddings brings rows back together.
+	// rotated yDst and verify AlignEmbeddingsCtx brings rows back together.
 	p := algotest.Pair(t, 40, 0, 53)
 	c := New()
-	y, err := c.Embed(p.Source)
+	y, err := c.EmbedCtx(context.Background(), p.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +105,10 @@ func TestAlignEmbeddingsImprovesOverRaw(t *testing.T) {
 	for i := 0; i < n; i++ {
 		warm.Set(i, i, 1.0/float64(n))
 	}
-	rot, _ := c.AlignEmbeddings(y, yRot, warm)
+	rot, _, err := c.AlignEmbeddingsCtx(context.Background(), y, yRot, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// After alignment, row i of rot should be closest to row i of yRot.
 	correct := 0
 	for i := 0; i < n; i++ {

@@ -170,14 +170,9 @@ func (g *GRAAL) CostMatrixCtx(ctx context.Context, src, dst *graph.Graph) (*matr
 }
 
 // Similarity implements algo.Aligner: 2 - cost, so that greedily matching
-// the highest similarity equals picking the cheapest pair.
-func (g *GRAAL) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return g.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner. The cost matrix is turned
-// into 2 - cost in place.
-func (g *GRAAL) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+// the highest similarity equals picking the cheapest pair. The cost matrix
+// is turned into 2 - cost in place.
+func (g *GRAAL) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	sim, err := g.CostMatrixCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package graal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestSimilarityIsTwoMinusCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := g.Similarity(p.Source, p.Target)
+	sim, err := g.Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

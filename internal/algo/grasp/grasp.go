@@ -70,15 +70,10 @@ func (g *GRASP) Name() string { return "GRASP" }
 func (g *GRASP) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
 
 // Similarity implements algo.Aligner. Higher similarity = smaller distance
-// between aligned spectral feature rows.
-func (g *GRASP) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return g.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is threaded through the
+// between aligned spectral feature rows. ctx is threaded through the
 // Lanczos/dense eigendecompositions and the base-alignment SVD, and checked
 // per heat-kernel time step and per feature-distance row.
-func (g *GRASP) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+func (g *GRASP) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	featSrc, featDst, err := g.featuresCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err
@@ -111,7 +106,7 @@ func (g *GRASP) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matr
 // ScorerCtx implements algo.ScoringAligner: the aligned spectral
 // feature rows in factored form with GRASP's negated-squared-distance
 // similarity, for the sparse assignment pipeline's k-NN candidate search.
-// Materializing the returned Embedding reproduces SimilarityCtx exactly
+// Materializing the returned Embedding reproduces Similarity exactly
 // (same squared-distance accumulation order).
 func (g *GRASP) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	featSrc, featDst, err := g.featuresCtx(ctx, src, dst)

@@ -23,7 +23,7 @@ func TestLanczosPathMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	lap := graph.NormalizedLaplacian(g).ToDense()
-	dv, _, err := linalg.SymEigen(lap)
+	dv, _, err := linalg.SymEigenCtx(context.Background(), lap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGRASPOnLargerGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New().Similarity(base, target)
+	sim, err := New().Similarity(context.Background(), base, target)
 	if err != nil {
 		t.Fatal(err)
 	}

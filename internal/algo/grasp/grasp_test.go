@@ -33,7 +33,7 @@ func TestDefaultAssignment(t *testing.T) {
 
 func TestTooSmallGraphError(t *testing.T) {
 	tiny := graph.MustNew(1, nil)
-	if _, err := New().Similarity(tiny, tiny); err == nil {
+	if _, err := New().Similarity(context.Background(), tiny, tiny); err == nil {
 		t.Error("1-node graph accepted")
 	}
 }
@@ -109,7 +109,7 @@ func TestKClamping(t *testing.T) {
 	g := New()
 	g.K = 100 // larger than the graphs
 	p := algotest.Pair(t, 30, 0, 62)
-	if _, err := g.Similarity(p.Source, p.Target); err != nil {
+	if _, err := g.Similarity(context.Background(), p.Source, p.Target); err != nil {
 		t.Fatalf("k clamping failed: %v", err)
 	}
 }

@@ -77,13 +77,9 @@ func CostMatrix(g *graph.Graph) *matrix.Dense {
 
 // Similarity implements algo.Aligner: the returned matrix is the learned
 // transport plan (mass T[i][j] is the evidence that i corresponds to j).
-func (g *GWL) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return g.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is checked per epoch and
-// threaded into every proximal/Sinkhorn round of the transport solver.
-func (g *GWL) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+// ctx is checked per epoch and threaded into every proximal/Sinkhorn round
+// of the transport solver.
+func (g *GWL) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	n1, n2 := src.N(), dst.N()
 	if n1 == 0 || n2 == 0 {
 		return nil, errors.New("gwl: empty graph")

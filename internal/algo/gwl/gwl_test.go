@@ -1,6 +1,7 @@
 package gwl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestCostMatrixStructure(t *testing.T) {
 
 func TestPlanIsNonNegativeWithMarginals(t *testing.T) {
 	p := algotest.Pair(t, 40, 0.02, 32)
-	plan, err := New().Similarity(p.Source, p.Target)
+	plan, err := New().Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,14 +66,9 @@ func (ir *IsoRank) Name() string { return "IsoRank" }
 // SortGreedy.
 func (ir *IsoRank) DefaultAssignment() assign.Method { return assign.SortGreedy }
 
-// Similarity implements algo.Aligner.
-func (ir *IsoRank) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return ir.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is checked once per
-// power iteration.
-func (ir *IsoRank) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+// Similarity implements algo.Aligner; ctx is checked once per power
+// iteration.
+func (ir *IsoRank) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	n, m := src.N(), dst.N()
 	if n == 0 || m == 0 {
 		return nil, errors.New("isorank: empty graph")

@@ -1,6 +1,7 @@
 package isorank
 
 import (
+	"context"
 	"testing"
 
 	"graphalign/internal/algo"
@@ -31,7 +32,7 @@ func TestDefaultAssignmentIsSortGreedy(t *testing.T) {
 func TestEmptyGraphError(t *testing.T) {
 	p := algotest.Pair(t, 20, 0, 1)
 	empty := graph.MustNew(0, nil)
-	if _, err := New().Similarity(empty, p.Target); err == nil {
+	if _, err := New().Similarity(context.Background(), empty, p.Target); err == nil {
 		t.Error("empty source accepted")
 	}
 }
@@ -40,7 +41,7 @@ func TestPriorShapeMismatch(t *testing.T) {
 	p := algotest.Pair(t, 20, 0, 2)
 	ir := New()
 	ir.Prior = matrix.NewDense(3, 3)
-	if _, err := ir.Similarity(p.Source, p.Target); err == nil {
+	if _, err := ir.Similarity(context.Background(), p.Source, p.Target); err == nil {
 		t.Error("wrong-shape prior accepted")
 	}
 }
@@ -51,7 +52,7 @@ func TestAlphaZeroReturnsPrior(t *testing.T) {
 	ir := New()
 	ir.Alpha = 0
 	ir.MaxIters = 5
-	sim, err := ir.Similarity(p.Source, p.Target)
+	sim, err := ir.Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

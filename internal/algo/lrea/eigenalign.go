@@ -1,6 +1,7 @@
 package lrea
 
 import (
+	"context"
 	"errors"
 
 	"graphalign/internal/assign"
@@ -34,8 +35,9 @@ func (e *EigenAlign) Name() string { return "EigenAlign" }
 // DefaultAssignment implements algo.Aligner (as for LREA).
 func (e *EigenAlign) DefaultAssignment() assign.Method { return assign.Hungarian }
 
-// Similarity implements algo.Aligner with dense power iteration.
-func (e *EigenAlign) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
+// Similarity implements algo.Aligner with dense power iteration; ctx is
+// checked once per iteration.
+func (e *EigenAlign) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	n, m := src.N(), dst.N()
 	if n == 0 || m == 0 {
 		return nil, errors.New("eigenalign: empty graph")
@@ -59,9 +61,11 @@ func (e *EigenAlign) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
 	x.Fill(1)
 	x.Scale(1 / x.FrobNorm())
 	for it := 0; it < iters; it++ {
-		// Term 1: A X Bᵀ — (A X) then multiply by Bᵀ via MulDenseT on the
-		// transposed orientation: (B (A X)ᵀ)ᵀ. A and B are symmetric, so
-		// A X Bᵀ = A X B.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Term 1: A X Bᵀ, computed as (B (A X)ᵀ)ᵀ. A and B are symmetric,
+		// so A X Bᵀ = A X B.
 		ax := aSrc.MulDense(x)           // n x m
 		axb := aDst.MulDense(ax.T()).T() // n x m
 		// Terms 2-4: rank-one updates from row/column sums.

@@ -81,16 +81,11 @@ type factored struct {
 	us, vs [][]float64
 }
 
-// Similarity implements algo.Aligner.
-func (l *LREA) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return l.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is checked once per
-// factored power iteration. Densification runs the same AddOuterScaled
+// Similarity implements algo.Aligner; ctx is checked once per factored
+// power iteration. Densification runs the same AddOuterScaled
 // calls in the same term order as FactorEmbedding.Similarity, so this and
 // the ScorerCtx path agree bitwise.
-func (l *LREA) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+func (l *LREA) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	x, err := l.computeFactors(ctx, src, dst)
 	if err != nil {
 		return nil, err
@@ -101,7 +96,7 @@ func (l *LREA) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matri
 // ScorerCtx implements algo.ScoringAligner: the final factored iterate X as
 // the rank-one term list (an *assign.FactorEmbedding) the published
 // algorithm maintains internally — LREA never needs the dense matrix at all
-// on the sparse pipeline. Like SimilarityCtx, each call recomputes (the
+// on the sparse pipeline. Like Similarity, each call recomputes (the
 // iteration reads only cached adjacencies); the returned factors are private
 // to the caller.
 func (l *LREA) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {

@@ -1,6 +1,7 @@
 package lrea
 
 import (
+	"context"
 	"testing"
 
 	"graphalign/internal/algo"
@@ -46,7 +47,7 @@ func TestDefaultAssignment(t *testing.T) {
 
 func TestEmptyGraphError(t *testing.T) {
 	p := algotest.Pair(t, 20, 0, 1)
-	if _, err := New().Similarity(graph.MustNew(0, nil), p.Target); err == nil {
+	if _, err := New().Similarity(context.Background(), graph.MustNew(0, nil), p.Target); err == nil {
 		t.Error("empty source accepted")
 	}
 }
@@ -62,7 +63,7 @@ func TestFactoredRankStaysBounded(t *testing.T) {
 	// blow up in time or memory; just check it completes on a mid-size
 	// instance and yields finite values.
 	p := algotest.Pair(t, 120, 0.01, 30)
-	sim, err := New().Similarity(p.Source, p.Target)
+	sim, err := New().Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,11 @@ func TestEigenAlignAgreesWithLREAAtZeroNoise(t *testing.T) {
 
 func TestEigenAlignEmptyGraph(t *testing.T) {
 	p := algotest.Pair(t, 20, 0, 1)
-	if _, err := NewEigenAlign().Similarity(graph.MustNew(0, nil), p.Target); err == nil {
+	if _, err := NewEigenAlign().Similarity(context.Background(), graph.MustNew(0, nil), p.Target); err == nil {
 		t.Error("empty source accepted")
 	}
+}
+
+func TestEigenAlignCancellation(t *testing.T) {
+	algotest.CheckCancellation(t, NewEigenAlign(), 40)
 }

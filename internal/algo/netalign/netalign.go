@@ -62,14 +62,9 @@ type candidate struct {
 	score float64 // current belief
 }
 
-// Similarity implements algo.Aligner.
-func (na *NetAlign) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return na.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is checked per candidate
-// row during set construction and once per reinforcement sweep.
-func (na *NetAlign) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+// Similarity implements algo.Aligner; ctx is checked per candidate row
+// during set construction and once per reinforcement sweep.
+func (na *NetAlign) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	n, m := src.N(), dst.N()
 	if n == 0 || m == 0 {
 		return nil, errors.New("netalign: empty graph")

@@ -1,6 +1,7 @@
 package netalign
 
 import (
+	"context"
 	"testing"
 
 	"graphalign/internal/algo"
@@ -25,7 +26,7 @@ func TestDefaultAssignment(t *testing.T) {
 
 func TestEmptyGraphError(t *testing.T) {
 	p := algotest.Pair(t, 20, 0, 1)
-	if _, err := New().Similarity(graph.MustNew(0, nil), p.Target); err == nil {
+	if _, err := New().Similarity(context.Background(), graph.MustNew(0, nil), p.Target); err == nil {
 		t.Error("empty source accepted")
 	}
 }
@@ -34,7 +35,7 @@ func TestCandidateClamp(t *testing.T) {
 	na := New()
 	na.CandidatesPerNode = 1000 // larger than any target
 	p := algotest.Pair(t, 30, 0, 2)
-	if _, err := na.Similarity(p.Source, p.Target); err != nil {
+	if _, err := na.Similarity(context.Background(), p.Source, p.Target); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,4 +54,8 @@ func TestInadequateQuality(t *testing.T) {
 	if naAcc < 0 || naAcc > 1 {
 		t.Fatalf("accuracy out of range: %v", naAcc)
 	}
+}
+
+func TestCancellation(t *testing.T) {
+	algotest.CheckCancellation(t, New(), 40)
 }

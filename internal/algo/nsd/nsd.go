@@ -67,15 +67,12 @@ func (n *NSD) DefaultAssignment() assign.Method { return assign.SortGreedy }
 //	X_i^(n) = (1-alpha) sum_k alpha^k w_i^(k) z_i^(k)ᵀ + alpha^n w_i^(n) z_i^(n)ᵀ
 //
 // with w_i^(k) = (D_dst^-1 A_dst)^k w_i and z_i^(k) = (D_src^-1 A_src)^k z_i.
-func (n *NSD) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return n.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is threaded into the
-// prior's truncated SVD and checked once per power-series term. With a
-// cache attached the whole similarity matrix is memoized per (pair, params)
-// and a private clone is returned, so callers stay free to mutate it.
-func (n *NSD) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+//
+// ctx is threaded into the prior's truncated SVD and checked once per
+// power-series term. With a cache attached the whole similarity matrix is
+// memoized per (pair, params) and a private clone is returned, so callers
+// stay free to mutate it.
+func (n *NSD) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	if n.cache == nil {
 		return n.computeSimilarity(ctx, src, dst)
 	}
@@ -181,7 +178,7 @@ func (n *NSD) computeFactors(ctx context.Context, src, dst *graph.Graph) (*assig
 
 // ScorerCtx implements algo.ScoringAligner: the NSD power series in its
 // natural factored form (an *assign.FactorEmbedding), Components x (Iters+1)
-// rank-one terms whose densification is bitwise SimilarityCtx's result. With
+// rank-one terms whose densification is bitwise Similarity's result. With
 // a cache attached the factor bundle is memoized per (pair, params) — under
 // its own key, distinct from the densified nsdsim entry — and a deep clone
 // is returned.

@@ -1,6 +1,7 @@
 package nsd
 
 import (
+	"context"
 	"testing"
 
 	"graphalign/internal/algo"
@@ -29,7 +30,7 @@ func TestDefaultAssignment(t *testing.T) {
 
 func TestEmptyGraphError(t *testing.T) {
 	p := algotest.Pair(t, 20, 0, 1)
-	if _, err := New().Similarity(graph.MustNew(0, nil), p.Target); err == nil {
+	if _, err := New().Similarity(context.Background(), graph.MustNew(0, nil), p.Target); err == nil {
 		t.Error("empty source accepted")
 	}
 }

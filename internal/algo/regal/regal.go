@@ -75,14 +75,10 @@ func (r *REGAL) Name() string { return "REGAL" }
 // nearest neighbor.
 func (r *REGAL) DefaultAssignment() assign.Method { return assign.NearestNeighbor }
 
-// Embed computes xNetMF embeddings for both graphs jointly and returns the
-// two embedding matrices (rows are nodes).
-func (r *REGAL) Embed(src, dst *graph.Graph) (ySrc, yDst *matrix.Dense, err error) {
-	return r.EmbedCtx(context.Background(), src, dst)
-}
-
-// EmbedCtx is Embed with cooperative cancellation checked between the
-// signature, kernel, and factorization stages and threaded into the SVDs.
+// EmbedCtx computes xNetMF embeddings for both graphs jointly and returns
+// the two embedding matrices (rows are nodes). Cancellation is checked
+// between the signature, kernel, and factorization stages and threaded
+// into the SVDs.
 func (r *REGAL) EmbedCtx(ctx context.Context, src, dst *graph.Graph) (ySrc, yDst *matrix.Dense, err error) {
 	st, err := r.embedState(ctx, src, dst)
 	if err != nil {
@@ -224,14 +220,10 @@ func (r *REGAL) embedState(ctx context.Context, src, dst *graph.Graph) (*refresh
 }
 
 // Similarity implements algo.Aligner: sim(u, v) = exp(-||y_u - y_v||²).
-func (r *REGAL) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return r.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner. With a cache attached the
-// whole similarity matrix is memoized per (pair, params) and a private clone
-// is returned, so callers stay free to mutate it.
-func (r *REGAL) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+// With a cache attached the whole similarity matrix is memoized per (pair,
+// params) and a private clone is returned, so callers stay free to mutate
+// it.
+func (r *REGAL) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	if r.cache == nil {
 		return r.computeSimilarity(ctx, src, dst)
 	}
@@ -261,7 +253,7 @@ func (r *REGAL) computeSimilarity(ctx context.Context, src, dst *graph.Graph) (*
 // ScorerCtx implements algo.ScoringAligner: the xNetMF embeddings in
 // factored form with REGAL's exp(-d²) kernel, for the sparse assignment
 // pipeline's k-NN candidate search. Materializing the returned Embedding
-// reproduces SimilarityCtx exactly (same squared-distance accumulation
+// reproduces Similarity exactly (same squared-distance accumulation
 // order). With a cache attached the embedding pair is memoized per
 // (pair, params) — sharing the dominant cost across assignment methods and
 // reps — and private clones are returned.

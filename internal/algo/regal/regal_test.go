@@ -1,6 +1,7 @@
 package regal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestDefaultAssignment(t *testing.T) {
 
 func TestEmbedShapesAndNorms(t *testing.T) {
 	p := algotest.Pair(t, 50, 0, 11)
-	ySrc, yDst, err := New().Embed(p.Source, p.Target)
+	ySrc, yDst, err := New().EmbedCtx(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestKAffectsSignatures(t *testing.T) {
 	r1.K = 1
 	r2 := New()
 	r2.K = 2
-	s1, err := r1.Similarity(p.Source, p.Target)
+	s1, err := r1.Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r2.Similarity(p.Source, p.Target)
+	s2, err := r2.Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

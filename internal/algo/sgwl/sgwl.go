@@ -63,14 +63,9 @@ func (s *SGWL) Name() string { return "S-GWL" }
 func (s *SGWL) DefaultAssignment() assign.Method { return assign.NearestNeighbor }
 
 // Similarity implements algo.Aligner: a sparse-ish dense matrix whose mass
-// concentrates on the recursively matched blocks.
-func (s *SGWL) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return s.SimilarityCtx(context.Background(), src, dst)
-}
-
-// SimilarityCtx implements algo.ContextAligner; ctx is checked at every
+// concentrates on the recursively matched blocks. ctx is checked at every
 // recursion step and threaded into each partition/leaf transport solve.
-func (s *SGWL) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+func (s *SGWL) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	n1, n2 := src.N(), dst.N()
 	if n1 == 0 || n2 == 0 {
 		return nil, errors.New("sgwl: empty graph")

@@ -27,18 +27,6 @@ func Pair(t *testing.T, n int, level float64, seed int64) noise.Pair {
 	return p
 }
 
-// ERPair is Pair on an Erdős–Rényi base graph.
-func ERPair(t *testing.T, n int, level float64, seed int64) noise.Pair {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	base := gen.ErdosRenyi(n, 4/float64(n-1)*2, rng)
-	p, err := noise.Apply(base, noise.OneWay, level, noise.Options{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // Accuracy aligns the pair with the given method and returns accuracy.
 func Accuracy(t *testing.T, a algo.Aligner, p noise.Pair, m assign.Method) float64 {
 	t.Helper()
@@ -65,11 +53,11 @@ func CheckRecovers(t *testing.T, a algo.Aligner, n int, minAcc float64) {
 func CheckDeterministic(t *testing.T, mk func() algo.Aligner, n int) {
 	t.Helper()
 	p := Pair(t, n, 0.02, 777)
-	s1, err := mk().Similarity(p.Source, p.Target)
+	s1, err := mk().Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := mk().Similarity(p.Source, p.Target)
+	s2, err := mk().Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +75,7 @@ func CheckDeterministic(t *testing.T, mk func() algo.Aligner, n int) {
 func CheckShape(t *testing.T, a algo.Aligner) {
 	t.Helper()
 	p := Pair(t, 40, 0, 999)
-	s, err := a.Similarity(p.Source, p.Target)
+	s, err := a.Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package algotest
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -51,9 +52,9 @@ type Conformance struct {
 	Partitioned int
 }
 
-// RunConformance runs the three framework-level contracts every aligner
-// must satisfy — self-alignment, relabeling invariance, and cache
-// byte-identity — as subtests of t.
+// RunConformance runs the four framework-level contracts every aligner
+// must satisfy — self-alignment, relabeling invariance, cache
+// byte-identity and cancellation — as subtests of t.
 func RunConformance(t *testing.T, cases []Conformance) {
 	for _, c := range cases {
 		c := c
@@ -72,6 +73,10 @@ func RunConformance(t *testing.T, cases []Conformance) {
 		t.Run(c.Name+"/cache_byte_identity", func(t *testing.T) {
 			t.Parallel()
 			CheckCacheByteIdentity(t, c.New, c.N)
+		})
+		t.Run(c.Name+"/cancellation", func(t *testing.T) {
+			t.Parallel()
+			CheckCancellation(t, c.New(), c.N)
 		})
 		if c.SparseTopK > 0 {
 			t.Run(c.Name+"/sparse_self_alignment", func(t *testing.T) {
@@ -286,7 +291,7 @@ func CheckCacheByteIdentity(t *testing.T, mk func() algo.Aligner, n int) {
 	t.Helper()
 	p := Pair(t, n, 0.02, 99991)
 
-	uncached, err := mk().Similarity(p.Source, p.Target)
+	uncached, err := mk().Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,7 @@ func CheckCacheByteIdentity(t *testing.T, mk func() algo.Aligner, n int) {
 	for pass, label := range []string{"cold cache", "warm cache"} {
 		a := mk()
 		algo.ApplyCache(a, c)
-		got, err := a.Similarity(p.Source, p.Target)
+		got, err := a.Similarity(context.Background(), p.Source, p.Target)
 		if err != nil {
 			t.Fatalf("%s (pass %d): %v", label, pass, err)
 		}
@@ -308,5 +313,19 @@ func CheckCacheByteIdentity(t *testing.T, mk func() algo.Aligner, n int) {
 					label, i, got.Data[i], uncached.Data[i])
 			}
 		}
+	}
+}
+
+// CheckCancellation asserts the aligner's Similarity honours its context
+// itself, not only through algo.Similarity's pre-check: called directly
+// with an already-cancelled ctx it must fail with an error that wraps
+// context.Canceled.
+func CheckCancellation(t *testing.T, a algo.Aligner, n int) {
+	t.Helper()
+	p := Pair(t, n, 0.02, 99991)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := a.Similarity(ctx, p.Source, p.Target); !errors.Is(err, context.Canceled) {
+		t.Errorf("%s: Similarity under a cancelled ctx returned %v, want an error wrapping context.Canceled", a.Name(), err)
 	}
 }

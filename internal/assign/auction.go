@@ -22,15 +22,9 @@ const (
 	// candidate), restricted to one-to-one like the dense pipeline.
 	NearestNeighborSparse Method = "NN-K"
 	// SortGreedySparse is SortGreedy over candidates with the free-column
-	// maximality fallback of SolveGreedyTopK.
+	// maximality fallback of SolveGreedySparse.
 	SortGreedySparse Method = "SG-K"
 )
-
-// SparseMethods lists the sparse methods in the order of their dense
-// counterparts.
-func SparseMethods() []Method {
-	return []Method{NearestNeighborSparse, SortGreedySparse, AuctionSparse}
-}
 
 // SparseVariant maps a dense assignment method to its sparse counterpart
 // (both exact solvers map to the auction). Sparse methods map to themselves,

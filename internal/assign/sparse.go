@@ -3,22 +3,7 @@ package assign
 import (
 	"cmp"
 	"slices"
-
-	"graphalign/internal/matrix"
 )
-
-// SolveGreedyTopK is SortGreedy restricted to each row's k highest-scoring
-// candidates. The paper's Section 6.2 notes that on large graphs the cost
-// of exact LAP solvers is not worth their small quality edge and recommends
-// lightweight extraction; limiting each node to its top-k candidates drops
-// the candidate pool from n*m to n*k, which is the difference between
-// O(nm log(nm)) and O(nk log(nk)) sorting.
-//
-// It is equivalent to SolveGreedySparse over TopK candidates (per-row
-// bounded-heap partial selection, ties on value keep the smaller column).
-func SolveGreedyTopK(sim *matrix.Dense, k int) []int {
-	return SolveGreedySparse(TopK(DenseScorer{sim}, k, 1))
-}
 
 // SolveNNSparse assigns each row its best candidate — by construction the
 // row's highest-similarity column with ties broken by lowest column index,

@@ -11,7 +11,7 @@ func TestGreedyTopKFullEqualsGreedy(t *testing.T) {
 	f := func(seed int64) bool {
 		sim := randomSim(8, 8, seed)
 		full := SolveGreedy(sim)
-		topAll := SolveGreedyTopK(sim, 8)
+		topAll := SolveGreedySparse(TopK(DenseScorer{Sim: sim}, 8, 1))
 		for i := range full {
 			if full[i] != topAll[i] {
 				return false
@@ -27,7 +27,7 @@ func TestGreedyTopKFullEqualsGreedy(t *testing.T) {
 func TestGreedyTopKOneToOneAndComplete(t *testing.T) {
 	f := func(seed int64) bool {
 		sim := randomSim(10, 12, seed)
-		m := SolveGreedyTopK(sim, 2)
+		m := SolveGreedySparse(TopK(DenseScorer{Sim: sim}, 2, 1))
 		return isOneToOne(m, 12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -50,7 +50,7 @@ func TestGreedyTopKQualityNearGreedy(t *testing.T) {
 		}
 	}
 	full := TotalSimilarity(sim, SolveGreedy(sim))
-	topk := TotalSimilarity(sim, SolveGreedyTopK(sim, 3))
+	topk := TotalSimilarity(sim, SolveGreedySparse(TopK(DenseScorer{Sim: sim}, 3, 1)))
 	if topk < full*0.99 {
 		t.Errorf("top-k total %v well below full %v", topk, full)
 	}
@@ -59,7 +59,7 @@ func TestGreedyTopKQualityNearGreedy(t *testing.T) {
 func TestGreedyTopKDegenerateK(t *testing.T) {
 	sim := randomSim(5, 5, 1)
 	for _, k := range []int{0, -3, 100} {
-		m := SolveGreedyTopK(sim, k)
+		m := SolveGreedySparse(TopK(DenseScorer{Sim: sim}, k, 1))
 		if !isOneToOne(m, 5) {
 			t.Errorf("k=%d mapping invalid: %v", k, m)
 		}
@@ -74,7 +74,7 @@ func TestGreedyTopKRectangularMaximality(t *testing.T) {
 	f := func(seed int64) bool {
 		n, m := 12, 8
 		sim := randomSim(n, m, seed)
-		mapping := SolveGreedyTopK(sim, 2)
+		mapping := SolveGreedySparse(TopK(DenseScorer{Sim: sim}, 2, 1))
 		usedCol := make([]bool, m)
 		matched := 0
 		for _, j := range mapping {
@@ -104,7 +104,7 @@ func TestGreedyTopKRectangularStarved(t *testing.T) {
 		{0.8, 0, 0},
 		{0.7, 0, 0},
 	})
-	mapping := SolveGreedyTopK(sim, 1)
+	mapping := SolveGreedySparse(TopK(DenseScorer{Sim: sim}, 1, 1))
 	usedCol := make([]bool, 3)
 	matched := 0
 	for _, j := range mapping {
@@ -130,7 +130,7 @@ func TestGreedyTopKStarvedRowsFallBack(t *testing.T) {
 		{0.9, 0, 0},
 		{0.8, 0, 0},
 	})
-	m := SolveGreedyTopK(sim, 1)
+	m := SolveGreedySparse(TopK(DenseScorer{Sim: sim}, 1, 1))
 	if !isOneToOne(m, 3) {
 		t.Fatalf("starved mapping invalid: %v", m)
 	}
@@ -144,7 +144,7 @@ func BenchmarkSolveGreedyTopK(b *testing.B) {
 	sim := randomSim(n, m, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SolveGreedyTopK(sim, k)
+		SolveGreedySparse(TopK(DenseScorer{Sim: sim}, k, 1))
 	}
 }
 
@@ -153,6 +153,6 @@ func BenchmarkSolveGreedyTopKFull(b *testing.B) {
 	sim := randomSim(n, m, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SolveGreedyTopK(sim, m)
+		SolveGreedySparse(TopK(DenseScorer{Sim: sim}, m, 1))
 	}
 }

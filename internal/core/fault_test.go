@@ -25,13 +25,7 @@ type hangAligner struct{}
 func (hangAligner) Name() string                     { return "Hang" }
 func (hangAligner) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
 
-func (hangAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	// The context-free path must not be reachable from the fault-tolerant
-	// runner; failing fast here beats hanging the test binary.
-	return nil, errors.New("hang stub called without a context")
-}
-
-func (hangAligner) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+func (hangAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -43,7 +37,7 @@ type panicAligner struct{}
 func (panicAligner) Name() string                     { return "Panic" }
 func (panicAligner) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
 
-func (panicAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
+func (panicAligner) Similarity(_ context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	panic("boom")
 }
 

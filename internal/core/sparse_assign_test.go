@@ -124,7 +124,7 @@ func TestRunInstanceSpecSparseMatchesAcrossWorkers(t *testing.T) {
 // end to end): the mapping is JV over the aligner's own matrix.
 func TestRunInstanceSpecZeroTopKUnchanged(t *testing.T) {
 	p := smallPair(t)
-	sim, err := isorank.New().Similarity(p.Source, p.Target)
+	sim, err := isorank.New().Similarity(context.Background(), p.Source, p.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

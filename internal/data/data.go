@@ -203,17 +203,12 @@ func topUpEdges(g *graph.Graph, targetM int, rng *rand.Rand) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
-// EvolvingVariants returns the alignment instances of Section 6.5: the base
-// graph matched against variants retaining each of the given edge
+// EvolvingVariantsScaled returns the alignment instances of Section 6.5:
+// the base graph, reduced in size by scale (see LoadScaled; 1 keeps the
+// full size), matched against variants retaining each of the given edge
 // fractions. The returned pairs carry identity-free ground truth via
 // their TrueMap (a hidden node permutation), exactly like the noise
 // instances, but the perturbation is pure edge subsampling of the base.
-func EvolvingVariants(name string, fractions []float64) ([]noise.Pair, error) {
-	return EvolvingVariantsScaled(name, fractions, 1)
-}
-
-// EvolvingVariantsScaled is EvolvingVariants on a size-reduced base graph
-// (see LoadScaled).
 func EvolvingVariantsScaled(name string, fractions []float64, scale float64) ([]noise.Pair, error) {
 	d, err := Describe(name)
 	if err != nil {

@@ -102,7 +102,7 @@ func TestEvolvingVariants(t *testing.T) {
 		}
 	}
 	// Non-evolving datasets refuse.
-	if _, err := EvolvingVariants("arenas", fractions); err == nil {
+	if _, err := EvolvingVariantsScaled("arenas", fractions, 1); err == nil {
 		t.Error("non-evolving dataset accepted")
 	}
 	if _, err := EvolvingVariantsScaled("voles", []float64{0}, 1); err == nil {

@@ -49,7 +49,7 @@ func TestBarabasiAlbert(t *testing.T) {
 			t.Fatalf("node %d degree %d < m", u, g.Degree(u))
 		}
 	}
-	if !graph.IsConnected(g) {
+	if _, k := graph.ConnectedComponents(g); k != 1 {
 		t.Error("BA graph should be connected")
 	}
 }

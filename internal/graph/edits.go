@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -115,11 +116,12 @@ func ApplyEdits(g *Graph, edits []Edit) (*Graph, error) {
 }
 
 // ReadEditStream parses a textual edit stream: one edit per line as
-// "add u v" or "del u v" (dense node ids), with blank lines separating
-// batches. Lines starting with '#' are comments. Consecutive blank lines
-// collapse (they do not produce empty batches), but a batch containing the
-// single word "noop" on a line is kept as an explicit empty batch — the
-// probe the byte-identity contract of the incremental mode is pinned with.
+// "add u v" or "del u v" (non-negative decimal dense node ids), with blank
+// lines separating batches. Lines starting with '#' are comments.
+// Consecutive blank lines collapse (they do not produce empty batches), but
+// a batch containing the single word "noop" on a line is kept as an
+// explicit empty batch — the probe the byte-identity contract of the
+// incremental mode is pinned with.
 func ReadEditStream(r io.Reader) ([][]Edit, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
@@ -161,14 +163,15 @@ func ReadEditStream(r io.Reader) ([][]Edit, error) {
 		default:
 			return nil, fmt.Errorf("edit stream line %d: unknown op %q", line, fields[0])
 		}
-		var u, v int
-		if _, err := fmt.Sscan(fields[1], &u); err != nil {
-			return nil, fmt.Errorf("edit stream line %d: bad node id %q", line, fields[1])
+		var ids [2]int
+		for k, field := range fields[1:] {
+			id, err := strconv.Atoi(field)
+			if err != nil || id < 0 {
+				return nil, fmt.Errorf("edit stream line %d: bad node id %q", line, field)
+			}
+			ids[k] = id
 		}
-		if _, err := fmt.Sscan(fields[2], &v); err != nil {
-			return nil, fmt.Errorf("edit stream line %d: bad node id %q", line, fields[2])
-		}
-		cur = append(cur, Edit{Op: op, U: u, V: v})
+		cur = append(cur, Edit{Op: op, U: ids[0], V: ids[1]})
 		open = true
 	}
 	if err := sc.Err(); err != nil {
@@ -176,30 +179,6 @@ func ReadEditStream(r io.Reader) ([][]Edit, error) {
 	}
 	flush()
 	return batches, nil
-}
-
-// WriteEditStream renders batches in the format ReadEditStream parses.
-func WriteEditStream(w io.Writer, batches [][]Edit) error {
-	bw := bufio.NewWriter(w)
-	for bi, batch := range batches {
-		if bi > 0 {
-			if _, err := fmt.Fprintln(bw); err != nil {
-				return err
-			}
-		}
-		if len(batch) == 0 {
-			if _, err := fmt.Fprintln(bw, "noop"); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, e := range batch {
-			if _, err := fmt.Fprintf(bw, "%s %d %d\n", e.Op, e.U, e.V); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }
 
 func splitFields(s string) []string { return strings.Fields(s) }

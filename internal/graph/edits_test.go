@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,29 +91,6 @@ func TestTouched(t *testing.T) {
 	want := []int{1, 2, 4}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Touched = %v, want %v", got, want)
-	}
-}
-
-func TestEditStreamRoundTrip(t *testing.T) {
-	batches := [][]Edit{
-		{{Op: EditAdd, U: 0, V: 1}, {Op: EditRemove, U: 2, V: 3}},
-		{}, // explicit empty batch
-		{{Op: EditRemove, U: 4, V: 5}},
-	}
-	var buf bytes.Buffer
-	if err := WriteEditStream(&buf, batches); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEditStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, [][]Edit{batches[0], nil, batches[2]}) &&
-		!reflect.DeepEqual(got, batches) {
-		t.Fatalf("round trip = %v, want %v", got, batches)
-	}
-	if len(got) != 3 || len(got[1]) != 0 {
-		t.Fatalf("empty batch lost: %v", got)
 	}
 }
 

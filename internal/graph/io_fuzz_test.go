@@ -95,3 +95,43 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadEditStream drives the edit-stream parser with arbitrary inputs:
+// it must never panic, and every edit it accepts must name two
+// non-negative node ids and one of the defined ops.
+func FuzzReadEditStream(f *testing.F) {
+	seeds := []string{
+		"add 0 1\ndel 2 3\n\nnoop\n\ndel 4 5\n", // two edits, explicit empty batch, one edit
+		"# comment\nadd 0 1\ndel 2 3\n\n\nnoop\n\nrm 4 5\n",
+		"",
+		"noop\n",
+		"add -1 2\n",
+		"add 1a 2\n",
+		"del 0x10 3\n",
+		"add 1 2 3\n",
+		"remove 99999999999999999999 1\n",
+		"add 0 1\r\n\r\ndel 0 1\r\n",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batches, err := ReadEditStream(bytes.NewReader(data))
+		if err != nil {
+			if batches != nil {
+				t.Fatal("non-nil batches returned alongside an error")
+			}
+			return
+		}
+		for bi, batch := range batches {
+			for ei, e := range batch {
+				if e.U < 0 || e.V < 0 {
+					t.Fatalf("batch %d edit %d: negative node id in %+v", bi, ei, e)
+				}
+				if e.Op != EditAdd && e.Op != EditRemove {
+					t.Fatalf("batch %d edit %d: undefined op %d", bi, ei, e.Op)
+				}
+			}
+		}
+	})
+}

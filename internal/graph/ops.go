@@ -82,16 +82,6 @@ func ConnectedComponents(g *Graph) (labels []int, k int) {
 	return labels, k
 }
 
-// IsConnected reports whether g has exactly one connected component (an
-// empty graph and a single-node graph are considered connected).
-func IsConnected(g *Graph) bool {
-	if g.N() <= 1 {
-		return true
-	}
-	_, k := ConnectedComponents(g)
-	return k == 1
-}
-
 // LargestComponent returns the induced subgraph on the largest connected
 // component, together with origID mapping subgraph node ids back to ids in g.
 func LargestComponent(g *Graph) (sub *Graph, origID []int) {

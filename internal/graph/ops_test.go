@@ -103,14 +103,13 @@ func TestConnectedComponents(t *testing.T) {
 	if labels[5] == labels[0] || labels[5] == labels[3] {
 		t.Error("node 5 should be isolated")
 	}
-	if IsConnected(g) {
-		t.Error("disconnected graph reported connected")
+	if _, k := ConnectedComponents(triangle(t)); k != 1 {
+		t.Errorf("triangle has %d components, want 1", k)
 	}
-	if !IsConnected(triangle(t)) {
-		t.Error("triangle should be connected")
-	}
-	if !IsConnected(MustNew(1, nil)) || !IsConnected(MustNew(0, nil)) {
-		t.Error("trivial graphs should count as connected")
+	_, k1 := ConnectedComponents(MustNew(1, nil))
+	_, k0 := ConnectedComponents(MustNew(0, nil))
+	if k1 != 1 || k0 != 0 {
+		t.Errorf("trivial graphs have %d and %d components, want 1 and 0", k1, k0)
 	}
 }
 

@@ -14,7 +14,6 @@ func PreRegisterMetrics(reg *obsv.Registry) {
 		"incr_applies_total",
 		"incr_noop_total",
 		"incr_cold_fallbacks_total",
-		"incr_cache_component_hits_total",
 	} {
 		reg.Counter(name)
 	}

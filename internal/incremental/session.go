@@ -1,7 +1,7 @@
 // Package incremental implements the evolving-graph alignment mode: a
 // Session holds one (source, target) alignment and re-aligns after each
 // batch of edge edits to the target by reusing everything the edit did not
-// invalidate — per-component cache artifacts, the per-row top-k candidate
+// invalidate — the aligner's scorer state, the per-row top-k candidate
 // lists, and the auction solver's price vector (warm start). Re-alignment
 // cost then scales with the size of the edit's footprint instead of the
 // instance, while the result keeps the cold sparse pipeline's accuracy
@@ -20,7 +20,6 @@ import (
 
 	"graphalign/internal/algo"
 	"graphalign/internal/assign"
-	"graphalign/internal/cache"
 	"graphalign/internal/graph"
 	"graphalign/internal/matrix"
 	"graphalign/internal/obsv"
@@ -66,9 +65,6 @@ type Options struct {
 	// Registry receives the incr_* counters and histograms; when nil the
 	// Tracer's registry is used (nil-safe all the way down).
 	Registry *obsv.Registry
-	// Cache, when set, is attached to the aligner (algo.Cacheable) and used
-	// for per-component artifact reuse accounting across edits.
-	Cache *cache.Cache
 }
 
 // ApplyStats describes one Apply call.
@@ -86,9 +82,6 @@ type ApplyStats struct {
 	// candidate (see assign.Augment); 0 when the top-k lists already
 	// admit a row-perfect matching.
 	AugmentedRows int
-	// ComponentHits counts target-graph connected components whose
-	// per-component cache artifacts survived the edit (0 without a cache).
-	ComponentHits int
 	// Warm reports whether the solve was warm-started; false means a cold
 	// fallback (drift gate tripped, unusable previous state, or warm solve
 	// failure).
@@ -163,7 +156,6 @@ func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts
 	if reg == nil {
 		reg = opts.Tracer.Registry()
 	}
-	algo.ApplyCache(a, opts.Cache)
 	s := &Session{a: a, opts: opts, reg: reg, src: src, dst: dst}
 	s.sa, _ = a.(algo.ScoringAligner)
 	if s.sa == nil {
@@ -177,7 +169,6 @@ func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts
 	s.cands = assign.TopK(s.scorer, opts.TopK, opts.Workers)
 	s.augmentCandidates(nil, nil)
 	s.coldSolve()
-	s.touchComponents(dst)
 	reg.Counter("incr_sessions_total").Add(1)
 	return s, nil
 }
@@ -293,13 +284,11 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	sp.End()
 
 	s.dst = newDst
-	st.ComponentHits = s.touchComponents(newDst)
 	s.applies++
 	s.reg.Counter("incr_applies_total").Add(1)
 	if st.Noop {
 		s.reg.Counter("incr_noop_total").Add(1)
 	}
-	s.reg.Counter("incr_cache_component_hits_total").Add(int64(st.ComponentHits))
 	s.reg.Histogram("incr_dirty_rows", obsv.SizeBuckets()).Observe(float64(st.DirtyRows))
 	s.reg.Histogram("incr_dirty_cols", obsv.SizeBuckets()).Observe(float64(st.ChangedCols))
 	s.reg.Histogram("incr_rebid_rounds", obsv.SizeBuckets()).Observe(float64(st.Rounds))
@@ -457,25 +446,6 @@ func (s *Session) coldSolve() {
 		return
 	}
 	s.mapping, s.state, s.warmable = assign.SolveJV(s.scorer.Similarity()), assign.AuctionState{}, false
-}
-
-// touchComponents counts the target components whose per-component degree
-// artifact is already cached (survived the edit), then (re)materializes the
-// artifacts for the next apply. Returns 0 without a cache.
-func (s *Session) touchComponents(dst *graph.Graph) int {
-	c := s.opts.Cache
-	if c == nil {
-		return 0
-	}
-	view := cache.Components(c, dst)
-	hits := 0
-	for _, key := range view.Keys {
-		if c.Has(key + "/degrees") {
-			hits++
-		}
-	}
-	cache.DegreesDelta(c, dst)
-	return hits
 }
 
 // dirtyScope returns the Options.DirtyHops target-side node filter: true

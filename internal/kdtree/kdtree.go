@@ -143,36 +143,13 @@ type Scratch struct {
 // NewScratch returns an empty Scratch ready for NearestKInto.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// NearestK returns the ids and squared Euclidean distances of the k points
-// nearest to q, ordered by increasing distance with ties broken by lower id.
-// Fewer than k results are returned when the tree holds fewer points. The
-// result is a pure function of (tree, q, k) — queries are deterministic and
-// safe to issue concurrently from multiple goroutines. Each call allocates
-// its working state; batch callers should use NearestKInto with a reused
-// Scratch instead.
-func (t *Tree) NearestK(q []float64, k int) (ids []int, dists []float64) {
-	var s Scratch
-	sids, sdists := t.NearestKInto(q, k, &s)
-	if sids == nil {
-		return nil, nil
-	}
-	return append([]int(nil), sids...), append([]float64(nil), sdists...)
-}
-
-// Nearest returns the single nearest point id and its squared distance.
-func (t *Tree) Nearest(q []float64) (id int, dist float64) {
-	var s Scratch
-	ids, dists := t.NearestKInto(q, 1, &s)
-	if len(ids) == 0 {
-		return -1, math.Inf(1)
-	}
-	return ids[0], dists[0]
-}
-
-// NearestKInto is NearestK writing its results into s: the returned slices
-// alias s and are valid until the next query on it. With a warm Scratch a
-// query performs no allocation. Same ordering contract as NearestK:
-// ascending distance, ties broken by ascending id.
+// NearestKInto returns the ids and squared Euclidean distances of the k
+// points nearest to q, ordered by increasing distance with ties broken by
+// lower id. Fewer than k results are returned when the tree holds fewer
+// points. The results are written into s: the returned slices alias s and
+// are valid until the next query on it. With a warm Scratch a query
+// performs no allocation. The result is a pure function of (tree, q, k), so
+// queries on separate Scratches may run concurrently.
 func (t *Tree) NearestKInto(q []float64, k int, s *Scratch) (ids []int, dists []float64) {
 	if t.root == -1 || k <= 0 {
 		return nil, nil

@@ -51,7 +51,8 @@ func bruteNearestK(pts [][]float64, q []float64, k int) ([]int, []float64) {
 func TestNearestKnown(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 0}, {5, 5}}
 	tr := Build(pts)
-	id, d := tr.Nearest([]float64{0.9, 0.1})
+	ids, ds := tr.NearestKInto([]float64{0.9, 0.1}, 1, NewScratch())
+	id, d := ids[0], ds[0]
 	if id != 1 {
 		t.Fatalf("nearest = %d, want 1", id)
 	}
@@ -62,11 +63,8 @@ func TestNearestKnown(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := Build(nil)
-	if id, d := tr.Nearest([]float64{1}); id != -1 || !math.IsInf(d, 1) {
-		t.Error("empty tree should return -1/inf")
-	}
-	if ids, _ := tr.NearestK([]float64{1}, 3); ids != nil {
-		t.Error("empty tree NearestK should return nil")
+	if ids, _ := tr.NearestKInto([]float64{1}, 3, NewScratch()); ids != nil {
+		t.Error("empty tree NearestKInto should return nil")
 	}
 }
 
@@ -77,7 +75,7 @@ func TestPropertyNearestKMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 999))
 		q := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		for _, k := range []int{1, 5, 60, 100} {
-			gotIDs, gotDs := tr.NearestK(q, k)
+			gotIDs, gotDs := tr.NearestKInto(q, k, NewScratch())
 			wantIDs, wantDs := bruteNearestK(pts, q, k)
 			if len(gotIDs) != len(wantIDs) {
 				return false
@@ -100,9 +98,9 @@ func TestPropertyNearestKMatchesBruteForce(t *testing.T) {
 func TestNearestKOrdering(t *testing.T) {
 	pts := randomPoints(40, 2, 5)
 	tr := Build(pts)
-	_, ds := tr.NearestK([]float64{0, 0}, 10)
+	_, ds := tr.NearestKInto([]float64{0, 0}, 10, NewScratch())
 	if !sort.Float64sAreSorted(ds) {
-		t.Error("NearestK distances must be ascending")
+		t.Error("NearestKInto distances must be ascending")
 	}
 }
 
@@ -152,7 +150,7 @@ func TestNearestKTieContract(t *testing.T) {
 		tr := Build(pts)
 		q := []float64{float64(rng.Intn(3)), float64(rng.Intn(3))}
 		for _, k := range []int{1, 3, n} {
-			gotIDs, gotDs := tr.NearestK(q, k)
+			gotIDs, gotDs := tr.NearestKInto(q, k, NewScratch())
 			wantIDs := bruteNearestKTied(pts, q, k)
 			for i := range wantIDs {
 				if gotIDs[i] != wantIDs[i] {
@@ -167,7 +165,7 @@ func TestDuplicatePointTies(t *testing.T) {
 	// Exact duplicates must surface in ascending id order.
 	pts := [][]float64{{2, 2}, {1, 1}, {1, 1}, {1, 1}, {2, 2}}
 	tr := Build(pts)
-	ids, ds := tr.NearestK([]float64{1, 1}, 5)
+	ids, ds := tr.NearestKInto([]float64{1, 1}, 5, NewScratch())
 	want := []int{1, 2, 3, 0, 4}
 	for i := range want {
 		if ids[i] != want[i] {
@@ -179,7 +177,7 @@ func TestDuplicatePointTies(t *testing.T) {
 func TestDuplicatePoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {2, 2}}
 	tr := Build(pts)
-	ids, ds := tr.NearestK([]float64{1, 1}, 2)
+	ids, ds := tr.NearestKInto([]float64{1, 1}, 2, NewScratch())
 	if len(ids) != 2 || ds[0] != 0 || ds[1] != 0 {
 		t.Errorf("duplicates: ids=%v ds=%v", ids, ds)
 	}
@@ -206,7 +204,7 @@ func TestAdversarialDuplicateCoordinates(t *testing.T) {
 	queries := append([][]float64{{0.5, 0.5}, {0, 0}, {1, 1}, {0, 0.5}}, locs...)
 	for qi, q := range queries {
 		for _, k := range []int{1, 3, leafSize, leafSize + 5, n} {
-			gotIDs, gotDs := tr.NearestK(q, k)
+			gotIDs, gotDs := tr.NearestKInto(q, k, NewScratch())
 			wantIDs := bruteNearestKTied(pts, q, k)
 			if len(gotIDs) != len(wantIDs) {
 				t.Fatalf("query %d k=%d: got %d results, want %d", qi, k, len(gotIDs), len(wantIDs))
@@ -241,7 +239,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 		k := 1 + rng.Intn(20)
 		gotIDs, gotDs := tr.NearestKInto(q, k, s)
-		wantIDs, wantDs := tr.NearestK(q, k)
+		wantIDs, wantDs := tr.NearestKInto(q, k, NewScratch())
 		if len(gotIDs) != len(wantIDs) {
 			t.Fatalf("trial %d: reused scratch returned %d results, fresh %d", trial, len(gotIDs), len(wantIDs))
 		}

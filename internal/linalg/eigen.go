@@ -1,8 +1,9 @@
 // Package linalg implements the numerical linear algebra the alignment
 // algorithms need: full symmetric eigendecomposition, Lanczos extremal
-// eigenpairs for sparse operators, one-sided Jacobi SVD, pseudo-inverse, and
-// power iteration. Everything is written against float64 slices and the
-// matrix package; no external BLAS/LAPACK.
+// eigenpairs for sparse operators, one-sided Jacobi and randomized SVD,
+// pseudo-inverse, and the polar factor. Every kernel takes a context and
+// reports its cancellation. Everything is written against float64 slices
+// and the matrix package; no external BLAS/LAPACK.
 package linalg
 
 import (
@@ -14,22 +15,18 @@ import (
 	"graphalign/internal/matrix"
 )
 
-// SymEigen computes the full eigendecomposition of the symmetric matrix a
-// (only its lower triangle is read). It returns the eigenvalues in ascending
+// SymEigenCtx computes the full eigendecomposition of the symmetric matrix
+// a (only its lower triangle is read). It returns the eigenvalues in ascending
 // order and the matrix of corresponding eigenvectors stored column-wise:
 // vecs.At(i, k) is component i of eigenvector k.
 //
 // The implementation is the classic Householder tridiagonalization followed
 // by the implicit-shift QL algorithm (Numerical Recipes tred2/tqli).
-func SymEigen(a *matrix.Dense) (vals []float64, vecs *matrix.Dense, err error) {
-	return SymEigenCtx(context.Background(), a)
-}
-
-// SymEigenCtx is SymEigen with cooperative cancellation checked once per
-// eigenvalue in the QL phase; it returns ctx.Err() when interrupted.
+// Cancellation is checked once per eigenvalue in the QL phase; it returns
+// ctx.Err() when interrupted.
 func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *matrix.Dense, err error) {
 	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("linalg: SymEigen requires square matrix, got %dx%d", a.Rows, a.Cols)
+		return nil, nil, fmt.Errorf("linalg: SymEigenCtx requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	z := a.Clone() // will be overwritten with eigenvectors
@@ -57,7 +54,7 @@ func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *ma
 }
 
 // TruncateEigenpairs copies the k leading eigenpairs out of a full
-// decomposition (vals ascending, vecs column-wise, as SymEigen returns
+// decomposition (vals ascending, vecs column-wise, as SymEigenCtx returns
 // them) into freshly allocated storage, so a truncated spectrum can be
 // retained — e.g. in the artifact cache — without pinning the full n x n
 // eigenvector matrix. k is clamped to len(vals).

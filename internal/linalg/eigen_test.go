@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -26,7 +27,7 @@ func randomSymmetric(n int, seed int64) *matrix.Dense {
 func TestSymEigenKnown2x2(t *testing.T) {
 	// [[2, 1], [1, 2]] has eigenvalues 1 and 3.
 	a := matrix.DenseFromRows([][]float64{{2, 1}, {1, 2}})
-	vals, vecs, err := SymEigen(a)
+	vals, vecs, err := SymEigenCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSymEigenKnown2x2(t *testing.T) {
 
 func TestSymEigenDiagonal(t *testing.T) {
 	a := matrix.DenseFromRows([][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 1}})
-	vals, _, err := SymEigen(a)
+	vals, _, err := SymEigenCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSymEigenDiagonal(t *testing.T) {
 }
 
 func TestSymEigenNonSquare(t *testing.T) {
-	if _, _, err := SymEigen(matrix.NewDense(2, 3)); err == nil {
+	if _, _, err := SymEigenCtx(context.Background(), matrix.NewDense(2, 3)); err == nil {
 		t.Error("non-square accepted")
 	}
 }
@@ -82,7 +83,7 @@ func TestPropertySymEigenResidualAndOrthogonality(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 12
 		a := randomSymmetric(n, seed)
-		vals, vecs, err := SymEigen(a)
+		vals, vecs, err := SymEigenCtx(context.Background(), a)
 		if err != nil {
 			return false
 		}
@@ -118,7 +119,7 @@ func TestPropertySymEigenResidualAndOrthogonality(t *testing.T) {
 func TestPropertyEigenvalueSumEqualsTrace(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomSymmetric(10, seed)
-		vals, _, err := SymEigen(a)
+		vals, _, err := SymEigenCtx(context.Background(), a)
 		if err != nil {
 			return false
 		}

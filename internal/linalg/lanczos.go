@@ -3,7 +3,6 @@ package linalg
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"graphalign/internal/matrix"
@@ -26,37 +25,16 @@ func CSROp(m *matrix.CSR) SymOp {
 	return SymOp{N: m.NumRows, Apply: m.MulVecTo}
 }
 
-// LanczosSmallest computes the k algebraically smallest eigenpairs of the
-// symmetric operator op, returning eigenvalues ascending and eigenvectors as
-// columns of an N x k dense matrix. It runs Lanczos with full
-// reorthogonalization for min(maxIter, N) steps and diagonalizes the
-// resulting tridiagonal matrix with SymEigen.
+// LanczosSmallestCtx computes the k algebraically smallest eigenpairs of
+// the symmetric operator op, returning eigenvalues ascending and
+// eigenvectors as columns of an N x k dense matrix. It runs Lanczos with
+// full reorthogonalization for min(maxIter, N) steps and diagonalizes the
+// resulting tridiagonal matrix with SymEigenCtx. Cancellation is checked
+// once per Lanczos step; it returns ctx.Err() when interrupted.
 //
 // Used for the normalized Laplacian, whose small eigenvalues carry the
 // global structure GRASP needs.
-func LanczosSmallest(op SymOp, k, maxIter int, rng *rand.Rand) (vals []float64, vecs *matrix.Dense, err error) {
-	return lanczos(context.Background(), op, k, maxIter, rng, false)
-}
-
-// LanczosSmallestCtx is LanczosSmallest with cooperative cancellation
-// checked once per Lanczos step; it returns ctx.Err() when interrupted.
 func LanczosSmallestCtx(ctx context.Context, op SymOp, k, maxIter int, rng *rand.Rand) (vals []float64, vecs *matrix.Dense, err error) {
-	return lanczos(ctx, op, k, maxIter, rng, false)
-}
-
-// LanczosLargest computes the k algebraically largest eigenpairs of op,
-// returned in descending order of eigenvalue.
-func LanczosLargest(op SymOp, k, maxIter int, rng *rand.Rand) (vals []float64, vecs *matrix.Dense, err error) {
-	return lanczos(context.Background(), op, k, maxIter, rng, true)
-}
-
-// LanczosLargestCtx is LanczosLargest with cooperative cancellation checked
-// once per Lanczos step.
-func LanczosLargestCtx(ctx context.Context, op SymOp, k, maxIter int, rng *rand.Rand) (vals []float64, vecs *matrix.Dense, err error) {
-	return lanczos(ctx, op, k, maxIter, rng, true)
-}
-
-func lanczos(ctx context.Context, op SymOp, k, maxIter int, rng *rand.Rand, largest bool) ([]float64, *matrix.Dense, error) {
 	n := op.N
 	if k <= 0 || k > n {
 		return nil, nil, fmt.Errorf("linalg: lanczos k=%d out of range (n=%d)", k, n)
@@ -140,25 +118,15 @@ func lanczos(ctx context.Context, op SymOp, k, maxIter int, rng *rand.Rand, larg
 	if err != nil {
 		return nil, nil, err
 	}
-	// Select k eigenpairs from the requested end of the spectrum.
-	sel := make([]int, k)
-	if largest {
-		for i := 0; i < k; i++ {
-			sel[i] = m - 1 - i
-		}
-	} else {
-		for i := 0; i < k; i++ {
-			sel[i] = i
-		}
-	}
-	vals := make([]float64, k)
-	vecs := matrix.NewDense(n, k)
-	for c, s := range sel {
-		vals[c] = tv[s]
-		// Ritz vector: sum_j tz[j][s] * q[j]
+	// The k smallest eigenpairs of T give the Ritz pairs.
+	vals = make([]float64, k)
+	vecs = matrix.NewDense(n, k)
+	for c := 0; c < k; c++ {
+		vals[c] = tv[c]
+		// Ritz vector: sum_j tz[j][c] * q[j]
 		col := make([]float64, n)
 		for j := 0; j < m; j++ {
-			matrix.AxpyVec(col, q[j], tz.At(j, s))
+			matrix.AxpyVec(col, q[j], tz.At(j, c))
 		}
 		matrix.Normalize(col)
 		for i := 0; i < n; i++ {
@@ -166,37 +134,4 @@ func lanczos(ctx context.Context, op SymOp, k, maxIter int, rng *rand.Rand, larg
 		}
 	}
 	return vals, vecs, nil
-}
-
-// PowerIteration returns the dominant eigenvalue (by magnitude) and
-// eigenvector of op, iterating at most maxIter times or until the vector
-// moves by less than tol in the infinity norm.
-func PowerIteration(op SymOp, maxIter int, tol float64, rng *rand.Rand) (val float64, vec []float64) {
-	n := op.N
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Float64() + 0.1
-	}
-	matrix.Normalize(v)
-	w := make([]float64, n)
-	for it := 0; it < maxIter; it++ {
-		op.Apply(w, v)
-		nrm := matrix.Norm2(w)
-		if nrm == 0 {
-			return 0, v
-		}
-		diff := 0.0
-		for i := range w {
-			nw := w[i] / nrm
-			if d := math.Abs(nw - v[i]); d > diff {
-				diff = d
-			}
-			v[i] = nw
-		}
-		if diff < tol {
-			break
-		}
-	}
-	op.Apply(w, v)
-	return matrix.Dot(v, w), v
 }

@@ -1,100 +1,34 @@
 package linalg
 
 import (
-	"errors"
+	"context"
 	"math"
 
 	"graphalign/internal/matrix"
 )
-
-// Inverse returns the inverse of a square matrix computed by Gaussian
-// elimination with partial pivoting. It errors on singular input.
-func Inverse(a *matrix.Dense) (*matrix.Dense, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, errors.New("linalg: Inverse requires a square matrix")
-	}
-	// Augmented [A | I] elimination.
-	work := a.Clone()
-	inv := matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		inv.Set(i, i, 1)
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		maxAbs := math.Abs(work.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(work.At(r, col)); v > maxAbs {
-				maxAbs = v
-				pivot = r
-			}
-		}
-		if maxAbs < 1e-300 {
-			return nil, errors.New("linalg: singular matrix")
-		}
-		if pivot != col {
-			swapRows(work, pivot, col)
-			swapRows(inv, pivot, col)
-		}
-		// Normalize pivot row.
-		p := work.At(col, col)
-		scaleRow(work, col, 1/p)
-		scaleRow(inv, col, 1/p)
-		// Eliminate.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := work.At(r, col)
-			if f == 0 {
-				continue
-			}
-			axpyRow(work, r, col, -f)
-			axpyRow(inv, r, col, -f)
-		}
-	}
-	return inv, nil
-}
-
-func swapRows(m *matrix.Dense, a, b int) {
-	ra, rb := m.Row(a), m.Row(b)
-	for i := range ra {
-		ra[i], rb[i] = rb[i], ra[i]
-	}
-}
-
-func scaleRow(m *matrix.Dense, r int, f float64) {
-	row := m.Row(r)
-	for i := range row {
-		row[i] *= f
-	}
-}
-
-func axpyRow(m *matrix.Dense, dst, src int, f float64) {
-	rd, rs := m.Row(dst), m.Row(src)
-	for i := range rd {
-		rd[i] += f * rs[i]
-	}
-}
 
 // PolarOrthogonal returns the (partial-isometry) polar factor of a square
 // matrix — the solution of the orthogonal Procrustes problem max <Q, M> —
 // computed as M (MᵀM)^(-1/2) via the symmetric eigendecomposition of MᵀM.
 // Directions in M's (numerical) null space map to zero rather than an
 // arbitrary rotation, which is exactly what embedding-alignment callers
-// want: unreliable directions carry no signal either way.
-func PolarOrthogonal(m *matrix.Dense) *matrix.Dense {
+// want: unreliable directions carry no signal either way. It returns
+// ctx.Err() once ctx is done.
+func PolarOrthogonal(ctx context.Context, m *matrix.Dense) (*matrix.Dense, error) {
 	n := m.Rows
 	if m.Cols != n {
 		panic("linalg: PolarOrthogonal requires a square matrix")
 	}
 	mtm := matrix.Mul(m.T(), m) // symmetric PSD n x n
-	vals, vecs, err := SymEigen(mtm)
+	vals, vecs, err := SymEigenCtx(ctx, mtm)
 	if err != nil {
-		// Fall back to the Jacobi SVD polar factor.
-		u, _, v := SVDAny(m)
-		return matrix.MulABT(u, v)
+		// Fall back to the Jacobi SVD polar factor, which fails in turn
+		// when the error was a cancellation.
+		u, _, v, err := SVDAnyCtx(ctx, m)
+		if err != nil {
+			return nil, err
+		}
+		return matrix.MulABT(u, v), nil
 	}
 	// (MᵀM)^(-1/2) = Q diag(1/sqrt(λ)) Qᵀ, with tiny eigenvalues dropped.
 	maxVal := 0.0
@@ -115,5 +49,5 @@ func PolarOrthogonal(m *matrix.Dense) *matrix.Dense {
 		}
 	}
 	invSqrt := matrix.MulABT(scaled, vecs) // scaled Qᵀ
-	return matrix.Mul(m, invSqrt)
+	return matrix.Mul(m, invSqrt), nil
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func TestInverseKnown(t *testing.T) {
 	a := matrix.DenseFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
+	inv, err := PseudoInverseCtx(context.Background(), a, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,22 +22,12 @@ func TestInverseKnown(t *testing.T) {
 	}
 }
 
-func TestInverseSingular(t *testing.T) {
-	a := matrix.DenseFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(a); err == nil {
-		t.Error("singular matrix inverted")
-	}
-	if _, err := Inverse(matrix.NewDense(2, 3)); err == nil {
-		t.Error("non-square matrix inverted")
-	}
-}
-
 func TestPropertyInverse(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomMat(6, 6, seed)
-		inv, err := Inverse(a)
+		inv, err := PseudoInverseCtx(context.Background(), a, 1e-12)
 		if err != nil {
-			return true // random singular matrices are fine to skip
+			t.Fatal(err)
 		}
 		prod := matrix.Mul(a, inv)
 		for i := 0; i < 6; i++ {
@@ -60,7 +51,10 @@ func TestPropertyInverse(t *testing.T) {
 func TestPolarOrthogonalIsOrthogonal(t *testing.T) {
 	f := func(seed int64) bool {
 		m := randomMat(5, 5, seed)
-		q := PolarOrthogonal(m)
+		q, err := PolarOrthogonal(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		qtq := matrix.Mul(q.T(), q)
 		for i := 0; i < 5; i++ {
 			for j := 0; j < 5; j++ {
@@ -83,13 +77,19 @@ func TestPolarOrthogonalIsOrthogonal(t *testing.T) {
 func TestPolarRecoversRotation(t *testing.T) {
 	// For M = R D with R orthogonal and D diagonal positive, polar(M) = R.
 	rng := rand.New(rand.NewSource(11))
-	r := PolarOrthogonal(randomMat(4, 4, 12)) // some orthogonal matrix
+	r, err := PolarOrthogonal(context.Background(), randomMat(4, 4, 12)) // some orthogonal matrix
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := matrix.NewDense(4, 4)
 	for i := 0; i < 4; i++ {
 		d.Set(i, i, 1+rng.Float64())
 	}
 	m := matrix.Mul(r, d)
-	got := PolarOrthogonal(m)
+	got, err := PolarOrthogonal(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if diff := maxDiff(got, r); diff > 1e-6 {
 		t.Fatalf("polar factor off by %v", diff)
 	}
@@ -99,10 +99,16 @@ func TestPolarMaximizesTrace(t *testing.T) {
 	// polar(M) maximizes <Q, M> over orthogonal Q; any random rotation must
 	// score no higher.
 	m := randomMat(4, 4, 13)
-	q := PolarOrthogonal(m)
+	q, err := PolarOrthogonal(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	best := traceProd(q, m)
 	for seed := int64(0); seed < 10; seed++ {
-		r := PolarOrthogonal(randomMat(4, 4, 100+seed))
+		r, err := PolarOrthogonal(context.Background(), randomMat(4, 4, 100+seed))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if traceProd(r, m) > best+1e-8 {
 			t.Fatalf("random rotation beats polar factor")
 		}

@@ -7,19 +7,13 @@ import (
 	"graphalign/internal/matrix"
 )
 
-// TruncatedSVD computes an approximate rank-k SVD of a (m x n) with
+// TruncatedSVDCtx computes an approximate rank-k SVD of a (m x n) with
 // randomized subspace iteration (Halko, Martinsson, Tropp): a random
 // test matrix is pushed through (A Aᵀ)^q A to capture the dominant
 // subspace, and the small projected problem is solved exactly with the
 // Jacobi SVD. For the strongly decaying spectra the alignment priors have,
 // q = 2 already gives near-exact leading triplets at O(mnk) cost instead of
-// the O(mn^2)-per-sweep full decomposition.
-func TruncatedSVD(a *matrix.Dense, k, iters int, rng *rand.Rand) (u *matrix.Dense, s []float64, v *matrix.Dense) {
-	u, s, v, _ = TruncatedSVDCtx(context.Background(), a, k, iters, rng)
-	return u, s, v
-}
-
-// TruncatedSVDCtx is TruncatedSVD with cooperative cancellation checked once
+// the O(mn^2)-per-sweep full decomposition. Cancellation is checked once
 // per subspace iteration; it returns ctx.Err() when interrupted.
 func TruncatedSVDCtx(ctx context.Context, a *matrix.Dense, k, iters int, rng *rand.Rand) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
 	m, n := a.Rows, a.Cols

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,8 +28,14 @@ func TestTruncatedSVDMatchesFullOnDecayingSpectrum(t *testing.T) {
 		matrix.Normalize(v)
 		a.AddOuterScaled(u, v, math.Pow(0.3, float64(i))*10)
 	}
-	uT, sT, vT := TruncatedSVD(a, 3, 3, rng)
-	_, sF, _ := SVDAny(a)
+	uT, sT, vT, err := TruncatedSVDCtx(context.Background(), a, 3, 3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sF, _, err := SVDAnyCtx(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		if math.Abs(sT[i]-sF[i]) > 1e-6*(1+sF[i]) {
 			t.Errorf("singular value %d: truncated %v vs full %v", i, sT[i], sF[i])
@@ -62,7 +69,10 @@ func TestTruncatedSVDOrthonormal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomMat(20, 15, seed)
-		u, _, v := TruncatedSVD(a, 4, 2, rng)
+		u, _, v, err := TruncatedSVDCtx(context.Background(), a, 4, 2, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return columnsOrthonormal(u) && columnsOrthonormal(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -93,12 +103,18 @@ func TestTruncatedSVDEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomMat(5, 3, 3)
 	// k larger than min dimension clamps.
-	_, s, _ := TruncatedSVD(a, 10, 2, rng)
+	_, s, _, err := TruncatedSVDCtx(context.Background(), a, 10, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s) != 3 {
 		t.Errorf("k clamp failed: %d values", len(s))
 	}
 	// k = 0 returns empty factors.
-	u, s0, v := TruncatedSVD(a, 0, 2, rng)
+	u, s0, v, err := TruncatedSVDCtx(context.Background(), a, 0, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s0) != 0 || u.Cols != 0 || v.Cols != 0 {
 		t.Error("k=0 should return empty decomposition")
 	}

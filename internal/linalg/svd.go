@@ -8,18 +8,12 @@ import (
 	"graphalign/internal/matrix"
 )
 
-// SVD computes the thin singular value decomposition a = U diag(s) Vᵀ of an
-// m x n matrix with m >= 0, n >= 0, using one-sided Jacobi rotations on the
-// columns. Singular values are returned in descending order; U is m x n and
-// V is n x n (thin form; if m < n the caller should transpose first — the
-// helper SVDAny handles that).
-func SVD(a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense) {
-	u, s, v, _ = SVDCtx(context.Background(), a)
-	return u, s, v
-}
-
-// SVDCtx is SVD with cooperative cancellation checked once per Jacobi sweep;
-// it returns ctx.Err() and nil factors when interrupted.
+// SVDCtx computes the thin singular value decomposition a = U diag(s) Vᵀ
+// of an m x n matrix with m >= 0, n >= 0, using one-sided Jacobi rotations
+// on the columns. Singular values are returned in descending order; U is
+// m x n and V is n x n (thin form; if m < n the caller should transpose
+// first — SVDAnyCtx handles that). Cancellation is checked once per Jacobi
+// sweep; it returns ctx.Err() and nil factors when interrupted.
 func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
 	ut, s, vt, err := jacobiT(ctx, a.T())
 	if err != nil {
@@ -134,15 +128,16 @@ func transposed(m *matrix.Dense) *matrix.Dense {
 	return m
 }
 
-// SVDAny computes the thin SVD for any shape, transposing internally when
-// m < n so the one-sided Jacobi always works on tall matrices. U is m x r,
-// V is n x r with r = min(m, n).
-func SVDAny(a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense) {
-	u, s, v, _ = SVDAnyCtx(context.Background(), a)
-	return u, s, v
+func swapRows(m *matrix.Dense, a, b int) {
+	ra, rb := m.Row(a), m.Row(b)
+	for i := range ra {
+		ra[i], rb[i] = rb[i], ra[i]
+	}
 }
 
-// SVDAnyCtx is SVDAny with cooperative cancellation (see SVDCtx).
+// SVDAnyCtx computes the thin SVD for any shape, transposing internally
+// when m < n so the one-sided Jacobi always works on tall matrices. U is
+// m x r, V is n x r with r = min(m, n). Cancellation is as for SVDCtx.
 func SVDAnyCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
 	if a.Rows >= a.Cols {
 		return SVDCtx(ctx, a)
@@ -156,15 +151,9 @@ func SVDAnyCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float
 	return transposed(vpT), s, transposed(upT), nil
 }
 
-// PseudoInverse returns the Moore–Penrose pseudo-inverse of a, computed from
-// the SVD; singular values below rcond * s_max are treated as zero.
-func PseudoInverse(a *matrix.Dense, rcond float64) *matrix.Dense {
-	p, _ := PseudoInverseCtx(context.Background(), a, rcond)
-	return p
-}
-
-// PseudoInverseCtx is PseudoInverse with cooperative cancellation inherited
-// from the underlying Jacobi SVD.
+// PseudoInverseCtx returns the Moore–Penrose pseudo-inverse of a, computed
+// from the SVD; singular values below rcond * s_max are treated as zero.
+// Cancellation is inherited from the underlying Jacobi SVD.
 func PseudoInverseCtx(ctx context.Context, a *matrix.Dense, rcond float64) (*matrix.Dense, error) {
 	u, s, v, err := SVDAnyCtx(ctx, a)
 	if err != nil {
@@ -192,16 +181,11 @@ func PseudoInverseCtx(ctx context.Context, a *matrix.Dense, rcond float64) (*mat
 	return matrix.MulABT(scaled, u), nil // scaled * uᵀ
 }
 
-// TopKSVDSym returns the top-k singular triplets of a symmetric matrix by
-// way of its eigendecomposition (s_i = |λ_i|, u_i = q_i, v_i = sign(λ_i)
+// TopKSVDSymCtx returns the top-k singular triplets of a symmetric matrix
+// by way of its eigendecomposition (s_i = |λ_i|, u_i = q_i, v_i = sign(λ_i)
 // q_i). Far cheaper than Jacobi SVD for the dense symmetric proximity
-// matrices CONE factorizes.
-func TopKSVDSym(a *matrix.Dense, k int) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
-	return TopKSVDSymCtx(context.Background(), a, k)
-}
-
-// TopKSVDSymCtx is TopKSVDSym with cooperative cancellation inherited from
-// the underlying eigendecomposition.
+// matrices CONE factorizes. Cancellation is inherited from the underlying
+// eigendecomposition.
 func TopKSVDSymCtx(ctx context.Context, a *matrix.Dense, k int) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
 	vals, vecs, err := SymEigenCtx(ctx, a)
 	if err != nil {
@@ -236,29 +220,4 @@ func TopKSVDSymCtx(ctx context.Context, a *matrix.Dense, k int) (u *matrix.Dense
 		}
 	}
 	return u, s, v, nil
-}
-
-// TopKSVD returns the leading k columns of U, the top-k singular values and
-// the leading k columns of V. k is clamped to min(m, n).
-func TopKSVD(a *matrix.Dense, k int) (u *matrix.Dense, s []float64, v *matrix.Dense) {
-	fu, fs, fv := SVDAny(a)
-	r := len(fs)
-	if k > r {
-		k = r
-	}
-	u = matrix.NewDense(fu.Rows, k)
-	v = matrix.NewDense(fv.Rows, k)
-	s = make([]float64, k)
-	copy(s, fs[:k])
-	for i := 0; i < fu.Rows; i++ {
-		for j := 0; j < k; j++ {
-			u.Set(i, j, fu.At(i, j))
-		}
-	}
-	for i := 0; i < fv.Rows; i++ {
-		for j := 0; j < k; j++ {
-			v.Set(i, j, fv.At(i, j))
-		}
-	}
-	return u, s, v
 }

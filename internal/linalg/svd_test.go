@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,7 +42,10 @@ func maxDiff(a, b *matrix.Dense) float64 {
 
 func TestSVDReconstructionTall(t *testing.T) {
 	a := randomMat(8, 5, 1)
-	u, s, v := SVD(a)
+	u, s, v, err := SVDCtx(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d := maxDiff(reconstruct(u, s, v), a); d > 1e-8 {
 		t.Fatalf("reconstruction error %v", d)
 	}
@@ -57,7 +61,10 @@ func TestSVDReconstructionTall(t *testing.T) {
 
 func TestSVDAnyWide(t *testing.T) {
 	a := randomMat(4, 9, 2)
-	u, s, v := SVDAny(a)
+	u, s, v, err := SVDAnyCtx(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if u.Rows != 4 || v.Rows != 9 || len(s) != 4 {
 		t.Fatalf("thin shapes wrong: u %dx%d v %dx%d r=%d", u.Rows, u.Cols, v.Rows, v.Cols, len(s))
 	}
@@ -70,9 +77,12 @@ func TestPropertySVDSingularValuesMatchGram(t *testing.T) {
 	// Squares of singular values are the eigenvalues of AᵀA.
 	f := func(seed int64) bool {
 		a := randomMat(7, 5, seed)
-		_, s, _ := SVD(a)
+		_, s, _, err := SVDCtx(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
 		gram := matrix.Mul(a.T(), a)
-		vals, _, err := SymEigen(gram)
+		vals, _, err := SymEigenCtx(context.Background(), gram)
 		if err != nil {
 			return false
 		}
@@ -91,7 +101,10 @@ func TestPropertySVDSingularValuesMatchGram(t *testing.T) {
 
 func TestPseudoInverseProperties(t *testing.T) {
 	a := randomMat(6, 4, 3)
-	pinv := PseudoInverse(a, 1e-12)
+	pinv, err := PseudoInverseCtx(context.Background(), a, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pinv.Rows != 4 || pinv.Cols != 6 {
 		t.Fatalf("pinv shape %dx%d", pinv.Rows, pinv.Cols)
 	}
@@ -110,41 +123,20 @@ func TestPseudoInverseProperties(t *testing.T) {
 func TestPseudoInverseRankDeficient(t *testing.T) {
 	// Rank-1 matrix.
 	a := matrix.Outer([]float64{1, 2, 3}, []float64{4, 5})
-	pinv := PseudoInverse(a, 1e-10)
+	pinv, err := PseudoInverseCtx(context.Background(), a, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	apa := matrix.Mul(matrix.Mul(a, pinv), a)
 	if d := maxDiff(apa, a); d > 1e-8 {
 		t.Fatalf("rank-deficient A A+ A != A (diff %v)", d)
 	}
 }
 
-func TestTopKSVD(t *testing.T) {
-	a := randomMat(6, 6, 4)
-	u, s, v := TopKSVD(a, 3)
-	if u.Cols != 3 || v.Cols != 3 || len(s) != 3 {
-		t.Fatal("TopKSVD shapes wrong")
-	}
-	fu, fs, fv := SVDAny(a)
-	for j := 0; j < 3; j++ {
-		if math.Abs(s[j]-fs[j]) > 1e-10 {
-			t.Fatal("TopKSVD values differ from full SVD")
-		}
-		for i := 0; i < 6; i++ {
-			if u.At(i, j) != fu.At(i, j) || v.At(i, j) != fv.At(i, j) {
-				t.Fatal("TopKSVD vectors differ from full SVD")
-			}
-		}
-	}
-	// k larger than rank clamps.
-	_, s2, _ := TopKSVD(a, 100)
-	if len(s2) != 6 {
-		t.Fatal("TopKSVD should clamp k")
-	}
-}
-
 func TestTopKSVDSymMatchesJacobi(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomSymmetric(8, seed)
-		u, s, v, err := TopKSVDSym(a, 8)
+		u, s, v, err := TopKSVDSymCtx(context.Background(), a, 8)
 		if err != nil {
 			return false
 		}
@@ -153,7 +145,10 @@ func TestTopKSVDSymMatchesJacobi(t *testing.T) {
 			return false
 		}
 		// Values must match Jacobi SVD.
-		_, js, _ := SVDAny(a)
+		_, js, _, err := SVDAnyCtx(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range s {
 			if math.Abs(s[i]-js[i]) > 1e-7*(1+js[i]) {
 				return false

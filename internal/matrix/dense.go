@@ -91,15 +91,6 @@ func (m *Dense) AddScaled(other *Dense, s float64) *Dense {
 	return m
 }
 
-// Hadamard multiplies m element-wise by other in place and returns m.
-func (m *Dense) Hadamard(other *Dense) *Dense {
-	m.mustSameShape(other)
-	for i, v := range other.Data {
-		m.Data[i] *= v
-	}
-	return m
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.Cols, m.Rows)
@@ -378,17 +369,6 @@ func (m *Dense) Sum() float64 {
 	var s float64
 	for _, v := range m.Data {
 		s += v
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty).
-func (m *Dense) MaxAbs() float64 {
-	var s float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
 	}
 	return s
 }

@@ -90,25 +90,6 @@ func (m *CSR) MulVecTo(out, x []float64) {
 	}
 }
 
-// MulVecT returns mᵀ*x without materializing the transpose.
-func (m *CSR) MulVecT(x []float64) []float64 {
-	if len(x) != m.NumRows {
-		panic("matrix: csr mulvecT shape mismatch")
-	}
-	out := make([]float64, m.NumCols)
-	for r := 0; r < m.NumRows; r++ {
-		xv := x[r]
-		if xv == 0 {
-			continue
-		}
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		for k := lo; k < hi; k++ {
-			out[m.ColIdx[k]] += m.Val[k] * xv
-		}
-	}
-	return out
-}
-
 // MulDense returns m * d as a new dense matrix (m is NumRows x NumCols,
 // d is NumCols x d.Cols). Large products are row-blocked across the worker
 // pool (each goroutine owns a contiguous range of output rows); the result
@@ -135,27 +116,6 @@ func (m *CSR) MulDense(d *Dense) *Dense {
 		parallel.Blocks(0, m.NumRows, mulRows)
 	} else {
 		mulRows(0, m.NumRows)
-	}
-	return out
-}
-
-// MulDenseT returns mᵀ * d (result NumCols x d.Cols) without materializing
-// the transpose.
-func (m *CSR) MulDenseT(d *Dense) *Dense {
-	if m.NumRows != d.Rows {
-		panic("matrix: csr muldenseT shape mismatch")
-	}
-	out := NewDense(m.NumCols, d.Cols)
-	for r := 0; r < m.NumRows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		drow := d.Row(r)
-		for k := lo; k < hi; k++ {
-			v := m.Val[k]
-			orow := out.Row(m.ColIdx[k])
-			for j, dv := range drow {
-				orow[j] += v * dv
-			}
-		}
 	}
 	return out
 }
@@ -203,17 +163,6 @@ func (m *CSR) ScaleRows(s []float64) *CSR {
 		for k := lo; k < hi; k++ {
 			m.Val[k] *= s[r]
 		}
-	}
-	return m
-}
-
-// ScaleCols multiplies column c by s[c] in place and returns m.
-func (m *CSR) ScaleCols(s []float64) *CSR {
-	if len(s) != m.NumCols {
-		panic("matrix: scalecols length mismatch")
-	}
-	for k, c := range m.ColIdx {
-		m.Val[k] *= s[c]
 	}
 	return m
 }

@@ -161,7 +161,7 @@ func TestKeepConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !graph.IsConnected(out) {
+	if _, k := graph.ConnectedComponents(out); k != 1 {
 		t.Error("KeepConnected produced a disconnected graph")
 	}
 	if out.M() != g.M() {

@@ -350,17 +350,6 @@ func SizeBuckets() []float64 {
 	return out
 }
 
-// LinearBuckets returns count bucket bounds starting at lo, spaced by step.
-// For quantities with a narrow known range (candidate counts, retry counts)
-// where the exponential layouts above would lump everything into one bucket.
-func LinearBuckets(lo, step float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
-}
-
 // PoolHooks returns worker-lifecycle callbacks for parallel.SetHooks that
 // track pool occupancy in r: the pool.active_workers gauge counts currently
 // running pooled goroutines and pool.workers_started counts launches.

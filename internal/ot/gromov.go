@@ -19,12 +19,7 @@ type GWOptions struct {
 	SinkhornIters int
 }
 
-// DefaultGWOptions mirrors the settings used in the experiments.
-func DefaultGWOptions() GWOptions {
-	return GWOptions{Beta: 0.1, OuterIters: 20, SinkhornIters: 30}
-}
-
-// GromovWasserstein solves
+// GromovWassersteinCtx solves
 //
 //	min_{T in Pi(mu, nu)} sum_{i,j,k,l} (Ca[i][k] - Cb[j][l])^2 T[i][j] T[k][l]
 //
@@ -38,14 +33,8 @@ func DefaultGWOptions() GWOptions {
 //	L(Ca, Cb) ⊗ T = cst - 2 * Ca T Cbᵀ
 //
 // where cst = (Ca∘Ca) mu 1ᵀ + 1 nuᵀ (Cb∘Cb)ᵀ depends only on the marginals.
-func GromovWasserstein(ca, cb *matrix.Dense, mu, nu []float64, opts GWOptions) *matrix.Dense {
-	t, _ := GromovWassersteinCtx(context.Background(), ca, cb, mu, nu, opts)
-	return t
-}
-
-// GromovWassersteinCtx is GromovWasserstein with cooperative cancellation
-// checked at every outer proximal iteration and every inner Sinkhorn round;
-// it returns ctx.Err() and a nil plan when interrupted.
+// Cancellation is checked at every outer proximal iteration and every inner
+// Sinkhorn round; it returns ctx.Err() and a nil plan when interrupted.
 func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []float64, opts GWOptions) (*matrix.Dense, error) {
 	n, m := ca.Rows, cb.Rows
 	if opts.OuterIters <= 0 {
@@ -179,31 +168,4 @@ func expStable(x float64) float64 {
 		x = 700
 	}
 	return math.Exp(x)
-}
-
-// GWDiscrepancy evaluates the Gromov–Wasserstein objective at plan t.
-func GWDiscrepancy(ca, cb, t *matrix.Dense, mu, nu []float64) float64 {
-	// <cst - 2 Ca T Cbᵀ, T> with cst as in GromovWasserstein.
-	n, m := ca.Rows, cb.Rows
-	caT := matrix.Mul(ca, t)
-	caTcbT := matrix.MulABT(caT, cb)
-	var obj float64
-	for i := 0; i < n; i++ {
-		rowA := ca.Row(i)
-		var a2 float64
-		for k, v := range rowA {
-			a2 += v * v * mu[k]
-		}
-		trow := t.Row(i)
-		grow := caTcbT.Row(i)
-		for j := 0; j < m; j++ {
-			rowB := cb.Row(j)
-			var b2 float64
-			for l, v := range rowB {
-				b2 += v * v * nu[l]
-			}
-			obj += (a2 + b2 - 2*grow[j]) * trow[j]
-		}
-	}
-	return obj
 }

@@ -11,21 +11,15 @@ import (
 	"graphalign/internal/matrix"
 )
 
-// Sinkhorn solves the entropically regularized optimal transport problem
+// SinkhornCtx solves the entropically regularized optimal transport problem
 //
 //	min_T <C, T> - eps*H(T)   s.t.  T 1 = mu,  Tᵀ 1 = nu
 //
 // and returns the transport plan T. C is the cost matrix (len(mu) x
 // len(nu)), eps the regularization strength, iters the number of
 // row/column scaling rounds. Costs are stabilized by subtracting the row
-// minimum before exponentiation.
-func Sinkhorn(c *matrix.Dense, mu, nu []float64, eps float64, iters int) *matrix.Dense {
-	t, _ := SinkhornCtx(context.Background(), c, mu, nu, eps, iters)
-	return t
-}
-
-// SinkhornCtx is Sinkhorn with cooperative cancellation checked once per
-// scaling round; it returns ctx.Err() and a nil plan when interrupted.
+// minimum before exponentiation. Cancellation is checked once per scaling
+// round; it returns ctx.Err() and a nil plan when interrupted.
 func SinkhornCtx(ctx context.Context, c *matrix.Dense, mu, nu []float64, eps float64, iters int) (*matrix.Dense, error) {
 	n, m := c.Rows, c.Cols
 	// Kernel K = exp(-C/eps), stabilized row by row: subtracting a per-row

@@ -105,7 +105,7 @@ func TestAlignEmptyAndErrors(t *testing.T) {
 type panicAligner struct{}
 
 func (panicAligner) Name() string { return "panic" }
-func (panicAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
+func (panicAligner) Similarity(_ context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	panic("kaboom")
 }
 func (panicAligner) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
@@ -127,10 +127,7 @@ func TestAlignShardPanicIsolated(t *testing.T) {
 type slowAligner struct{}
 
 func (slowAligner) Name() string { return "slow" }
-func (slowAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return slowAligner{}.SimilarityCtx(context.Background(), src, dst)
-}
-func (slowAligner) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+func (slowAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	for {
 		select {
 		case <-ctx.Done():

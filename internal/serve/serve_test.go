@@ -21,17 +21,13 @@ import (
 // optional panicking, so tests can hold jobs in flight deterministically.
 type fakeAligner struct {
 	name     string
-	block    chan struct{} // when non-nil, SimilarityCtx waits for close or ctx
+	block    chan struct{} // when non-nil, Similarity waits for close or ctx
 	panicMsg string
 }
 
 func (f *fakeAligner) Name() string                     { return f.name }
 func (f *fakeAligner) DefaultAssignment() assign.Method { return assign.NearestNeighbor }
-func (f *fakeAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	return f.SimilarityCtx(context.Background(), src, dst)
-}
-
-func (f *fakeAligner) SimilarityCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+func (f *fakeAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
 	if f.panicMsg != "" {
 		panic(f.panicMsg)
 	}

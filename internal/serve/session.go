@@ -99,7 +99,6 @@ func (s *Server) CreateSession(src, dst *graph.Graph, srcLabels, dstLabels []str
 		DirtyHops:      spec.DirtyHops,
 		Tracer:         s.trace.ChildTrace(id),
 		Registry:       s.reg,
-		Cache:          s.cache,
 	})
 	if err != nil {
 		s.mu.Lock()

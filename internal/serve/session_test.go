@@ -38,8 +38,8 @@ func (embAligner) ScorerCtx(_ context.Context, src, dst *graph.Graph) (assign.Sc
 	}, nil
 }
 
-func (a embAligner) Similarity(src, dst *graph.Graph) (*matrix.Dense, error) {
-	e, _ := a.ScorerCtx(context.Background(), src, dst)
+func (a embAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+	e, _ := a.ScorerCtx(ctx, src, dst)
 	return e.Similarity(), nil
 }
 
@@ -319,7 +319,7 @@ func TestMetricsPreRegistered(t *testing.T) {
 	body := string(readAll(t, resp))
 	for _, name := range []string{
 		"incr_sessions_total", "incr_applies_total", "incr_noop_total",
-		"incr_cold_fallbacks_total", "incr_cache_component_hits_total",
+		"incr_cold_fallbacks_total",
 		"incr_dirty_rows", "incr_dirty_cols", "incr_rebid_rounds",
 		"incr_augmented_rows",
 		"partition_runs_total", "partition_shard_errors_total",
