@@ -292,12 +292,7 @@ func buildPairs(pairs, nodes int, p float64, seed int64, algoName string, method
 			ps, pd = pd, ps
 		}
 		if verify {
-			var mapping []int
-			if method == "" {
-				mapping, err = graphalign.AlignDefault(algoName, ps, pd)
-			} else {
-				mapping, err = graphalign.Align(algoName, ps, pd, method)
-			}
+			mapping, err := graphalign.Align(algoName, ps, pd, method)
 			if err != nil {
 				return nil, fmt.Errorf("library baseline for pair %d: %w", i, err)
 			}

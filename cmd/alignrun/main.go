@@ -14,6 +14,10 @@
 // similarity/assign phases plus the algorithm's inner phases) as JSONL,
 // ready for `alignstat summary`; tracing never changes the alignment.
 //
+// -topk K (K > 0) runs the assignment over per-row top-K candidates instead
+// of the dense matrix, and -workers bounds the run's parallel fan-out; both
+// apply in every mode, and the mapping is identical for any -workers value.
+//
 // -partitions K (K >= 2) routes the run through the partition-align-stitch
 // sharding layer: the graphs are co-partitioned into K matched cluster
 // pairs, each pair is aligned independently across -workers goroutines with
@@ -31,7 +35,8 @@
 // metrics are those of the final alignment against the final edited
 // target. -incr-out writes the incr_* metrics registry as JSON afterwards.
 // Requires an embedding- or factor-producing algorithm; the assignment
-// method is fixed to the warm-startable sparse auction.
+// method is fixed to the warm-startable sparse auction, so -edits cannot be
+// combined with -assign (or -partitions).
 package main
 
 import (
@@ -45,10 +50,14 @@ import (
 	"time"
 
 	"graphalign"
+	"graphalign/internal/algo"
+	"graphalign/internal/assign"
+	"graphalign/internal/core"
 	"graphalign/internal/graph"
 	"graphalign/internal/incremental"
+	"graphalign/internal/metrics"
+	"graphalign/internal/noise"
 	"graphalign/internal/obsv"
-	"graphalign/internal/partition"
 )
 
 func main() {
@@ -61,8 +70,8 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress the mapping output, print only metrics")
 		traceOut = flag.String("trace-out", "", "write span events as JSONL to this file (alignstat summary input)")
 		parts    = flag.Int("partitions", 0, "partition-align-stitch sharding: co-partition into this many matched cluster pairs, align shards independently and stitch with boundary refinement; 0 = off (monolithic)")
-		topK     = flag.Int("topk", 0, "per-shard sparse assignment top-k (with -partitions: 0 = dense; with -edits: candidate list length, 0 = 10)")
-		workers  = flag.Int("workers", 0, "concurrent shards or refresh workers (0 = one per CPU)")
+		topK     = flag.Int("topk", 0, "sparse assignment over per-row top-k candidates (0 = dense; with -edits: candidate list length, 0 = 10)")
+		workers  = flag.Int("workers", 0, "parallel fan-out of candidates, auction, shards or refresh (0 = one per CPU; the mapping is the same for any value)")
 		edits    = flag.String("edits", "", "edit-stream file of blank-line-separated 'add u v'/'del u v' batches: replay incrementally against the target graph")
 		incrOut  = flag.String("incr-out", "", "write the incr_* metrics registry snapshot as JSON to this file (only with -edits)")
 		incrTol  = flag.Float64("incr-tol", 0, "incremental embedding-row change tolerance: 0 = bitwise, >0 = relative, <0 = refresh everything")
@@ -75,6 +84,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *edits != "" && *parts >= 2 {
+		fatal(fmt.Errorf("-edits and -partitions are mutually exclusive"))
+	}
+	if *edits != "" && *method != "" {
+		fatal(fmt.Errorf("-edits and -assign are mutually exclusive: the incremental session always runs the sparse auction"))
+	}
 	src, srcLabels, err := graphalign.ReadGraphFile(*srcPath)
 	if err != nil {
 		fatal(err)
@@ -84,7 +99,7 @@ func main() {
 		fatal(err)
 	}
 
-	var tracer *graphalign.Tracer
+	var tracer *obsv.Tracer
 	var traceSink *obsv.WriterSink
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -105,19 +120,25 @@ func main() {
 		})
 	}
 
-	var mapping []int
-	var simTime, assignTime time.Duration
-	switch {
-	case *edits != "":
-		if *parts >= 2 {
-			fatal(fmt.Errorf("-edits and -partitions are mutually exclusive"))
+	var trueMap []int
+	if *truthP != "" {
+		trueMap, err = readTruth(*truthP, srcLabels, dstLabels)
+		if err != nil {
+			fatal(err)
 		}
-		mapping, dst, simTime, assignTime, err = alignIncremental(*algoName, src, dst,
+	}
+
+	var res core.RunResult
+	var mapping []int
+	if *edits != "" {
+		res, mapping, err = alignIncremental(*algoName, src, dst, trueMap,
 			*edits, *incrOut, *topK, *workers, *incrTol, *incrHops, *drift, tracer)
-	case *parts >= 2:
-		mapping, simTime, assignTime, err = alignPartitioned(*algoName, src, dst, graphalign.AssignMethod(*method), *parts, *topK, *workers, tracer)
-	default:
-		mapping, simTime, assignTime, err = graphalign.AlignTimedTraced(*algoName, src, dst, graphalign.AssignMethod(*method), tracer)
+	} else {
+		res, mapping = core.RunInstance(context.Background(),
+			func() (algo.Aligner, error) { return graphalign.NewAligner(*algoName) },
+			noise.Pair{Source: src, Target: dst, TrueMap: trueMap}, assign.Method(*method),
+			core.RunSpec{Tracer: tracer, AssignTopK: *topK, Workers: *workers, Partitions: *parts})
+		err = res.Err
 	}
 	if err != nil {
 		fatal(err)
@@ -127,16 +148,6 @@ func main() {
 			fatal(fmt.Errorf("trace-out: %w", werr))
 		}
 	}
-	elapsed := simTime + assignTime
-
-	var trueMap []int
-	if *truthP != "" {
-		trueMap, err = readTruth(*truthP, srcLabels, dstLabels)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	scores := graphalign.Evaluate(src, dst, mapping, trueMap)
 
 	if !*quiet {
 		w := bufio.NewWriter(os.Stdout)
@@ -151,51 +162,33 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "algorithm=%s time=%s sim_time=%s assign_time=%s EC=%.4f ICS=%.4f S3=%.4f MNC=%.4f",
-		*algoName, elapsed.Round(time.Millisecond), simTime.Round(time.Millisecond),
-		assignTime.Round(time.Millisecond), scores.EC, scores.ICS, scores.S3, scores.MNC)
+		*algoName, (res.SimilarityTime + res.AssignTime).Round(time.Millisecond), res.SimilarityTime.Round(time.Millisecond),
+		res.AssignTime.Round(time.Millisecond), res.Scores.EC, res.Scores.ICS, res.Scores.S3, res.Scores.MNC)
 	if trueMap != nil {
-		fmt.Fprintf(os.Stderr, " accuracy=%.4f", scores.Accuracy)
+		fmt.Fprintf(os.Stderr, " accuracy=%.4f", res.Scores.Accuracy)
 	}
 	fmt.Fprintln(os.Stderr)
-}
-
-// alignPartitioned runs the sharded path: a fresh aligner per shard (the
-// shards run concurrently, so they cannot share one instance's state), the
-// algorithm's own default assignment when none was requested, and the
-// partition layer's AlignTime/StitchTime reported in place of the monolithic
-// similarity/assignment split.
-func alignPartitioned(name string, src, dst *graphalign.Graph, method graphalign.AssignMethod, parts, topK, workers int, tracer *graphalign.Tracer) ([]int, time.Duration, time.Duration, error) {
-	if method == "" {
-		a, err := graphalign.NewAligner(name)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		method = a.DefaultAssignment()
-	}
-	mapping, stats, err := partition.Align(context.Background(),
-		func() (graphalign.Aligner, error) { return graphalign.NewAligner(name) },
-		src, dst, method, partition.Options{K: parts, Workers: workers, TopK: topK, Tracer: tracer})
-	return mapping, stats.AlignTime, stats.StitchTime, err
 }
 
 // alignIncremental replays an edit-stream file against the target graph:
 // cold-align once (reported as the similarity time), then apply each batch
 // with warm-started re-alignment (the summed apply time is reported as the
-// assignment time). Returns the final mapping and the final edited target,
-// which is what the printed metrics must be scored against.
-func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOut string, topK, workers int, tol float64, hops int, drift float64, tracer *graphalign.Tracer) ([]int, *graphalign.Graph, time.Duration, time.Duration, error) {
+// assignment time). The final mapping is scored against the final edited
+// target.
+func alignIncremental(name string, src, dst *graph.Graph, trueMap []int, editsPath, incrOut string, topK, workers int, tol float64, hops int, drift float64, tracer *obsv.Tracer) (core.RunResult, []int, error) {
+	var res core.RunResult
 	f, err := os.Open(editsPath)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return res, nil, err
 	}
 	batches, err := graph.ReadEditStream(f)
 	f.Close()
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("edits: %w", err)
+		return res, nil, fmt.Errorf("edits: %w", err)
 	}
 	a, err := graphalign.NewAligner(name)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return res, nil, err
 	}
 	if topK == 0 {
 		topK = 10
@@ -214,17 +207,16 @@ func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOu
 		Tracer:         tracer,
 		Registry:       reg,
 	})
-	simTime := time.Since(t0)
+	res.SimilarityTime = time.Since(t0)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return res, nil, err
 	}
-	var assignTime time.Duration
 	for i, batch := range batches {
 		t1 := time.Now()
 		stats, err := sess.Apply(context.Background(), batch)
-		assignTime += time.Since(t1)
+		res.AssignTime += time.Since(t1)
 		if err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("batch %d: %w", i, err)
+			return res, nil, fmt.Errorf("batch %d: %w", i, err)
 		}
 		fmt.Fprintf(os.Stderr, "batch=%d edits=%d dirty_rows=%d dirty_cols=%d warm=%t rebid_rows=%d rounds=%d noop=%t time=%s\n",
 			i, stats.Edits, stats.DirtyRows, stats.ChangedCols, stats.Warm,
@@ -234,17 +226,19 @@ func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOu
 	if incrOut != "" {
 		out, err := os.Create(incrOut)
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return res, nil, err
 		}
 		if err := reg.WriteJSON(out); err != nil {
 			out.Close()
-			return nil, nil, 0, 0, err
+			return res, nil, err
 		}
 		if err := out.Close(); err != nil {
-			return nil, nil, 0, 0, err
+			return res, nil, err
 		}
 	}
-	return sess.Mapping(), sess.Target(), simTime, assignTime, nil
+	mapping := sess.Mapping()
+	res.Scores = metrics.All(src, sess.Target(), mapping, trueMap)
+	return res, mapping, nil
 }
 
 // readTruth reads "srcLabel dstLabel" lines and resolves both columns

@@ -151,6 +151,50 @@ func TestTraceOutProducesParsableTrace(t *testing.T) {
 	}
 }
 
+// TestTopKMonolithic: -topk reaches a run without -partitions — its assign
+// phase runs the sparse pipeline and records the candidate count.
+func TestTopKMonolithic(t *testing.T) {
+	src, dst, _ := writeInstance(t)
+	trace := filepath.Join(t.TempDir(), "run.jsonl")
+	out, err := run(t, "-algo", "REGAL", "-src", src, "-dst", dst, "-topk", "16", "-q", "-trace-out", trace)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	parsed, err := tracefile.ReadFiles(trace)
+	if err != nil {
+		t.Fatalf("trace unparsable: %v", err)
+	}
+	if len(parsed.Runs) != 1 {
+		t.Fatalf("runs = %d, want 1", len(parsed.Runs))
+	}
+	for _, c := range parsed.Runs[0].Root.Children {
+		if c.Name == "assign" {
+			if got := c.Fields["topk"]; got != float64(16) {
+				t.Errorf("assign phase topk = %v, want 16", got)
+			}
+			return
+		}
+	}
+	t.Error("no assign phase in the trace")
+}
+
+// TestEditsRejectAssign: the incremental session always runs the sparse
+// auction, so an explicit -assign with -edits is refused, not ignored.
+func TestEditsRejectAssign(t *testing.T) {
+	src, dst, _ := writeInstance(t)
+	edits := filepath.Join(t.TempDir(), "s.edits")
+	if err := os.WriteFile(edits, []byte("add 0 50\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run(t, "-algo", "REGAL", "-src", src, "-dst", dst, "-edits", edits, "-assign", "JV", "-q")
+	if err == nil {
+		t.Fatalf("-edits with -assign accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "-assign") {
+		t.Errorf("error does not name -assign:\n%s", out)
+	}
+}
+
 func TestTimeSplitReported(t *testing.T) {
 	src, dst, _ := writeInstance(t)
 	out, err := run(t, "-algo", "NSD", "-src", src, "-dst", dst, "-q")

@@ -81,7 +81,7 @@ func TestPartitionOffIdentity(t *testing.T) {
 			}
 			want := mono.Mapping
 			for _, parts := range []int{0, 1} {
-				res, got := core.RunInstance(context.Background(), mk(), p,
+				res, got := core.RunInstance(context.Background(), func() (algo.Aligner, error) { return mk(), nil }, p,
 					assign.JonkerVolgenant, core.RunSpec{Partitions: parts})
 				if res.Err != nil {
 					t.Fatalf("Partitions=%d: %v", parts, res.Err)

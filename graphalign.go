@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"graphalign/internal/adaptive"
 	"graphalign/internal/algo"
@@ -37,7 +36,6 @@ import (
 	"graphalign/internal/graph"
 	"graphalign/internal/metrics"
 	"graphalign/internal/multi"
-	"graphalign/internal/obsv"
 )
 
 // Graph re-exports the graph type used throughout the public API.
@@ -174,57 +172,15 @@ func NewAligner(name string) (Aligner, error) {
 }
 
 // Align aligns src to dst with the named algorithm and the given assignment
-// method (empty selects the author-proposed one); mapping[u] is the dst node
-// aligned to src node u.
+// method (empty selects the author-proposed one, Table 1's Assign column);
+// mapping[u] is the dst node aligned to src node u.
 func Align(name string, src, dst *Graph, method AssignMethod) ([]int, error) {
-	res, err := align(name, src, dst, method, nil)
-	return res.Mapping, err
-}
-
-// AlignDefault aligns with the algorithm's author-proposed assignment
-// method (Table 1's Assign column).
-func AlignDefault(name string, src, dst *Graph) ([]int, error) {
-	return Align(name, src, dst, "")
-}
-
-// AlignTimed is Align reporting how the runtime splits between the
-// similarity computation and the assignment step (the paper's runtime
-// figures exclude assignment).
-func AlignTimed(name string, src, dst *Graph, method AssignMethod) (mapping []int, simTime, assignTime time.Duration, err error) {
-	return AlignTimedTraced(name, src, dst, method, nil)
-}
-
-// Tracer re-exports the observability tracer so CLI callers can stream
-// span events without importing the internal package. A nil *Tracer is
-// valid and fully disabled.
-type Tracer = obsv.Tracer
-
-// AlignTimedTraced is AlignTimed emitting structured span events (a run
-// span with similarity/assign phases, plus the algorithm's inner phases)
-// through tr. A nil tracer makes it exactly AlignTimed.
-func AlignTimedTraced(name string, src, dst *Graph, method AssignMethod, tr *Tracer) (mapping []int, simTime, assignTime time.Duration, err error) {
-	res, err := align(name, src, dst, method, tr)
-	return res.Mapping, res.SimTime, res.AssignTime, err
-}
-
-// align runs the named algorithm under a run span of tr (nil: untraced).
-func align(name string, src, dst *Graph, method AssignMethod, tr *Tracer) (algo.Result, error) {
 	a, err := NewAligner(name)
 	if err != nil {
-		return algo.Result{}, err
+		return nil, err
 	}
-	if method == "" {
-		method = a.DefaultAssignment()
-	}
-	run := tr.StartRun(a.Name(), map[string]any{
-		"assign": string(method), "n_src": src.N(), "n_dst": dst.N(),
-	})
-	res, err := algo.Run(context.Background(), a, src, dst, algo.Plan{Method: method, Span: run})
-	if err != nil {
-		run.Set("err", err.Error())
-	}
-	run.End()
-	return res, err
+	res, err := algo.Run(context.Background(), a, src, dst, algo.Plan{Method: method})
+	return res.Mapping, err
 }
 
 // Evaluate computes all five quality measures of the study for a mapping;

@@ -90,9 +90,21 @@ func TestAlignEndToEnd(t *testing.T) {
 	}
 }
 
-func TestAlignDefaultEndToEnd(t *testing.T) {
+// TestAlignEmptyMethodEndToEnd: an empty method runs the algorithm's
+// author-proposed assignment (SortGreedy for NSD).
+func TestAlignEmptyMethodEndToEnd(t *testing.T) {
 	src, dst, trueMap := testPair(t, 0)
-	mapping, err := AlignDefault("NSD", src, dst)
+	mapping, err := Align("NSD", src, dst, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := Align("NSD", src, dst, SG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mapping, sg) {
+		t.Error("empty method mapping differs from NSD's SortGreedy")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,8 +110,9 @@ func ApplyCache(a Aligner, c *cache.Cache) {
 
 // Plan configures one alignment run.
 type Plan struct {
-	// Method is the assignment method. Nearest-neighbor extractions are
-	// restricted to one-to-one outputs, as the paper does for comparability.
+	// Method is the assignment method; empty selects the aligner's
+	// DefaultAssignment. Nearest-neighbor extractions are restricted to
+	// one-to-one outputs, as the paper does for comparability.
 	Method assign.Method
 	// TopK, when positive, routes the assignment through the sparse
 	// pipeline: the similarity is reduced to per-row top-k candidates — read
@@ -151,6 +152,9 @@ func Run(ctx context.Context, a Aligner, src, dst *graph.Graph, plan Plan) (Resu
 	var res Result
 	if src.N() > dst.N() {
 		return res, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
+	}
+	if plan.Method == "" {
+		plan.Method = a.DefaultAssignment()
 	}
 	if inst, ok := a.(Instrumented); ok {
 		inst.SetSpan(plan.Span)

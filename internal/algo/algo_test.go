@@ -91,16 +91,28 @@ func TestAlignNNIsOneToOne(t *testing.T) {
 	}
 }
 
-func TestAlignDefault(t *testing.T) {
-	sim := matrix.DenseFromRows([][]float64{{1, 0}, {0, 1}})
+// TestRunEmptyMethodIsDefault: an empty Plan.Method runs the aligner's
+// DefaultAssignment (SortGreedy for the stub), not some other solver. JV
+// picks the other matching on this matrix, so the test tells them apart.
+func TestRunEmptyMethodIsDefault(t *testing.T) {
+	sim := matrix.DenseFromRows([][]float64{{1, 0.9}, {0.95, 0}})
 	g := line(2)
 	a := stubAligner{sim: sim}
-	mapping, err := align(a, g, g, a.DefaultAssignment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapping[0] != 0 || mapping[1] != 1 {
-		t.Errorf("mapping = %v", mapping)
+	for _, tc := range []struct {
+		method assign.Method
+		want   []int
+	}{
+		{"", []int{0, 1}},
+		{a.DefaultAssignment(), []int{0, 1}},
+		{assign.JonkerVolgenant, []int{1, 0}},
+	} {
+		mapping, err := align(a, g, g, tc.method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapping[0] != tc.want[0] || mapping[1] != tc.want[1] {
+			t.Errorf("method %q: mapping = %v, want %v", tc.method, mapping, tc.want)
+		}
 	}
 }
 

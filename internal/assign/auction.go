@@ -7,40 +7,6 @@ import (
 	"graphalign/internal/parallel"
 )
 
-// Sparse assignment methods: candidate-set counterparts of the paper's four
-// dense extraction strategies. They consume a Candidates set instead of a
-// dense matrix (see SolveSparse) and exist so the experiment framework can
-// name the sparse pipeline in results and checkpoints without overloading
-// the dense method identifiers.
-const (
-	// AuctionSparse is the forward-auction LAP solver with ε-scaling over
-	// the candidate set; the sparse counterpart of both exact dense solvers
-	// (JV and MWM). Falls back to dense JV when the candidate graph cannot
-	// match every row.
-	AuctionSparse Method = "AUC"
-	// NearestNeighborSparse is NN over candidates (each row's best
-	// candidate), restricted to one-to-one like the dense pipeline.
-	NearestNeighborSparse Method = "NN-K"
-	// SortGreedySparse is SortGreedy over candidates with the free-column
-	// maximality fallback of SolveGreedySparse.
-	SortGreedySparse Method = "SG-K"
-)
-
-// SparseVariant maps a dense assignment method to its sparse counterpart
-// (both exact solvers map to the auction). Sparse methods map to themselves,
-// so callers can pass either form. ok is false for unknown methods.
-func SparseVariant(m Method) (Method, bool) {
-	switch m {
-	case NearestNeighbor, NearestNeighborSparse:
-		return NearestNeighborSparse, true
-	case SortGreedy, SortGreedySparse:
-		return SortGreedySparse, true
-	case Hungarian, JonkerVolgenant, AuctionSparse:
-		return AuctionSparse, true
-	}
-	return "", false
-}
-
 // SparseStats reports what the sparse pipeline did, for observability and
 // for the optimality-tolerance contract of the property tests.
 type SparseStats struct {
@@ -66,8 +32,9 @@ type SparseStats struct {
 	RebidRows int
 }
 
-// SolveSparse dispatches a sparse assignment method over a candidate set.
-// s is the similarity c was selected from; its Similarity is only invoked
+// SolveSparse runs the candidate-set counterpart of one of the paper's four
+// methods: NN and SG over the candidates, and the ε-scaling auction (with a
+// dense-JV fallback) for both exact methods, MWM and JV. s is the similarity c was selected from; its Similarity is only invoked
 // on the auction's unmatchable-fallback path (s may be nil when the caller
 // can guarantee matchability; the fallback then returns an error). workers
 // bounds the auction's parallel bidding fan-out (0 = one per CPU); the
@@ -78,15 +45,15 @@ func SolveSparse(method Method, c *Candidates, s Scorer, workers int) ([]int, Sp
 		return nil, SparseStats{}, fmt.Errorf("assign: source larger than target (%d > %d)", c.Rows, c.Cols)
 	}
 	stats := SparseStats{CandidatesPerRow: c.K}
-	sm, ok := SparseVariant(method)
-	if !ok {
-		return nil, stats, fmt.Errorf("assign: unknown sparse method %q", method)
-	}
-	switch sm {
-	case NearestNeighborSparse:
+	switch method {
+	case NearestNeighbor:
 		return EnforceOneToOneSparse(c, SolveNNSparse(c)), stats, nil
-	case SortGreedySparse:
+	case SortGreedy:
 		return SolveGreedySparse(c), stats, nil
+	case Hungarian, JonkerVolgenant:
+		// The auction below.
+	default:
+		return nil, stats, fmt.Errorf("assign: unknown method %q", method)
 	}
 	// A row left without candidates by NaN pruning can never be
 	// matched: Hopcroft–Karp would report the graph unmatchable and the
@@ -100,7 +67,7 @@ func SolveSparse(method Method, c *Candidates, s Scorer, workers int) ([]int, Sp
 			}
 		}
 	}
-	mapping, st, ok := SolveAuction(c, workers)
+	mapping, _, st, ok := SolveAuction(c, workers)
 	st.CandidatesPerRow = c.K
 	if ok {
 		return mapping, st, nil
@@ -119,6 +86,21 @@ func SolveSparse(method Method, c *Candidates, s Scorer, workers int) ([]int, Sp
 // cap reports ok=false and the caller falls back to dense JV.
 func auctionMaxRounds(persons, objects int) int {
 	return 64 * (persons + objects + 16)
+}
+
+// AuctionState is the reusable outcome of an auction solve: the final column
+// price vector plus the schedule facts a later solve over a slightly edited
+// candidate set needs to warm-start (see SolveAuctionWarm). The price vector
+// is owned by the state — solvers copy it rather than aliasing caller memory.
+type AuctionState struct {
+	// Price is the final column price vector (length Cols).
+	Price []float64
+	// FinalEps is the ε the returned assignment satisfies ε-complementary
+	// slackness for; the total is within Cols*FinalEps of the candidate-graph
+	// optimum.
+	FinalEps float64
+	// Spread is the candidate value spread the ε schedule was derived from.
+	Spread float64
 }
 
 // SolveAuction solves the maximum-similarity assignment over a candidate set
@@ -142,31 +124,9 @@ func auctionMaxRounds(persons, objects int) int {
 //
 // ok is false when the candidate graph cannot match every row (detected by
 // Hopcroft–Karp up front, plus a round-cap backstop); callers should fall
-// back to a dense solver (see SolveSparse).
-func SolveAuction(c *Candidates, workers int) ([]int, SparseStats, bool) {
-	mapping, _, stats, ok := SolveAuctionState(c, workers)
-	return mapping, stats, ok
-}
-
-// AuctionState is the reusable outcome of an auction solve: the final column
-// price vector plus the schedule facts a later solve over a slightly edited
-// candidate set needs to warm-start (see SolveAuctionWarm). The price vector
-// is owned by the state — solvers copy it rather than aliasing caller memory.
-type AuctionState struct {
-	// Price is the final column price vector (length Cols).
-	Price []float64
-	// FinalEps is the ε the returned assignment satisfies ε-complementary
-	// slackness for; the total is within Cols*FinalEps of the candidate-graph
-	// optimum.
-	FinalEps float64
-	// Spread is the candidate value spread the ε schedule was derived from.
-	Spread float64
-}
-
-// SolveAuctionState is SolveAuction, additionally returning the final
-// AuctionState so the caller can warm-start a later solve over an edited
-// candidate set.
-func SolveAuctionState(c *Candidates, workers int) ([]int, AuctionState, SparseStats, bool) {
+// back to a dense solver (see SolveSparse). The returned AuctionState lets a
+// later solve over an edited candidate set warm-start (SolveAuctionWarm).
+func SolveAuction(c *Candidates, workers int) ([]int, AuctionState, SparseStats, bool) {
 	var stats SparseStats
 	if c.Rows == 0 {
 		return nil, AuctionState{}, stats, true
@@ -205,7 +165,7 @@ func SolveAuctionState(c *Candidates, workers int) ([]int, AuctionState, SparseS
 }
 
 // auctionRun holds the mutable state of one auction solve, shared by the cold
-// ε-scaling loop (SolveAuctionState) and the warm single-phase path
+// ε-scaling loop (SolveAuction) and the warm single-phase path
 // (SolveAuctionWarm). Persons are the rows padded square with zero-value
 // virtual rows, exactly like SolveJV's padding.
 type auctionRun struct {

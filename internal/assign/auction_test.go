@@ -3,6 +3,7 @@ package assign
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphalign/internal/matrix"
@@ -39,7 +40,7 @@ func TestAuctionAgreesWithJVDense(t *testing.T) {
 					sim.Data[i] = reg.draw()
 				}
 				c := TopK(DenseScorer{sim}, m, 1) // full candidate set
-				mapping, stats, ok := SolveAuction(c, 1)
+				mapping, _, stats, ok := SolveAuction(c, 1)
 				if !ok {
 					t.Fatalf("trial %d: auction failed on a full candidate set", trial)
 				}
@@ -83,7 +84,7 @@ func TestAuctionAgreesWithJVBanded(t *testing.T) {
 		b := 1 + rng.Intn(3)
 		sim := bandedInstance(n, m, b, rng)
 		c := TopK(DenseScorer{sim}, 2*b+1, 1)
-		mapping, stats, err := SolveSparse(AuctionSparse, c, DenseScorer{sim}, 1)
+		mapping, stats, err := SolveSparse(JonkerVolgenant, c, DenseScorer{sim}, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -109,7 +110,7 @@ func TestAuctionStarvedFallsBackToJV(t *testing.T) {
 		{0.8, 0, 0, 0},
 	})
 	c := TopK(DenseScorer{sim}, 1, 1)
-	mapping, stats, err := SolveSparse(AuctionSparse, c, DenseScorer{sim}, 1)
+	mapping, stats, err := SolveSparse(JonkerVolgenant, c, DenseScorer{sim}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,42 +129,51 @@ func TestAuctionFallbackWithoutDenseErrors(t *testing.T) {
 	sim := matrix.DenseFromRows([][]float64{{1, 0}, {0.9, 0}, {0.8, 0}})
 	// Rows > cols is rejected up front.
 	c := TopK(DenseScorer{sim}, 2, 1)
-	if _, _, err := SolveSparse(AuctionSparse, c, nil, 1); err == nil {
+	if _, _, err := SolveSparse(JonkerVolgenant, c, nil, 1); err == nil {
 		t.Fatal("expected error for rows > cols")
 	}
 	// Unmatchable graph with no dense fallback available.
 	starved := TopK(DenseScorer{matrix.DenseFromRows([][]float64{{1, 0, 0}, {0.9, 0, 0}})}, 1, 1)
-	if _, _, err := SolveSparse(AuctionSparse, starved, nil, 1); err == nil {
+	if _, _, err := SolveSparse(JonkerVolgenant, starved, nil, 1); err == nil {
 		t.Fatal("expected error when fallback is needed but dense is nil")
 	}
 }
 
 func TestAuctionEmpty(t *testing.T) {
-	mapping, _, ok := SolveAuction(&Candidates{}, 1)
+	mapping, _, _, ok := SolveAuction(&Candidates{}, 1)
 	if !ok || len(mapping) != 0 {
 		t.Fatalf("empty instance: mapping=%v ok=%v", mapping, ok)
 	}
 }
 
-func TestSparseVariant(t *testing.T) {
-	cases := []struct {
-		in   Method
-		want Method
-		ok   bool
-	}{
-		{NearestNeighbor, NearestNeighborSparse, true},
-		{SortGreedy, SortGreedySparse, true},
-		{JonkerVolgenant, AuctionSparse, true},
-		{Hungarian, AuctionSparse, true},
-		{NearestNeighborSparse, NearestNeighborSparse, true},
-		{SortGreedySparse, SortGreedySparse, true},
-		{AuctionSparse, AuctionSparse, true},
-		{Method("nope"), Method(""), false},
+// TestSolveSparseMethods: SolveSparse accepts exactly the paper's four
+// methods — NN and SG run their candidate-set solvers, both exact methods the
+// auction — and rejects any other name.
+func TestSolveSparseMethods(t *testing.T) {
+	sim := matrix.DenseFromRows([][]float64{
+		{0.9, 0.8, 0.1},
+		{0.7, 0.2, 0.65},
+	})
+	c := TopK(DenseScorer{sim}, 2, 1)
+	auction, _, _, _ := SolveAuction(c, 1)
+	want := map[Method][]int{
+		NearestNeighbor: EnforceOneToOneSparse(c, SolveNNSparse(c)),
+		SortGreedy:      SolveGreedySparse(c),
+		Hungarian:       auction,
+		JonkerVolgenant: auction,
 	}
-	for _, tc := range cases {
-		got, ok := SparseVariant(tc.in)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("SparseVariant(%q) = (%q, %v), want (%q, %v)", tc.in, got, ok, tc.want, tc.ok)
+	for _, m := range Methods() {
+		got, _, err := SolveSparse(m, c, DenseScorer{sim}, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if !slices.Equal(got, want[m]) {
+			t.Errorf("%s: mapping %v, want %v", m, got, want[m])
+		}
+	}
+	for _, m := range []Method{"AUC", "nope", ""} {
+		if _, _, err := SolveSparse(m, c, DenseScorer{sim}, 1); err == nil {
+			t.Errorf("SolveSparse accepted method %q", m)
 		}
 	}
 }
@@ -223,14 +233,14 @@ func TestAuctionDeterministicAcrossWorkers(t *testing.T) {
 	if !c.Matchable() {
 		t.Fatal("banded candidate set should be matchable")
 	}
-	ref, refStats, ok := SolveAuction(c, 1)
+	ref, _, refStats, ok := SolveAuction(c, 1)
 	if !ok {
 		t.Fatal("auction failed on a matchable instance")
 	}
 	checkOneToOne(t, "auction-det", ref, n)
 	for _, workers := range []int{2, 4, 8} {
 		for rep := 0; rep < 2; rep++ {
-			got, stats, ok := SolveAuction(c, workers)
+			got, _, stats, ok := SolveAuction(c, workers)
 			if !ok {
 				t.Fatalf("workers=%d rep=%d: auction failed", workers, rep)
 			}
@@ -254,7 +264,7 @@ func TestAuctionDeterministicAcrossWorkers(t *testing.T) {
 func TestAuctionQualityOnBanded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	c := bandedCandidates(512, 8, rng)
-	mapping, stats, ok := SolveAuction(c, 1)
+	mapping, _, stats, ok := SolveAuction(c, 1)
 	if !ok {
 		t.Fatal("auction failed")
 	}

@@ -191,11 +191,11 @@ func TestAugmentedGraphSolvesWithoutFallback(t *testing.T) {
 	if base.Matchable() {
 		t.Skip("degenerate construction unexpectedly matchable")
 	}
-	if _, _, ok := SolveAuction(base, 1); ok {
+	if _, _, _, ok := SolveAuction(base, 1); ok {
 		t.Fatal("unmatchable base unexpectedly solved")
 	}
 	aug, _, _ := Augment(base, e, nil, nil)
-	mapping, _, ok := SolveAuction(aug, 1)
+	mapping, _, _, ok := SolveAuction(aug, 1)
 	if !ok {
 		t.Fatal("auction refused the repaired graph")
 	}

@@ -34,7 +34,7 @@ func BenchmarkAuctionPipeline(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c := TopK(DenseScorer{sim}, 16, 1)
-				if _, _, ok := SolveAuction(c, 1); !ok {
+				if _, _, _, ok := SolveAuction(c, 1); !ok {
 					b.Fatal("auction fell back")
 				}
 			}
@@ -50,7 +50,7 @@ func BenchmarkSolveAuction(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := SolveAuction(c, 1); !ok {
+				if _, _, _, ok := SolveAuction(c, 1); !ok {
 					b.Fatal("auction fell back")
 				}
 			}

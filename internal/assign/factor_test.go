@@ -162,7 +162,7 @@ func TestSolveAuctionShortRows(t *testing.T) {
 		Val: []float64{5, 1, 4, 0, 3, 0},
 		Len: []int{2, 1, 1},
 	}
-	mapping, _, ok := SolveAuction(c, 1)
+	mapping, _, _, ok := SolveAuction(c, 1)
 	if !ok {
 		t.Fatal("auction should solve the trimmed candidate set")
 	}

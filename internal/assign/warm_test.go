@@ -20,7 +20,7 @@ func TestWarmAuctionEmptyDirtyByteIdentical(t *testing.T) {
 			sim.Data[i] = rng.Float64()
 		}
 		c := TopK(DenseScorer{sim}, m, 1)
-		cold, state, _, ok := SolveAuctionState(c, 1)
+		cold, state, _, ok := SolveAuction(c, 1)
 		if !ok {
 			t.Fatalf("trial %d: cold solve failed", trial)
 		}
@@ -66,7 +66,7 @@ func TestWarmAuctionAgreesWithJVAcrossEdits(t *testing.T) {
 			sim.Data[i] = rng.Float64()
 		}
 		c := TopK(DenseScorer{sim}, m, 1)
-		mapping, state, _, ok := SolveAuctionState(c, 1)
+		mapping, state, _, ok := SolveAuction(c, 1)
 		if !ok {
 			t.Fatalf("trial %d: cold solve failed", trial)
 		}
@@ -113,7 +113,7 @@ func TestWarmAuctionRepairsBadSeeds(t *testing.T) {
 			sim.Data[i] = rng.Float64()
 		}
 		c := TopK(DenseScorer{sim}, m, 1)
-		mapping, state, _, ok := SolveAuctionState(c, 1)
+		mapping, state, _, ok := SolveAuction(c, 1)
 		if !ok {
 			t.Fatalf("trial %d: cold solve failed", trial)
 		}
@@ -145,7 +145,7 @@ func TestWarmAuctionRepairsBadSeeds(t *testing.T) {
 func TestWarmAuctionRejectsShapeMismatch(t *testing.T) {
 	sim := matrix.DenseFromRows([][]float64{{1, 0}, {0, 1}})
 	c := TopK(DenseScorer{sim}, 2, 1)
-	mapping, state, _, ok := SolveAuctionState(c, 1)
+	mapping, state, _, ok := SolveAuction(c, 1)
 	if !ok {
 		t.Fatal("cold solve failed")
 	}

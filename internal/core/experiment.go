@@ -57,18 +57,13 @@ type Options struct {
 	// of parallelism. The memory experiments (Figures 13-14) set it; leave
 	// it false for pure quality/runtime experiments.
 	MemProfile bool
-	// Progress, when non-nil, receives one line per completed cell.
-	// Invocations are serialized by the framework, so the callback may
-	// write to shared sinks without its own locking. RunExperiment
-	// re-implements this legacy callback as one tracer sink; experiments
-	// invoked directly keep the plain callback path.
-	Progress func(format string, args ...interface{})
 	// Tracer, when non-nil, receives structured telemetry: run_start /
 	// run_end events with nested phase spans for every algorithm run,
-	// cell_done events with completed/total counts, progress lines, and
-	// gauge samples. Tracing never alters experiment results — at a fixed
-	// Seed and Workers the output tables are byte-identical with the
-	// tracer attached or nil; only the tracer's own sinks see more.
+	// cell_done events with completed/total counts, progress lines (attach
+	// an obsv.ProgressFunc sink to receive just those), and gauge samples.
+	// Tracing never alters experiment results — at a fixed Seed and Workers
+	// the output tables are byte-identical with the tracer attached or nil;
+	// only the tracer's own sinks see more.
 	Tracer *obsv.Tracer
 	// Ctx, when non-nil, cancels the whole run cooperatively: workers stop
 	// claiming new (cell, rep) slots and in-flight algorithm runs return at
@@ -126,19 +121,16 @@ type Options struct {
 	// directly leave it empty, which is still a valid key.
 	expID string
 
-	// obs is the per-Options observability state (progress mutex, cell
-	// counters) shared by every copy of this Options value. DefaultOptions
-	// allocates one; zero-literal Options fall back to a package-level
-	// instance, which preserves the old behavior of serializing all
-	// Progress callbacks process-wide for that legacy path only.
+	// obs is the per-Options cell-completion state shared by every copy of
+	// this Options value. DefaultOptions allocates one; zero-literal Options
+	// fall back to a package-level instance.
 	obs *obsState
 }
 
-// obsState serializes Progress callbacks and tracks cell completion for
-// completed/total progress reporting. It lives behind a pointer so that
-// the Options copies handed to drivers, reps and workers all share it,
-// while two independent DefaultOptions values (e.g. concurrent experiments
-// with different Progress sinks) no longer serialize against each other.
+// obsState tracks cell completion for completed/total progress reporting.
+// It lives behind a pointer so that the Options copies handed to drivers,
+// reps and workers all share it, while two independent DefaultOptions
+// values (e.g. concurrent experiments) keep separate counts.
 type obsState struct {
 	mu    sync.Mutex
 	total int
@@ -157,7 +149,7 @@ func (o *Options) obsv() *obsState {
 
 // runSpec assembles the per-run configuration from the experiment options.
 func (o *Options) runSpec() RunSpec {
-	return RunSpec{Tracer: o.Tracer, Budget: o.RunTimeout, AssignTopK: o.AssignTopK, Workers: o.Workers, Partitions: o.Partitions}
+	return RunSpec{Tracer: o.Tracer, Budget: o.RunTimeout, AssignTopK: o.AssignTopK, Workers: o.Workers, Partitions: o.Partitions, Cache: o.Cache}
 }
 
 // ctx returns the run context, defaulting to the never-cancelled background
@@ -193,26 +185,6 @@ func (o *Options) algorithms() []string {
 	return AllAlgorithms
 }
 
-// progress reports one line through both observability paths: as a
-// "progress" event on the tracer (whose own mutex serializes sinks) and to
-// the legacy Progress callback, serialized by the per-Options obsState
-// mutex. Cells run sequentially, but helpers fanned out across the worker
-// pool may report per-run events, so both paths must tolerate concurrency.
-func (o *Options) progress(format string, args ...interface{}) {
-	if o.Progress == nil && o.Tracer == nil {
-		return
-	}
-	if o.Tracer != nil {
-		o.Tracer.Progress(fmt.Sprintf(format, args...))
-	}
-	if o.Progress != nil {
-		st := o.obsv()
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		o.Progress(format, args...)
-	}
-}
-
 // declareCells announces how many grid cells the running experiment will
 // process, resetting the completion counter; cellDone then reports
 // completed/total counts with an ETA. A zero or unknown total still counts
@@ -230,7 +202,7 @@ func (o *Options) declareCells(total int) {
 // trace event carrying completed/total counts and the ETA extrapolated
 // from the mean cell duration so far, plus a matching progress line.
 func (o *Options) cellDone(cell string) {
-	if o.Progress == nil && o.Tracer == nil {
+	if o.Tracer == nil {
 		return
 	}
 	st := o.obsv()
@@ -246,15 +218,13 @@ func (o *Options) cellDone(cell string) {
 	}
 	st.mu.Unlock()
 
-	if o.Tracer != nil {
-		o.Tracer.Emit("cell_done", cell, map[string]any{
-			"done": done, "total": total, "eta_s": eta.Seconds(),
-		})
-	}
+	o.Tracer.Emit("cell_done", cell, map[string]any{
+		"done": done, "total": total, "eta_s": eta.Seconds(),
+	})
 	if total > 0 {
-		o.progress("cell %d/%d done: %s (eta %s)", done, total, cell, eta.Round(time.Second))
+		o.Tracer.Progress(fmt.Sprintf("cell %d/%d done: %s (eta %s)", done, total, cell, eta.Round(time.Second)))
 	} else {
-		o.progress("cell %d done: %s", done, cell)
+		o.Tracer.Progress(fmt.Sprintf("cell %d done: %s", done, cell))
 	}
 }
 
@@ -315,21 +285,15 @@ func Get(id string) (Experiment, error) {
 }
 
 // RunExperiment looks up and runs one experiment with full observability
-// wiring: a legacy Progress callback is re-attached as a tracer sink (so
-// every line flows through one serialized pipeline), the per-experiment
-// cell counters are reset, and the run is bracketed by experiment_start /
-// experiment_done events carrying the duration and row count. Calling the
-// experiment's Run directly remains supported and behaves as before; this
-// wrapper only adds reporting, never changes results.
+// wiring: the per-experiment cell counters are reset, and the run is
+// bracketed by experiment_start / experiment_done events carrying the
+// duration and row count. Calling the experiment's Run directly remains
+// supported and behaves as before; this wrapper only adds reporting, never
+// changes results.
 func RunExperiment(id string, opts Options) (*Table, error) {
 	e, err := Get(id)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Progress != nil && opts.Tracer == nil {
-		p := opts.Progress
-		opts.Tracer = obsv.New(obsv.ProgressFunc(func(msg string) { p("%s", msg) }))
-		opts.Progress = nil
 	}
 	opts.obs = &obsState{start: time.Now()}
 	opts.expID = id
@@ -421,9 +385,10 @@ func noisyInstances(base *graph.Graph, t noise.Type, level float64, opts Options
 }
 
 // runInstances fans the runs of one cell out across the worker pool. Every
-// run gets a freshly built Aligner so no algorithm state is shared between
-// goroutines (the study's aligners seed their internal RNGs from fixed
-// per-algorithm constants, so fresh instances stay deterministic). With
+// run (and every shard of a partitioned run) gets a freshly built Aligner
+// so no algorithm state is shared between goroutines (the study's aligners
+// seed their internal RNGs from fixed per-algorithm constants, so fresh
+// instances stay deterministic). With
 // opts.MemProfile the runs take the serialized profiled path instead, which
 // is the only mode in which AllocBytes is meaningful.
 //
@@ -443,32 +408,15 @@ func runInstances(opts Options, cell, label string, build func(i int) (algo.Alig
 			runs[i] = res
 			return
 		}
-		a, err := build(i)
-		switch {
-		case err != nil:
-			runs[i] = RunResult{Err: err}
-		case opts.MemProfile:
+		mk := func() (algo.Aligner, error) { return build(i) }
+		if opts.MemProfile {
 			// Deliberately no cache in profiled mode: AllocBytes measures one
 			// algorithm's own footprint, which shared artifacts would distort.
-			runs[i] = RunInstanceProfiled(ctx, a, pairs[i], method, opts.runSpec())
-		default:
-			algo.ApplyCache(a, opts.Cache)
 			spec := opts.runSpec()
-			if opts.Partitions >= 2 {
-				// Partitioned runs align shards concurrently, so each shard
-				// needs its own aligner instance (sharing one would race on
-				// internal state). The factory inherits the run's cache —
-				// cached artifacts are keyed per graph, so shards only share
-				// what is safe to share.
-				spec.NewAligner = func() (algo.Aligner, error) {
-					sa, err := build(i)
-					if err == nil {
-						algo.ApplyCache(sa, opts.Cache)
-					}
-					return sa, err
-				}
-			}
-			runs[i], _ = RunInstance(ctx, a, pairs[i], method, spec)
+			spec.Cache = nil
+			runs[i] = RunInstanceProfiled(ctx, mk, pairs[i], method, spec)
+		} else {
+			runs[i], _ = RunInstance(ctx, mk, pairs[i], method, opts.runSpec())
 		}
 		// A run cut short by grid-wide cancellation (as opposed to its own
 		// budget) is incomplete, not failed: leave it out of the journal so a

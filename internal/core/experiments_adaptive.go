@@ -79,7 +79,7 @@ func runAblationAdaptive(opts Options) (*Table, error) {
 				"accuracy": mean.Scores.Accuracy,
 				"sim_time": mean.SimilarityTime.Seconds(),
 			})
-			opts.progress("ablation-adaptive %s %s acc=%.3f", rg.name, name, mean.Scores.Accuracy)
+			opts.Tracer.Progress(fmt.Sprintf("ablation-adaptive %s %s acc=%.3f", rg.name, name, mean.Scores.Accuracy))
 		}
 		opts.cellDone("ablation-adaptive/" + rg.name)
 	}

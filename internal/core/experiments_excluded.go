@@ -59,7 +59,7 @@ func runExcludedNetAlign(opts Options) (*Table, error) {
 				"s3":       mean.Scores.S3,
 				"sim_time": mean.SimilarityTime.Seconds(),
 			})
-			opts.progress("excluded-netalign level=%.2f %s acc=%.3f", level, name, mean.Scores.Accuracy)
+			opts.Tracer.Progress(fmt.Sprintf("excluded-netalign level=%.2f %s acc=%.3f", level, name, mean.Scores.Accuracy))
 		}
 		opts.cellDone(fmt.Sprintf("excluded-netalign/%.2f", level))
 	}

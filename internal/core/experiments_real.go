@@ -60,7 +60,7 @@ func runRealNoise(opts Options, datasets []string, noiseTypes []noise.Type, leve
 						return nil, err
 					}
 					if mean.Err != nil {
-						opts.progress("%s/%s/%v: %s failed: %v", dsName, nt, level, name, mean.Err)
+						opts.Tracer.Progress(fmt.Sprintf("%s/%s/%v: %s failed: %v", dsName, nt, level, name, mean.Err))
 						continue
 					}
 					t.Add(map[string]string{
@@ -74,7 +74,7 @@ func runRealNoise(opts Options, datasets []string, noiseTypes []noise.Type, leve
 						"mnc":      mean.Scores.MNC,
 						"sim_time": mean.SimilarityTime.Seconds(),
 					})
-					opts.progress("%s %s level=%.2f %s acc=%.3f", dsName, nt, level, name, mean.Scores.Accuracy)
+					opts.Tracer.Progress(fmt.Sprintf("%s %s level=%.2f %s acc=%.3f", dsName, nt, level, name, mean.Scores.Accuracy))
 				}
 				opts.cellDone(fmt.Sprintf("%s/%s/%.2f", dsName, nt, level))
 			}
@@ -142,7 +142,7 @@ func runFig9(opts Options) (*Table, error) {
 				"sim_time":    mean.SimilarityTime.Seconds(),
 				"assign_time": mean.AssignTime.Seconds(),
 			})
-			opts.progress("fig9 level=%.2f %s acc=%.3f t=%s", level, name, mean.Scores.Accuracy, mean.SimilarityTime.Round(time.Millisecond))
+			opts.Tracer.Progress(fmt.Sprintf("fig9 level=%.2f %s acc=%.3f t=%s", level, name, mean.Scores.Accuracy, mean.SimilarityTime.Round(time.Millisecond)))
 		}
 		opts.cellDone(fmt.Sprintf("fig9/%.2f", level))
 	}
@@ -174,7 +174,7 @@ func runFig10(opts Options) (*Table, error) {
 					return nil, err
 				}
 				if mean.Err != nil {
-					opts.progress("fig10 %s/%v: %s failed: %v", dsName, fractions[i], name, mean.Err)
+					opts.Tracer.Progress(fmt.Sprintf("fig10 %s/%v: %s failed: %v", dsName, fractions[i], name, mean.Err))
 					continue
 				}
 				t.Add(map[string]string{
@@ -186,7 +186,7 @@ func runFig10(opts Options) (*Table, error) {
 					"mnc":      mean.Scores.MNC,
 					"s3":       mean.Scores.S3,
 				})
-				opts.progress("fig10 %s f=%.2f %s acc=%.3f", dsName, fractions[i], name, mean.Scores.Accuracy)
+				opts.Tracer.Progress(fmt.Sprintf("fig10 %s f=%.2f %s acc=%.3f", dsName, fractions[i], name, mean.Scores.Accuracy))
 			}
 			opts.cellDone(fmt.Sprintf("fig10/%s/%.2f", dsName, fractions[i]))
 		}

@@ -150,13 +150,13 @@ func runScalability(opts Options, byNodes, memory bool) (*Table, error) {
 				return nil, err
 			}
 			if mean.Err != nil {
-				opts.progress("scalability %s=%d: %s failed: %v", xLabel, x, name, mean.Err)
+				opts.Tracer.Progress(fmt.Sprintf("scalability %s=%d: %s failed: %v", xLabel, x, name, mean.Err))
 				skipped[name] = true
 				continue
 			}
 			if opts.PerRunBudget > 0 && time.Since(start) > opts.PerRunBudget*time.Duration(reps) {
 				skipped[name] = true
-				opts.progress("scalability: %s exceeded budget at %s=%d; skipping larger points", name, xLabel, x)
+				opts.Tracer.Progress(fmt.Sprintf("scalability: %s exceeded budget at %s=%d; skipping larger points", name, xLabel, x))
 			}
 			val := mean.SimilarityTime.Seconds()
 			if memory {
@@ -166,7 +166,7 @@ func runScalability(opts Options, byNodes, memory bool) (*Table, error) {
 				xLabel:      fmt.Sprintf("%d", x),
 				"algorithm": name,
 			}, map[string]float64{valueCol: val})
-			opts.progress("scalability %s=%d %s %s=%.3g", xLabel, x, name, valueCol, val)
+			opts.Tracer.Progress(fmt.Sprintf("scalability %s=%d %s %s=%.3g", xLabel, x, name, valueCol, val))
 		}
 		opts.cellDone(fmt.Sprintf("scal/%s/%d", xLabel, x))
 	}
@@ -240,14 +240,14 @@ func fig15Point(opts Options, t *Table, rng *rand.Rand, sweep string, n, k int, 
 			return err
 		}
 		if mean.Err != nil {
-			opts.progress("fig15 %s p=%.1f k=%d: %s failed: %v", sweep, p, k, name, mean.Err)
+			opts.Tracer.Progress(fmt.Sprintf("fig15 %s p=%.1f k=%d: %s failed: %v", sweep, p, k, name, mean.Err))
 			continue
 		}
 		t.Add(map[string]string{
 			"sweep": sweep, "p": fmt.Sprintf("%.1f", p),
 			"k": fmt.Sprintf("%d", k), "algorithm": name,
 		}, map[string]float64{"accuracy": mean.Scores.Accuracy})
-		opts.progress("fig15 %s p=%.1f k=%d %s acc=%.3f", sweep, p, k, name, mean.Scores.Accuracy)
+		opts.Tracer.Progress(fmt.Sprintf("fig15 %s p=%.1f k=%d %s acc=%.3f", sweep, p, k, name, mean.Scores.Accuracy))
 	}
 	return nil
 }
@@ -307,7 +307,7 @@ func runFig16(opts Options) (*Table, error) {
 			t.Add(map[string]string{
 				"regime": c.regime, "n": fmt.Sprintf("%d", c.n), "algorithm": name,
 			}, map[string]float64{"accuracy": mean.Scores.Accuracy})
-			opts.progress("fig16 %s n=%d %s acc=%.3f", c.regime, c.n, name, mean.Scores.Accuracy)
+			opts.Tracer.Progress(fmt.Sprintf("fig16 %s n=%d %s acc=%.3f", c.regime, c.n, name, mean.Scores.Accuracy))
 		}
 		opts.cellDone(fmt.Sprintf("fig16/%s/%d", c.regime, c.n))
 	}

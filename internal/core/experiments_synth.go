@@ -73,7 +73,7 @@ func runModelFigure(opts Options, model gen.Model) (*Table, error) {
 					return nil, err
 				}
 				if mean.Err != nil {
-					opts.progress("fig %s: %s failed at %s/%v: %v", model, name, nt, level, mean.Err)
+					opts.Tracer.Progress(fmt.Sprintf("fig %s: %s failed at %s/%v: %v", model, name, nt, level, mean.Err))
 					continue
 				}
 				t.Add(map[string]string{
@@ -86,7 +86,7 @@ func runModelFigure(opts Options, model gen.Model) (*Table, error) {
 					"mnc":      mean.Scores.MNC,
 					"sim_time": mean.SimilarityTime.Seconds(),
 				})
-				opts.progress("%s %s level=%.2f %s acc=%.3f", model, nt, level, name, mean.Scores.Accuracy)
+				opts.Tracer.Progress(fmt.Sprintf("%s %s level=%.2f %s acc=%.3f", model, nt, level, name, mean.Scores.Accuracy))
 			}
 			opts.cellDone(fmt.Sprintf("%s/%s/%.2f", model, nt, level))
 		}
@@ -142,7 +142,7 @@ func runFig1(opts Options) (*Table, error) {
 						"assign_time": mean.AssignTime.Seconds(),
 					})
 				}
-				opts.progress("fig1 %s level=%.2f %s done", ds.name, level, name)
+				opts.Tracer.Progress(fmt.Sprintf("fig1 %s level=%.2f %s done", ds.name, level, name))
 			}
 			opts.cellDone(fmt.Sprintf("fig1/%s/%.2f", ds.name, level))
 		}

@@ -104,7 +104,7 @@ func runTable3(opts Options) (*Table, error) {
 				scores[name] = make(map[string]float64)
 			}
 			scores[name][string(model)] = mean.Scores.Accuracy
-			opts.progress("table3 %s %s acc=%.3f", model, name, mean.Scores.Accuracy)
+			opts.Tracer.Progress(fmt.Sprintf("table3 %s %s acc=%.3f", model, name, mean.Scores.Accuracy))
 		}
 		opts.cellDone("table3/" + string(model))
 	}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"graphalign/internal/obsv"
 )
 
 // tinyOptions keeps experiment-driver tests fast: minimum sizes, one rep,
@@ -223,12 +225,12 @@ func TestProgressCallback(t *testing.T) {
 	opts := tinyOptions()
 	opts.Algorithms = []string{"NSD"}
 	var lines []string
-	opts.Progress = func(format string, args ...interface{}) {
-		lines = append(lines, format)
-	}
+	opts.Tracer = obsv.New(obsv.ProgressFunc(func(msg string) {
+		lines = append(lines, msg)
+	}))
 	runExperiment(t, "fig9", opts)
 	if len(lines) == 0 {
-		t.Error("progress callback never fired")
+		t.Error("progress sink never fired")
 	}
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "fig9") {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"graphalign/internal/assign"
 	"graphalign/internal/gen"
 	"graphalign/internal/noise"
+	"graphalign/internal/obsv"
 )
 
 // stripVolatile drops wall-clock and memory columns — the only values that
@@ -129,7 +131,7 @@ func TestRunAveragedParallelRace(t *testing.T) {
 	opts.Reps = 8
 	opts.Workers = 8
 	var progressLines int
-	opts.Progress = func(string, ...interface{}) { progressLines++ }
+	opts.Tracer = obsv.New(obsv.ProgressFunc(func(string) { progressLines++ }))
 	base := gen.PowerlawCluster(60, 3, 0.3, rand.New(rand.NewSource(11)))
 	pairs, err := noisyInstances(base, noise.OneWay, 0.02, opts, noise.Options{}, "race-test")
 	if err != nil {
@@ -145,8 +147,8 @@ func TestRunAveragedParallelRace(t *testing.T) {
 	if mean.Scores.Accuracy <= 0 {
 		t.Errorf("accuracy = %v", mean.Scores.Accuracy)
 	}
-	// The serialized progress path is exercised via opts.progress.
-	opts.progress("done %d", progressLines)
+	// The serialized progress path is exercised via the tracer.
+	opts.Tracer.Progress(fmt.Sprintf("done %d", progressLines))
 }
 
 // TestMemProfilePopulatesAllocBytes pins the measurement-mode contract:
@@ -161,7 +163,7 @@ func TestMemProfilePopulatesAllocBytes(t *testing.T) {
 	if res.AllocBytes != 0 {
 		t.Errorf("plain RunInstance measured AllocBytes = %d, want 0", res.AllocBytes)
 	}
-	prof := RunInstanceProfiled(context.Background(), mustAligner(t, "NSD"), p, assign.JonkerVolgenant, RunSpec{})
+	prof := RunInstanceProfiled(context.Background(), instance(mustAligner(t, "NSD")), p, assign.JonkerVolgenant, RunSpec{})
 	if prof.Err != nil {
 		t.Fatal(prof.Err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"graphalign/internal/algo"
 	"graphalign/internal/assign"
+	"graphalign/internal/cache"
 	"graphalign/internal/metrics"
 	"graphalign/internal/noise"
 	"graphalign/internal/obsv"
@@ -49,8 +50,9 @@ type RunResult struct {
 }
 
 // RunSpec bundles the optional knobs of a single run: observability,
-// fault-tolerance, and the sparse assignment pipeline. The zero value means
-// untraced, unbounded, dense assignment.
+// fault-tolerance, the sparse assignment pipeline, sharding and the artifact
+// cache. The zero value means untraced, unbounded, dense, monolithic and
+// uncached.
 type RunSpec struct {
 	// Tracer receives run/phase spans; nil disables tracing.
 	Tracer *obsv.Tracer
@@ -62,39 +64,36 @@ type RunSpec struct {
 	// without materializing the dense matrix — and solved by the sparse
 	// variant of the requested method. Zero keeps the dense solvers.
 	AssignTopK int
-	// Workers bounds the sparse pipeline's intra-run parallel fan-out
-	// (candidate generation and auction bidding rounds); 0 means one per
-	// CPU. Results are identical for any value.
+	// Workers bounds the run's intra-run parallel fan-out (candidate
+	// generation, auction bidding rounds, concurrent shards); 0 means one
+	// per CPU. Results are identical for any value.
 	Workers int
 	// Partitions, when >= 2, routes the run through the partition-align-
 	// stitch layer (internal/partition): both graphs are co-partitioned
 	// into that many matched cluster pairs by structural-signature
 	// chunking, every shard pair is aligned independently on the parallel
-	// pool, and the shard mappings are stitched with an auction-based
-	// boundary-refinement pass. 0 and 1 are off and byte-identical to the
-	// monolithic path. Composes with AssignTopK (each shard's matching then
-	// runs the sparse pipeline). See DESIGN.md §15.
+	// pool by its own aligner, and the shard mappings are stitched with an
+	// auction-based boundary-refinement pass. 0 and 1 are off and
+	// byte-identical to the monolithic path. Composes with AssignTopK (each
+	// shard's matching then runs the sparse pipeline). See DESIGN.md §15.
 	Partitions int
-	// NewAligner builds a fresh aligner per shard for partitioned runs, so
-	// shards never share mutable algorithm state across goroutines. When
-	// nil, partitioned runs reuse the run's single aligner and the shards
-	// are aligned sequentially instead of in parallel.
-	NewAligner func() (algo.Aligner, error)
-	// Incremental, when non-nil, routes the run through the evolving-graph
-	// mode: cold-align once, then replay the spec's edit batches with
-	// warm-started re-alignment (see IncrementalSpec). Takes precedence
-	// over Partitions; the assignment method is fixed to the warm-startable
-	// auction.
-	Incremental *IncrementalSpec
+	// Cache, when non-nil, is handed to every aligner the run builds — the
+	// monolithic one and each shard's. Cached artifacts are keyed per graph
+	// and bitwise what the aligner would compute itself, so the mapping is
+	// the same with or without it (DESIGN.md §10).
+	Cache *cache.Cache
 }
 
-// RunInstance aligns pair.Source to pair.Target with the given algorithm
-// and assignment method, scores the result against the instance's ground
-// truth, and returns the scores together with the mapping itself
-// (mapping[u] = the pair.Target node aligned to pair.Source node u, -1 for
-// unmatched; nil exactly when res.Err is non-nil). It is safe to call
-// concurrently as long as each call gets its own Aligner instance;
-// AllocBytes is left zero (see RunInstanceProfiled).
+// RunInstance aligns pair.Source to pair.Target with an aligner built by
+// newAligner and the given assignment method (empty selects the aligner's
+// DefaultAssignment, which RunResult.Assign then reports), scores the
+// result against the instance's ground truth, and returns the scores
+// together with the mapping itself (mapping[u] = the pair.Target node
+// aligned to pair.Source node u, -1 for unmatched; nil exactly when res.Err
+// is non-nil). Partitioned runs call newAligner once more per shard, so
+// shards never share mutable algorithm state across goroutines; newAligner
+// must therefore return a fresh instance on every call. RunInstance is safe
+// to call concurrently; AllocBytes is left zero (see RunInstanceProfiled).
 //
 // The run is fault-tolerant: the similarity stage observes ctx through the
 // algorithm's cooperative cancellation checks, a positive spec.Budget bounds
@@ -110,7 +109,21 @@ type RunSpec struct {
 // and algorithms implementing algo.Instrumented record their own inner
 // phases under the run span. Tracing never changes the computation, only
 // what is observed about it.
-func RunInstance(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) (res RunResult, outMapping []int) {
+func RunInstance(ctx context.Context, newAligner func() (algo.Aligner, error), pair noise.Pair, method assign.Method, spec RunSpec) (res RunResult, outMapping []int) {
+	build := func() (algo.Aligner, error) {
+		a, err := newAligner()
+		if err == nil {
+			algo.ApplyCache(a, spec.Cache)
+		}
+		return a, err
+	}
+	a, err := build()
+	if err != nil {
+		return RunResult{Err: err}, nil
+	}
+	if method == "" {
+		method = a.DefaultAssignment()
+	}
 	tr, budget := spec.Tracer, spec.Budget
 	if budget > 0 {
 		var cancel context.CancelFunc
@@ -137,62 +150,35 @@ func RunInstance(ctx context.Context, a algo.Aligner, pair noise.Pair, method as
 		}
 	}()
 
-	if spec.Incremental != nil {
-		return runInstanceIncremental(ctx, a, pair, spec, run, reg)
-	}
+	var mapping []int
 	if spec.Partitions >= 2 {
-		return runInstancePartitioned(ctx, a, pair, method, spec, run, reg)
+		// The shard fan-out replaces the monolithic similarity/assign
+		// stages: co-partition + shard wall time is reported as
+		// SimilarityTime, stitch + refinement as AssignTime.
+		run.Set("partitions", spec.Partitions)
+		var pstats partition.Stats
+		mapping, pstats, err = partition.Align(ctx, build, pair.Source, pair.Target, method, partition.Options{
+			K:        spec.Partitions,
+			Workers:  spec.Workers,
+			TopK:     spec.AssignTopK,
+			Tracer:   tr,
+			Span:     run,
+			Registry: reg,
+		})
+		res.SimilarityTime, res.AssignTime = pstats.AlignTime, pstats.StitchTime
+	} else {
+		var out algo.Result
+		out, err = algo.Run(ctx, a, pair.Source, pair.Target, algo.Plan{
+			Method: method, TopK: spec.AssignTopK, Workers: spec.Workers, Span: run,
+		})
+		mapping = out.Mapping
+		res.SimilarityTime, res.AssignTime = out.SimTime, out.AssignTime
 	}
-
-	out, err := algo.Run(ctx, a, pair.Source, pair.Target, algo.Plan{
-		Method: method, TopK: spec.AssignTopK, Workers: spec.Workers, Span: run,
-	})
-	res.SimilarityTime, res.AssignTime = out.SimTime, out.AssignTime
 	if err != nil {
 		res.Err = classifyRunErr(err, budget, reg)
 		return endRunErr(run, reg, res), nil
 	}
 
-	sp := run.Phase("metrics")
-	res.Scores = metrics.All(pair.Source, pair.Target, out.Mapping, pair.TrueMap)
-	sp.End()
-	run.End()
-	return res, out.Mapping
-}
-
-// runInstancePartitioned is the partition-align-stitch branch of
-// RunInstance: the shard fan-out replaces the monolithic
-// similarity/assign stages, and the partition layer's co-partition + shard
-// wall time is reported as SimilarityTime with stitch + refinement as
-// AssignTime, preserving the result shape the drivers average. The caller's
-// deferred recover still guards this path, and errors flow through the same
-// timeout/panic classification as monolithic runs.
-func runInstancePartitioned(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec, run *obsv.Span, reg *obsv.Registry) (RunResult, []int) {
-	res := RunResult{Algorithm: a.Name(), Assign: method}
-	run.Set("partitions", spec.Partitions)
-	mk := spec.NewAligner
-	workers := spec.Workers
-	if mk == nil {
-		// No factory: the run's single aligner is the only instance
-		// available, so the shards must run sequentially — aligners are not
-		// required to be safe for concurrent Similarity calls.
-		mk = func() (algo.Aligner, error) { return a, nil }
-		workers = 1
-	}
-	mapping, pstats, err := partition.Align(ctx, mk, pair.Source, pair.Target, method, partition.Options{
-		K:        spec.Partitions,
-		Workers:  workers,
-		TopK:     spec.AssignTopK,
-		Tracer:   spec.Tracer,
-		Span:     run,
-		Registry: reg,
-	})
-	res.SimilarityTime = pstats.AlignTime
-	res.AssignTime = pstats.StitchTime
-	if err != nil {
-		res.Err = classifyRunErr(err, spec.Budget, reg)
-		return endRunErr(run, reg, res), nil
-	}
 	sp := run.Phase("metrics")
 	res.Scores = metrics.All(pair.Source, pair.Target, mapping, pair.TrueMap)
 	sp.End()
@@ -232,12 +218,12 @@ var memProfileMu sync.Mutex
 // other's delta; background runtime activity (GC metadata, timers) is still
 // included, so treat AllocBytes as an upper-bound proxy for the paper's
 // peak-memory numbers, not an exact footprint.
-func RunInstanceProfiled(ctx context.Context, a algo.Aligner, pair noise.Pair, method assign.Method, spec RunSpec) RunResult {
+func RunInstanceProfiled(ctx context.Context, newAligner func() (algo.Aligner, error), pair noise.Pair, method assign.Method, spec RunSpec) RunResult {
 	memProfileMu.Lock()
 	defer memProfileMu.Unlock()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, _ := RunInstance(ctx, a, pair, method, spec)
+	res, _ := RunInstance(ctx, newAligner, pair, method, spec)
 	runtime.ReadMemStats(&after)
 	res.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	return res

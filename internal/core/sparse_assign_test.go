@@ -13,10 +13,17 @@ import (
 	"graphalign/internal/noise"
 )
 
-// runOnce is RunInstance without the mapping.
+// runOnce is RunInstance on the given aligner instance, without the mapping.
+// It suits monolithic runs only: a partitioned run would share a across its
+// concurrent shards.
 func runOnce(ctx context.Context, a algo.Aligner, p noise.Pair, method assign.Method, spec RunSpec) RunResult {
-	res, _ := RunInstance(ctx, a, p, method, spec)
+	res, _ := RunInstance(ctx, instance(a), p, method, spec)
 	return res
+}
+
+// instance adapts one aligner to RunInstance's constructor argument.
+func instance(a algo.Aligner) func() (algo.Aligner, error) {
+	return func() (algo.Aligner, error) { return a, nil }
 }
 
 // sparseCase is one entry of the sparse-pipeline table: an aligner, whether
@@ -132,7 +139,7 @@ func TestRunInstanceSpecZeroTopKUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, got := RunInstance(context.Background(), isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
+	res, got := RunInstance(context.Background(), instance(isorank.New()), p, assign.JonkerVolgenant, RunSpec{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -129,14 +128,13 @@ func TestRunExperimentEvents(t *testing.T) {
 	if _, ok := last.Fields["eta_s"]; !ok {
 		t.Errorf("cell_done missing eta_s: %+v", last.Fields)
 	}
-	// The legacy Progress callback, routed through RunExperiment, becomes a
-	// tracer sink and still sees completed/total progress lines.
+	// A progress-only sink sees completed/total progress lines.
 	var lines []string
 	opts2 := tinyOptions()
 	opts2.Algorithms = []string{"NSD"}
-	opts2.Progress = func(format string, args ...interface{}) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}
+	opts2.Tracer = obsv.New(obsv.ProgressFunc(func(msg string) {
+		lines = append(lines, msg)
+	}))
 	if _, err := RunExperiment("fig9", opts2); err != nil {
 		t.Fatal(err)
 	}

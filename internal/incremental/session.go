@@ -440,7 +440,7 @@ func (s *Session) coldSolve() {
 	if c == nil {
 		c = s.cands
 	}
-	mapping, state, _, ok := assign.SolveAuctionState(c, s.opts.Workers)
+	mapping, state, _, ok := assign.SolveAuction(c, s.opts.Workers)
 	if ok {
 		s.mapping, s.state, s.warmable = mapping, state, true
 		return

@@ -314,6 +314,30 @@ func TestSessionRealAligners(t *testing.T) {
 	}
 }
 
+// TestColdSessionMatchesSparseRun: a fresh session's mapping is exactly the
+// plain sparse auction pipeline's — the cold solve runs the same ε-scaling
+// auction over the same top-k candidate lists that algo.Run builds for JV
+// with TopK.
+func TestColdSessionMatchesSparseRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pair, err := noise.Apply(gen.PowerlawCluster(60, 3, 0.3, rng), noise.OneWay, 0.02, noise.Options{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := algo.Run(ctx, regal.New(), pair.Source, pair.Target, algo.Plan{Method: assign.JonkerVolgenant, TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(ctx, regal.New(), pair.Source, pair.Target, Options{TopK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Mapping(), want.Mapping) {
+		t.Fatal("cold session mapping differs from the sparse auction run")
+	}
+}
+
 // Dense-only aligners cannot run incrementally and must be rejected.
 func TestSessionRejectsDenseOnly(t *testing.T) {
 	src, dst := testPair(t, 10, 10)

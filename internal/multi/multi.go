@@ -72,10 +72,6 @@ func AlignAll(a algo.Aligner, graphs []*graph.Graph, opts Options) (*Alignment, 
 				i, g.N(), ref, graphs[ref].N())
 		}
 	}
-	method := opts.Assign
-	if method == "" {
-		method = a.DefaultAssignment()
-	}
 
 	out := &Alignment{
 		Reference:   ref,
@@ -86,7 +82,7 @@ func AlignAll(a algo.Aligner, graphs []*graph.Graph, opts Options) (*Alignment, 
 			out.ToReference[i] = graph.IdentityPermutation(g.N())
 			continue
 		}
-		res, err := algo.Run(context.Background(), a, g, graphs[ref], algo.Plan{Method: method})
+		res, err := algo.Run(context.Background(), a, g, graphs[ref], algo.Plan{Method: opts.Assign})
 		if err != nil {
 			return nil, fmt.Errorf("multi: aligning graph %d to reference: %w", i, err)
 		}

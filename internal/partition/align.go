@@ -416,7 +416,7 @@ func refine(ctx context.Context, src, dst *graph.Graph, cp *CoPartition, mapping
 				c.Col[li*kk+ci] = -1
 			}
 		}
-		sol, _, ok := assign.SolveAuction(c, opts.Workers)
+		sol, _, _, ok := assign.SolveAuction(c, opts.Workers)
 		if !ok {
 			// The candidate graph left some row unmatchable; fall back to the
 			// deterministic sparse greedy, which always yields an injective

@@ -207,7 +207,7 @@ func refineReference(ctx context.Context, src, dst *graph.Graph, cp *CoPartition
 				c.Col[li*kk+ci] = -1
 			}
 		}
-		sol, _, ok := assign.SolveAuction(c, opts.Workers)
+		sol, _, _, ok := assign.SolveAuction(c, opts.Workers)
 		if !ok {
 			// The candidate graph left some row unmatchable; fall back to the
 			// deterministic sparse greedy, which always yields an injective

@@ -369,46 +369,19 @@ func (s *Server) runJob(j *Job) {
 	s.reg.Histogram("serve_queue_wait_seconds", obsv.DurationBuckets()).Observe(time.Since(j.created).Seconds())
 	defer s.reg.Gauge("serve_jobs_running").Add(-1)
 
-	a, err := s.opts.Factory(j.Spec.Algo)
-	if err != nil {
-		// Validated at submit; only a racing registry change can land here.
-		s.finalize(j, StatusFailed, err, ErrKindError, nil, metrics.Scores{}, 0, 0)
-		return
-	}
-	method := j.Spec.Method
-	if method == "" {
-		method = a.DefaultAssignment()
-	}
-	if s.cache != nil {
-		// The multi-tenant artifact cache: keyed by graph fingerprint, so
-		// two tenants aligning the same graph share its spectra/embeddings.
-		algo.ApplyCache(a, s.cache)
-	}
-
 	spec := core.RunSpec{
 		Tracer:     tr,
 		Budget:     j.Spec.Timeout,
 		AssignTopK: j.Spec.TopK,
 		Workers:    j.Spec.Workers,
 		Partitions: j.Spec.Partitions,
-	}
-	if j.Spec.Partitions >= 2 {
-		// Shards run concurrently, so each needs its own aligner instance;
-		// the factory inherits the multi-tenant cache (artifacts are keyed
-		// per graph, so sharing across shards is safe).
-		algoName := j.Spec.Algo
-		spec.NewAligner = func() (algo.Aligner, error) {
-			sa, err := s.opts.Factory(algoName)
-			if err == nil && s.cache != nil {
-				algo.ApplyCache(sa, s.cache)
-			}
-			return sa, err
-		}
+		// The multi-tenant artifact cache: keyed by graph fingerprint, so
+		// two tenants aligning the same graph share its spectra/embeddings.
+		Cache: s.cache,
 	}
 	start := time.Now()
-	res, mapping := core.RunInstance(ctx, a,
-		noise.Pair{Source: j.src, Target: j.dst},
-		method, spec)
+	res, mapping := core.RunInstance(ctx, func() (algo.Aligner, error) { return s.opts.Factory(j.Spec.Algo) },
+		noise.Pair{Source: j.src, Target: j.dst}, j.Spec.Method, spec)
 	wall := time.Since(start)
 	s.observeJobTime(wall)
 	s.reg.Histogram("serve_job_seconds", obsv.DurationBuckets()).Observe(wall.Seconds())
