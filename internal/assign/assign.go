@@ -61,7 +61,7 @@ func Solve(method Method, sim *matrix.Dense) ([]int, error) {
 //
 // Ties on similarity resolve to the lowest column index (only a strictly
 // greater value displaces the incumbent). This is a contract, not an
-// accident: SolveNNSparse and the k-d-tree candidate search promise the same
+// accident: SolveNNSparse and the embedding k-NN scan promise the same
 // rule, so sparse and dense NN agree wherever the tied columns survive
 // candidate selection.
 //

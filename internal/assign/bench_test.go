@@ -71,31 +71,16 @@ func BenchmarkTopKDense(b *testing.B) {
 }
 
 func BenchmarkTopKEmbedding(b *testing.B) {
-	// Candidate generation straight from embeddings at d=8, the measured
-	// crossover width where the k-d tree degrades to a near-full scan on
-	// unstructured embeddings and generation switches to the blocked
-	// brute-force kernel (DESIGN.md §12). Narrower embeddings take the tree
-	// (BenchmarkTopKEmbeddingTree below); the aligners' real widths are wider still —
-	// REGAL emits 10·log2(n_src+n_dst)+1 ≈ 121 dims at n=2048 — for which
-	// the honest dense comparison must also pay materialization, see
-	// TopKEmbeddingWide vs EmbeddingDensePath.
+	// Candidate generation straight from embeddings through the one fused
+	// k-NN scan, at d=8 so the rows stay comparable with the committed
+	// baseline. The aligners' real widths are wider: REGAL emits
+	// 10·log2(n_src+n_dst)+1 ≈ 121 dims at n=2048, GRASP at least 100 at
+	// any size (DESIGN.md §12). At those widths the honest dense comparison
+	// must also pay materialization, see TopKEmbeddingWide vs
+	// EmbeddingDensePath.
 	for _, n := range benchSizes() {
 		e := testEmbedding(n, n, 8, int64(n))
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				TopK(e, 16, 1)
-			}
-		})
-	}
-}
-
-func BenchmarkTopKEmbeddingTree(b *testing.B) {
-	// The k-d tree path (d < bruteForceDim), where spatial pruning still
-	// wins over the flat scan.
-	for _, n := range benchSizes() {
-		e := testEmbedding(n, n, 4, int64(n))
-		b.Run(fmt.Sprintf("n%d/k16/d4", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				TopK(e, 16, 1)

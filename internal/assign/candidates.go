@@ -3,7 +3,6 @@ package assign
 import (
 	"math"
 
-	"graphalign/internal/kdtree"
 	"graphalign/internal/matrix"
 	"graphalign/internal/parallel"
 )
@@ -91,11 +90,11 @@ func (d DenseScorer) Similarity() *matrix.Dense { return d.Sim }
 // are fanned out across at most workers goroutines (0 = one per CPU, 1 =
 // sequential); the output is identical for any worker count.
 //
-// An Embedding selects with its k-NN kernels and keeps NaN distances, ranked
-// last. Every other scorer bounded-heap selects from ScoreRow, O(m log k) per
-// row, and prunes NaN scores: rows left short are padded with Col -1 / Val 0
-// and recorded in Candidates.Len, and a fully starved row surfaces as a
-// *StarvedRowError from SolveSparse.
+// An Embedding selects with its fused k-NN scan (topKEmbeddingBrute) and
+// keeps NaN distances, ranked last. Every other scorer bounded-heap selects
+// from ScoreRow, O(m log k) per row, and prunes NaN scores: rows left short
+// are padded with Col -1 / Val 0 and recorded in Candidates.Len, and a fully
+// starved row surfaces as a *StarvedRowError from SolveSparse.
 func TopK(s Scorer, k, workers int) *Candidates {
 	n, m := s.Shape()
 	if k <= 0 || k > m {
@@ -120,7 +119,10 @@ func selectRows(s Scorer, c *Candidates, rows []int, workers int) {
 	}
 	var kernel func(lo, hi int)
 	if e, ok := s.(*Embedding); ok {
-		kernel = e.knnKernel(c, rows)
+		if e.Src.Cols != e.Dst.Cols {
+			panic("assign: embedding side dims differ")
+		}
+		kernel = func(lo, hi int) { topKEmbeddingBrute(e, c, rows, lo, hi) }
 	} else {
 		kernel = func(lo, hi int) {
 			buf := make([]float64, c.Cols)
@@ -239,7 +241,7 @@ type Embedding struct {
 func (e *Embedding) Shape() (int, int) { return e.Src.Rows, e.Dst.Rows }
 
 // ScoreRow implements Scorer: each entry is one dimension-ascending distance
-// chain, bitwise the k-NN kernels' and matrix.PairwiseSqDist's values.
+// chain, bitwise the k-NN scan's and matrix.PairwiseSqDist's values.
 func (e *Embedding) ScoreRow(i int, buf []float64) []float64 {
 	q := e.Src.Row(i)
 	for j := range buf {
@@ -278,71 +280,9 @@ func (e *Embedding) Similarity() *matrix.Dense {
 	return sim
 }
 
-// bruteForceDim is the embedding width at and above which the embedding's
-// candidate search abandons the k-d tree for a row-blocked brute-force
-// distance scan. On the unstructured embeddings the aligners produce, tree
-// traversal visits nearly every node from d≈8 upward (the usual
-// curse-of-dimensionality folklore says d ≳ 32, but measured visit counts
-// cross ~85% of nodes already at d=8 — see DESIGN.md §12), at which point the
-// tree only adds traversal overhead over the flat scan.
-const bruteForceDim = 8
-
-// knnKernel returns the embedding's row selector for selectRows.
-// Low-dimensional embeddings (d < bruteForceDim) run k-nearest-neighbor
-// queries against a k-d tree over the target rows with per-worker reusable
-// scratch; wider ones use a brute-force distance scan fused with bounded
-// selection (see topKEmbeddingBrute) — O(m d) per row with no per-query
-// allocation either way. Results are identical across the two paths. Within
-// a row, candidates are ordered by ascending distance with ties broken by
-// lower column id, which is descending similarity order because
-// SimFromDist2 is monotone.
-func (e *Embedding) knnKernel(c *Candidates, rows []int) func(lo, hi int) {
-	// The tree's splits and pruning assume ordered coordinates; NaN
-	// entries take the scan, which ranks NaN distances last.
-	if e.Src.Cols >= bruteForceDim || hasNaN(e.Src.Data) || hasNaN(e.Dst.Data) {
-		if e.Src.Cols != e.Dst.Cols {
-			panic("assign: embedding side dims differ")
-		}
-		if e.Src.Cols == 8 {
-			return func(lo, hi int) { topKEmbeddingBrute8(e, c, rows, lo, hi) }
-		}
-		return func(lo, hi int) { topKEmbeddingBrute(e, c, rows, lo, hi) }
-	}
-	points := make([][]float64, c.Cols)
-	for j := range points {
-		points[j] = e.Dst.Row(j)
-	}
-	tree := kdtree.Build(points)
-	return func(lo, hi int) { topKEmbeddingTree(tree, e, c, rows, lo, hi) }
-}
-
-func hasNaN(xs []float64) bool {
-	for _, x := range xs {
-		if x != x {
-			return true
-		}
-	}
-	return false
-}
-
-// topKEmbeddingTree fills rows [lo, hi) (indices into rows; see rowAt) by
-// k-NN queries against the shared k-d tree over the target rows, one
-// reusable Scratch per worker block.
-func topKEmbeddingTree(tree *kdtree.Tree, e *Embedding, c *Candidates, rows []int, lo, hi int) {
-	s := kdtree.NewScratch()
-	for idx := lo; idx < hi; idx++ {
-		i := rowAt(rows, idx)
-		ids, dists := tree.NearestKInto(e.Src.Row(i), c.K, s)
-		cols, vals := c.slots(i)
-		for p, id := range ids {
-			cols[p] = id
-			vals[p] = e.SimFromDist2(dists[p])
-		}
-	}
-}
-
-// topKEmbeddingBrute fills rows [lo, hi) (see rowAt) by a flat distance scan fused with
-// bounded selection: target rows are processed eight at a time with
+// topKEmbeddingBrute fills rows [lo, hi) (see rowAt) by a flat distance scan
+// fused with bounded selection; it is the one k-NN kernel for every
+// embedding width. Target rows are processed eight at a time with
 // independent accumulator chains — each distance accumulates
 // dimension-ascending in its own chain, bitwise the PairwiseSqDist /
 // matrix.SqDistInto values — and every distance is compared against the
@@ -352,10 +292,10 @@ func topKEmbeddingTree(tree *kdtree.Tree, e *Embedding, c *Candidates, rows []in
 // branches and serialized completion loops cost more than the skipped FLOPs.)
 // The selection is a sorted insertion array (cheaper than a heap at
 // candidate-set sizes, and already in output order). Ids are visited
-// ascending, so on equal distance the incumbent (smaller id) wins — the
-// tree path's (distance asc, id asc) contract. Bound tests are written
-// !(x >= bound) so non-finite distances take the same insert path a
-// buffered scan would.
+// ascending, so on equal distance the incumbent (smaller id) wins: the
+// (distance asc, id asc) contract, which is descending-similarity order
+// because SimFromDist2 is monotone. Bound tests are written !(x >= bound) so
+// non-finite distances take the same insert path a buffered scan would.
 func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 	m, k := c.Cols, c.K
 	d := e.Dst.Cols
@@ -371,7 +311,7 @@ func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 		for ; j+8 <= m; j += 8 {
 			base := j * d
 			// Re-slicing each row to len(q) lets the compiler prove t in
-			// bounds for every load below (len(q) == d by the guard above).
+			// bounds for every load below (len(q) == d by selectRows' guard).
 			r0 := data[base : base+d : base+d][:nq]
 			r1 := data[base+d : base+2*d : base+2*d][:nq]
 			r2 := data[base+2*d : base+3*d : base+3*d][:nq]
@@ -444,140 +384,6 @@ func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 	}
 }
 
-// topKEmbeddingBrute8 is topKEmbeddingBrute specialized to d=8, the
-// tree/brute crossover width (see bruteForceDim) and the narrowest embedding
-// the scan ever sees. The query row is hoisted into eight registers once per
-// row instead of reloaded per block, the per-dimension loop is fully
-// unrolled, and each block of four target rows is one 32-element slice so
-// every load is a constant index the compiler proves in bounds. Each
-// distance still accumulates dimension-ascending in its own chain —
-// bitwise identical to the generic kernel and to matrix.PairwiseSqDist —
-// and the selection contract is unchanged.
-func topKEmbeddingBrute8(e *Embedding, c *Candidates, rows []int, lo, hi int) {
-	m, k := c.Cols, c.K
-	data := e.Dst.Data
-	heap := make([]nnPair, 0, k)
-	for idx := lo; idx < hi; idx++ {
-		i := rowAt(rows, idx)
-		q := e.Src.Row(i)
-		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-		heap = heap[:0]
-		bound := math.Inf(1)
-		j := 0
-		for ; j+4 <= m; j += 4 {
-			r := data[j*8 : j*8+32 : j*8+32]
-
-			t := q0 - r[0]
-			s0 := t * t
-			t = q1 - r[1]
-			s0 += t * t
-			t = q2 - r[2]
-			s0 += t * t
-			t = q3 - r[3]
-			s0 += t * t
-			t = q4 - r[4]
-			s0 += t * t
-			t = q5 - r[5]
-			s0 += t * t
-			t = q6 - r[6]
-			s0 += t * t
-			t = q7 - r[7]
-			s0 += t * t
-
-			t = q0 - r[8]
-			s1 := t * t
-			t = q1 - r[9]
-			s1 += t * t
-			t = q2 - r[10]
-			s1 += t * t
-			t = q3 - r[11]
-			s1 += t * t
-			t = q4 - r[12]
-			s1 += t * t
-			t = q5 - r[13]
-			s1 += t * t
-			t = q6 - r[14]
-			s1 += t * t
-			t = q7 - r[15]
-			s1 += t * t
-
-			t = q0 - r[16]
-			s2 := t * t
-			t = q1 - r[17]
-			s2 += t * t
-			t = q2 - r[18]
-			s2 += t * t
-			t = q3 - r[19]
-			s2 += t * t
-			t = q4 - r[20]
-			s2 += t * t
-			t = q5 - r[21]
-			s2 += t * t
-			t = q6 - r[22]
-			s2 += t * t
-			t = q7 - r[23]
-			s2 += t * t
-
-			t = q0 - r[24]
-			s3 := t * t
-			t = q1 - r[25]
-			s3 += t * t
-			t = q2 - r[26]
-			s3 += t * t
-			t = q3 - r[27]
-			s3 += t * t
-			t = q4 - r[28]
-			s3 += t * t
-			t = q5 - r[29]
-			s3 += t * t
-			t = q6 - r[30]
-			s3 += t * t
-			t = q7 - r[31]
-			s3 += t * t
-
-			if len(heap) < k || !(s0 >= bound) {
-				heap, bound = nnInsert(heap, k, s0, j)
-			}
-			if len(heap) < k || !(s1 >= bound) {
-				heap, bound = nnInsert(heap, k, s1, j+1)
-			}
-			if len(heap) < k || !(s2 >= bound) {
-				heap, bound = nnInsert(heap, k, s2, j+2)
-			}
-			if len(heap) < k || !(s3 >= bound) {
-				heap, bound = nnInsert(heap, k, s3, j+3)
-			}
-		}
-		for ; j < m; j++ {
-			r := data[j*8 : j*8+8 : j*8+8]
-			t := q0 - r[0]
-			s := t * t
-			t = q1 - r[1]
-			s += t * t
-			t = q2 - r[2]
-			s += t * t
-			t = q3 - r[3]
-			s += t * t
-			t = q4 - r[4]
-			s += t * t
-			t = q5 - r[5]
-			s += t * t
-			t = q6 - r[6]
-			s += t * t
-			t = q7 - r[7]
-			s += t * t
-			if len(heap) < k || !(s >= bound) {
-				heap, bound = nnInsert(heap, k, s, j)
-			}
-		}
-		cols, vals := c.slots(i)
-		for idx, p := range heap {
-			cols[idx] = p.j
-			vals[idx] = e.SimFromDist2(p.d2)
-		}
-	}
-}
-
 // nnPair is a brute-force scan candidate: target row j at squared distance d2.
 type nnPair struct {
 	d2 float64
@@ -588,8 +394,8 @@ type nnPair struct {
 // in ascending (distance, id) order with NaN after every number, and returns
 // the array and the new eviction bound: +Inf until the array fills, the
 // worst kept distance after. Ids arrive ascending, so on equal distance (or
-// two NaNs) the newcomer sits behind the incumbents — the same tie contract
-// as the k-d tree path. Callers pre-filter against the bound, which a NaN
+// two NaNs) the newcomer sits behind the incumbents, keeping ties in
+// ascending id order. Callers pre-filter against the bound, which a NaN
 // distance or a NaN bound passes, so an entry that ranks after all k kept
 // ones is dropped here. At candidate-set sizes the copy is cheaper than heap
 // sifts, and the array needs no final sort.

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"graphalign/internal/kdtree"
 	"graphalign/internal/matrix"
 )
 
@@ -161,41 +160,11 @@ func checkMatchesDenseTopK(t *testing.T, tag string, s Scorer, k int) {
 }
 
 func TestTopKEmbeddingMatchesDenseTopK(t *testing.T) {
-	// d=4 exercises the k-d tree path, d=8 and d=16 the brute-force scan
-	// (d >= bruteForceDim); both must agree with dense selection bitwise.
-	for _, d := range []int{4, 8, 16} {
+	// One fused scan serves every width; from d=1 up it must agree with
+	// dense selection bitwise.
+	for _, d := range []int{1, 2, 4, 8, 16} {
 		for trial := int64(0); trial < 5; trial++ {
 			checkMatchesDenseTopK(t, fmt.Sprintf("d=%d trial %d", d, trial), testEmbedding(40, 55, d, 100+trial), 7)
-		}
-	}
-}
-
-// TestTopKEmbeddingBruteMatchesTree drives the same instances through both
-// internal fill paths explicitly, pinning that the automatic crossover at
-// bruteForceDim can never change results.
-func TestTopKEmbeddingBruteMatchesTree(t *testing.T) {
-	for trial := int64(0); trial < 5; trial++ {
-		for _, d := range []int{2, 5, 8, 12} {
-			e := testEmbedding(35, 50, d, 900+trial)
-			k := 6
-			mk := func() *Candidates {
-				return &Candidates{Rows: e.Src.Rows, Cols: e.Dst.Rows, K: k,
-					Col: make([]int, e.Src.Rows*k), Val: make([]float64, e.Src.Rows*k)}
-			}
-			points := make([][]float64, e.Dst.Rows)
-			for j := range points {
-				points[j] = e.Dst.Row(j)
-			}
-			ct := mk()
-			topKEmbeddingTree(kdtree.Build(points), e, ct, nil, 0, e.Src.Rows)
-			cb := mk()
-			topKEmbeddingBrute(e, cb, nil, 0, e.Src.Rows)
-			for i := range ct.Col {
-				if ct.Col[i] != cb.Col[i] || ct.Val[i] != cb.Val[i] {
-					t.Fatalf("d=%d trial %d: tree and brute paths diverge at flat %d: (%d,%v) vs (%d,%v)",
-						d, trial, i, ct.Col[i], ct.Val[i], cb.Col[i], cb.Val[i])
-				}
-			}
 		}
 	}
 }
@@ -203,7 +172,7 @@ func TestTopKEmbeddingBruteMatchesTree(t *testing.T) {
 // TestTopKEmbeddingAllocFree pins the regression this pipeline exists to
 // avoid: candidate generation must not allocate per query (it used to spend
 // ~325k allocs at n=2048; the budget below is two orders looser than the
-// handful both paths need, and three orders tighter than the regression).
+// handful the scan needs, and three orders tighter than the regression).
 func TestTopKEmbeddingAllocFree(t *testing.T) {
 	for _, d := range []int{4, 8} {
 		e := testEmbedding(300, 300, d, 55)
@@ -216,19 +185,84 @@ func TestTopKEmbeddingAllocFree(t *testing.T) {
 	}
 }
 
+// nearestTied is the reference for the embedding scan's tie contract: row
+// i's target columns sorted by (squared distance asc, column asc), cut to k.
+func nearestTied(e *Embedding, i, k int) []int {
+	dist := make([]float64, e.Dst.Rows)
+	matrix.SqDistInto(dist, e.Src.Row(i), e.Dst)
+	cols := make([]int, len(dist))
+	for j := range cols {
+		cols[j] = j
+	}
+	sort.SliceStable(cols, func(a, b int) bool { return dist[cols[a]] < dist[cols[b]] })
+	return cols[:k]
+}
+
+// pointsAt returns m copies of def with the listed rows overridden.
+func pointsAt(m int, def []float64, at map[int][]float64) [][]float64 {
+	pts := make([][]float64, m)
+	for j := range pts {
+		pts[j] = def
+		if p, ok := at[j]; ok {
+			pts[j] = p
+		}
+	}
+	return pts
+}
+
 func TestTopKEmbeddingTiesPreferLowerColumn(t *testing.T) {
 	// Duplicate target points force exact distance ties; the contract is
-	// ascending column id among ties, matching dense selection.
-	src := matrix.DenseFromRows([][]float64{{0, 0}})
-	dst := matrix.DenseFromRows([][]float64{{1, 0}, {1, 0}, {0, 0}, {1, 0}})
-	e := &Embedding{Src: src, Dst: dst, SimFromDist2: func(d2 float64) float64 { return -d2 }}
-	c := TopK(e, 3, 1)
-	cols, _ := c.Row(0)
-	want := []int{2, 0, 1}
-	for i, j := range want {
-		if cols[i] != j {
-			t.Fatalf("tie order: got %v, want %v", cols, want)
-		}
+	// ascending column id among ties, matching dense selection. The scan
+	// takes targets in blocks of eight and then a tail, so ties are placed
+	// in the tail, inside one block and across a block boundary; a tie that
+	// reaches the k-th bound must not evict an incumbent.
+	origin := [][]float64{{0, 0}}
+	near, mid, far := []float64{1, 0}, []float64{2, 0}, []float64{3, 0}
+	type tieCase struct {
+		name     string
+		src, dst [][]float64
+		k        int
+		want     []int // row 0's columns; nil checks the reference only
+	}
+	cases := []tieCase{
+		{"tail only (m=4)", origin, [][]float64{near, near, {0, 0}, near}, 3, []int{2, 0, 1}},
+		{"inside one block", origin, pointsAt(8, mid, map[int][]float64{
+			1: near, 2: near, 3: {0, 1}, 4: far, 5: near, 6: {0, -1}}), 4, []int{1, 2, 3, 5}},
+		{"across a block boundary", origin, pointsAt(16, mid, map[int][]float64{
+			0: far, 5: near, 7: near, 8: near, 10: near}), 6, []int{5, 7, 8, 10, 1, 2}},
+		{"in the tail (m=19)", origin, pointsAt(19, mid, map[int][]float64{
+			0: far, 3: {0, 1}, 16: near, 17: {0, -1}, 18: near}), 5, []int{3, 16, 17, 18, 1}},
+	}
+	// Runs of exact duplicates far longer than a block, drawn from four
+	// locations with shuffled ids so ascending-id output cannot fall out of
+	// insertion order by accident; the queries sit on, between and beside
+	// the locations.
+	rng := rand.New(rand.NewSource(7))
+	locs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	const dup = 96
+	dups := make([][]float64, dup)
+	for i, o := range rng.Perm(dup) {
+		dups[o] = locs[i%len(locs)]
+	}
+	queries := append([][]float64{{0.5, 0.5}, {0, 0.5}, {-1, 2}}, locs...)
+	for _, k := range []int{1, 3, 24, 29, dup} {
+		cases = append(cases, tieCase{fmt.Sprintf("duplicate coordinates k=%d", k), queries, dups, k, nil})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &Embedding{Src: matrix.DenseFromRows(tc.src), Dst: matrix.DenseFromRows(tc.dst),
+				SimFromDist2: func(d2 float64) float64 { return -d2 }}
+			c := TopK(e, tc.k, 1)
+			if cols, _ := c.Row(0); tc.want != nil && !reflect.DeepEqual(cols, tc.want) {
+				t.Fatalf("tie order: got %v, want %v", cols, tc.want)
+			}
+			for i := range tc.src {
+				if cols, _ := c.Row(i); !reflect.DeepEqual(cols, nearestTied(e, i, tc.k)) {
+					t.Fatalf("query %d: got %v, want %v", i, cols, nearestTied(e, i, tc.k))
+				}
+			}
+			checkMatchesDenseTopK(t, tc.name, e, tc.k)
+		})
 	}
 }
 

@@ -97,8 +97,7 @@ func editFactors(f *FactorEmbedding, rng *rand.Rand) (*FactorEmbedding, []int, [
 	return f2, changedRows, changedCols
 }
 
-// The embedding update runs across the tree (d<8), specialized (d=8) and
-// generic brute-force (d>8) kernels.
+// The embedding update runs the one k-NN scan at narrow and wide widths.
 func TestUpdateTopKEmbeddingMatchesBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range []int{4, 8, 16} {

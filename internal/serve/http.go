@@ -186,8 +186,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, opts HTTPO
 		writeError(w, http.StatusBadRequest, "", "%v", err)
 		return
 	}
-	if req.TopK < 0 || req.TimeoutMS < 0 || req.Partitions < 0 {
-		writeError(w, http.StatusBadRequest, "", "topk, timeout_ms and partitions must be non-negative")
+	if req.TopK < 0 || req.TimeoutMS < 0 || req.Partitions < 0 || req.WorkersMax < 0 {
+		writeError(w, http.StatusBadRequest, "", "topk, timeout_ms, partitions and workers must be non-negative")
 		return
 	}
 	src, srcLabels, err := parseGraphLimited("src", req.Src, opts)
@@ -320,8 +320,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, opt
 		writeError(w, http.StatusBadRequest, "", "bad request body: %v", err)
 		return
 	}
-	if req.TopK < 0 || req.DirtyHops < 0 {
-		writeError(w, http.StatusBadRequest, "", "topk and dirty_hops must be non-negative")
+	if req.TopK < 0 || req.DirtyHops < 0 || req.Workers < 0 {
+		writeError(w, http.StatusBadRequest, "", "topk, dirty_hops and workers must be non-negative")
 		return
 	}
 	src, srcLabels, err := parseGraphLimited("src", req.Src, opts)

@@ -196,6 +196,7 @@ func TestHTTPSubmitValidation(t *testing.T) {
 		{"empty src", mustJSON(t, SubmitRequest{Algo: "ok", Src: "", Dst: edgeListText(4)}), http.StatusBadRequest},
 		{"src larger than dst", mustJSON(t, SubmitRequest{Algo: "ok", Src: edgeListText(6), Dst: edgeListText(4)}), http.StatusBadRequest},
 		{"negative topk", mustJSON(t, SubmitRequest{Algo: "ok", TopK: -1, Src: edgeListText(4), Dst: edgeListText(4)}), http.StatusBadRequest},
+		{"negative workers", mustJSON(t, SubmitRequest{Algo: "ok", WorkersMax: -1, Src: edgeListText(4), Dst: edgeListText(4)}), http.StatusBadRequest},
 		{"node cap", mustJSON(t, SubmitRequest{Algo: "ok", Src: edgeListText(9), Dst: edgeListText(9)}), http.StatusBadRequest},
 		{"oversized body", mustJSON(t, SubmitRequest{Algo: "ok", Src: edgeListText(300), Dst: edgeListText(300)}), http.StatusRequestEntityTooLarge},
 	}

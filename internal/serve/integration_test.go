@@ -133,15 +133,16 @@ func TestHTTPPartitionedCancelNoLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	blocks := map[string]chan struct{}{"slow": make(chan struct{})} // never released
-	s, err := New(Options{Factory: testFactory(blocks), Workers: 1})
+	s, err := New(Options{Factory: testFactory(blocks), Workers: 1, JobWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler(HTTPOptions{}))
 
-	// WorkersMax 2 pins the shard fan-out width: on a single-CPU machine the
-	// default (one worker per CPU) would run the shards sequentially, and the
-	// first blocked shard would keep the second from ever starting.
+	// WorkersMax 2 (allowed by JobWorkers 2) pins the shard fan-out width:
+	// on a single-CPU machine the default (one worker per CPU) would run the
+	// shards sequentially, and the first blocked shard would keep the second
+	// from ever starting.
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		submitBody(t, SubmitRequest{Algo: "slow", Partitions: 2, WorkersMax: 2, Src: edgeListText(16), Dst: edgeListText(16)}))
 	if err != nil {

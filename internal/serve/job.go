@@ -52,7 +52,8 @@ type Spec struct {
 	// default. Jobs over budget fail with ErrKindTimeout.
 	Timeout time.Duration
 	// Workers bounds the job's intra-run parallel fan-out; zero means the
-	// server default (results are identical for any value).
+	// server default, and Submit caps it at Options.JobWorkers (results are
+	// identical for any value).
 	Workers int
 	// Partitions, when >= 2, routes the job through the partition-align-
 	// stitch sharding layer (core.RunSpec.Partitions): the graphs are

@@ -31,6 +31,7 @@ import (
 	"graphalign/internal/metrics"
 	"graphalign/internal/noise"
 	"graphalign/internal/obsv"
+	"graphalign/internal/parallel"
 )
 
 // ErrQueueFull rejects a submission when the job queue is at capacity; the
@@ -60,9 +61,9 @@ type Options struct {
 	// budgets (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// JobWorkers bounds each job's intra-run parallel fan-out (0 = one per
-	// CPU). With several concurrent jobs on one machine, 1 avoids
-	// oversubscription.
+	// JobWorkers bounds each job's and session's intra-run parallel fan-out
+	// (0 = one per CPU); a client's requested workers is capped at it. With
+	// several concurrent jobs on one machine, 1 avoids oversubscription.
 	JobWorkers int
 	// CacheBudgetBytes bounds the shared multi-tenant artifact cache
 	// (0 = no cache). Tenants submitting the same graph share spectra,
@@ -204,6 +205,17 @@ func New(opts Options) (*Server, error) {
 // Registry exposes the server's metrics registry (for /metrics exposition).
 func (s *Server) Registry() *obsv.Registry { return s.reg }
 
+// jobWorkers resolves a requested intra-run fan-out against the operator's
+// bound: 0 takes JobWorkers, and any other value is capped at JobWorkers, or
+// at GOMAXPROCS when JobWorkers is 0 ("one per CPU"), so a client can never
+// ask for more parallelism than the operator allowed.
+func (s *Server) jobWorkers(w int) int {
+	if w == 0 {
+		return s.opts.JobWorkers
+	}
+	return min(parallel.Workers(w), parallel.Workers(s.opts.JobWorkers))
+}
+
 // Submit validates the spec, admits the job into the bounded queue and
 // returns it. ErrQueueFull means the caller should retry later
 // (RetryAfter suggests when); ErrShuttingDown is terminal.
@@ -223,9 +235,7 @@ func (s *Server) Submit(src, dst *graph.Graph, srcLabels, dstLabels []string, sp
 	if spec.Timeout > s.opts.MaxTimeout {
 		spec.Timeout = s.opts.MaxTimeout
 	}
-	if spec.Workers == 0 {
-		spec.Workers = s.opts.JobWorkers
-	}
+	spec.Workers = s.jobWorkers(spec.Workers)
 
 	id := fmt.Sprintf("j%08d", s.nextID.Add(1))
 	job := newJob(id, spec, src, dst, srcLabels, dstLabels)

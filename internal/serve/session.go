@@ -28,7 +28,8 @@ type SessionSpec struct {
 	Algo string
 	// TopK is the candidate list length (0 = 10).
 	TopK int
-	// Workers bounds intra-session fan-out (0 = server default).
+	// Workers bounds intra-session fan-out (0 = server default), capped at
+	// Options.JobWorkers.
 	Workers int
 	// DriftThreshold, ColTolerance and DirtyHops tune the warm path; zero
 	// values take the incremental package defaults.
@@ -72,9 +73,7 @@ func (s *Server) CreateSession(src, dst *graph.Graph, srcLabels, dstLabels []str
 	if spec.TopK <= 0 {
 		spec.TopK = 10
 	}
-	if spec.Workers == 0 {
-		spec.Workers = s.opts.JobWorkers
-	}
+	spec.Workers = s.jobWorkers(spec.Workers)
 
 	// Admission before the (expensive) cold alignment: a full table must
 	// reject without burning CPU first. The slot is released on failure.

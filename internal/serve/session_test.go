@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"graphalign/internal/algo"
@@ -305,6 +307,60 @@ func TestHTTPSessionTableBounds(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Algo: "boom", Src: edgeListText(8), Dst: edgeListText(8)})
 	if body = readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("dense-only create status %d (%s), want 400", resp.StatusCode, body)
+	}
+}
+
+// TestHTTPWorkersBoundedByJobWorkers: a request's workers can never exceed
+// the operator's per-job bound. A negative value (which the worker pool reads
+// as one per CPU) is rejected with 400; a positive one is capped at
+// JobWorkers, or at GOMAXPROCS when JobWorkers is 0; 0 takes JobWorkers. Jobs
+// and sessions resolve it the same way.
+func TestHTTPWorkersBoundedByJobWorkers(t *testing.T) {
+	perCPU := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ jobWorkers, req, want int }{
+		{2, 64, 2},
+		{2, 1, 1},
+		{2, 0, 2},
+		{0, 0, 0},
+		{0, perCPU + 7, perCPU},
+	} {
+		t.Run(fmt.Sprintf("job-workers=%d/workers=%d", tc.jobWorkers, tc.req), func(t *testing.T) {
+			s, ts := newAPI(t, Options{Workers: 1, JobWorkers: tc.jobWorkers, Factory: sessionFactory()}, HTTPOptions{}, nil)
+			resp := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Algo: "ok", WorkersMax: tc.req, Src: edgeListText(8), Dst: edgeListText(8)})
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit status %d: %s", resp.StatusCode, body)
+			}
+			j, err := s.Job(decodeView(t, body).ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Spec.Workers != tc.want {
+				t.Fatalf("job workers = %d, want %d", j.Spec.Workers, tc.want)
+			}
+			resp = postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Algo: "emb", Workers: tc.req, Src: edgeListText(8), Dst: edgeListText(8)})
+			body = readAll(t, resp)
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("session create status %d: %s", resp.StatusCode, body)
+			}
+			h, err := s.Session(decodeSessionView(t, body).ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Spec.Workers != tc.want {
+				t.Fatalf("session workers = %d, want %d", h.Spec.Workers, tc.want)
+			}
+		})
+	}
+
+	// Negative job workers are a row of TestHTTPSubmitValidation.
+	s, ts := newAPI(t, Options{Workers: 1, JobWorkers: 2, Factory: sessionFactory()}, HTTPOptions{}, nil)
+	resp := postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Algo: "emb", Workers: -1, Src: edgeListText(8), Dst: edgeListText(8)})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative session workers: status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if len(s.Sessions()) != 0 {
+		t.Fatal("rejected session leaked into the session table")
 	}
 }
 
