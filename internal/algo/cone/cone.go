@@ -110,14 +110,15 @@ func (c *CONE) computeEmbed(ctx context.Context, g *graph.Graph) (*matrix.Dense,
 	// Accumulate powers times D^-1 densely (n x n); CONE's own
 	// implementation does the same for exactness on benchmark-scale graphs.
 	acc := matrix.NewDense(n, n)
-	cur := p.ToDense()
+	cur, next := p.ToDense(), matrix.NewDense(n, n)
 	for r := 1; r <= window; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		acc.AddScaled(cur, 1)
 		if r < window {
-			cur = mulCSRDense(p, cur)
+			p.MulDenseTo(next, cur)
+			cur, next = next, cur
 		}
 	}
 	vol := 2 * float64(g.M())
@@ -172,10 +173,11 @@ func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *ma
 		iters = 1
 	}
 	rotated := ySrc.Clone()
+	ySrcT := ySrc.T()
 	if warmStart != nil {
 		// One Procrustes step against the warm-start correspondence.
 		target := matrix.Mul(warmStart, yDst).Scale(float64(n1))
-		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrc.T(), target))
+		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrcT, target))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -186,20 +188,7 @@ func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *ma
 			return nil, nil, err
 		}
 		// Wasserstein step: transport between rotated source and target.
-		cost := matrix.NewDense(n1, n2)
-		for i := 0; i < n1; i++ {
-			ri := rotated.Row(i)
-			row := cost.Row(i)
-			for j := 0; j < n2; j++ {
-				rj := yDst.Row(j)
-				var d2 float64
-				for k := range ri {
-					dd := ri[k] - rj[k]
-					d2 += dd * dd
-				}
-				row[j] = d2
-			}
-		}
+		cost := matrix.PairwiseSqDist(rotated, yDst)
 		plan, err := ot.SinkhornCtx(ctx, cost, mu, nu, c.SinkhornEps, c.SinkhornIters)
 		if err != nil {
 			return nil, nil, err
@@ -207,7 +196,7 @@ func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *ma
 		// Procrustes step: Q = argmin ||Ysrc Q - P Ydst|| = U Vᵀ from the
 		// SVD of Ysrcᵀ (n1 P Ydst).
 		target := matrix.Mul(plan, yDst).Scale(float64(n1)) // n1 x d
-		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrc.T(), target))
+		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrcT, target))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -377,16 +366,11 @@ func meanNNDistance(a, b *matrix.Dense) float64 {
 		return 0
 	}
 	var total float64
+	dist := make([]float64, b.Rows)
 	for i := 0; i < a.Rows; i++ {
-		ri := a.Row(i)
+		matrix.SqDistInto(dist, a.Row(i), b)
 		best := math.Inf(1)
-		for j := 0; j < b.Rows; j++ {
-			rj := b.Row(j)
-			var d2 float64
-			for k := range ri {
-				d := ri[k] - rj[k]
-				d2 += d * d
-			}
+		for _, d2 := range dist {
 			if d2 < best {
 				best = d2
 			}
@@ -394,11 +378,6 @@ func meanNNDistance(a, b *matrix.Dense) float64 {
 		total += best
 	}
 	return total / float64(a.Rows)
-}
-
-// mulCSRDense returns s*d for CSR s.
-func mulCSRDense(s *matrix.CSR, d *matrix.Dense) *matrix.Dense {
-	return s.MulDense(d)
 }
 
 func minInt(a, b int) int {

@@ -87,15 +87,9 @@ func (g *GRASP) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.
 			sp.End()
 			return nil, err
 		}
-		ri := featSrc.Row(i)
 		row := sim.Row(i)
-		for j := 0; j < n2; j++ {
-			rj := featDst.Row(j)
-			var d2 float64
-			for t := range ri {
-				d := ri[t] - rj[t]
-				d2 += d * d
-			}
+		matrix.SqDistInto(row, featSrc.Row(i), featDst)
+		for j, d2 := range row {
 			row[j] = -d2
 		}
 	}

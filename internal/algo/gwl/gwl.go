@@ -135,18 +135,12 @@ func blendCost(c *matrix.Dense, x *matrix.Dense, alpha float64) *matrix.Dense {
 	if alpha == 0 {
 		return c
 	}
-	n := c.Rows
 	out := c.Clone().Scale(1 - alpha)
-	for i := 0; i < n; i++ {
-		ri := x.Row(i)
+	dist := make([]float64, x.Rows)
+	for i := 0; i < out.Rows; i++ {
+		matrix.SqDistInto(dist, x.Row(i), x)
 		orow := out.Row(i)
-		for j := 0; j < n; j++ {
-			rj := x.Row(j)
-			var d2 float64
-			for k := range ri {
-				d := ri[k] - rj[k]
-				d2 += d * d
-			}
+		for j, d2 := range dist {
 			orow[j] += alpha * math.Sqrt(d2)
 		}
 	}

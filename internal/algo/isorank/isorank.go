@@ -105,6 +105,8 @@ func (ir *IsoRank) Similarity(ctx context.Context, src, dst *graph.Graph) (*matr
 	converged := false
 	performed := 0
 	tmp := matrix.NewDense(n, m)
+	s1 := matrix.NewDense(n, m)
+	t2 := matrix.NewDense(n, m)
 	for it := 0; it < iters; it++ {
 		if err := ctx.Err(); err != nil {
 			sp.End()
@@ -115,7 +117,7 @@ func (ir *IsoRank) Similarity(ctx context.Context, src, dst *graph.Graph) (*matr
 		// left-multiply by A_src. Using CSR ops:
 		// step1: S1 = R * (D_dst^-1 A_dst)ᵀ  => S1 = R * normᵀ; rows of R
 		//        times columns of normᵀ = rows of norm.
-		s1 := mulDenseCSRT(r, aDstNorm) // n x m
+		mulDenseCSRT(s1, r, aDstNorm) // n x m
 		// step2: scale rows by 1/deg_src
 		for i := 0; i < n; i++ {
 			row := s1.Row(i)
@@ -125,7 +127,7 @@ func (ir *IsoRank) Similarity(ctx context.Context, src, dst *graph.Graph) (*matr
 			}
 		}
 		// step3: tmp = A_src * s1
-		t2 := aSrc.MulDense(s1)
+		aSrc.MulDenseTo(t2, s1)
 		// blend with prior
 		maxDiff := 0.0
 		for i := range tmp.Data {
@@ -152,21 +154,21 @@ func (ir *IsoRank) Similarity(ctx context.Context, src, dst *graph.Graph) (*matr
 	return r, nil
 }
 
-// mulDenseCSRT returns d * sᵀ where s is CSR (s: m x m). Equivalent to
-// (s * dᵀ)ᵀ computed without materializing transposes.
-func mulDenseCSRT(d *matrix.Dense, s *matrix.CSR) *matrix.Dense {
-	// out[i][r] = sum_k d[i][k] * s[r][k]
-	out := matrix.NewDense(d.Rows, s.NumRows)
-	for r := 0; r < s.NumRows; r++ {
-		cols, vals := s.RowRange(r)
-		for i := 0; i < d.Rows; i++ {
-			drow := d.Row(i)
+// mulDenseCSRT writes d * sᵀ into out (d.Rows x s.NumRows, overwritten),
+// where s is CSR: out[i][r] = sum_k d[i][k] * s[r][k], k ascending over row
+// r's entries. Equivalent to (s * dᵀ)ᵀ without materializing transposes;
+// the row of d is outermost, so each output row is written contiguously.
+func mulDenseCSRT(out, d *matrix.Dense, s *matrix.CSR) {
+	for i := 0; i < d.Rows; i++ {
+		drow := d.Row(i)
+		orow := out.Row(i)
+		for r := range orow {
+			cols, vals := s.RowRange(r)
 			var acc float64
 			for k, c := range cols {
 				acc += drow[c] * vals[k]
 			}
-			out.Row(i)[r] = acc
+			orow[r] = acc
 		}
 	}
-	return out
 }

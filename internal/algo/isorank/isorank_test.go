@@ -73,3 +73,16 @@ func TestNoiseDegradesMonotonically(t *testing.T) {
 		t.Errorf("accuracy did not degrade: %.3f -> %.3f", a0, a10)
 	}
 }
+
+// BenchmarkSimilarity times IsoRank's 100 power iterations on a
+// dense-paper-sized pair (n=200, 1% noise).
+func BenchmarkSimilarity(b *testing.B) {
+	p := algotest.Pair(b, 200, 0.01, 1)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := New().Similarity(ctx, p.Source, p.Target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

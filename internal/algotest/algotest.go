@@ -16,7 +16,7 @@ import (
 
 // Pair builds a deterministic alignment instance: a powerlaw-cluster graph
 // with one-way noise at the given level, hidden by a random permutation.
-func Pair(t *testing.T, n int, level float64, seed int64) noise.Pair {
+func Pair(t testing.TB, n int, level float64, seed int64) noise.Pair {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	base := gen.PowerlawCluster(n, 3, 0.3, rng)

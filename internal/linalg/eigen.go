@@ -18,10 +18,14 @@ import (
 // SymEigenCtx computes the full eigendecomposition of the symmetric matrix
 // a (only its lower triangle is read). It returns the eigenvalues in ascending
 // order and the matrix of corresponding eigenvectors stored column-wise:
-// vecs.At(i, k) is component i of eigenvector k.
+// vecs.At(i, k) is component i of eigenvector k. A 0x0 input has no
+// eigenpairs and yields empty results.
 //
 // The implementation is the classic Householder tridiagonalization followed
-// by the implicit-shift QL algorithm (Numerical Recipes tred2/tqli).
+// by the implicit-shift QL algorithm (Numerical Recipes tred2/tqli), both
+// walking contiguous rows: tqli rotates the rows of the transposed
+// transform, and each sum keeps the textbook's summation order, so the
+// results are bitwise those of the column-strided original.
 // Cancellation is checked once per eigenvalue in the QL phase; it returns
 // ctx.Err() when interrupted.
 func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *matrix.Dense, err error) {
@@ -29,14 +33,18 @@ func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *ma
 		return nil, nil, fmt.Errorf("linalg: SymEigenCtx requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
+	if n == 0 {
+		return []float64{}, matrix.NewDense(0, 0), nil
+	}
 	z := a.Clone() // will be overwritten with eigenvectors
 	d := make([]float64, n)
 	e := make([]float64, n)
 	tred2(z, d, e)
+	transposeInPlace(z) // row k is now column k of the transform
 	if err := tqli(ctx, d, e, z); err != nil {
 		return nil, nil, err
 	}
-	// Sort ascending by eigenvalue, permuting columns of z.
+	// Sort ascending by eigenvalue; row src of z becomes column k of vecs.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -46,8 +54,8 @@ func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *ma
 	vecs = matrix.NewDense(n, n)
 	for k, src := range idx {
 		vals[k] = d[src]
-		for i := 0; i < n; i++ {
-			vecs.Set(i, k, z.At(i, src))
+		for i, v := range z.Row(src) {
+			vecs.Data[i*n+k] = v
 		}
 	}
 	return vals, vecs, nil
@@ -77,88 +85,120 @@ func TruncateEigenpairs(vals []float64, vecs *matrix.Dense, k int) ([]float64, *
 // tred2 reduces the symmetric matrix stored in z to tridiagonal form by
 // Householder transformations, accumulating the orthogonal transform in z.
 // On exit, d holds the diagonal and e the subdiagonal (e[0] unused).
+//
+// The two sums that Numerical Recipes forms down columns are built here by
+// streaming rows; each adds the same terms in the same order.
 func tred2(z *matrix.Dense, d, e []float64) {
 	n := z.Rows
+	g := make([]float64, n)
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		zi := z.Row(i)[:i]
 		h := 0.0
 		scale := 0.0
 		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(z.At(i, k))
+			for _, v := range zi {
+				scale += math.Abs(v)
 			}
 			if scale == 0 {
-				e[i] = z.At(i, l)
+				e[i] = zi[l]
 			} else {
-				for k := 0; k <= l; k++ {
-					v := z.At(i, k) / scale
-					z.Set(i, k, v)
+				for k, v := range zi {
+					v /= scale
+					zi[k] = v
 					h += v * v
 				}
-				f := z.At(i, l)
-				g := math.Sqrt(h)
+				f := zi[l]
+				gi := math.Sqrt(h)
 				if f >= 0 {
-					g = -g
+					gi = -gi
 				}
-				e[i] = scale * g
-				h -= f * g
-				z.Set(i, l, f-g)
+				e[i] = scale * gi
+				h -= f * gi
+				zi[l] = f - gi
+				// g[j] = sum_{k<=j} z[j][k] z[i][k] + sum_{j<k<=l} z[k][j] z[i][k],
+				// k ascending. Row k closes the first sum of g[k], then adds
+				// the k-th term of the second sum of every g[j], j < k.
+				for k := range zi {
+					zk := z.Row(k)[:k+1]
+					var s float64
+					for t, v := range zk {
+						s += v * zi[t]
+					}
+					zik := zi[k]
+					for j, v := range zk[:k] {
+						g[j] += v * zik
+					}
+					g[k] = s
+				}
 				f = 0.0
-				for j := 0; j <= l; j++ {
-					z.Set(j, i, z.At(i, j)/h)
-					g = 0.0
-					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * z.At(i, k)
-					}
-					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * z.At(i, k)
-					}
-					e[j] = g / h
-					f += e[j] * z.At(i, j)
+				for j, v := range zi {
+					z.Data[j*n+i] = v / h
+					e[j] = g[j] / h
+					f += e[j] * v
 				}
 				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					f = z.At(i, j)
-					g = e[j] - hh*f
-					e[j] = g
-					for k := 0; k <= j; k++ {
-						z.Add(j, k, -(f*e[k] + g*z.At(i, k)))
+				for j, f := range zi {
+					gj := e[j] - hh*f
+					e[j] = gj
+					zj := z.Row(j)[:j+1]
+					for k := range zj {
+						zj[k] -= f*e[k] + gj*zi[k]
 					}
 				}
 			}
 		} else {
-			e[i] = z.At(i, l)
+			e[i] = zi[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0.0
 	e[0] = 0.0
 	for i := 0; i < n; i++ {
-		l := i - 1
+		zi := z.Row(i)
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				g := 0.0
-				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+			// g[j] = sum_k z[i][k] z[k][j], k ascending. The updates write
+			// neither row i nor column i, so every g[j] can be formed before
+			// the first of them, and both passes stream rows.
+			gs := g[:i]
+			clear(gs)
+			for k, zik := range zi[:i] {
+				for j, v := range z.Row(k)[:i] {
+					gs[j] += zik * v
 				}
-				for k := 0; k <= l; k++ {
-					z.Add(k, j, -g*z.At(k, i))
+			}
+			for k := 0; k < i; k++ {
+				zk := z.Row(k)[:i]
+				zki := z.Data[k*n+i]
+				for j, gj := range gs {
+					zk[j] -= gj * zki
 				}
 			}
 		}
-		d[i] = z.At(i, i)
-		z.Set(i, i, 1.0)
-		for j := 0; j <= l; j++ {
-			z.Set(j, i, 0.0)
-			z.Set(i, j, 0.0)
+		d[i] = zi[i]
+		zi[i] = 1.0
+		for j := 0; j < i; j++ {
+			z.Data[j*n+i] = 0.0
+			zi[j] = 0.0
+		}
+	}
+}
+
+// transposeInPlace transposes the square matrix z.
+func transposeInPlace(z *matrix.Dense) {
+	n := z.Rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			z.Data[i*n+j], z.Data[j*n+i] = z.Data[j*n+i], z.Data[i*n+j]
 		}
 	}
 }
 
 // tqli diagonalizes the tridiagonal matrix (d, e) with the implicit-shift QL
-// algorithm, accumulating rotations into z columns. ctx is checked once per
-// eigenvalue — each QL deflation is O(n²), so the check adds no measurable
-// cost while keeping cancellation latency bounded.
+// algorithm, accumulating rotations into z, whose row k is column k of the
+// transform tred2 produced: each rotation updates two contiguous rows. ctx
+// is checked once per eigenvalue — each QL deflation is O(n²), so the check
+// adds no measurable cost while keeping cancellation latency bounded.
 func tqli(ctx context.Context, d, e []float64, z *matrix.Dense) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
@@ -211,10 +251,11 @@ func tqli(ctx context.Context, d, e []float64, z *matrix.Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				zi := z.Row(i)
+				zi1 := z.Row(i + 1)[:len(zi)]
+				for k, f := range zi1 {
+					zi1[k] = s*zi[k] + c*f
+					zi[k] = c*zi[k] - s*f
 				}
 			}
 			if r == 0 && m-1 >= l {

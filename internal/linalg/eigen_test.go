@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -134,5 +135,35 @@ func TestPropertyEigenvalueSumEqualsTrace(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkSymEigen times the full eigendecomposition at the sizes CONE
+// reaches on the dense-paper instances: its 66x66 Procrustes Gram matrix and
+// its n=200 NetMF matrix (GRASP's Laplacian has the same size).
+func BenchmarkSymEigen(b *testing.B) {
+	for _, n := range []int{66, 200} {
+		a := randomSymmetric(n, 1)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := SymEigenCtx(ctx, a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSymEigenEmpty checks that a 0x0 matrix has no eigenpairs instead of
+// indexing its empty diagonal.
+func TestSymEigenEmpty(t *testing.T) {
+	vals, vecs, err := SymEigenCtx(context.Background(), matrix.NewDense(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 0 || vecs.Rows != 0 || vecs.Cols != 0 {
+		t.Fatalf("0x0: got %d values and a %dx%d vector matrix", len(vals), vecs.Rows, vecs.Cols)
 	}
 }

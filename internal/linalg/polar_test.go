@@ -122,3 +122,15 @@ func traceProd(q, m *matrix.Dense) float64 {
 	}
 	return s
 }
+
+// TestPolarOrthogonalEmpty checks that a 0x0 matrix has the 0x0 polar
+// factor instead of panicking in the eigensolver.
+func TestPolarOrthogonalEmpty(t *testing.T) {
+	q, err := PolarOrthogonal(context.Background(), matrix.NewDense(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Rows != 0 || q.Cols != 0 {
+		t.Fatalf("polar factor is %dx%d, want 0x0", q.Rows, q.Cols)
+	}
+}

@@ -91,18 +91,26 @@ func (m *CSR) MulVecTo(out, x []float64) {
 }
 
 // MulDense returns m * d as a new dense matrix (m is NumRows x NumCols,
-// d is NumCols x d.Cols). Large products are row-blocked across the worker
-// pool (each goroutine owns a contiguous range of output rows); the result
-// is bitwise identical to the serial computation.
+// d is NumCols x d.Cols).
 func (m *CSR) MulDense(d *Dense) *Dense {
+	return m.MulDenseTo(NewDense(m.NumRows, d.Cols), d)
+}
+
+// MulDenseTo writes m * d into out (NumRows x d.Cols, overwritten; it must
+// not alias d) and returns out, so iterative callers reuse one buffer.
+// Large products are row-blocked across the worker pool (each goroutine
+// owns a contiguous range of output rows); the result is bitwise identical
+// to the serial computation.
+func (m *CSR) MulDenseTo(out, d *Dense) *Dense {
 	if m.NumCols != d.Rows {
 		panic(fmt.Sprintf("matrix: csr muldense shape mismatch %dx%d * %dx%d", m.NumRows, m.NumCols, d.Rows, d.Cols))
 	}
-	out := NewDense(m.NumRows, d.Cols)
+	out.mustShape(m.NumRows, d.Cols)
 	mulRows := func(lo0, hi0 int) {
 		for r := lo0; r < hi0; r++ {
 			lo, hi := m.RowPtr[r], m.RowPtr[r+1]
 			orow := out.Row(r)
+			clear(orow)
 			for k := lo; k < hi; k++ {
 				v := m.Val[k]
 				drow := d.Row(m.ColIdx[k])

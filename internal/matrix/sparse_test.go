@@ -81,6 +81,27 @@ func TestCSRMulDense(t *testing.T) {
 	}
 }
 
+// TestCSRMulDenseToOverwrites checks that MulDenseTo clears a reused
+// buffer: a product written over stale values equals a fresh MulDense, bit
+// for bit, on the serial and the row-blocked parallel path.
+func TestCSRMulDenseToOverwrites(t *testing.T) {
+	for _, sh := range [][3]int{{4, 5, 3}, {500, 500, 200}} {
+		m := randomCSR(sh[0], sh[1], sh[0]*40, 5)
+		d := randomDense(sh[1], sh[2], 6)
+		want := m.MulDense(d)
+		out := NewDense(sh[0], sh[2])
+		out.Fill(math.NaN())
+		if got := m.MulDenseTo(out, d); got != out {
+			t.Fatal("MulDenseTo did not return its output buffer")
+		}
+		for i := range want.Data {
+			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%v: [%d] = %v after reuse, fresh %v", sh, i, out.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestCSRTransposeInvolution(t *testing.T) {
 	m := randomCSR(5, 6, 10, 4)
 	tt := m.T().T().ToDense()

@@ -35,8 +35,12 @@ type GWOptions struct {
 // where cst = (Ca∘Ca) mu 1ᵀ + 1 nuᵀ (Cb∘Cb)ᵀ depends only on the marginals.
 // Cancellation is checked at every outer proximal iteration and every inner
 // Sinkhorn round; it returns ctx.Err() and a nil plan when interrupted.
+// An empty node set on either side has the empty plan.
 func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []float64, opts GWOptions) (*matrix.Dense, error) {
 	n, m := ca.Rows, cb.Rows
+	if n == 0 || m == 0 {
+		return matrix.NewDense(n, m), nil
+	}
 	if opts.OuterIters <= 0 {
 		opts.OuterIters = 1
 	}
@@ -97,7 +101,6 @@ func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []fl
 // by scaling the kernel prior ∘ exp(-C/beta), checking ctx once per round.
 // The plan overwrites prior; k is scratch of the same shape for the kernel.
 func sinkhornWithPrior(ctx context.Context, c, prior, k *matrix.Dense, mu, nu []float64, beta float64, iters int) error {
-	n, m := c.Rows, c.Cols
 	minC := c.Data[0]
 	for _, v := range c.Data {
 		if v < minC {
@@ -107,57 +110,7 @@ func sinkhornWithPrior(ctx context.Context, c, prior, k *matrix.Dense, mu, nu []
 	for i, v := range c.Data {
 		k.Data[i] = prior.Data[i] * expStable(-(v-minC)/beta)
 	}
-	u := make([]float64, n)
-	v := make([]float64, m)
-	for i := range u {
-		u[i] = 1
-	}
-	for j := range v {
-		v[j] = 1
-	}
-	const tiny = 1e-300
-	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			row := k.Row(i)
-			var s float64
-			for j, kv := range row {
-				s += kv * v[j]
-			}
-			if s < tiny {
-				s = tiny
-			}
-			u[i] = mu[i] / s
-		}
-		for j := 0; j < m; j++ {
-			v[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			row := k.Row(i)
-			ui := u[i]
-			for j, kv := range row {
-				v[j] += kv * ui
-			}
-		}
-		for j := 0; j < m; j++ {
-			s := v[j]
-			if s < tiny {
-				s = tiny
-			}
-			v[j] = nu[j] / s
-		}
-	}
-	for i := 0; i < n; i++ {
-		krow := k.Row(i)
-		trow := prior.Row(i)
-		ui := u[i]
-		for j, kv := range krow {
-			trow[j] = ui * kv * v[j]
-		}
-	}
-	return nil
+	return scaleToPlan(ctx, prior, k, mu, nu, iters)
 }
 
 func expStable(x float64) float64 {

@@ -230,3 +230,60 @@ func TestSinkhornCtxCancelled(t *testing.T) {
 		t.Error("GromovWassersteinCtx ignored a cancelled context")
 	}
 }
+
+// TestGromovWassersteinEmpty checks that an empty node set yields the
+// empty plan instead of indexing an empty cost matrix.
+func TestGromovWassersteinEmpty(t *testing.T) {
+	empty := matrix.NewDense(0, 0)
+	plan, err := GromovWassersteinCtx(context.Background(), empty, empty, nil, nil, GWOptions{Beta: 0.1, OuterIters: 2, SinkhornIters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Rows != 0 || plan.Cols != 0 {
+		t.Fatalf("plan is %dx%d, want 0x0", plan.Rows, plan.Cols)
+	}
+}
+
+// randomCost returns an n x n symmetric cost in [0, 1) with a zero
+// diagonal, the shape of GWL's intra-graph costs.
+func randomCost(n int, seed int64) *matrix.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	c := matrix.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			v := rng.Float64()
+			c.Set(i, j, v)
+			c.Set(j, i, v)
+		}
+	}
+	return c
+}
+
+// BenchmarkSinkhorn times one CONE Wasserstein step: a 200x200 plan with
+// CONE's eps and 50 scaling rounds.
+func BenchmarkSinkhorn(b *testing.B) {
+	c := randomCost(200, 1)
+	mu := UniformWeights(200)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := SinkhornCtx(ctx, c, mu, mu, 0.05, 50); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGromovWasserstein times GWL's transport solve at n=200 with its
+// default options (beta 0.1, 20 proximal steps of 30 Sinkhorn rounds).
+func BenchmarkGromovWasserstein(b *testing.B) {
+	ca, cb := randomCost(200, 1), randomCost(200, 2)
+	mu := UniformWeights(200)
+	opts := GWOptions{Beta: 0.1, OuterIters: 20, SinkhornIters: 30}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := GromovWassersteinCtx(ctx, ca, cb, mu, mu, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

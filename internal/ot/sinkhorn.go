@@ -42,60 +42,109 @@ func SinkhornCtx(ctx context.Context, c *matrix.Dense, mu, nu []float64, eps flo
 			krow[j] = math.Exp(-(v - minC) / eps)
 		}
 	}
-	u := make([]float64, n)
-	v := make([]float64, m)
+	if err := scaleToPlan(ctx, k, k, mu, nu, iters); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// tiny floors the scaling denominators, so a row or column whose kernel
+// mass underflowed scales by a huge but finite factor.
+const tiny = 1e-300
+
+// scaleToPlan runs iters Sinkhorn scaling rounds on the kernel k from
+// u = v = 1,
+//
+//	u = mu ./ (K v),  v = nu ./ (Kᵀ u),
+//
+// checking ctx once per round, and writes the plan diag(u) K diag(v) into
+// out, which has k's shape and may be k itself.
+func scaleToPlan(ctx context.Context, out, k *matrix.Dense, mu, nu []float64, iters int) error {
+	u := make([]float64, k.Rows)
+	v := make([]float64, k.Cols)
+	ktu := make([]float64, k.Cols)
 	for i := range u {
 		u[i] = 1
 	}
 	for j := range v {
 		v[j] = 1
 	}
-	const tiny = 1e-300
 	for it := 0; it < iters; it++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		// u = mu ./ (K v)
-		for i := 0; i < n; i++ {
-			row := k.Row(i)
-			var s float64
-			for j, kv := range row {
-				s += kv * v[j]
-			}
-			if s < tiny {
-				s = tiny
-			}
-			u[i] = mu[i] / s
-		}
-		// v = nu ./ (Kᵀ u)
-		for j := 0; j < m; j++ {
-			v[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			row := k.Row(i)
-			ui := u[i]
-			for j, kv := range row {
-				v[j] += kv * ui
-			}
-		}
-		for j := 0; j < m; j++ {
-			s := v[j]
-			if s < tiny {
-				s = tiny
-			}
-			v[j] = nu[j] / s
+		sinkhornRound(k, mu, u, v, ktu)
+		for j, s := range ktu {
+			v[j] = nu[j] / atLeastTiny(s)
 		}
 	}
-	t := matrix.NewDense(n, m)
-	for i := 0; i < n; i++ {
+	for i := 0; i < k.Rows; i++ {
 		krow := k.Row(i)
-		trow := t.Row(i)
+		trow := out.Row(i)
 		ui := u[i]
 		for j, kv := range krow {
 			trow[j] = ui * kv * v[j]
 		}
 	}
-	return t, nil
+	return nil
+}
+
+// sinkhornRound sets u = mu ./ (K v) and ktu = Kᵀ u in one pass over K. Rows
+// are taken four at a time: four independent row-sum chains for u, then
+// each ktu[j] is loaded and stored once per four rows and adds their terms
+// in ascending row order. Every element is therefore bitwise the plain
+// two-pass loop (all of u, then all of Kᵀ u, one row at a time), while K is
+// read once per round instead of twice.
+func sinkhornRound(k *matrix.Dense, mu, u, v, ktu []float64) {
+	m := k.Cols
+	clear(ktu)
+	i := 0
+	for ; i+4 <= k.Rows; i += 4 {
+		base := i * m
+		r0 := k.Data[base : base+m : base+m][:len(v)]
+		r1 := k.Data[base+m : base+2*m : base+2*m][:len(v)]
+		r2 := k.Data[base+2*m : base+3*m : base+3*m][:len(v)]
+		r3 := k.Data[base+3*m : base+4*m : base+4*m][:len(v)]
+		var s0, s1, s2, s3 float64
+		for j, vj := range v {
+			s0 += r0[j] * vj
+			s1 += r1[j] * vj
+			s2 += r2[j] * vj
+			s3 += r3[j] * vj
+		}
+		u0 := mu[i] / atLeastTiny(s0)
+		u1 := mu[i+1] / atLeastTiny(s1)
+		u2 := mu[i+2] / atLeastTiny(s2)
+		u3 := mu[i+3] / atLeastTiny(s3)
+		u[i], u[i+1], u[i+2], u[i+3] = u0, u1, u2, u3
+		acc := ktu[:len(v)]
+		for j, x := range acc {
+			x += r0[j] * u0
+			x += r1[j] * u1
+			x += r2[j] * u2
+			x += r3[j] * u3
+			acc[j] = x
+		}
+	}
+	for ; i < k.Rows; i++ {
+		row := k.Row(i)[:len(v)]
+		var s float64
+		for j, vj := range v {
+			s += row[j] * vj
+		}
+		ui := mu[i] / atLeastTiny(s)
+		u[i] = ui
+		for j, kv := range row {
+			ktu[j] += kv * ui
+		}
+	}
+}
+
+func atLeastTiny(s float64) float64 {
+	if s < tiny {
+		return tiny
+	}
+	return s
 }
 
 // UniformWeights returns the uniform probability vector of length n.
