@@ -128,13 +128,14 @@ func (r *REGAL) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, sco
 	// otherwise, keeping C consistent with the stored projection). Landmarks
 	// are pinned — see the file comment.
 	pinned := st.pinnedDst()
+	dstSig := r.newSigner(dst, st.buckets)
 	fresh := make([]float64, st.buckets)
 	var drifted []int
 	for u := 0; u < st.n2; u++ {
 		if pinned[u] || (scope != nil && !scope[u]) {
 			continue
 		}
-		r.signatureRow(dst, u, st.buckets, fresh)
+		dstSig.row(u, fresh)
 		old := st.sig.Row(st.n1 + u)
 		if !sigDrifted(old, fresh, r.RefreshTol) {
 			continue
@@ -150,29 +151,21 @@ func (r *REGAL) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, sco
 		return nil, err
 	}
 
-	// Reproject the drifted rows: C row against the (unchanged) landmark
-	// signatures, then y = C·scaled with matrix.Mul's accumulation order and
-	// the usual row normalization — bitwise what the full pipeline would
-	// store for the same signature row.
-	cRow := make([]float64, len(st.landmarks))
-	for _, u := range drifted {
-		i := st.n1 + u
+	// Reproject the drifted rows: C rows against the (unchanged) landmark
+	// signatures, then y = C·scaled through matrix.Mul — the product the
+	// full pipeline runs — and the usual row normalization: bitwise what
+	// the full pipeline would store for the same signature rows.
+	c := matrix.NewDense(len(drifted), len(st.landmarks))
+	for k, u := range drifted {
+		row := c.Row(k)
 		for j, l := range st.landmarks {
-			cRow[j] = regalSim(st.sig, i, l, r.GammaStruc)
+			row[j] = regalSim(st.sig, st.n1+u, l, r.GammaStruc)
 		}
+	}
+	y := matrix.Mul(c, st.scaled)
+	for k, u := range drifted {
 		yRow := st.yDst.Row(u)
-		for k := range yRow {
-			yRow[k] = 0
-		}
-		for j, v := range cRow {
-			if v == 0 {
-				continue
-			}
-			sRow := st.scaled.Row(j)
-			for k, s := range sRow {
-				yRow[k] += v * s
-			}
-		}
+		copy(yRow, y.Row(k))
 		matrix.Normalize(yRow)
 	}
 	st.dstKey = dstKey

@@ -97,29 +97,51 @@ func bucketCount(maxDeg int) int {
 	return buckets
 }
 
-// signatureRow writes node u's structural signature — the delta-discounted
-// log-bucketed degree histogram of its k-hop neighborhoods — into row,
-// zeroing it first. The accumulation order matches the original joint fill
-// exactly, so recomputed rows are bitwise comparable against stored ones.
-func (r *REGAL) signatureRow(g *graph.Graph, u, buckets int, row []float64) {
-	for i := range row {
-		row[i] = 0
-	}
-	hops := graph.KHopNeighborhoods(g, u, r.K)
-	w := 1.0
-	for _, hop := range hops {
-		for _, v := range hop {
-			d := g.Degree(v)
-			if d < 1 {
-				continue
-			}
-			b := int(math.Log2(float64(d)))
-			if b >= buckets {
-				b = buckets - 1
-			}
-			row[b] += w
+// signer computes one graph's structural signature rows, reusing one hop
+// walker and each node's log-degree bucket across rows. Not safe for
+// concurrent use.
+type signer struct {
+	walk   *graph.HopWalker
+	bucket []int // bucket[v]: v's log-degree histogram bucket, -1 if isolated
+	k      int
+	delta  float64
+}
+
+// newSigner returns the signer of g's rows for a histogram of buckets
+// buckets. Each node's bucket is int(log2(degree)) capped at buckets-1,
+// evaluated once here rather than once per visit.
+func (r *REGAL) newSigner(g *graph.Graph, buckets int) *signer {
+	s := &signer{walk: graph.NewHopWalker(g), bucket: make([]int, g.N()), k: r.K, delta: r.Delta}
+	for v := range s.bucket {
+		d := g.Degree(v)
+		if d < 1 {
+			s.bucket[v] = -1
+			continue
 		}
-		w *= r.Delta
+		b := int(math.Log2(float64(d)))
+		if b >= buckets {
+			b = buckets - 1
+		}
+		s.bucket[v] = b
+	}
+	return s
+}
+
+// row writes node u's structural signature — the delta-discounted
+// log-bucketed degree histogram of its k-hop neighborhoods — into row,
+// zeroing it first. Every node of one hop adds the same weight and hops run
+// in ascending order, so the row is bitwise the same for any order within a
+// hop, and recomputed rows are bitwise comparable against stored ones.
+func (s *signer) row(u int, row []float64) {
+	clear(row)
+	w := 1.0
+	for _, hop := range s.walk.Hops(u, s.k) {
+		for _, v := range hop {
+			if b := s.bucket[v]; b >= 0 {
+				row[b] += w
+			}
+		}
+		w *= s.delta
 	}
 }
 
@@ -153,11 +175,13 @@ func (r *REGAL) embedState(ctx context.Context, src, dst *graph.Graph) (*refresh
 	}
 	buckets := bucketCount(maxDeg)
 	sig := matrix.NewDense(total, buckets)
+	srcSig := r.newSigner(src, buckets)
 	for u := 0; u < n1; u++ {
-		r.signatureRow(src, u, buckets, sig.Row(u))
+		srcSig.row(u, sig.Row(u))
 	}
+	dstSig := r.newSigner(dst, buckets)
 	for u := 0; u < n2; u++ {
-		r.signatureRow(dst, u, buckets, sig.Row(n1+u))
+		dstSig.row(u, sig.Row(n1+u))
 	}
 
 	// Landmark selection over the union.

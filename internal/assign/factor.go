@@ -19,9 +19,9 @@ import (
 // source space, Vs rows in target space, and similarity is the weighted
 // inner product rather than a function of distance.
 //
-// The terms are ordered: Similarity and ScoreRow accumulate them in index
-// order with the exact floating-point schedule of matrix.AddOuterScaled, so
-// the factored and densified paths agree bitwise.
+// The terms are ordered: ScoreRow, and Similarity through it, accumulate
+// them in index order with the exact floating-point schedule of
+// matrix.AddOuterScaled, so the factored and densified paths agree bitwise.
 type FactorEmbedding struct {
 	// Us[t] has len Rows, Vs[t] len Cols.
 	Us, Vs [][]float64
@@ -50,12 +50,11 @@ func (f *FactorEmbedding) weight(t int) float64 {
 
 // Similarity materializes the dense similarity matrix from the factors —
 // the fallback of the sparse pipeline when the candidate graph is
-// unmatchable, and bitwise what the aligner's own dense path computes (the
-// same AddOuterScaled calls in the same term order).
+// unmatchable, and the aligner's own dense path — one ScoreRow per row.
 func (f *FactorEmbedding) Similarity() *matrix.Dense {
 	sim := matrix.NewDense(f.Shape())
-	for t := range f.Us {
-		sim.AddOuterScaled(f.Us[t], f.Vs[t], f.weight(t))
+	for i := 0; i < sim.Rows; i++ {
+		f.ScoreRow(i, sim.Row(i))
 	}
 	return sim
 }
@@ -103,22 +102,44 @@ func (e *StarvedRowError) Error() string {
 func (e *StarvedRowError) Unwrap() error { return ErrStarvedRow }
 
 // ScoreRow implements Scorer: buf accumulates term-ascending, bitwise the
-// row AddOuterScaled would produce. The scaled left coefficient is formed
-// once and a zero skips the term, which also skips its (potentially
-// NaN-producing) products. Each buf[j] is an independent accumulation
-// chain, so Score reproduces any single entry bitwise.
+// row matrix.AddOuterScaled would produce term by term. The scaled left
+// coefficient w = Weights[t]·Us[t][i] is formed once and a zero skips the
+// term, which also skips its (potentially NaN-producing) products. The
+// remaining terms are applied four at a time, as matrix.Mul's kernel does:
+// each buf[j] is loaded once per four terms and its four products are added
+// in ascending t, so every buf[j] is still one independent accumulation
+// chain in term order and Score reproduces any single entry bitwise.
 func (f *FactorEmbedding) ScoreRow(i int, buf []float64) []float64 {
-	for j := range buf {
-		buf[j] = 0
-	}
+	clear(buf)
+	var w [4]float64
+	var v [4][]float64
+	n := 0
 	for t := range f.Us {
-		w := f.weight(t) * f.Us[t][i]
-		if w == 0 {
+		c := f.weight(t) * f.Us[t][i]
+		if c == 0 {
 			continue
 		}
-		vs := f.Vs[t]
-		for j, vv := range vs {
-			buf[j] += w * vv
+		w[n], v[n] = c, f.Vs[t]
+		if n++; n < 4 {
+			continue
+		}
+		n = 0
+		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+		m := len(buf)
+		v0, v1, v2, v3 := v[0][:m], v[1][:m], v[2][:m], v[3][:m]
+		for j := range buf {
+			o := buf[j]
+			o += w0 * v0[j]
+			o += w1 * v1[j]
+			o += w2 * v2[j]
+			o += w3 * v3[j]
+			buf[j] = o
+		}
+	}
+	for p := 0; p < n; p++ {
+		c, vs := w[p], v[p][:len(buf)]
+		for j := range buf {
+			buf[j] += c * vs[j]
 		}
 	}
 	return buf

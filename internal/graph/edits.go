@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,15 +72,15 @@ func Touched(edits []Edit) []int {
 // endpoints are errors (an inapplicable edit means the caller's view of the
 // graph has drifted from the graph itself, which the incremental pipeline
 // must surface rather than paper over). An empty batch returns a clone.
+//
+// Only the edges the batch touches are tracked: each starts from its state
+// in g, and the result keeps g's other edges as they are.
 func ApplyEdits(g *Graph, edits []Edit) (*Graph, error) {
 	if len(edits) == 0 {
 		return g.Clone(), nil
 	}
 	n := g.N()
-	present := make(map[Edge]bool, g.M()+len(edits))
-	for _, e := range g.Edges() {
-		present[e] = true
-	}
+	touched := make(map[Edge]bool, len(edits)) // edge -> present after the edits so far
 	for i, ed := range edits {
 		if ed.U < 0 || ed.U >= n || ed.V < 0 || ed.V >= n {
 			return nil, fmt.Errorf("graph: edit %d: endpoint out of range [0,%d): (%d,%d)", i, n, ed.U, ed.V)
@@ -87,32 +89,47 @@ func ApplyEdits(g *Graph, edits []Edit) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edit %d: self-loop at node %d", i, ed.U)
 		}
 		key := Edge{U: ed.U, V: ed.V}.Canon()
+		present, ok := touched[key]
+		if !ok {
+			present = g.HasEdge(key.U, key.V)
+		}
 		switch ed.Op {
 		case EditAdd:
-			if present[key] {
+			if present {
 				return nil, fmt.Errorf("graph: edit %d: add of present edge (%d,%d)", i, key.U, key.V)
 			}
-			present[key] = true
 		case EditRemove:
-			if !present[key] {
+			if !present {
 				return nil, fmt.Errorf("graph: edit %d: remove of absent edge (%d,%d)", i, key.U, key.V)
 			}
-			delete(present, key)
 		default:
 			return nil, fmt.Errorf("graph: edit %d: unknown op %d", i, ed.Op)
 		}
+		touched[key] = ed.Op == EditAdd
 	}
-	edges := make([]Edge, 0, len(present))
-	for e := range present {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	var added, removed []Edge
+	for e, present := range touched {
+		switch was := g.HasEdge(e.U, e.V); {
+		case present && !was:
+			added = append(added, e)
+		case !present && was:
+			removed = append(removed, e)
 		}
-		return edges[i].V < edges[j].V
-	})
-	return New(n, edges)
+	}
+	// g's edges (sorted) merged against the sorted removals, then the
+	// additions: New sorts each node's neighbours, so the order of the edge
+	// list does not change the graph.
+	slices.SortFunc(removed, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	edges := g.Edges()
+	kept := edges[:0]
+	for _, e := range edges {
+		if len(removed) > 0 && e == removed[0] {
+			removed = removed[1:]
+			continue
+		}
+		kept = append(kept, e)
+	}
+	return New(n, append(kept, added...))
 }
 
 // ReadEditStream parses a textual edit stream: one edit per line as

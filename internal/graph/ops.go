@@ -150,27 +150,59 @@ func BFSDistances(g *Graph, s int) []int {
 	return dist
 }
 
-// KHopNeighborhoods returns, for each hop h in 1..K, the set of nodes at
-// exactly hop distance h from u, as slices. Used by REGAL's structural
-// signatures.
-func KHopNeighborhoods(g *Graph, u, K int) [][]int {
-	hops := make([][]int, K)
-	dist := map[int]int{u: 0}
-	frontier := []int{u}
-	for h := 1; h <= K && len(frontier) > 0; h++ {
-		var next []int
-		for _, x := range frontier {
-			for _, v := range g.Neighbors(x) {
-				if _, ok := dist[v]; !ok {
-					dist[v] = h
-					next = append(next, v)
-				}
+// HopWalker enumerates the exact-distance hop sets of K-hop
+// neighbourhoods of one graph — REGAL's structural signatures walk one per
+// node. It is built once per graph and reused across calls: a stamp array
+// of length N marks the nodes the current walk has reached (a new walk
+// bumps the epoch instead of clearing it), and the hop sets share one
+// buffer. A HopWalker is not safe for concurrent use.
+type HopWalker struct {
+	g     *Graph
+	stamp []uint64 // stamp[v] == epoch: v reached by the current walk
+	epoch uint64
+	// nodes holds the hop sets in hop order. Its capacity is N and a walk
+	// appends each node at most once, so it never reallocates and the hop
+	// views stay valid while the walk grows it.
+	nodes []int
+	hops  [][]int
+}
+
+// NewHopWalker returns a walker over g.
+func NewHopWalker(g *Graph) *HopWalker {
+	return &HopWalker{g: g, stamp: make([]uint64, g.N()), nodes: make([]int, 0, g.N())}
+}
+
+// Hops returns, for each hop h in 1..K, the nodes at exactly hop distance h
+// from u, in breadth-first discovery order (neighbours ascending); hops past
+// the end of u's component are empty. The returned slices alias the
+// walker's storage and are valid until the next call.
+func (w *HopWalker) Hops(u, K int) [][]int {
+	w.epoch++
+	w.stamp[u] = w.epoch
+	w.nodes, w.hops = w.nodes[:0], w.hops[:0]
+	w.visit(u)
+	lo := 0
+	for h := 1; h <= K; h++ {
+		hi := len(w.nodes)
+		w.hops = append(w.hops, w.nodes[lo:hi:hi])
+		if h < K {
+			for i := lo; i < hi; i++ {
+				w.visit(w.nodes[i])
 			}
 		}
-		hops[h-1] = next
-		frontier = next
+		lo = hi
 	}
-	return hops
+	return w.hops
+}
+
+// visit appends x's neighbours the current walk has not reached.
+func (w *HopWalker) visit(x int) {
+	for _, v := range w.g.Neighbors(x) {
+		if w.stamp[v] != w.epoch {
+			w.stamp[v] = w.epoch
+			w.nodes = append(w.nodes, v)
+		}
+	}
 }
 
 // TriangleCount returns the number of triangles in g.

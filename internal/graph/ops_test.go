@@ -156,7 +156,8 @@ func TestBFSDistances(t *testing.T) {
 
 func TestKHopNeighborhoods(t *testing.T) {
 	g := MustNew(6, []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {4, 5}})
-	hops := KHopNeighborhoods(g, 0, 3)
+	w := NewHopWalker(g)
+	hops := w.Hops(0, 3)
 	sets := make([][]int, len(hops))
 	for i, h := range hops {
 		sets[i] = append([]int(nil), h...)
@@ -170,6 +171,14 @@ func TestKHopNeighborhoods(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sets[2], []int{5}) {
 		t.Errorf("hop3 = %v", sets[2])
+	}
+
+	// The same walker from a second root: the first walk's stamps and
+	// buffers must not leak into it.
+	hops = w.Hops(5, 3)
+	want := [][]int{{4}, {2}, {0}}
+	if !reflect.DeepEqual(hops, want) {
+		t.Errorf("hops from 5 = %v, want %v", hops, want)
 	}
 }
 

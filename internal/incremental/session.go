@@ -451,7 +451,9 @@ func (s *Session) coldSolve() {
 // dirtyScope returns the Options.DirtyHops target-side node filter: true
 // for nodes within hops of an edited endpoint, walking both the pre- and
 // post-edit adjacency (a removed edge's far side is only reachable through
-// the old graph). nil means unrestricted (hops <= 0 or an empty batch).
+// the old graph). nil means unrestricted (hops <= 0 or an empty batch). The
+// walk stops once a hop finds no new node, so any hop count at or past the
+// graph's diameter costs the same.
 func dirtyScope(before, after *graph.Graph, edits []graph.Edit, hops int) []bool {
 	if hops <= 0 || len(edits) == 0 {
 		return nil
@@ -463,7 +465,7 @@ func dirtyScope(before, after *graph.Graph, edits []graph.Edit, hops int) []bool
 			allowed[u] = true
 		}
 	}
-	for hop := 0; hop < hops; hop++ {
+	for hop := 0; hop < hops && len(frontier) > 0; hop++ {
 		var next []int
 		for _, u := range frontier {
 			for _, g := range [2]*graph.Graph{before, after} {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"graphalign/internal/algo"
 	"graphalign/internal/algo/lrea"
@@ -374,5 +375,33 @@ func TestSessionMetrics(t *testing.T) {
 	}
 	if got := reg.Histogram("incr_dirty_rows", obsv.SizeBuckets()).Snapshot().Count; got != 2 {
 		t.Errorf("incr_dirty_rows observations = %d, want 2", got)
+	}
+}
+
+// TestDirtyScopeHugeHops: alignd accepts any non-negative dirty_hops, so
+// the hop loop must stop once its frontier is empty rather than run every
+// requested hop. math.MaxInt hops must give the hops=N scope, and return
+// well within a deadline.
+func TestDirtyScopeHugeHops(t *testing.T) {
+	before := graph.MustNew(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
+	edits := []graph.Edit{{Op: graph.EditAdd, U: 2, V: 3}}
+	after, err := graph.ApplyEdits(before, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dirtyScope(before, after, edits, after.N())
+	done := make(chan []bool, 1)
+	go func() { done <- dirtyScope(before, after, edits, math.MaxInt) }()
+	select {
+	case got := <-done:
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("MaxInt hops scope %v, want the hops=N scope %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("dirtyScope with math.MaxInt hops did not return within 5s")
+	}
+	// Node 5 is isolated: no hop count reaches it.
+	if want[5] || !want[0] || !want[4] {
+		t.Fatalf("hops=N scope %v, want every node but 5", want)
 	}
 }
