@@ -165,44 +165,131 @@ func (c *CONE) computeEmbed(ctx context.Context, g *graph.Graph) (*matrix.Dense,
 // between the two independently computed embeddings). Cancellation is
 // checked once per alternation and threaded into the Sinkhorn rounds.
 func (c *CONE) AlignEmbeddingsCtx(ctx context.Context, ySrc, yDst, warmStart *matrix.Dense) (*matrix.Dense, *matrix.Dense, error) {
-	n1, n2 := ySrc.Rows, yDst.Rows
-	mu := ot.UniformWeights(n1)
-	nu := ot.UniformWeights(n2)
-	iters := c.Iters
-	if iters < 1 {
-		iters = 1
+	a := c.newAlternation(ySrc, yDst)
+	if err := a.start(ctx, warmStart); err != nil {
+		return nil, nil, err
 	}
-	rotated := ySrc.Clone()
-	ySrcT := ySrc.T()
-	if warmStart != nil {
-		// One Procrustes step against the warm-start correspondence.
-		target := matrix.Mul(warmStart, yDst).Scale(float64(n1))
-		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrcT, target))
-		if err != nil {
-			return nil, nil, err
-		}
-		rotated = matrix.Mul(ySrc, q)
+	if err := a.run(ctx, c.iters()); err != nil {
+		return nil, nil, err
 	}
-	for it := 0; it < iters; it++ {
+	return a.rot, yDst, nil
+}
+
+// iters is the number of full alternation rounds, at least one.
+func (c *CONE) iters() int {
+	return max(c.Iters, 1)
+}
+
+// alternation is one Wasserstein/Procrustes alignment of ySrc onto yDst:
+// the rotated source embeddings it refines, and the buffers every round
+// overwrites, allocated once per alignment.
+type alternation struct {
+	ySrc, ySrcT, yDst *matrix.Dense
+	mu, nu            []float64
+	eps               float64
+	sinkhornIters     int
+
+	plan   *matrix.Dense // n1 x n2: squared distances, then in place their Sinkhorn plan
+	target *matrix.Dense // n1 x d: n1 · P · Ydst
+	cross  *matrix.Dense // d x d: Ysrcᵀ · target
+	rot    *matrix.Dense // n1 x d: the rotated source embeddings
+}
+
+func (c *CONE) newAlternation(ySrc, yDst *matrix.Dense) *alternation {
+	n1, n2, d := ySrc.Rows, yDst.Rows, ySrc.Cols
+	return &alternation{
+		ySrc: ySrc, ySrcT: ySrc.T(), yDst: yDst,
+		mu: ot.UniformWeights(n1), nu: ot.UniformWeights(n2),
+		eps: c.SinkhornEps, sinkhornIters: c.SinkhornIters,
+		plan:   matrix.NewDense(n1, n2),
+		target: matrix.NewDense(n1, d),
+		cross:  matrix.NewDense(d, d),
+		rot:    matrix.NewDense(n1, d),
+	}
+}
+
+// start sets rot by one Procrustes step against the warm-start
+// correspondence, or to ySrc itself when there is none.
+func (a *alternation) start(ctx context.Context, warm *matrix.Dense) error {
+	if warm == nil {
+		copy(a.rot.Data, a.ySrc.Data)
+		return nil
+	}
+	return a.procrustes(ctx, warm)
+}
+
+// run continues the alternation for rounds more rounds, updating rot in
+// place.
+func (a *alternation) run(ctx context.Context, rounds int) error {
+	for it := 0; it < rounds; it++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return err
 		}
 		// Wasserstein step: transport between rotated source and target.
-		cost := matrix.PairwiseSqDist(rotated, yDst)
-		plan, err := ot.SinkhornCtx(ctx, cost, mu, nu, c.SinkhornEps, c.SinkhornIters)
-		if err != nil {
-			return nil, nil, err
+		matrix.PairwiseSqDistTo(a.plan, a.rot, a.yDst)
+		if err := ot.SinkhornTo(ctx, a.plan, a.plan, a.mu, a.nu, a.eps, a.sinkhornIters); err != nil {
+			return err
 		}
-		// Procrustes step: Q = argmin ||Ysrc Q - P Ydst|| = U Vᵀ from the
-		// SVD of Ysrcᵀ (n1 P Ydst).
-		target := matrix.Mul(plan, yDst).Scale(float64(n1)) // n1 x d
-		q, err := linalg.PolarOrthogonal(ctx, matrix.Mul(ySrcT, target))
-		if err != nil {
-			return nil, nil, err
+		if err := a.procrustes(ctx, a.plan); err != nil {
+			return err
 		}
-		rotated = matrix.Mul(ySrc, q)
 	}
-	return rotated, yDst, nil
+	return nil
+}
+
+// procrustes sets rot = Ysrc Q for Q = argmin ||Ysrc Q - n1 P Ydst||, the
+// polar factor of Ysrcᵀ (n1 P Ydst).
+func (a *alternation) procrustes(ctx context.Context, p *matrix.Dense) error {
+	matrix.MulTo(a.target, p, a.yDst).Scale(float64(a.ySrc.Rows))
+	q, err := linalg.PolarOrthogonal(ctx, matrix.MulTo(a.cross, a.ySrcT, a.target))
+	if err != nil {
+		return err
+	}
+	matrix.MulTo(a.rot, a.ySrc, q)
+	return nil
+}
+
+// pilotIters is the length of the pilot alternation that scores each warm
+// start.
+const pilotIters = 4
+
+// alignFromWarmStarts runs a pilotIters-round pilot from every warm start,
+// scores each by its mean nearest-neighbor distance, and returns the
+// rotated source embeddings of the full alternation from the best one. That
+// alternation's first pilotIters rounds are the winning pilot's, bit for
+// bit, so it continues from the pilot instead of repeating them.
+func (c *CONE) alignFromWarmStarts(ctx context.Context, ySrc, yDst *matrix.Dense, warms []*matrix.Dense) (*matrix.Dense, error) {
+	a := c.newAlternation(ySrc, yDst)
+	kept := matrix.NewDense(a.rot.Rows, a.rot.Cols) // the best pilot's rotation
+	winner, bestObj := -1, math.Inf(1)
+	for i, w := range warms {
+		if err := a.start(ctx, w); err != nil {
+			return nil, err
+		}
+		if err := a.run(ctx, pilotIters); err != nil {
+			return nil, err
+		}
+		if obj := meanNNDistance(a.rot, yDst); obj < bestObj {
+			winner, bestObj = i, obj
+			a.rot, kept = kept, a.rot
+		}
+	}
+	iters := c.iters()
+	rounds := iters - pilotIters
+	if winner >= 0 && rounds >= 0 {
+		a.rot = kept
+	} else {
+		// A full alternation shorter than the pilot, or no pilot with a
+		// finite score: restart from the chosen warm start.
+		if err := a.start(ctx, warms[max(winner, 0)]); err != nil {
+			return nil, err
+		}
+		rounds = iters
+	}
+	if err := a.run(ctx, rounds); err != nil {
+		return nil, err
+	}
+	return a.rot, nil
 }
 
 // alignmentDim returns the number of leading embedding columns used for
@@ -264,6 +351,26 @@ func (c *CONE) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Sco
 // Procrustes alternation. Returns the rotated source embeddings and the
 // target embeddings.
 func (c *CONE) alignedEmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, *matrix.Dense, error) {
+	ySrc, yDst, err := c.subspaceEmbeddings(ctx, src, dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	warms, err := c.warmStarts(ctx, src, dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	rot, err := c.alignFromWarmStarts(ctx, ySrc, yDst, warms)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rot, yDst, nil
+}
+
+// subspaceEmbeddings returns both graphs' embeddings in the common
+// alignment subspace: the smaller one padded with zero columns so
+// Procrustes operates in a common space, then both truncated to
+// alignmentDim columns.
+func (c *CONE) subspaceEmbeddings(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, *matrix.Dense, error) {
 	ySrc, err := c.EmbedCtx(ctx, src)
 	if err != nil {
 		return nil, nil, err
@@ -272,8 +379,6 @@ func (c *CONE) alignedEmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Pad the smaller embedding with zero columns so Procrustes operates in
-	// a common space, then truncate to the alignment subspace.
 	if ySrc.Cols != yDst.Cols {
 		d := ySrc.Cols
 		if yDst.Cols > d {
@@ -286,28 +391,7 @@ func (c *CONE) alignedEmbeddingsCtx(ctx context.Context, src, dst *graph.Graph) 
 		ySrc = leadingCols(ySrc, d)
 		yDst = leadingCols(yDst, d)
 	}
-
-	warms, err := c.warmStarts(ctx, src, dst)
-	if err != nil {
-		return nil, nil, err
-	}
-	best := warms[0]
-	if len(warms) > 1 {
-		bestObj := math.Inf(1)
-		pilot := *c
-		pilot.Iters = 4
-		for _, w := range warms {
-			rot, yd, err := pilot.AlignEmbeddingsCtx(ctx, ySrc, yDst, w)
-			if err != nil {
-				return nil, nil, err
-			}
-			if obj := meanNNDistance(rot, yd); obj < bestObj {
-				bestObj = obj
-				best = w
-			}
-		}
-	}
-	return c.AlignEmbeddingsCtx(ctx, ySrc, yDst, best)
+	return ySrc, yDst, nil
 }
 
 // warmStarts builds the candidate anchor plans: hard JV matchings of the

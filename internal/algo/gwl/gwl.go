@@ -59,20 +59,12 @@ func (g *GWL) Name() string { return "GWL" }
 // nearest neighbor on the transport plan.
 func (g *GWL) DefaultAssignment() assign.Method { return assign.NearestNeighbor }
 
-// CostMatrix builds the intra-graph cost matrix GWL uses: 1 - A/max plus a
-// small diagonal bias, i.e. adjacent nodes are close. Following the
-// published code, costs come from the adjacency structure directly.
+// CostMatrix builds the intra-graph cost matrix GWL uses: 0 on the
+// diagonal, 0.25 between adjacent nodes and 1 elsewhere, i.e. adjacent
+// nodes are close. Following the published code, costs come from the
+// adjacency structure directly. It is the dense form of ot.AdjacencyCost.
 func CostMatrix(g *graph.Graph) *matrix.Dense {
-	n := g.N()
-	c := matrix.NewDense(n, n)
-	c.Fill(1)
-	for u := 0; u < n; u++ {
-		c.Set(u, u, 0)
-		for _, v := range g.Neighbors(u) {
-			c.Set(u, v, 0.25)
-		}
-	}
-	return c
+	return ot.AdjacencyCost{G: g}.Dense()
 }
 
 // Similarity implements algo.Aligner: the returned matrix is the learned
@@ -109,7 +101,7 @@ func (g *GWL) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.De
 		ca := blendCost(cSrc, xs, g.Alpha)
 		cb := blendCost(cDst, xt, g.Alpha)
 		var err error
-		plan, err = ot.GromovWassersteinCtx(ctx, ca, cb, mu, nu, opts)
+		plan, err = ot.GromovWassersteinCtx(ctx, ot.DenseCost{C: ca}, ot.DenseCost{C: cb}, mu, nu, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -262,10 +262,17 @@ func mulABTKernel(out, a, b *Dense, lo, hi int) {
 // kernel behind the embedding-based similarity matrices (REGAL, CONE) and
 // the dense fallback of the sparse assignment pipeline.
 func PairwiseSqDist(a, b *Dense) *Dense {
+	return PairwiseSqDistTo(NewDense(a.Rows, b.Rows), a, b)
+}
+
+// PairwiseSqDistTo writes the squared distances of PairwiseSqDist into out
+// (a.Rows x b.Rows, overwritten; it must not alias a or b) and returns out,
+// so iterative callers reuse one buffer.
+func PairwiseSqDistTo(out, a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: pairwiseSqDist dim mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewDense(a.Rows, b.Rows)
+	out.mustShape(a.Rows, b.Rows)
 	distRows := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			SqDistInto(out.Row(i), a.Row(i), b)

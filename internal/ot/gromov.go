@@ -2,6 +2,7 @@ package ot
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"graphalign/internal/matrix"
@@ -33,11 +34,19 @@ type GWOptions struct {
 //	L(Ca, Cb) ⊗ T = cst - 2 * Ca T Cbᵀ
 //
 // where cst = (Ca∘Ca) mu 1ᵀ + 1 nuᵀ (Cb∘Cb)ᵀ depends only on the marginals.
-// Cancellation is checked at every outer proximal iteration and every inner
-// Sinkhorn round; it returns ctx.Err() and a nil plan when interrupted.
-// An empty node set on either side has the empty plan.
-func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []float64, opts GWOptions) (*matrix.Dense, error) {
-	n, m := ca.Rows, cb.Rows
+// The costs enter only through those three products (see Cost), so a
+// DenseCost pays two dense n³ products per outer iteration and an
+// AdjacencyCost O((nnz_A + nnz_B)·n).
+//
+// A Beta that is not positive is an error. Cancellation is checked at
+// every outer proximal iteration and every inner Sinkhorn round; it returns
+// ctx.Err() and a nil plan when interrupted. An empty node set on either
+// side has the empty plan.
+func GromovWassersteinCtx(ctx context.Context, ca, cb Cost, mu, nu []float64, opts GWOptions) (*matrix.Dense, error) {
+	if !(opts.Beta > 0) {
+		return nil, fmt.Errorf("ot: Gromov-Wasserstein beta must be positive, got %v", opts.Beta)
+	}
+	n, m := ca.Size(), cb.Size()
 	if n == 0 || m == 0 {
 		return matrix.NewDense(n, m), nil
 	}
@@ -46,23 +55,9 @@ func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []fl
 	}
 	// Constant part of the gradient.
 	ca2mu := make([]float64, n) // (Ca ∘ Ca) mu
-	for i := 0; i < n; i++ {
-		row := ca.Row(i)
-		var s float64
-		for k, v := range row {
-			s += v * v * mu[k]
-		}
-		ca2mu[i] = s
-	}
+	ca.sqMulVecTo(ca2mu, mu)
 	cb2nu := make([]float64, m) // (Cb ∘ Cb) nu
-	for j := 0; j < m; j++ {
-		row := cb.Row(j)
-		var s float64
-		for l, v := range row {
-			s += v * v * nu[l]
-		}
-		cb2nu[j] = s
-	}
+	cb.sqMulVecTo(cb2nu, nu)
 	cst := matrix.NewDense(n, m)
 	for i := 0; i < n; i++ {
 		row := cst.Row(i)
@@ -83,8 +78,8 @@ func GromovWassersteinCtx(ctx context.Context, ca, cb *matrix.Dense, mu, nu []fl
 			return nil, err
 		}
 		// grad = cst - 2 * Ca T Cbᵀ
-		matrix.MulTo(caT, ca, t)
-		matrix.MulABTTo(caTcbT, caT, cb)
+		ca.mulTo(caT, t)
+		cb.mulTransTo(caTcbT, caT)
 		copy(grad.Data, cst.Data)
 		grad.AddScaled(caTcbT, -2)
 		// Proximal step: cost = grad - beta * log(T_prev); folding the log

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphalign/internal/gen"
 	"graphalign/internal/matrix"
 )
 
@@ -103,7 +104,7 @@ func TestGromovWassersteinIdentifiesIsomorphicStructure(t *testing.T) {
 		}
 	}
 	mu := UniformWeights(n)
-	plan, err := GromovWassersteinCtx(context.Background(), ca, cb, mu, mu, GWOptions{Beta: 0.02, OuterIters: 40, SinkhornIters: 50})
+	plan, err := GromovWassersteinCtx(context.Background(), DenseCost{C: ca}, DenseCost{C: cb}, mu, mu, GWOptions{Beta: 0.02, OuterIters: 40, SinkhornIters: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestGromovWassersteinMarginals(t *testing.T) {
 	}
 	mu := UniformWeights(n)
 	nu := UniformWeights(m)
-	plan, err := GromovWassersteinCtx(context.Background(), ca, cb, mu, nu, GWOptions{Beta: 0.1, OuterIters: 20, SinkhornIters: 30})
+	plan, err := GromovWassersteinCtx(context.Background(), DenseCost{C: ca}, DenseCost{C: cb}, mu, nu, GWOptions{Beta: 0.1, OuterIters: 20, SinkhornIters: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestGromovWassersteinExtremeBeta(t *testing.T) {
 	}
 	mu := UniformWeights(n)
 	for _, beta := range []float64{1e-9, 1e3} {
-		plan, err := GromovWassersteinCtx(context.Background(), ca, ca, mu, mu, GWOptions{Beta: beta, OuterIters: 5, SinkhornIters: 10})
+		plan, err := GromovWassersteinCtx(context.Background(), DenseCost{C: ca}, DenseCost{C: ca}, mu, mu, GWOptions{Beta: beta, OuterIters: 5, SinkhornIters: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestSinkhornCtxCancelled(t *testing.T) {
 	if _, err := SinkhornCtx(ctx, c, mu, mu, 0.1, 50); err != context.Canceled {
 		t.Errorf("SinkhornCtx err = %v, want context.Canceled", err)
 	}
-	if _, err := GromovWassersteinCtx(ctx, c, c, mu, mu, GWOptions{Beta: 0.1, OuterIters: 5, SinkhornIters: 5}); err == nil {
+	if _, err := GromovWassersteinCtx(ctx, DenseCost{C: c}, DenseCost{C: c}, mu, mu, GWOptions{Beta: 0.1, OuterIters: 5, SinkhornIters: 5}); err == nil {
 		t.Error("GromovWassersteinCtx ignored a cancelled context")
 	}
 }
@@ -235,7 +236,7 @@ func TestSinkhornCtxCancelled(t *testing.T) {
 // empty plan instead of indexing an empty cost matrix.
 func TestGromovWassersteinEmpty(t *testing.T) {
 	empty := matrix.NewDense(0, 0)
-	plan, err := GromovWassersteinCtx(context.Background(), empty, empty, nil, nil, GWOptions{Beta: 0.1, OuterIters: 2, SinkhornIters: 2})
+	plan, err := GromovWassersteinCtx(context.Background(), DenseCost{C: empty}, DenseCost{C: empty}, nil, nil, GWOptions{Beta: 0.1, OuterIters: 2, SinkhornIters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +277,37 @@ func BenchmarkSinkhorn(b *testing.B) {
 // BenchmarkGromovWasserstein times GWL's transport solve at n=200 with its
 // default options (beta 0.1, 20 proximal steps of 30 Sinkhorn rounds).
 func BenchmarkGromovWasserstein(b *testing.B) {
-	ca, cb := randomCost(200, 1), randomCost(200, 2)
+	ca, cb := DenseCost{C: randomCost(200, 1)}, DenseCost{C: randomCost(200, 2)}
 	mu := UniformWeights(200)
 	opts := GWOptions{Beta: 0.1, OuterIters: 20, SinkhornIters: 30}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := GromovWassersteinCtx(ctx, ca, cb, mu, mu, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGromovWassersteinGraphCost times an S-GWL leaf solve at n=200:
+// the paper's PL model, S-GWL's dense-data options (beta 0.1, 20 proximal
+// steps of 30 Sinkhorn rounds, degree weights) and the adjacency cost whose
+// gradient skips the dense products BenchmarkGromovWasserstein pays for.
+func BenchmarkGromovWassersteinGraphCost(b *testing.B) {
+	ga, err := gen.Generate(gen.PL, 200, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	gb, err := gen.Generate(gen.PL, 200, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mu, nu := DegreeWeights(ga.Degrees()), DegreeWeights(gb.Degrees())
+	opts := GWOptions{Beta: 0.1, OuterIters: 20, SinkhornIters: 30}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := GromovWassersteinCtx(ctx, AdjacencyCost{G: ga}, AdjacencyCost{G: gb}, mu, nu, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ package ot
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"graphalign/internal/matrix"
@@ -18,18 +19,39 @@ import (
 // and returns the transport plan T. C is the cost matrix (len(mu) x
 // len(nu)), eps the regularization strength, iters the number of
 // row/column scaling rounds. Costs are stabilized by subtracting the row
-// minimum before exponentiation. Cancellation is checked once per scaling
-// round; it returns ctx.Err() and a nil plan when interrupted.
+// minimum before exponentiation. An eps that is not positive is an error.
+// Cancellation is checked once per scaling round; it returns ctx.Err() and
+// a nil plan when interrupted.
 func SinkhornCtx(ctx context.Context, c *matrix.Dense, mu, nu []float64, eps float64, iters int) (*matrix.Dense, error) {
-	n, m := c.Rows, c.Cols
+	if err := checkEps(eps); err != nil {
+		return nil, err
+	}
+	plan := matrix.NewDense(c.Rows, c.Cols)
+	if err := SinkhornTo(ctx, plan, c, mu, nu, eps, iters); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// SinkhornTo is SinkhornCtx writing the plan into out (c's shape), so
+// iterative callers reuse one buffer. out may be c itself: the cost is then
+// overwritten by the plan. The plan is bitwise that of SinkhornCtx. When it
+// returns an error, out holds no plan.
+func SinkhornTo(ctx context.Context, out, c *matrix.Dense, mu, nu []float64, eps float64, iters int) error {
+	if err := checkEps(eps); err != nil {
+		return err
+	}
+	if out.Rows != c.Rows || out.Cols != c.Cols {
+		panic(fmt.Sprintf("ot: Sinkhorn plan is %dx%d, cost %dx%d", out.Rows, out.Cols, c.Rows, c.Cols))
+	}
 	// Kernel K = exp(-C/eps), stabilized row by row: subtracting a per-row
 	// constant from C only rescales the row's scaling factor u_i (the plan is
 	// invariant), and it pins every row's largest kernel entry at exactly 1,
 	// so no row underflows to all zeros however wide the cost range or small
 	// eps. A single global minimum leaves rows whose costs sit far above it
-	// with uniformly tiny kernels that vanish at small eps.
-	k := matrix.NewDense(n, m)
-	for i := 0; i < n; i++ {
+	// with uniformly tiny kernels that vanish at small eps. Each kernel row
+	// is written after its cost row is read, so out may alias c.
+	for i := 0; i < c.Rows; i++ {
 		crow := c.Row(i)
 		minC := math.Inf(1)
 		for _, v := range crow {
@@ -37,15 +59,21 @@ func SinkhornCtx(ctx context.Context, c *matrix.Dense, mu, nu []float64, eps flo
 				minC = v
 			}
 		}
-		krow := k.Row(i)
+		krow := out.Row(i)
 		for j, v := range crow {
 			krow[j] = math.Exp(-(v - minC) / eps)
 		}
 	}
-	if err := scaleToPlan(ctx, k, k, mu, nu, iters); err != nil {
-		return nil, err
+	return scaleToPlan(ctx, out, out, mu, nu, iters)
+}
+
+// checkEps rejects a regularization strength that is not positive (or is
+// NaN), for which every kernel entry is NaN or infinite.
+func checkEps(eps float64) error {
+	if !(eps > 0) {
+		return fmt.Errorf("ot: Sinkhorn eps must be positive, got %v", eps)
 	}
-	return k, nil
+	return nil
 }
 
 // tiny floors the scaling denominators, so a row or column whose kernel
