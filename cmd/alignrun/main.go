@@ -218,8 +218,8 @@ func alignIncremental(name string, src, dst *graph.Graph, trueMap []int, editsPa
 		if err != nil {
 			return res, nil, fmt.Errorf("batch %d: %w", i, err)
 		}
-		fmt.Fprintf(os.Stderr, "batch=%d edits=%d dirty_rows=%d dirty_cols=%d warm=%t rebid_rows=%d rounds=%d noop=%t time=%s\n",
-			i, stats.Edits, stats.DirtyRows, stats.ChangedCols, stats.Warm,
+		fmt.Fprintf(os.Stderr, "batch=%d edits=%d dirty_rows=%d dirty_cols=%d rescan_rows=%d warm=%t rebid_rows=%d rounds=%d noop=%t time=%s\n",
+			i, stats.Edits, stats.DirtyRows, stats.ChangedCols, stats.RescanRows, stats.Warm,
 			stats.RebidRows, stats.Rounds, stats.Noop,
 			(stats.RefreshTime + stats.CandidateTime + stats.SolveTime).Round(time.Microsecond))
 	}

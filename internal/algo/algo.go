@@ -71,8 +71,12 @@ type ScoringAligner interface {
 // movement crosses it.
 //
 // Implementations keep per-instance state, so an instance used for refresh
-// must not be shared across sessions; the returned scorer is private to the
-// caller and of the same concrete type on every call.
+// must not be shared across sessions. The returned scorer is of the same
+// concrete type on every call and is a read-only view of that state, valid
+// until the next call on the instance, which may patch it in place: a caller
+// that keeps it past that point copies it (the session clones once, when it
+// first takes a scorer or replaces it wholesale, and afterwards only reads
+// the moved rows out of each view).
 type IncrementalScorer interface {
 	ScoringAligner
 	RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, scope []bool) (assign.Scorer, error)

@@ -21,8 +21,8 @@ import (
 // cost; it is an honest improvement, not this package's headline speedup.
 
 // refreshState is the retained iterate RefreshScorerCtx warm-starts from.
-// f is owned by the state; iterate only reads its slices and returns fresh
-// ones, and callers get clones.
+// f is owned by the state and handed out as a read-only view; iterate only
+// reads its slices and returns fresh ones.
 type refreshState struct {
 	srcKey, dstKey string
 	n, m           int
@@ -43,11 +43,11 @@ func (l *LREA) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []
 		if err != nil {
 			return nil, err
 		}
-		l.state = &refreshState{srcKey: srcKey, dstKey: dstKey, n: src.N(), m: dst.N(), f: f.Clone()}
+		l.state = &refreshState{srcKey: srcKey, dstKey: dstKey, n: src.N(), m: dst.N(), f: f}
 		return f, nil
 	}
 	if st.dstKey == dstKey {
-		return st.f.Clone(), nil
+		return st.f, nil
 	}
 	iters := l.RefreshIters
 	if iters <= 0 {
@@ -58,8 +58,7 @@ func (l *LREA) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []
 	if err != nil {
 		return nil, err
 	}
-	f := &assign.FactorEmbedding{Us: x.us, Vs: x.vs}
-	st.f = f.Clone()
+	st.f = &assign.FactorEmbedding{Us: x.us, Vs: x.vs}
 	st.dstKey = dstKey
-	return f, nil
+	return st.f, nil
 }

@@ -27,9 +27,9 @@ import (
 // side recaptures everything.
 
 // refreshState is the captured factor bundle RefreshScorerCtx re-iterates
-// across edit batches. f is owned by the state (callers get clones); its
-// Vs[c·(iters+1)] entries are the frozen prior components and are never
-// overwritten in place.
+// across edit batches. f is owned by the state and handed out as a
+// read-only view; its Vs[c·(iters+1)] entries are the frozen prior
+// components and are never overwritten in place.
 type refreshState struct {
 	srcKey, dstKey string
 	ns, nd         int
@@ -49,7 +49,7 @@ func (n *NSD) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []b
 		return n.recapture(ctx, src, dst, srcKey, dstKey)
 	}
 	if st.dstKey == dstKey {
-		return st.f.Clone(), nil
+		return st.f, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func (n *NSD) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []b
 		}
 	}
 	st.dstKey = dstKey
-	return st.f.Clone(), nil
+	return st.f, nil
 }
 
 // recapture runs the full pipeline (dense prior, truncated SVD, both
@@ -86,7 +86,7 @@ func (n *NSD) recapture(ctx context.Context, src, dst *graph.Graph, srcKey, dstK
 		srcKey: srcKey, dstKey: dstKey,
 		ns: src.N(), nd: dst.N(),
 		iters: iters, comps: len(f.Us) / (iters + 1),
-		f: f.Clone(),
+		f: f,
 	}
 	return f, nil
 }

@@ -63,22 +63,23 @@ func (st *refreshState) pinnedDst() []bool {
 	return st.pinned
 }
 
-// embedding returns the state's embeddings as a private assign.Embedding
-// (clones, so callers may mutate freely; repeated calls on unchanged state
-// are bitwise identical).
+// embedding returns the state's embeddings as an assign.Embedding view: it
+// aliases the state, which the next refresh patches in place (the
+// algo.IncrementalScorer contract: read-only, valid until the next call).
 func (st *refreshState) embedding() *assign.Embedding {
-	return &assign.Embedding{Src: st.ySrc.Clone(), Dst: st.yDst.Clone(), SimFromDist2: ExpKernel}
+	return &assign.Embedding{Src: st.ySrc, Dst: st.yDst, SimFromDist2: ExpKernel}
 }
 
 // sigDrifted reports whether a recomputed signature row moved beyond tol
-// relative to the stored one: tol <= 0 means any bitwise difference, a
-// positive tol compares the largest absolute difference against the largest
-// magnitude (the same relative metric the incremental session applies to
-// embedding rows).
+// relative to the stored one: tol <= 0 means any bitwise difference (an
+// unchanged NaN is unchanged), a positive tol compares the largest absolute
+// difference against the largest magnitude (the same relative metric the
+// incremental session applies to embedding rows), and an entry that is NaN
+// on exactly one side has drifted.
 func sigDrifted(old, fresh []float64, tol float64) bool {
 	if tol <= 0 {
 		for i := range old {
-			if old[i] != fresh[i] {
+			if math.Float64bits(old[i]) != math.Float64bits(fresh[i]) {
 				return true
 			}
 		}
@@ -86,6 +87,9 @@ func sigDrifted(old, fresh []float64, tol float64) bool {
 	}
 	var maxDiff, maxAbs float64
 	for i := range old {
+		if (old[i] != old[i]) != (fresh[i] != fresh[i]) {
+			return true
+		}
 		if d := math.Abs(old[i] - fresh[i]); d > maxDiff {
 			maxDiff = d
 		}

@@ -2,6 +2,7 @@ package regal
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,7 +25,8 @@ func refreshPair(t *testing.T, n int, seed int64) (*graph.Graph, *graph.Graph) {
 	return pair.Source, pair.Target
 }
 
-// refresh and batch unwrap the Embedding the scorer methods return.
+// refresh and batch unwrap the Embedding the scorer methods return; a
+// refresh result is a view, valid until the next refresh on the instance.
 func refresh(ctx context.Context, a *REGAL, src, dst *graph.Graph, scope []bool) (*assign.Embedding, error) {
 	s, err := a.RefreshScorerCtx(ctx, src, dst, scope)
 	f, _ := s.(*assign.Embedding)
@@ -39,7 +41,10 @@ func batch(ctx context.Context, a *REGAL, src, dst *graph.Graph) (*assign.Embedd
 
 // The first refresh call is the full pipeline: it must match ScorerCtx
 // bitwise, and an unchanged target must reproduce it bitwise (the
-// algo.IncrementalScorer noop contract).
+// algo.IncrementalScorer noop contract). The result is a read-only view of
+// the refresher's state, valid until the next call: it is compared through
+// a snapshot taken before that call, and the noop call hands out the same
+// storage instead of a copy.
 func TestRefreshFirstCallAndNoop(t *testing.T) {
 	src, dst := refreshPair(t, 60, 21)
 	ctx := context.Background()
@@ -53,17 +58,18 @@ func TestRefreshFirstCallAndNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Src, want.Src) || !reflect.DeepEqual(got.Dst, want.Dst) {
-		t.Fatal("first refresh differs from the batch pipeline")
+		t.Fatal("first refresh view differs from the batch pipeline")
 	}
+	snap := got.Clone()
 	again, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Src, got.Src) || !reflect.DeepEqual(again.Dst, got.Dst) {
+	if !reflect.DeepEqual(again.Src, snap.Src) || !reflect.DeepEqual(again.Dst, snap.Dst) {
 		t.Fatal("unchanged target did not reproduce the previous embeddings bitwise")
 	}
-	if &again.Dst.Data[0] == &got.Dst.Data[0] {
-		t.Fatal("refresh aliases previously returned storage")
+	if again.Src != got.Src || again.Dst != got.Dst {
+		t.Fatal("noop refresh copied its state instead of returning a view")
 	}
 }
 
@@ -96,10 +102,12 @@ func TestRefreshReprojectionExact(t *testing.T) {
 	ctx := context.Background()
 	r := New()
 	r.RefreshTol = 0
-	prev, err := refresh(ctx, r, src, dst, nil)
+	view, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The next call patches the view in place: compare against a snapshot.
+	prev := view.Clone()
 	rng := rand.New(rand.NewSource(5))
 	for step := 0; step < 3; step++ {
 		batch, err := noise.EditBatch(dst, 0.02, rng)
@@ -131,7 +139,7 @@ func TestRefreshReprojectionExact(t *testing.T) {
 		if moved == 0 {
 			t.Fatalf("step %d: no row moved under tol 0 after a real edit batch", step)
 		}
-		prev = got
+		prev = got.Clone()
 	}
 }
 
@@ -142,10 +150,11 @@ func TestRefreshScopeBoundsWork(t *testing.T) {
 	src, dst := refreshPair(t, 60, 23)
 	ctx := context.Background()
 	r := New()
-	prev, err := refresh(ctx, r, src, dst, nil)
+	view, err := refresh(ctx, r, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := view.Clone()
 	rng := rand.New(rand.NewSource(6))
 	batch, err := noise.EditBatch(dst, 0.02, rng)
 	if err != nil {
@@ -184,5 +193,29 @@ func TestRefreshSourceChangeRecaptures(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Src, want.Src) || !reflect.DeepEqual(got.Dst, want.Dst) {
 		t.Fatal("source change did not recapture the full pipeline")
+	}
+}
+
+// sigDrifted must see NaN: at tolerance 0 an unchanged NaN has not drifted
+// (bitwise), and above 0 an entry turning NaN, or back, has drifted.
+func TestSigDriftedNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name       string
+		old, fresh []float64
+		tol        float64
+		want       bool
+	}{
+		{"exact unchanged NaN", []float64{1, nan}, []float64{1, nan}, 0, false},
+		{"exact NaN to number", []float64{1, nan}, []float64{1, 2}, 0, true},
+		{"exact moved number", []float64{1, 2}, []float64{1, 3}, 0, true},
+		{"tolerant turns NaN", []float64{1, 2}, []float64{1, nan}, 0.2, true},
+		{"tolerant leaves NaN", []float64{1, nan}, []float64{1, 2}, 0.2, true},
+		{"tolerant unchanged NaN", []float64{1, nan}, []float64{1, nan}, 0.2, false},
+		{"tolerant within bound", []float64{1, 2}, []float64{1, 2.1}, 0.2, false},
+	} {
+		if got := sigDrifted(tc.old, tc.fresh, tc.tol); got != tc.want {
+			t.Errorf("%s: sigDrifted(%v, %v, %v) = %v, want %v", tc.name, tc.old, tc.fresh, tc.tol, got, tc.want)
+		}
 	}
 }

@@ -2,7 +2,11 @@ package assign
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
+
+	"graphalign/internal/matrix"
 )
 
 // Benchmarks backing BENCH_assign.json (see scripts/bench_assign.sh): the
@@ -177,4 +181,42 @@ func BenchmarkSolveGreedyReference(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkUpdateTopK is one exact reserve update at the evolving workload's
+// shape: n=600 REGAL-width (d=103) embeddings, a depth-2K reserve for K=10,
+// and 150 target rows nudged the way a pinned-basis refresh moves them.
+// Rebuild is the bulk TopK at the same depth the update replaces.
+func BenchmarkUpdateTopK(b *testing.B) {
+	const n, d, k, moved = 600, 103, 10, 150
+	// Unit rows and exp(-d2) similarities, as REGAL stores them.
+	e := testEmbedding(n, n, d, 600)
+	e.SimFromDist2 = func(d2 float64) float64 { return math.Exp(-d2) }
+	for i := 0; i < n; i++ {
+		matrix.Normalize(e.Src.Row(i))
+		matrix.Normalize(e.Dst.Row(i))
+	}
+	e2 := e.Clone()
+	rng := rand.New(rand.NewSource(601))
+	cols := rng.Perm(n)[:moved]
+	for _, j := range cols {
+		row := e2.Dst.Row(j)
+		for t := range row {
+			row[t] += 0.01 * rng.NormFloat64()
+		}
+		matrix.Normalize(row)
+	}
+	prev := TopK(e, 2*k, 1)
+	b.Run(fmt.Sprintf("n%d/d%d/moved%d/depth%d", n, d, moved, 2*k), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			UpdateTopK(prev, e2, nil, cols, k, 1)
+		}
+	})
+	b.Run(fmt.Sprintf("n%d/d%d/rebuild/depth%d", n, d, 2*k), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			TopK(e2, 2*k, 1)
+		}
+	})
 }

@@ -233,8 +233,16 @@ type Embedding struct {
 	Src, Dst *matrix.Dense
 	// SimFromDist2 converts a squared Euclidean distance between an Src row
 	// and a Dst row into the aligner's similarity score. It must be monotone
-	// non-increasing so that nearest-in-embedding equals best-similarity.
+	// non-increasing so that nearest-in-embedding equals best-similarity,
+	// and map NaN to NaN, so that a number-valued score always stands for a
+	// number-valued distance (UpdateTopK orders by distinct values alone).
 	SimFromDist2 func(d2 float64) float64
+}
+
+// Clone returns a deep copy of both sides' embeddings (the kernel is
+// shared).
+func (e *Embedding) Clone() *Embedding {
+	return &Embedding{Src: e.Src.Clone(), Dst: e.Dst.Clone(), SimFromDist2: e.SimFromDist2}
 }
 
 // Shape implements Scorer.
@@ -266,6 +274,57 @@ func sqDistAsc(q, r []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// sqDist8 returns the squared distances from q to the eight consecutive
+// len(q)-wide rows of block, each accumulated dimension-ascending in its own
+// chain — bitwise sqDistAsc — with the eight chains interleaved so the loads
+// of one dimension feed eight independent accumulators.
+func sqDist8(q, block []float64) (s0, s1, s2, s3, s4, s5, s6, s7 float64) {
+	d := len(q)
+	// Re-slicing each row to len(q) lets the compiler prove t in bounds for
+	// every load below.
+	r0 := block[0:d:d][:d]
+	r1 := block[d : 2*d : 2*d][:d]
+	r2 := block[2*d : 3*d : 3*d][:d]
+	r3 := block[3*d : 4*d : 4*d][:d]
+	r4 := block[4*d : 5*d : 5*d][:d]
+	r5 := block[5*d : 6*d : 6*d][:d]
+	r6 := block[6*d : 7*d : 7*d][:d]
+	r7 := block[7*d : 8*d : 8*d][:d]
+	for t, v := range q {
+		d0 := v - r0[t]
+		s0 += d0 * d0
+		d1 := v - r1[t]
+		s1 += d1 * d1
+		d2 := v - r2[t]
+		s2 += d2 * d2
+		d3 := v - r3[t]
+		s3 += d3 * d3
+		d4 := v - r4[t]
+		s4 += d4 * d4
+		d5 := v - r5[t]
+		s5 += d5 * d5
+		d6 := v - r6[t]
+		s6 += d6 * d6
+		d7 := v - r7[t]
+		s7 += d7 * d7
+	}
+	return
+}
+
+// sqDistBlock fills out[b] with the squared distance from q to row b of the
+// contiguous len(q)-wide rows in block, through topKEmbeddingBrute's
+// kernel, so every value is bitwise the bulk scan's.
+func sqDistBlock(q, block, out []float64) {
+	d := len(q)
+	b := 0
+	for ; b+8 <= len(out); b += 8 {
+		out[b], out[b+1], out[b+2], out[b+3], out[b+4], out[b+5], out[b+6], out[b+7] = sqDist8(q, block[b*d:(b+8)*d])
+	}
+	for ; b < len(out); b++ {
+		out[b] = sqDistAsc(q, block[b*d:(b+1)*d])
+	}
 }
 
 // Similarity materializes the full dense similarity matrix from the
@@ -307,38 +366,8 @@ func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 		heap = heap[:0]
 		bound := math.Inf(1)
 		j := 0
-		nq := len(q)
 		for ; j+8 <= m; j += 8 {
-			base := j * d
-			// Re-slicing each row to len(q) lets the compiler prove t in
-			// bounds for every load below (len(q) == d by selectRows' guard).
-			r0 := data[base : base+d : base+d][:nq]
-			r1 := data[base+d : base+2*d : base+2*d][:nq]
-			r2 := data[base+2*d : base+3*d : base+3*d][:nq]
-			r3 := data[base+3*d : base+4*d : base+4*d][:nq]
-			r4 := data[base+4*d : base+5*d : base+5*d][:nq]
-			r5 := data[base+5*d : base+6*d : base+6*d][:nq]
-			r6 := data[base+6*d : base+7*d : base+7*d][:nq]
-			r7 := data[base+7*d : base+8*d : base+8*d][:nq]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for t, v := range q {
-				d0 := v - r0[t]
-				s0 += d0 * d0
-				d1 := v - r1[t]
-				s1 += d1 * d1
-				d2 := v - r2[t]
-				s2 += d2 * d2
-				d3 := v - r3[t]
-				s3 += d3 * d3
-				d4 := v - r4[t]
-				s4 += d4 * d4
-				d5 := v - r5[t]
-				s5 += d5 * d5
-				d6 := v - r6[t]
-				s6 += d6 * d6
-				d7 := v - r7[t]
-				s7 += d7 * d7
-			}
+			s0, s1, s2, s3, s4, s5, s6, s7 := sqDist8(q, data[j*d:(j+8)*d])
 			if len(heap) < k || !(s0 >= bound) {
 				heap, bound = nnInsert(heap, k, s0, j)
 			}
@@ -365,12 +394,7 @@ func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 			}
 		}
 		for ; j < m; j++ {
-			rj := data[j*d : (j+1)*d : (j+1)*d][:nq]
-			var s float64
-			for t, v := range q {
-				dd := v - rj[t]
-				s += dd * dd
-			}
+			s := sqDistAsc(q, data[j*d:(j+1)*d])
 			if len(heap) < k || !(s >= bound) {
 				heap, bound = nnInsert(heap, k, s, j)
 			}

@@ -18,7 +18,7 @@ func checkMergeInvariants(t *testing.T, tag string, s, s2 Scorer, k int, changed
 	t.Helper()
 	prev := TopK(s, k, 1)
 	bulk := TopK(s2, k, 1)
-	merged, dirty := MergeTopK(prev, s2, changedRows, changedCols, 1)
+	merged, dirty, _ := MergeTopK(prev, s2, changedRows, changedCols, 1)
 	rescan := make([]bool, merged.Rows)
 	for _, i := range changedRows {
 		rescan[i] = true
@@ -91,7 +91,7 @@ func TestMergeTopKEmbeddingFullPoolExact(t *testing.T) {
 	changedCols := perturbRows(e2.Dst, 3, rng)
 
 	bulk := TopK(e2, k, 1)
-	merged, dirty := MergeTopK(prev, e2, nil, changedCols, 1)
+	merged, dirty, _ := MergeTopK(prev, e2, nil, changedCols, 1)
 	candsEqual(t, "embedding-merge-full", merged, bulk)
 	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
@@ -102,7 +102,7 @@ func TestMergeTopKEmbeddingNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := randEmbedding(30, 40, 8, rng)
 	prev := TopK(e, 4, 1)
-	merged, dirty := MergeTopK(prev, e, nil, nil, 1)
+	merged, dirty, _ := MergeTopK(prev, e, nil, nil, 1)
 	candsEqual(t, "embedding-merge-nochange", merged, prev)
 	if len(dirty) != 0 {
 		t.Fatalf("no-op merge reported dirty rows %v", dirty)
@@ -123,7 +123,7 @@ func TestMergeTopKEmbeddingLargeDeltaShortcut(t *testing.T) {
 	changedCols := perturbRows(e2.Dst, m/2, rng)
 
 	bulk := TopK(e2, k, 1)
-	merged, dirty := MergeTopK(prev, e2, nil, changedCols, 1)
+	merged, dirty, _ := MergeTopK(prev, e2, nil, changedCols, 1)
 	candsEqual(t, "embedding-merge-shortcut", merged, bulk)
 	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
@@ -153,7 +153,7 @@ func TestMergeTopKFactorNaNPruning(t *testing.T) {
 	for r := 0; r < rank; r++ {
 		f2.Vs[r][poisoned] = math.NaN()
 	}
-	merged, _ := MergeTopK(prev, f2, nil, []int{poisoned}, 1)
+	merged, _, _ := MergeTopK(prev, f2, nil, []int{poisoned}, 1)
 	for i := 0; i < n; i++ {
 		cols, vals := merged.Row(i)
 		for idx, j := range cols {
@@ -165,4 +165,31 @@ func TestMergeTopKFactorNaNPruning(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A column listed twice among the changed columns is one moved column: no
+// row may hold it twice, and the result equals the merge over the list
+// without the repeat.
+func TestMergeTopKRepeatedColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := randFactors(30, 40, 3, rng)
+	f2 := f.Clone()
+	const j = 7
+	for r := range f2.Vs {
+		f2.Vs[r][j] = 10
+	}
+	prev := TopK(f, 5, 1)
+	merged, _, _ := MergeTopK(prev, f2, []int{4, 4}, []int{j, j}, 1)
+	for i := 0; i < merged.Rows; i++ {
+		cols, _ := merged.Row(i)
+		seen := map[int]bool{}
+		for _, c := range cols {
+			if seen[c] {
+				t.Fatalf("row %d holds column %d twice: %v", i, c, cols)
+			}
+			seen[c] = true
+		}
+	}
+	once, _, _ := MergeTopK(prev, f2, []int{4}, []int{j}, 1)
+	candsEqual(t, "repeat", merged, once)
 }

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,16 +38,17 @@ func perturbRows(m *matrix.Dense, count int, rng *rand.Rand) []int {
 	return rows
 }
 
+// candsEqual fails unless a and b are bitwise the same candidate set.
 func candsEqual(t *testing.T, tag string, a, b *Candidates) {
 	t.Helper()
 	if a.Rows != b.Rows || a.Cols != b.Cols || a.K != b.K {
 		t.Fatalf("%s: shape differs: %dx%d k=%d vs %dx%d k=%d", tag, a.Rows, a.Cols, a.K, b.Rows, b.Cols, b.K)
 	}
-	if !reflect.DeepEqual(a.Col, b.Col) || !reflect.DeepEqual(a.Val, b.Val) || !reflect.DeepEqual(a.Len, b.Len) {
+	if !reflect.DeepEqual(a.Col, b.Col) || !sameBits(a.Val, b.Val) || !reflect.DeepEqual(a.Len, b.Len) {
 		for i := 0; i < a.Rows; i++ {
 			ac, av := a.Row(i)
 			bc, bv := b.Row(i)
-			if !reflect.DeepEqual(ac, bc) || !reflect.DeepEqual(av, bv) {
+			if !reflect.DeepEqual(ac, bc) || !sameBits(av, bv) {
 				t.Fatalf("%s: row %d differs:\n  got  %v %v\n  want %v %v", tag, i, ac, av, bc, bv)
 			}
 		}
@@ -62,7 +64,7 @@ func checkUpdateMatchesBulk(t *testing.T, tag string, s, s2 Scorer, k int, chang
 	t.Helper()
 	prev := TopK(s, k, 1)
 	bulk := TopK(s2, k, 1)
-	upd, dirty := UpdateTopK(prev, s2, changedRows, changedCols, 1)
+	upd, dirty, _ := UpdateTopK(prev, s2, changedRows, changedCols, k, 1)
 	candsEqual(t, tag, upd, bulk)
 	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
 		t.Fatalf("%s: dirty = %v, want %v", tag, dirty, want)
@@ -114,7 +116,7 @@ func TestUpdateTopKEmbeddingNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := randEmbedding(30, 40, 8, rng)
 	prev := TopK(e, 4, 1)
-	upd, dirty := UpdateTopK(prev, e, nil, nil, 1)
+	upd, dirty, _ := UpdateTopK(prev, e, nil, nil, 4, 1)
 	candsEqual(t, "embedding-nochange", upd, prev)
 	if len(dirty) != 0 {
 		t.Fatalf("no-op update reported dirty rows %v", dirty)
@@ -162,4 +164,179 @@ func TestUpdateTopKFactorLargeDeltaShortcut(t *testing.T) {
 		changedCols = append(changedCols, j)
 	}
 	checkUpdateMatchesBulk(t, "factor-shortcut", f, f2, k, nil, changedCols)
+}
+
+// checkReserve checks the reserve invariant UpdateTopK maintains over s: each
+// row's entries carry their exact current scores in strictly ascending rank
+// (TopK's order), every column outside the list ranks after its last entry,
+// and a row shorter than k holds every ranked column.
+func checkReserve(t *testing.T, tag string, c *Candidates, s Scorer, k int) {
+	t.Helper()
+	e, byDist := s.(*Embedding)
+	key := func(i, j int) rankEntry {
+		if byDist {
+			d2 := sqDistAsc(e.Src.Row(i), e.Dst.Row(j))
+			return rankEntry{d2: d2, v: e.SimFromDist2(d2), j: j}
+		}
+		return rankEntry{v: s.Score(i, j), j: j}
+	}
+	for i := 0; i < c.Rows; i++ {
+		cols, vals := c.Row(i)
+		in := make([]bool, c.Cols)
+		for idx, j := range cols {
+			in[j] = true
+			x := key(i, j)
+			if math.Float64bits(vals[idx]) != math.Float64bits(x.v) {
+				t.Fatalf("%s: row %d col %d stores %v, exact %v", tag, i, j, vals[idx], x.v)
+			}
+			if idx > 0 && !x.after(key(i, cols[idx-1]), byDist) {
+				t.Fatalf("%s: row %d out of rank order at %d: %v", tag, i, idx, cols)
+			}
+		}
+		for j := 0; j < c.Cols; j++ {
+			x := key(i, j)
+			if in[j] || (!byDist && x.v != x.v) {
+				continue
+			}
+			if len(cols) < k {
+				t.Fatalf("%s: row %d holds %d < k=%d entries but misses ranked col %d", tag, i, len(cols), k, j)
+			}
+			if len(cols) > 0 && !x.after(key(i, cols[len(cols)-1]), byDist) {
+				t.Fatalf("%s: row %d: outside col %d ranks before the last entry %d", tag, i, j, cols[len(cols)-1])
+			}
+		}
+	}
+}
+
+// checkReserveChain maintains a depth-r reserve over steps edits of s
+// without a rebuild. After every update the head must be bitwise TopK(s, k),
+// the dirty set exactly the rows whose head changed, the reserve invariant
+// must hold, and four workers must reproduce one.
+func checkReserveChain(t *testing.T, tag string, s Scorer, k, r, steps int, edit func(Scorer) (Scorer, []int, []int)) {
+	t.Helper()
+	res := TopK(s, r, 1)
+	for step := 0; step < steps; step++ {
+		s2, rows, cols := edit(s)
+		at := fmt.Sprintf("%s r=%d step %d", tag, r, step)
+		next, dirty, rescanned := UpdateTopK(res, s2, rows, cols, k, 1)
+		want := TopK(s2, k, 1)
+		candsEqual(t, at, next.Head(k), want)
+		if wantDirty := DiffRows(TopK(s, k, 1), want); !reflect.DeepEqual(dirty, wantDirty) {
+			t.Fatalf("%s: dirty = %v, want %v", at, dirty, wantDirty)
+		}
+		if rescanned < 0 || rescanned > next.Rows {
+			t.Fatalf("%s: rescanned %d rows of %d", at, rescanned, next.Rows)
+		}
+		checkReserve(t, at, next, s2, k)
+		par, parDirty, parRescanned := UpdateTopK(res, s2, rows, cols, k, 4)
+		candsEqual(t, at+" workers=4", par, next)
+		if !reflect.DeepEqual(parDirty, dirty) || parRescanned != rescanned {
+			t.Fatalf("%s: workers=4 dirty/rescans differ", at)
+		}
+		res, s = next, s2
+	}
+}
+
+// nanRows overwrites one coordinate of about a third of the given rows
+// with NaN.
+func nanRows(m *matrix.Dense, rows []int, rng *rand.Rand) {
+	for _, i := range rows {
+		if rng.Intn(3) == 0 {
+			m.Row(i)[rng.Intn(m.Cols)] = math.NaN()
+		}
+	}
+}
+
+// The reserve update's head is bitwise TopK over chains of embedding edits —
+// row-only, column-only and mixed deltas, NaN rows, a step kernel whose equal
+// values hide distinct distances — at reserve depths K, 2K and 3K.
+func TestUpdateTopKReserveEmbeddingChains(t *testing.T) {
+	const k = 5
+	kernels := map[string]func(float64) float64{
+		"neg":  func(d2 float64) float64 { return -d2 },
+		"step": func(d2 float64) float64 { return -math.Floor(d2 / 4) },
+	}
+	for _, name := range []string{"neg", "step"} {
+		for _, d := range []int{3, 8, 17} {
+			for _, r := range []int{k, 2 * k, 3 * k} {
+				rng := rand.New(rand.NewSource(int64(100*d + r)))
+				e := randEmbedding(40+rng.Intn(20), 50+rng.Intn(20), d, rng)
+				e.SimFromDist2 = kernels[name]
+				edit := func(s Scorer) (Scorer, []int, []int) {
+					cur := s.(*Embedding)
+					next := cur.Clone()
+					var rows, cols []int
+					switch rng.Intn(3) {
+					case 0:
+						rows = perturbRows(next.Src, 1+rng.Intn(3), rng)
+					case 1:
+						cols = perturbRows(next.Dst, 1+rng.Intn(20), rng)
+					default:
+						rows = perturbRows(next.Src, 1+rng.Intn(3), rng)
+						cols = perturbRows(next.Dst, 1+rng.Intn(20), rng)
+					}
+					nanRows(next.Src, rows, rng)
+					nanRows(next.Dst, cols, rng)
+					return next, rows, cols
+				}
+				checkReserveChain(t, fmt.Sprintf("%s d=%d", name, d), e, k, r, 20, edit)
+			}
+		}
+	}
+}
+
+// The same over factor scorers, where NaN scores are pruned: term 0 carries
+// a NaN on most target columns, so every row whose source coefficient for it
+// is non-zero holds only the few remaining columns — short rows that must
+// stay exact as edits flip columns and coefficients between NaN, zero and
+// numbers (with duplicate indices in the change lists).
+func TestUpdateTopKReserveFactorChains(t *testing.T) {
+	const k = 5
+	for _, r := range []int{k, 2 * k, 3 * k} {
+		rng := rand.New(rand.NewSource(int64(r)))
+		n, m := 40, 50
+		f := randFactors(n, m, 3, rng)
+		for j := 0; j < m; j++ {
+			if rng.Intn(10) != 0 {
+				f.Vs[0][j] = math.NaN()
+			}
+		}
+		for i := 0; i < n; i += 3 {
+			f.Us[0][i] = 0
+		}
+		edit := func(s Scorer) (Scorer, []int, []int) {
+			next := s.(*FactorEmbedding).Clone()
+			var rows, cols []int
+			for c := rng.Intn(3); c > 0; c-- {
+				i := rng.Intn(n)
+				next.Us[rng.Intn(3)][i] = []float64{0, rng.NormFloat64()}[rng.Intn(2)]
+				rows = append(rows, i, i)
+			}
+			for c := rng.Intn(12); c >= 0; c-- {
+				j := rng.Intn(m)
+				next.Vs[0][j] = []float64{math.NaN(), rng.NormFloat64()}[rng.Intn(2)]
+				next.Vs[1+rng.Intn(2)][j] = rng.NormFloat64()
+				cols = append(cols, j)
+			}
+			return next, rows, cols
+		}
+		checkReserveChain(t, "factor", f, k, r, 20, edit)
+	}
+}
+
+// At a size past candidateBudget the merge pass fans rows out across the
+// pool; the result must not depend on the worker count.
+func TestUpdateTopKReserveParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	e := randEmbedding(600, 600, 8, rng)
+	e2 := e.Clone()
+	cols := perturbRows(e2.Dst, 450, rng)
+	prev := TopK(e, 20, 1)
+	seq, seqDirty, seqRescans := UpdateTopK(prev, e2, nil, cols, 10, 1)
+	par, parDirty, parRescans := UpdateTopK(prev, e2, nil, cols, 10, 4)
+	candsEqual(t, "parallel", par, seq)
+	if !reflect.DeepEqual(parDirty, seqDirty) || parRescans != seqRescans {
+		t.Fatal("workers=4 dirty/rescans differ from workers=1")
+	}
+	candsEqual(t, "parallel head", seq.Head(10), TopK(e2, 10, 1))
 }

@@ -148,3 +148,42 @@ func BenchmarkColdRealign(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExactApply measures one apply at the session defaults —
+// ColTolerance 0 (bitwise change detection, the exact reserve update) and
+// DirtyHops 0 — at the shape of the end-to-end evolving workload: a
+// Holme–Kim n=600 target and 0.1%-of-edges batches. It is kept out of
+// bench_incremental.sh, which measures the tuned configuration above.
+func BenchmarkExactApply(b *testing.B) {
+	const n = 600
+	for _, name := range []string{"REGAL", "NSD"} {
+		b.Run(fmt.Sprintf("%s_n%d", name, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			pair, err := noise.Apply(gen.PowerlawCluster(n, 5, 0.5, rng), noise.OneWay, 0.01, noise.Options{}, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var a algo.Aligner = nsd.New()
+			if name == "REGAL" {
+				a = regal.New()
+			}
+			sess, err := NewSession(context.Background(), a, pair.Source, pair.Target, Options{TopK: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				batch, err := noise.EditBatch(sess.Target(), 0.001, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := sess.Apply(context.Background(), batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -19,6 +19,7 @@ func PreRegisterMetrics(reg *obsv.Registry) {
 	}
 	for _, name := range []string{
 		"incr_dirty_rows",
+		"incr_rescan_rows",
 		"incr_dirty_cols",
 		"incr_rebid_rounds",
 		"incr_augmented_rows",

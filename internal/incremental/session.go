@@ -78,6 +78,9 @@ type ApplyStats struct {
 	// DirtyRows is the number of candidate rows whose top-k lists actually
 	// changed — the warm auction's re-bid set.
 	DirtyRows int
+	// RescanRows is the number of candidate rows the top-k update rebuilt
+	// with a full scan over every target column.
+	RescanRows int
 	// AugmentedRows is the number of rows holding a matchability-repair
 	// candidate (see assign.Augment); 0 when the top-k lists already
 	// admit a row-perfect matching.
@@ -114,16 +117,13 @@ type Session struct {
 
 	src, dst *graph.Graph
 	// scorer is the effective similarity the candidate lists were built
-	// from (see patch).
+	// from (see patch); the session owns it.
 	scorer assign.Scorer
-	cands  *assign.Candidates
-	// solve is the solver-facing candidate set: the base lists made
-	// row-saturating by assign.Augment so the auction never has to refuse
-	// the instance (low-rank similarities routinely violate Hall's condition
-	// and would otherwise force the dense-JV fallback on every apply, which
-	// leaves no auction state to warm-start from). augCol records each row's
-	// added column (-1 none; nil when the base was already matchable).
-	solve *assign.Candidates
+	// reserve holds each row's candidate list at the update's depth (see
+	// depth). Its first-TopK head, bitwise assign.TopK(scorer, TopK), is
+	// what Augment, the solver and the drift gate see; the head and its
+	// augmented solver set are rebuilt on every apply, not kept.
+	reserve *assign.Candidates
 	// augCol records each row's repair column; augSeed is the base-graph
 	// matching the repair grew from, fed back as the next apply's seed so the
 	// unmatched set stays stable across small edits.
@@ -162,13 +162,14 @@ func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts
 		return nil, ErrNotIncremental
 	}
 	s.is, _ = a.(algo.IncrementalScorer)
-	var err error
-	if s.scorer, err = s.score(ctx, dst, nil); err != nil {
+	sc, err := s.score(ctx, dst, nil)
+	if err != nil {
 		return nil, fmt.Errorf("scorer: %w", err)
 	}
-	s.cands = assign.TopK(s.scorer, opts.TopK, opts.Workers)
-	s.augmentCandidates(nil, nil)
-	s.coldSolve()
+	s.scorer = s.own(sc)
+	s.reserve = assign.TopK(s.scorer, s.depth(), opts.Workers)
+	solve, _ := s.augment(s.reserve.Head(opts.TopK), nil, nil)
+	s.coldSolve(solve)
 	reg.Counter("incr_sessions_total").Add(1)
 	return s, nil
 }
@@ -239,21 +240,24 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	t1 := time.Now()
 	// With ColTolerance > 0 the caller has already accepted bounded
 	// staleness, so the merge-based candidate update (exact values, bounded
-	// membership staleness, O(changedCols) per row) replaces the exact update
-	// (whose conservative probe degenerates to rescanning most rows once a
-	// few hundred columns move). Exact mode keeps the bitwise-exact update.
-	update := assign.UpdateTopK
+	// membership staleness, K-wide lists) runs; exact mode keeps the
+	// bitwise-exact reserve update.
+	var next *assign.Candidates
+	var dirty []int
 	if s.opts.ColTolerance > 0 {
-		update = assign.MergeTopK
+		next, dirty, st.RescanRows = assign.MergeTopK(s.reserve, s.scorer, changedRows, changedCols, s.opts.Workers)
+	} else {
+		next, dirty, st.RescanRows = assign.UpdateTopK(s.reserve, s.scorer, changedRows, changedCols, s.opts.TopK, s.opts.Workers)
 	}
-	next, dirty := update(s.cands, s.scorer, changedRows, changedCols, s.opts.Workers)
-	s.cands = next
-	// Re-derive the solver-facing augmented set from the merged lists; rows
+	s.reserve = next
+	// Re-derive the solver-facing augmented set from the updated head; rows
 	// whose augmented entry moved join the dirty set (their solver-visible
 	// bytes changed even when their base list did not).
-	dirty = unionAsc(dirty, s.augmentCandidates(changedRows, changedCols))
+	solve, augDirty := s.augment(next.Head(s.opts.TopK), changedRows, changedCols)
+	dirty = unionAsc(dirty, augDirty)
 	st.CandidateTime = time.Since(t1)
 	sp.Set("dirty_rows", len(dirty))
+	sp.Set("rescan_rows", st.RescanRows)
 	sp.End()
 	st.DirtyRows = len(dirty)
 	for _, j := range s.augCol {
@@ -265,9 +269,9 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	sp = run.Phase("solve")
 	t2 := time.Now()
 	tryWarm := s.warmable &&
-		float64(len(dirty)) <= s.opts.DriftThreshold*float64(next.Rows)
+		float64(len(dirty)) <= s.opts.DriftThreshold*float64(solve.Rows)
 	if tryWarm {
-		mapping, state, stats, ok := assign.SolveAuctionWarm(s.solve, s.mapping, s.state, dirty, s.opts.Workers)
+		mapping, state, stats, ok := assign.SolveAuctionWarm(solve, s.mapping, s.state, dirty, s.opts.Workers)
 		if ok {
 			s.mapping, s.state = mapping, state
 			st.Warm, st.RebidRows, st.Rounds = true, stats.RebidRows, stats.Rounds
@@ -276,7 +280,7 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 		}
 	}
 	if !tryWarm {
-		s.coldSolve()
+		s.coldSolve(solve)
 		s.reg.Counter("incr_cold_fallbacks_total").Add(1)
 	}
 	st.SolveTime = time.Since(t2)
@@ -290,6 +294,7 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 		s.reg.Counter("incr_noop_total").Add(1)
 	}
 	s.reg.Histogram("incr_dirty_rows", obsv.SizeBuckets()).Observe(float64(st.DirtyRows))
+	s.reg.Histogram("incr_rescan_rows", obsv.SizeBuckets()).Observe(float64(st.RescanRows))
 	s.reg.Histogram("incr_dirty_cols", obsv.SizeBuckets()).Observe(float64(st.ChangedCols))
 	s.reg.Histogram("incr_rebid_rounds", obsv.SizeBuckets()).Observe(float64(st.Rounds))
 	s.reg.Histogram("incr_augmented_rows", obsv.SizeBuckets()).Observe(float64(st.AugmentedRows))
@@ -297,17 +302,46 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	return st, nil
 }
 
+// depth is the candidate reserve's per-row depth: 2·TopK for the exact
+// update, whose lists must survive losing moved columns without a rescan
+// (see assign.UpdateTopK), and TopK for the merge update.
+func (s *Session) depth() int {
+	if s.opts.ColTolerance > 0 {
+		return s.opts.TopK
+	}
+	return 2 * s.opts.TopK
+}
+
 // score recomputes the similarity stage for the given target: through the
 // aligner's refresher when it has one (it recomputes only inside the dirty
 // scope and returns everything else bitwise from its captured state — the
 // dominant per-apply saving), else by a full recompute whose row diff in
 // patch finds what moved. A refresher's first call runs the same full
-// pipeline, bitwise, and primes its state for the first Apply.
+// pipeline, bitwise, and primes its state for the first Apply. A
+// refresher's result is a read-only view of its state, valid until its next
+// call (see algo.IncrementalScorer): patch only reads it, and own copies it
+// where the session keeps it.
 func (s *Session) score(ctx context.Context, dst *graph.Graph, scope []bool) (assign.Scorer, error) {
 	if s.is != nil {
 		return s.is.RefreshScorerCtx(ctx, s.src, dst, scope)
 	}
 	return s.sa.ScorerCtx(ctx, s.src, dst)
+}
+
+// own returns a scorer the session may keep and patch in place: a copy of
+// a refresher's view (the refreshers return embeddings or factors), or a
+// ScorerCtx result as is (those are private to the caller already).
+func (s *Session) own(sc assign.Scorer) assign.Scorer {
+	if s.is == nil {
+		return sc
+	}
+	switch v := sc.(type) {
+	case *assign.Embedding:
+		return v.Clone()
+	case *assign.FactorEmbedding:
+		return v.Clone()
+	}
+	return sc
 }
 
 // patch folds a recomputed scorer into the session's effective one and
@@ -354,7 +388,7 @@ func (s *Session) patch(fresh assign.Scorer, scope []bool) (changedRows, changed
 			return changedRows, changedCols
 		}
 	}
-	s.scorer = fresh
+	s.scorer = s.own(fresh)
 	n, m := fresh.Shape()
 	return allIndices(n), allIndices(m)
 }
@@ -366,18 +400,22 @@ func sameShape(a, b assign.Scorer) bool {
 	return an == bn && am == bm
 }
 
-// augmentCandidates rebuilds the solver-facing candidate set from the current
-// base lists (see assign.Augment) and returns, ascending, the rows
-// whose augmented entry changed since the previous solve — they must join the
-// warm solve's dirty set. changedRows/changedCols are this apply's refresh
-// deltas: an augmented entry's value is a pure function of its row's source
-// vector and its column's target vector, so it can only move when one of
-// those did, or when the repair picked a different column.
-func (s *Session) augmentCandidates(changedRows, changedCols []int) []int {
+// augment returns the solver-facing candidate set: the head lists made
+// row-saturating by assign.Augment so the auction never has to refuse the
+// instance (low-rank similarities routinely violate Hall's condition and
+// would otherwise force the dense-JV fallback on every apply, which leaves
+// no auction state to warm-start from). It also returns, ascending, the
+// rows whose augmented entry changed since the previous solve — they must
+// join the warm solve's dirty set. changedRows/changedCols are this apply's
+// refresh deltas: an augmented entry's value is a pure function of its
+// row's source vector and its column's target vector, so it can only move
+// when one of those did, or when the repair picked a different column.
+func (s *Session) augment(head *assign.Candidates, changedRows, changedCols []int) (*assign.Candidates, []int) {
 	prev := s.augCol
-	s.solve, s.augCol, s.augSeed = assign.Augment(s.cands, s.scorer, s.augSeed, prev)
+	var solve *assign.Candidates
+	solve, s.augCol, s.augSeed = assign.Augment(head, s.scorer, s.augSeed, prev)
 	if prev == nil && s.augCol == nil {
-		return nil
+		return solve, nil
 	}
 	cr := make(map[int]bool, len(changedRows))
 	for _, i := range changedRows {
@@ -388,7 +426,7 @@ func (s *Session) augmentCandidates(changedRows, changedCols []int) []int {
 		cc[j] = true
 	}
 	var out []int
-	for i := 0; i < s.cands.Rows; i++ {
+	for i := 0; i < head.Rows; i++ {
 		pc, nc := -1, -1
 		if prev != nil {
 			pc = prev[i]
@@ -400,7 +438,7 @@ func (s *Session) augmentCandidates(changedRows, changedCols []int) []int {
 			out = append(out, i)
 		}
 	}
-	return out
+	return solve, out
 }
 
 // unionAsc merges two ascending index lists without duplicates.
@@ -431,15 +469,11 @@ func unionAsc(a, b []int) []int {
 	return append(out, b[j:]...)
 }
 
-// coldSolve runs the ε-scaling auction from scratch over the current
-// (augmented) candidates, capturing its price vector for the next warm
-// start; a tripped round cap degrades to the dense JV fallback, which yields
-// no reusable auction state.
-func (s *Session) coldSolve() {
-	c := s.solve
-	if c == nil {
-		c = s.cands
-	}
+// coldSolve runs the ε-scaling auction from scratch over the (augmented)
+// candidates c, capturing its price vector for the next warm start; a
+// tripped round cap degrades to the dense JV fallback, which yields no
+// reusable auction state.
+func (s *Session) coldSolve(c *assign.Candidates) {
 	mapping, state, _, ok := assign.SolveAuction(c, s.opts.Workers)
 	if ok {
 		s.mapping, s.state, s.warmable = mapping, state, true
@@ -534,13 +568,16 @@ func changedFactorRows(old, fresh [][]float64, tol float64) []int {
 }
 
 // rowChanged implements the Options.ColTolerance comparison for one vector.
+// At tolerance 0 it compares bits, so an unchanged NaN is unchanged; above
+// it, an entry that is NaN on exactly one side has moved however far the
+// others did.
 func rowChanged(old, fresh []float64, tol float64) bool {
 	if tol < 0 {
 		return true
 	}
 	if tol == 0 {
 		for t := range old {
-			if old[t] != fresh[t] {
+			if math.Float64bits(old[t]) != math.Float64bits(fresh[t]) {
 				return true
 			}
 		}
@@ -548,6 +585,9 @@ func rowChanged(old, fresh []float64, tol float64) bool {
 	}
 	var maxDiff, maxAbs float64
 	for t := range old {
+		if (old[t] != old[t]) != (fresh[t] != fresh[t]) {
+			return true
+		}
 		if d := math.Abs(fresh[t] - old[t]); d > maxDiff {
 			maxDiff = d
 		}

@@ -376,6 +376,9 @@ func TestSessionMetrics(t *testing.T) {
 	if got := reg.Histogram("incr_dirty_rows", obsv.SizeBuckets()).Snapshot().Count; got != 2 {
 		t.Errorf("incr_dirty_rows observations = %d, want 2", got)
 	}
+	if got := reg.Histogram("incr_rescan_rows", obsv.SizeBuckets()).Snapshot().Count; got != 2 {
+		t.Errorf("incr_rescan_rows observations = %d, want 2", got)
+	}
 }
 
 // TestDirtyScopeHugeHops: alignd accepts any non-negative dirty_hops, so
@@ -404,4 +407,84 @@ func TestDirtyScopeHugeHops(t *testing.T) {
 	if want[5] || !want[0] || !want[4] {
 		t.Fatalf("hops=N scope %v, want every node but 5", want)
 	}
+}
+
+// rowChanged must see NaN: at tolerance 0 an unchanged NaN is unchanged
+// (bitwise), and above 0 an entry turning NaN, or back, has moved however
+// small the other entries' drift.
+func TestRowChangedNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name       string
+		old, fresh []float64
+		tol        float64
+		want       bool
+	}{
+		{"exact unchanged NaN", []float64{1, nan}, []float64{1, nan}, 0, false},
+		{"exact NaN to number", []float64{1, nan}, []float64{1, 2}, 0, true},
+		{"exact number to NaN", []float64{1, 2}, []float64{1, nan}, 0, true},
+		{"exact moved number", []float64{1, nan}, []float64{1.5, nan}, 0, true},
+		{"tolerant turns NaN", []float64{1, 2}, []float64{1, nan}, 0.2, true},
+		{"tolerant leaves NaN", []float64{1, nan}, []float64{1, 2}, 0.2, true},
+		{"tolerant unchanged NaN", []float64{1, nan}, []float64{1, nan}, 0.2, false},
+		{"tolerant within bound", []float64{1, 2}, []float64{1, 2.1}, 0.2, false},
+		{"tolerant past bound", []float64{1, 2}, []float64{1, 3}, 0.2, true},
+	} {
+		if got := rowChanged(tc.old, tc.fresh, tc.tol); got != tc.want {
+			t.Errorf("%s: rowChanged(%v, %v, %v) = %v, want %v", tc.name, tc.old, tc.fresh, tc.tol, got, tc.want)
+		}
+	}
+}
+
+// In exact mode (ColTolerance 0) the solver-facing lists are bitwise a fresh
+// assign.TopK over the session's scorer after every apply, for the three
+// refreshers and at one and four workers, while the reserve behind them
+// keeps its 2·TopK depth.
+func TestSessionExactListsMatchTopK(t *testing.T) {
+	src, dst := testPair(t, 80, 14)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		mk   func() algo.Aligner
+	}{
+		{"regal", func() algo.Aligner { return regal.New() }},
+		{"nsd", func() algo.Aligner { return nsd.New() }},
+		{"lrea", func() algo.Aligner { return lrea.New() }},
+	} {
+		for _, workers := range []int{1, 4} {
+			s, err := NewSession(ctx, tc.mk(), src, dst, Options{TopK: 6, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(15))
+			for step := 0; step <= 6; step++ {
+				if step > 0 {
+					if _, err := s.Apply(ctx, randomBatch(t, s.Target(), 3, rng)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if s.reserve.K != 12 {
+					t.Fatalf("%s workers=%d step %d: reserve depth %d, want 12", tc.name, workers, step, s.reserve.K)
+				}
+				head, want := s.reserve.Head(6), assign.TopK(s.scorer, 6, 1)
+				if !reflect.DeepEqual(head.Col, want.Col) || !reflect.DeepEqual(head.Len, want.Len) ||
+					!sameBits(head.Val, want.Val) || head.K != want.K {
+					t.Fatalf("%s workers=%d step %d: session lists differ from TopK over its scorer", tc.name, workers, step)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether two value slices agree bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

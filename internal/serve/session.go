@@ -215,26 +215,29 @@ type SessionView struct {
 
 // BatchStats is the JSON rendering of one batch's incremental.ApplyStats.
 type BatchStats struct {
-	Edits     int     `json:"edits"`
-	DirtyRows int     `json:"dirty_rows"`
-	DirtyCols int     `json:"dirty_cols"`
-	Warm      bool    `json:"warm"`
-	RebidRows int     `json:"rebid_rows"`
-	Rounds    int     `json:"rounds"`
-	Noop      bool    `json:"noop"`
-	TimeMS    float64 `json:"time_ms"`
+	Edits     int `json:"edits"`
+	DirtyRows int `json:"dirty_rows"`
+	DirtyCols int `json:"dirty_cols"`
+	// RescanRows counts the candidate rows rebuilt by a full scan.
+	RescanRows int     `json:"rescan_rows"`
+	Warm       bool    `json:"warm"`
+	RebidRows  int     `json:"rebid_rows"`
+	Rounds     int     `json:"rounds"`
+	Noop       bool    `json:"noop"`
+	TimeMS     float64 `json:"time_ms"`
 }
 
 func batchStats(st incremental.ApplyStats) BatchStats {
 	return BatchStats{
-		Edits:     st.Edits,
-		DirtyRows: st.DirtyRows,
-		DirtyCols: st.ChangedCols,
-		Warm:      st.Warm,
-		RebidRows: st.RebidRows,
-		Rounds:    st.Rounds,
-		Noop:      st.Noop,
-		TimeMS:    float64(st.RefreshTime+st.CandidateTime+st.SolveTime) / float64(time.Millisecond),
+		Edits:      st.Edits,
+		DirtyRows:  st.DirtyRows,
+		DirtyCols:  st.ChangedCols,
+		RescanRows: st.RescanRows,
+		Warm:       st.Warm,
+		RebidRows:  st.RebidRows,
+		Rounds:     st.Rounds,
+		Noop:       st.Noop,
+		TimeMS:     float64(st.RefreshTime+st.CandidateTime+st.SolveTime) / float64(time.Millisecond),
 	}
 }
 

@@ -377,7 +377,7 @@ func TestMetricsPreRegistered(t *testing.T) {
 		"incr_sessions_total", "incr_applies_total", "incr_noop_total",
 		"incr_cold_fallbacks_total",
 		"incr_dirty_rows", "incr_dirty_cols", "incr_rebid_rounds",
-		"incr_augmented_rows",
+		"incr_augmented_rows", "incr_rescan_rows",
 		"partition_runs_total", "partition_shard_errors_total",
 		"partition_rebid_moves_total", "partition_shards",
 		"partition_boundary_nodes", "partition_refine_rounds",
