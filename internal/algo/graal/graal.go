@@ -12,14 +12,13 @@
 // alignment over spheres around the seeds; the study adapts GRAAL to the
 // common framework by exposing the similarity 2 - C and letting the shared
 // assignment stage extract matchings (SortGreedy reproduces the integral
-// behaviour). The seed-and-extend aligner is also provided as SeedExtend.
+// behaviour).
 package graal
 
 import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 
 	"graphalign/internal/assign"
 	"graphalign/internal/cache"
@@ -181,108 +180,4 @@ func (g *GRAAL) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.
 		sim.Data[i] = 2 - v
 	}
 	return sim, nil
-}
-
-// SeedExtend runs the original GRAAL alignment strategy: repeatedly take
-// the globally cheapest unmatched pair as a seed and align the spheres
-// (BFS rings) around the two seeds ring-by-ring, matching nodes within a
-// ring by ascending cost; leftover nodes fall back to the global greedy
-// pass. Returns mapping[u] = matched node of dst.
-func (g *GRAAL) SeedExtend(src, dst *graph.Graph) ([]int, error) {
-	cost, err := g.CostMatrix(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	n, m := src.N(), dst.N()
-	if n > m {
-		return nil, errors.New("graal: source larger than target")
-	}
-	mapping := make([]int, n)
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	usedDst := make([]bool, m)
-	matched := 0
-
-	for matched < n {
-		// Cheapest unmatched seed pair.
-		su, sv := -1, -1
-		best := math.Inf(1)
-		for u := 0; u < n; u++ {
-			if mapping[u] != -1 {
-				continue
-			}
-			row := cost.Row(u)
-			for v := 0; v < m; v++ {
-				if usedDst[v] {
-					continue
-				}
-				if row[v] < best {
-					best = row[v]
-					su, sv = u, v
-				}
-			}
-		}
-		if su == -1 {
-			break
-		}
-		mapping[su] = sv
-		usedDst[sv] = true
-		matched++
-		// Extend over BFS rings around the seeds.
-		distU := graph.BFSDistances(src, su)
-		distV := graph.BFSDistances(dst, sv)
-		maxR := 0
-		for _, d := range distU {
-			if d > maxR {
-				maxR = d
-			}
-		}
-		for r := 1; r <= maxR; r++ {
-			var ringU, ringV []int
-			for u, d := range distU {
-				if d == r && mapping[u] == -1 {
-					ringU = append(ringU, u)
-				}
-			}
-			for v, d := range distV {
-				if d == r && !usedDst[v] {
-					ringV = append(ringV, v)
-				}
-			}
-			if len(ringU) == 0 || len(ringV) == 0 {
-				continue
-			}
-			// Greedy within the ring by ascending cost.
-			type cand struct {
-				u, v int
-				c    float64
-			}
-			var cands []cand
-			for _, u := range ringU {
-				for _, v := range ringV {
-					cands = append(cands, cand{u, v, cost.At(u, v)})
-				}
-			}
-			sort.Slice(cands, func(a, b int) bool {
-				x, y := cands[a], cands[b]
-				if x.c != y.c {
-					return x.c < y.c
-				}
-				if x.u != y.u {
-					return x.u < y.u
-				}
-				return x.v < y.v
-			})
-			for _, cd := range cands {
-				if mapping[cd.u] != -1 || usedDst[cd.v] {
-					continue
-				}
-				mapping[cd.u] = cd.v
-				usedDst[cd.v] = true
-				matched++
-			}
-		}
-	}
-	return mapping, nil
 }

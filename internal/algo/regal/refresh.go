@@ -75,7 +75,8 @@ func (st *refreshState) embedding() *assign.Embedding {
 // unchanged NaN is unchanged), a positive tol compares the largest absolute
 // difference against the largest magnitude (the same relative metric the
 // incremental session applies to embedding rows), and an entry that is NaN
-// on exactly one side has drifted.
+// on exactly one side has drifted, as has a row whose ratio is NaN (an
+// entry reaching, leaving or crossing ±Inf makes it Inf/Inf).
 func sigDrifted(old, fresh []float64, tol float64) bool {
 	if tol <= 0 {
 		for i := range old {
@@ -100,7 +101,8 @@ func sigDrifted(old, fresh []float64, tol float64) bool {
 			maxAbs = a
 		}
 	}
-	return maxDiff/(maxAbs+1e-12) > tol
+	r := maxDiff / (maxAbs + 1e-12)
+	return r > tol || r != r
 }
 
 // RefreshScorerCtx implements algo.IncrementalScorer: ScorerCtx

@@ -197,9 +197,10 @@ func TestRefreshSourceChangeRecaptures(t *testing.T) {
 }
 
 // sigDrifted must see NaN: at tolerance 0 an unchanged NaN has not drifted
-// (bitwise), and above 0 an entry turning NaN, or back, has drifted.
+// (bitwise), and above 0 an entry turning NaN, or back, has drifted, as has
+// one reaching, leaving or crossing ±Inf; an unchanged +Inf has not.
 func TestSigDriftedNaN(t *testing.T) {
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name       string
 		old, fresh []float64
@@ -213,6 +214,12 @@ func TestSigDriftedNaN(t *testing.T) {
 		{"tolerant leaves NaN", []float64{1, nan}, []float64{1, 2}, 0.2, true},
 		{"tolerant unchanged NaN", []float64{1, nan}, []float64{1, nan}, 0.2, false},
 		{"tolerant within bound", []float64{1, 2}, []float64{1, 2.1}, 0.2, false},
+		{"tolerant reaches +Inf", []float64{5, 1}, []float64{inf, 1}, 0.2, true},
+		{"tolerant reaches -Inf", []float64{5, 1}, []float64{-inf, 1}, 0.2, true},
+		{"tolerant leaves +Inf", []float64{inf, 1}, []float64{5, 1}, 0.2, true},
+		{"tolerant leaves -Inf", []float64{-inf, 1}, []float64{5, 1}, 0.2, true},
+		{"tolerant crosses Inf", []float64{inf, 1}, []float64{-inf, 1}, 0.2, true},
+		{"tolerant unchanged Inf", []float64{inf, 1}, []float64{inf, 1}, 0.2, false},
 	} {
 		if got := sigDrifted(tc.old, tc.fresh, tc.tol); got != tc.want {
 			t.Errorf("%s: sigDrifted(%v, %v, %v) = %v, want %v", tc.name, tc.old, tc.fresh, tc.tol, got, tc.want)

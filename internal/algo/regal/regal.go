@@ -145,17 +145,11 @@ func (s *signer) row(u int, row []float64) {
 	}
 }
 
-// regalSim is the landmark similarity kernel exp(-gamma·||sig_i - sig_l||²),
-// accumulated dimension-ascending so refreshed C entries reproduce the full
+// regalSim is the landmark similarity kernel exp(-gamma·||sig_i - sig_l||²)
+// through matrix.SqDist, so refreshed C entries reproduce the full
 // pipeline's values bitwise.
 func regalSim(sig *matrix.Dense, i, l int, gamma float64) float64 {
-	var d2 float64
-	ri, rl := sig.Row(i), sig.Row(l)
-	for k := range ri {
-		d := ri[k] - rl[k]
-		d2 += d * d
-	}
-	return math.Exp(-gamma * d2)
+	return math.Exp(-gamma * matrix.SqDist(sig.Row(i), sig.Row(l)))
 }
 
 // embedState runs the full xNetMF pipeline and returns every intermediate

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"graphalign/internal/matrix"
 )
@@ -258,6 +259,60 @@ func TestSolversOnZeroMatrix(t *testing.T) {
 		}
 		if !isOneToOne(m, 4) {
 			t.Errorf("%s: zero matrix mapping %v", method, m)
+		}
+	}
+}
+
+// The exact solvers rank NaN below every number: a row of NaN, scattered
+// NaN and an all-NaN matrix each still get a one-to-one mapping, and a
+// diagonal that beats every other number keeps its cells. A raw
+// NaN made JV index column -1 and kept the Hungarian search open forever,
+// so each solve runs under a deadline.
+func TestExactSolversOnNaN(t *testing.T) {
+	nan := math.NaN()
+	diag := func(rows, cols int, nanAt func(i, j int) bool) *matrix.Dense {
+		sim := randomSim(rows, cols, 7)
+		for i := 0; i < rows; i++ {
+			sim.Set(i, i, 10)
+			for j := 0; j < cols; j++ {
+				if nanAt(i, j) {
+					sim.Set(i, j, nan)
+				}
+			}
+		}
+		return sim
+	}
+	for _, tc := range []struct {
+		name     string
+		sim      *matrix.Dense
+		identity bool
+	}{
+		{"all-NaN row", diag(4, 4, func(i, _ int) bool { return i == 2 }), true},
+		{"all-NaN row, rectangular", diag(3, 5, func(i, _ int) bool { return i == 1 }), true},
+		{"scattered NaN", diag(6, 6, func(i, j int) bool { return i != j && (i+2*j)%3 == 0 }), true},
+		{"all-NaN matrix", diag(4, 4, func(int, int) bool { return true }), false},
+	} {
+		for _, method := range []Method{Hungarian, JonkerVolgenant} {
+			done := make(chan []int, 1)
+			go func() {
+				m, _ := Solve(method, tc.sim)
+				done <- m
+			}()
+			var m []int
+			select {
+			case m = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s %s: no result within 10s", tc.name, method)
+			}
+			if !isOneToOne(m, tc.sim.Cols) {
+				t.Fatalf("%s %s: mapping %v not one-to-one", tc.name, method, m)
+			}
+			for i, j := range m {
+				if tc.identity && tc.sim.At(i, i) == 10 && j != i {
+					t.Errorf("%s %s: mapping %v, want every number-valued diagonal", tc.name, method, m)
+					break
+				}
+			}
 		}
 	}
 }

@@ -235,7 +235,8 @@ type Embedding struct {
 	// and a Dst row into the aligner's similarity score. It must be monotone
 	// non-increasing so that nearest-in-embedding equals best-similarity,
 	// and map NaN to NaN, so that a number-valued score always stands for a
-	// number-valued distance (UpdateTopK orders by distinct values alone).
+	// number-valued distance (UpdateTopK's splice orders two distinct
+	// number-valued scores without recomputing their distances).
 	SimFromDist2 func(d2 float64) float64
 }
 
@@ -248,83 +249,20 @@ func (e *Embedding) Clone() *Embedding {
 // Shape implements Scorer.
 func (e *Embedding) Shape() (int, int) { return e.Src.Rows, e.Dst.Rows }
 
-// ScoreRow implements Scorer: each entry is one dimension-ascending distance
-// chain, bitwise the k-NN scan's and matrix.PairwiseSqDist's values.
+// ScoreRow implements Scorer through matrix.SqDistInto, bitwise the k-NN
+// scan's and matrix.PairwiseSqDist's values.
 func (e *Embedding) ScoreRow(i int, buf []float64) []float64 {
-	q := e.Src.Row(i)
-	for j := range buf {
-		buf[j] = e.SimFromDist2(sqDistAsc(q, e.Dst.Row(j)))
+	matrix.SqDistInto(buf, e.Src.Row(i), e.Dst)
+	for j, d2 := range buf {
+		buf[j] = e.SimFromDist2(d2)
 	}
 	return buf
 }
 
-// Score implements Scorer.
+// Score implements Scorer through matrix.SqDist, bitwise ScoreRow's value:
+// probe distances compare exactly against stored candidate values.
 func (e *Embedding) Score(i, j int) float64 {
-	return e.SimFromDist2(sqDistAsc(e.Src.Row(i), e.Dst.Row(j)))
-}
-
-// sqDistAsc is the squared Euclidean distance accumulated dimension-ascending
-// in a single chain — bitwise the per-target chains of topKEmbeddingBrute and
-// matrix.PairwiseSqDist — so probe distances compare exactly against stored
-// candidate values.
-func sqDistAsc(q, r []float64) float64 {
-	var s float64
-	for t, v := range q {
-		d := v - r[t]
-		s += d * d
-	}
-	return s
-}
-
-// sqDist8 returns the squared distances from q to the eight consecutive
-// len(q)-wide rows of block, each accumulated dimension-ascending in its own
-// chain — bitwise sqDistAsc — with the eight chains interleaved so the loads
-// of one dimension feed eight independent accumulators.
-func sqDist8(q, block []float64) (s0, s1, s2, s3, s4, s5, s6, s7 float64) {
-	d := len(q)
-	// Re-slicing each row to len(q) lets the compiler prove t in bounds for
-	// every load below.
-	r0 := block[0:d:d][:d]
-	r1 := block[d : 2*d : 2*d][:d]
-	r2 := block[2*d : 3*d : 3*d][:d]
-	r3 := block[3*d : 4*d : 4*d][:d]
-	r4 := block[4*d : 5*d : 5*d][:d]
-	r5 := block[5*d : 6*d : 6*d][:d]
-	r6 := block[6*d : 7*d : 7*d][:d]
-	r7 := block[7*d : 8*d : 8*d][:d]
-	for t, v := range q {
-		d0 := v - r0[t]
-		s0 += d0 * d0
-		d1 := v - r1[t]
-		s1 += d1 * d1
-		d2 := v - r2[t]
-		s2 += d2 * d2
-		d3 := v - r3[t]
-		s3 += d3 * d3
-		d4 := v - r4[t]
-		s4 += d4 * d4
-		d5 := v - r5[t]
-		s5 += d5 * d5
-		d6 := v - r6[t]
-		s6 += d6 * d6
-		d7 := v - r7[t]
-		s7 += d7 * d7
-	}
-	return
-}
-
-// sqDistBlock fills out[b] with the squared distance from q to row b of the
-// contiguous len(q)-wide rows in block, through topKEmbeddingBrute's
-// kernel, so every value is bitwise the bulk scan's.
-func sqDistBlock(q, block, out []float64) {
-	d := len(q)
-	b := 0
-	for ; b+8 <= len(out); b += 8 {
-		out[b], out[b+1], out[b+2], out[b+3], out[b+4], out[b+5], out[b+6], out[b+7] = sqDist8(q, block[b*d:(b+8)*d])
-	}
-	for ; b < len(out); b++ {
-		out[b] = sqDistAsc(q, block[b*d:(b+1)*d])
-	}
+	return e.SimFromDist2(matrix.SqDist(e.Src.Row(i), e.Dst.Row(j)))
 }
 
 // Similarity materializes the full dense similarity matrix from the
@@ -341,111 +279,122 @@ func (e *Embedding) Similarity() *matrix.Dense {
 
 // topKEmbeddingBrute fills rows [lo, hi) (see rowAt) by a flat distance scan
 // fused with bounded selection; it is the one k-NN kernel for every
-// embedding width. Target rows are processed eight at a time with
-// independent accumulator chains — each distance accumulates
-// dimension-ascending in its own chain, bitwise the PairwiseSqDist /
-// matrix.SqDistInto values — and every distance is compared against the
-// current k-th-nearest bound while still in a register, so distances are
-// never stored to a buffer or re-scanned. (A half-dimension partial-distance
-// cut was tried and measured slower at these dims: the data-dependent
-// branches and serialized completion loops cost more than the skipped FLOPs.)
-// The selection is a sorted insertion array (cheaper than a heap at
-// candidate-set sizes, and already in output order). Ids are visited
-// ascending, so on equal distance the incumbent (smaller id) wins: the
-// (distance asc, id asc) contract, which is descending-similarity order
-// because SimFromDist2 is monotone. Bound tests are written !(x >= bound) so
-// non-finite distances take the same insert path a buffered scan would.
+// embedding width. Target rows go through matrix.SqDist8 eight at a time —
+// each distance bitwise the PairwiseSqDist / matrix.SqDistInto value — and
+// every distance is compared against the current k-th-nearest bound while
+// still in a register, so distances are never stored to a buffer or
+// re-scanned. (A half-dimension partial-distance cut was tried and measured
+// slower at these dims: the data-dependent branches and serialized
+// completion loops cost more than the skipped FLOPs.) The selection is
+// insertRanked's sorted array (cheaper than a heap at candidate-set sizes,
+// and already in output order) in TopK's (distance asc, NaN last, id asc)
+// order, which is descending-similarity order because SimFromDist2 is
+// monotone. Every test is written !(x >= bound) against insertNearest's bound,
+// so a NaN distance, or any distance against a NaN bound, reaches
+// insertRanked, which ranks it.
 func topKEmbeddingBrute(e *Embedding, c *Candidates, rows []int, lo, hi int) {
 	m, k := c.Cols, c.K
 	d := e.Dst.Cols
 	data := e.Dst.Data
-	heap := make([]nnPair, 0, k)
+	arr := make([]rankEntry, 0, k)
 	for idx := lo; idx < hi; idx++ {
 		i := rowAt(rows, idx)
 		q := e.Src.Row(i)
-		heap = heap[:0]
-		bound := math.Inf(1)
+		arr = arr[:0]
+		bound := math.NaN()
 		j := 0
 		for ; j+8 <= m; j += 8 {
-			s0, s1, s2, s3, s4, s5, s6, s7 := sqDist8(q, data[j*d:(j+8)*d])
-			if len(heap) < k || !(s0 >= bound) {
-				heap, bound = nnInsert(heap, k, s0, j)
+			s0, s1, s2, s3, s4, s5, s6, s7 := matrix.SqDist8(q, data[j*d:(j+8)*d])
+			if !(s0 >= bound) {
+				arr, bound = insertNearest(arr, k, s0, j)
 			}
-			if len(heap) < k || !(s1 >= bound) {
-				heap, bound = nnInsert(heap, k, s1, j+1)
+			if !(s1 >= bound) {
+				arr, bound = insertNearest(arr, k, s1, j+1)
 			}
-			if len(heap) < k || !(s2 >= bound) {
-				heap, bound = nnInsert(heap, k, s2, j+2)
+			if !(s2 >= bound) {
+				arr, bound = insertNearest(arr, k, s2, j+2)
 			}
-			if len(heap) < k || !(s3 >= bound) {
-				heap, bound = nnInsert(heap, k, s3, j+3)
+			if !(s3 >= bound) {
+				arr, bound = insertNearest(arr, k, s3, j+3)
 			}
-			if len(heap) < k || !(s4 >= bound) {
-				heap, bound = nnInsert(heap, k, s4, j+4)
+			if !(s4 >= bound) {
+				arr, bound = insertNearest(arr, k, s4, j+4)
 			}
-			if len(heap) < k || !(s5 >= bound) {
-				heap, bound = nnInsert(heap, k, s5, j+5)
+			if !(s5 >= bound) {
+				arr, bound = insertNearest(arr, k, s5, j+5)
 			}
-			if len(heap) < k || !(s6 >= bound) {
-				heap, bound = nnInsert(heap, k, s6, j+6)
+			if !(s6 >= bound) {
+				arr, bound = insertNearest(arr, k, s6, j+6)
 			}
-			if len(heap) < k || !(s7 >= bound) {
-				heap, bound = nnInsert(heap, k, s7, j+7)
+			if !(s7 >= bound) {
+				arr, bound = insertNearest(arr, k, s7, j+7)
 			}
 		}
 		for ; j < m; j++ {
-			s := sqDistAsc(q, data[j*d:(j+1)*d])
-			if len(heap) < k || !(s >= bound) {
-				heap, bound = nnInsert(heap, k, s, j)
+			if s := matrix.SqDist(q, data[j*d:(j+1)*d]); !(s >= bound) {
+				arr, bound = insertNearest(arr, k, s, j)
 			}
 		}
-		// The insertion array is already in ascending (distance, id) order.
 		cols, vals := c.slots(i)
-		for idx, p := range heap {
+		for idx, p := range arr {
 			cols[idx] = p.j
 			vals[idx] = e.SimFromDist2(p.d2)
 		}
 	}
 }
 
-// nnPair is a brute-force scan candidate: target row j at squared distance d2.
-type nnPair struct {
-	d2 float64
-	j  int
+// rankEntry is a candidate in the scorer's order: column j at similarity v,
+// and for an Embedding at squared distance d2, its ranking key.
+type rankEntry struct {
+	d2, v float64
+	j     int
 }
 
-// nnInsert inserts (d2, j) into the bounded k-nearest selection array, kept
-// in ascending (distance, id) order with NaN after every number, and returns
-// the array and the new eviction bound: +Inf until the array fills, the
-// worst kept distance after. Ids arrive ascending, so on equal distance (or
-// two NaNs) the newcomer sits behind the incumbents, keeping ties in
-// ascending id order. Callers pre-filter against the bound, which a NaN
-// distance or a NaN bound passes, so an entry that ranks after all k kept
-// ones is dropped here. At candidate-set sizes the copy is cheaper than heap
-// sifts, and the array needs no final sort.
-func nnInsert(arr []nnPair, k int, d2 float64, j int) ([]nnPair, float64) {
+// after reports whether a ranks strictly after b: by distance with NaN last
+// for an Embedding (byDist), by value otherwise; ties, and two NaN
+// distances, go to the larger column.
+func (a rankEntry) after(b rankEntry, byDist bool) bool {
+	switch {
+	case !byDist:
+		return a.v < b.v || (a.v == b.v && a.j > b.j)
+	case a.d2 > b.d2:
+		return true
+	case a.d2 < b.d2:
+		return false
+	case (a.d2 != a.d2) != (b.d2 != b.d2):
+		return a.d2 != a.d2
+	}
+	return a.j > b.j
+}
+
+// insertRanked inserts x into the ascending-rank array arr bounded at capacity
+// r; an entry pushed past r falls off the tail. Callers insert columns in
+// ascending order, so x sits behind every entry it ties.
+func insertRanked(arr []rankEntry, r int, x rankEntry, byDist bool) []rankEntry {
 	pos := len(arr)
-	for pos > 0 && nnAfter(arr[pos-1].d2, d2) {
+	for pos > 0 && arr[pos-1].after(x, byDist) {
 		pos--
 	}
-	if pos == k {
-		return arr, arr[k-1].d2
-	}
-	if len(arr) < k {
+	if len(arr) < r {
 		arr = arr[:len(arr)+1]
+	} else if pos == len(arr) {
+		return arr
 	}
 	copy(arr[pos+1:], arr[pos:])
-	arr[pos] = nnPair{d2, j}
-	if len(arr) < k {
-		return arr, math.Inf(1)
-	}
-	return arr, arr[len(arr)-1].d2
+	arr[pos] = x
+	return arr
 }
 
-// nnAfter reports whether distance x ranks strictly after d: it is larger,
-// or it is NaN and d is not.
-func nnAfter(x, d float64) bool {
-	return x > d || (x != x && d == d)
+// insertNearest inserts target j at squared distance d2 into the k-nearest
+// array through insertRanked and returns the array and its new bound: NaN,
+// which every distance passes, until the array holds k entries, and its last
+// distance after.
+func insertNearest(arr []rankEntry, k int, d2 float64, j int) ([]rankEntry, float64) {
+	arr = insertRanked(arr, k, rankEntry{d2: d2, j: j}, true)
+	if len(arr) < k {
+		return arr, math.NaN()
+	}
+	return arr, arr[k-1].d2
 }
 
 // Matchable reports whether the candidate graph admits a matching that

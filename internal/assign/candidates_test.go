@@ -159,6 +159,27 @@ func checkMatchesDenseTopK(t *testing.T, tag string, s Scorer, k int) {
 	}
 }
 
+// Embedding.ScoreRow runs matrix.SqDistInto and Score the one-chain
+// matrix.SqDist; entry for entry they are bitwise equal, NaN included, at
+// widths around the eight-chain block and over a target count with a tail.
+func TestEmbeddingScoreRowMatchesScore(t *testing.T) {
+	for _, d := range []int{1, 7, 8, 9, 103} {
+		e := testEmbedding(5, 21, d, int64(d))
+		e.Src.Row(3)[0] = math.NaN()
+		e.Dst.Row(10)[d-1] = math.NaN()
+		e.SimFromDist2 = func(d2 float64) float64 { return math.Exp(-d2 / 8) }
+		buf := make([]float64, e.Dst.Rows)
+		for i := 0; i < e.Src.Rows; i++ {
+			row := e.ScoreRow(i, buf)
+			for j, v := range row {
+				if want := e.Score(i, j); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("d=%d: ScoreRow(%d)[%d] = %v, Score = %v", d, i, j, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTopKEmbeddingMatchesDenseTopK(t *testing.T) {
 	// One fused scan serves every width; from d=1 up it must agree with
 	// dense selection bitwise.
@@ -352,9 +373,9 @@ func minIntTest(a, b int) int {
 	return b
 }
 
-// TestTopKNaNDistances is the regression for a panic in nnInsert: once the
-// selection array was full, a NaN distance passed the !(s >= bound) filter
-// and the insert indexed past k. NaN target rows (NaN distance in every
+// TestTopKNaNDistances is the regression for a panic in the fused scan's
+// former selector: once the selection array was full, a NaN distance passed
+// the !(s >= bound) filter and the insert indexed past k. NaN target rows (NaN distance in every
 // row) and a NaN source row (NaN distance everywhere in that row) must
 // rank after every finite distance, keep ascending-id order among
 // themselves, and never displace a finite candidate.

@@ -11,12 +11,14 @@ import (
 // potentials formulation). It accepts rectangular matrices with
 // Rows <= Cols and returns mapping[i] = assigned column for every row.
 //
-// This is the paper's "MWM" solver (the Hungarian variant used by LREA).
+// This is the paper's "MWM" solver (the Hungarian variant used by LREA). A
+// NaN entry ranks below every finite one (see nanFloored).
 func SolveHungarian(sim *matrix.Dense) []int {
 	n, m := sim.Rows, sim.Cols
 	if n == 0 {
 		return nil
 	}
+	sim = nanFloored(sim)
 	// Internally we minimize cost = -similarity with the classic potentials
 	// algorithm (1-indexed arrays as in the standard formulation).
 	inf := math.Inf(1)

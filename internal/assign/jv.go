@@ -15,6 +15,7 @@ import (
 //
 // The matrix may be rectangular with Rows <= Cols; internally it is padded
 // to square with zero similarity. mapping[i] is the column assigned to row i.
+// A NaN entry ranks below every finite one (see nanFloored).
 func SolveJV(sim *matrix.Dense) []int {
 	nRows, nCols := sim.Rows, sim.Cols
 	if nRows == 0 {
@@ -22,9 +23,10 @@ func SolveJV(sim *matrix.Dense) []int {
 	}
 	n := nCols // pad rows up to square
 	// cost[i][j] = -sim for real rows; 0 for padding rows.
+	floored := nanFloored(sim)
 	cost := func(i, j int) float64 {
 		if i < nRows {
-			return -sim.At(i, j)
+			return -floored.At(i, j)
 		}
 		return 0
 	}
@@ -190,4 +192,42 @@ func SolveJV(sim *matrix.Dense) []int {
 	mapping := make([]int, nRows)
 	copy(mapping, rowsol[:nRows])
 	return mapping
+}
+
+// nanFloored returns sim with every NaN entry replaced by one finite value
+// below every finite entry, so the exact solvers rank NaN below every number
+// and still return a one-to-one mapping: a raw NaN compares false against
+// every bound, which leaves a JV row without a minimum column and keeps the
+// Hungarian search from ever closing its tree. A NaN-free sim is returned as
+// is, so its solve is unchanged bit for bit.
+func nanFloored(sim *matrix.Dense) *matrix.Dense {
+	for _, v := range sim.Data {
+		if v != v {
+			return floorNaN(sim)
+		}
+	}
+	return sim
+}
+
+// floorNaN is nanFloored on a sim that holds a NaN: a copy with each NaN
+// set to lo-1-(hi-lo) over the finite entries' range [lo, hi] (0 when no
+// entry is finite).
+func floorNaN(sim *matrix.Dense) *matrix.Dense {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range sim.Data {
+		if v == v && !math.IsInf(v, 0) {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	floor := 0.0
+	if lo <= hi {
+		floor = lo - 1 - (hi - lo)
+	}
+	out := sim.Clone()
+	for i, v := range out.Data {
+		if v != v {
+			out.Data[i] = floor
+		}
+	}
+	return out
 }

@@ -7,7 +7,9 @@ import "graphalign/internal/parallel"
 // list at a deeper reserve (2·TopK in the incremental session) whose
 // invariant, every outside column ranking after the last entry, lets it
 // score only the moved columns per row, and it still rescans a row in full
-// once the reserve runs below k entries. The merge variant keeps K-wide
+// once the reserve runs below k entries or, for an Embedding, once no entry
+// of the row is left whose distance it can recompute to bound the moved
+// columns (every entry's column moved). The merge variant keeps K-wide
 // lists and never rescans for a moved column: it rebuilds each row's list
 // from what is already known exactly — surviving old entries keep their
 // stored scores (their targets did not move), moved targets are rescored

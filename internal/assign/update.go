@@ -3,6 +3,7 @@ package assign
 import (
 	"math"
 
+	"graphalign/internal/matrix"
 	"graphalign/internal/parallel"
 )
 
@@ -89,13 +90,13 @@ func headDiffers(a, b *Candidates, i, k int) bool {
 // than k holds every ranked column (TopK and the rescans below leave a row
 // short only when the scorer ran out of non-NaN columns). The update keeps
 // it per row: drop the moved columns; score only the moved columns (an
-// Embedding gathers them into one contiguous block and runs the bulk scan's
-// eight-chain, dimension-ascending distance kernel, so every distance is
-// bitwise the bulk scan's; other scorers use Score); merge in those that rank
-// no later than the row's previous last entry (see admission.admits; every
-// moved column, for a row that held all its ranked columns); cut to R. A
-// row is fully rescanned at depth R only when its source vector moved or
-// fewer than k entries are left — so the cost per apply is
+// Embedding gathers them into one block and runs matrix.SqDistInto over it,
+// so every distance is bitwise the bulk scan's; other scorers use Score);
+// merge in those that rank no later than the row's bound entry (see rows
+// and bound; every moved column, for a row that held all its ranked
+// columns); cut to R. A row is fully rescanned at depth R only when its
+// source vector moved, it has no bound entry, or fewer than k entries are
+// left — so the cost per apply is
 // O(Rows · |changedCols| · d) plus the rescans, not a rescan of every row a
 // moved column touches. Only when every row or every column moved does it
 // run the bulk TopK(s, R).
@@ -119,9 +120,9 @@ func UpdateTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, k, w
 		u := &reserveUpdate{prev: prev, next: next, s: s, k: k, colMoved: colMoved, cols: cols, rescan: rescan}
 		if e, ok := s.(*Embedding); ok {
 			u.e = e
-			u.block = make([]float64, 0, len(cols)*e.Dst.Cols)
+			u.block = matrix.Dense{Rows: len(cols), Cols: e.Dst.Cols, Data: make([]float64, 0, len(cols)*e.Dst.Cols)}
 			for _, j := range cols {
-				u.block = append(u.block, e.Dst.Row(j)...)
+				u.block.Data = append(u.block.Data, e.Dst.Row(j)...)
 			}
 		}
 		if n*len(cols) >= candidateBudget && parallel.Workers(workers) > 1 {
@@ -165,50 +166,21 @@ type reserveUpdate struct {
 	prev, next *Candidates
 	s          Scorer
 	// e is s as an Embedding (nil for other scorers), block its moved
-	// target rows gathered contiguously in cols order.
+	// target rows gathered in cols order.
 	e        *Embedding
-	block    []float64
+	block    matrix.Dense
 	k        int
 	colMoved []bool
 	cols     []int
 	rescan   []bool
 }
 
-// rankEntry is a candidate in the scorer's order: column j at similarity v,
-// and for an Embedding at squared distance d2, its ranking key.
-type rankEntry struct {
-	d2, v float64
-	j     int
-}
-
-// after reports whether a ranks strictly after b: by distance for an
-// Embedding (byDist), by value otherwise; ties go to the larger column.
-func (a rankEntry) after(b rankEntry, byDist bool) bool {
-	if byDist {
-		return nnAfter(a.d2, b.d2) || (!nnAfter(b.d2, a.d2) && a.j > b.j)
-	}
-	return a.v < b.v || (a.v == b.v && a.j > b.j)
-}
-
-// insertRanked inserts x into the ascending-rank array arr bounded at capacity
-// r; an entry pushed past r falls off the tail. Callers insert columns in
-// ascending order, so x sits behind every entry it ties.
-func insertRanked(arr []rankEntry, r int, x rankEntry, byDist bool) []rankEntry {
-	pos := len(arr)
-	for pos > 0 && arr[pos-1].after(x, byDist) {
-		pos--
-	}
-	if len(arr) < r {
-		arr = arr[:len(arr)+1]
-	} else if pos == len(arr) {
-		return arr
-	}
-	copy(arr[pos+1:], arr[pos:])
-	arr[pos] = x
-	return arr
-}
-
-// rows merges rows [lo, hi); see UpdateTopK.
+// rows merges rows [lo, hi); see UpdateTopK. A moved column enters a row
+// that held at least k entries if and only if it ranks no later than the
+// row's bound entry (see bound); every other unmoved column outside the list
+// ranks after the previous last entry, which ranks no earlier than the
+// bound, so every column left out ranks after every entry kept. A row with
+// no bound entry is rescanned, and so is one left with fewer than k.
 func (u *reserveUpdate) rows(lo, hi int) {
 	r := u.prev.K
 	byDist := u.e != nil
@@ -225,117 +197,59 @@ func (u *reserveUpdate) rows(lo, hi int) {
 		var q []float64
 		if byDist {
 			q = u.e.Src.Row(i)
-			sqDistBlock(q, u.block, d2)
 		}
-		adm := u.admission(pc, pv, q)
+		// A row holding fewer than k entries held every ranked column, so
+		// every moved one may enter; any other row needs a bound entry.
+		all := len(pc) < u.k
+		last, ok := rankEntry{}, all
+		if !all {
+			last, ok = u.bound(pc, pv, q)
+		}
+		if !ok {
+			u.rescan[i] = true
+			continue
+		}
+		if byDist {
+			matrix.SqDistInto(d2, q, &u.block)
+		}
 		ins = ins[:0]
 		for b, j := range u.cols {
 			x := rankEntry{j: j}
 			if byDist {
 				x.d2 = d2[b]
-				if adm.admits(x, u.e.SimFromDist2) {
+			} else if x.v = u.s.Score(i, j); x.v != x.v {
+				continue
+			}
+			if all || !x.after(last, byDist) {
+				if byDist {
 					x.v = u.e.SimFromDist2(x.d2)
-					ins = insertRanked(ins, r, x, true)
 				}
-			} else if x.v = u.s.Score(i, j); x.v == x.v && adm.admits(x, nil) {
-				ins = insertRanked(ins, r, x, false)
+				ins = insertRanked(ins, r, x, byDist)
 			}
 		}
-		if l := u.splice(i, pc, pv, ins, q); !adm.all && l < u.k {
+		if l := u.splice(i, pc, pv, ins, q); !all && l < u.k {
 			u.rescan[i] = true
 		}
 	}
 }
 
-// admission is one row's rule for which moved columns may enter its list
-// without breaking the reserve invariant.
-type admission struct {
-	// all admits every moved column: the row held fewer than k entries, so
-	// it held every ranked column.
-	all bool
-	// last is the row's previous last entry; every unmoved column outside
-	// the list ranks after it. exact reports that its ranking key is known:
-	// always for values, and for an Embedding when its column did not move
-	// (its distance is then recomputed, bitwise the bulk scan's).
-	last  rankEntry
-	exact bool
-	// survivor is the last entry whose column did not move, with its
-	// distance; ok is false when every entry moved.
-	survivor   rankEntry
-	survivorOK bool
-	byDist     bool
-	// passed and failed bracket the distances byValue has settled (NaN
-	// until one has): at most passed beats last's value, at least failed
-	// does not.
-	passed, failed float64
-}
-
-// admission derives row i's rule from its previous list (pc, pv); q is the
-// row's source vector for an Embedding.
-func (u *reserveUpdate) admission(pc []int, pv []float64, q []float64) admission {
-	a := admission{all: len(pc) < u.k, byDist: u.e != nil}
-	if a.all {
-		return a
+// bound returns the entry of a previous list (pc, pv) whose ranking key is
+// known and that moved columns must rank no later than to enter: the last
+// entry for a value scorer, whose stored value is its key, and for an
+// Embedding the last entry whose column did not move, at its recomputed
+// distance (bitwise the bulk scan's). ok is false when every entry of an
+// Embedding's list moved.
+func (u *reserveUpdate) bound(pc []int, pv []float64, q []float64) (rankEntry, bool) {
+	if u.e == nil {
+		n := len(pc)
+		return rankEntry{v: pv[n-1], j: pc[n-1]}, true
 	}
-	n := len(pc)
-	a.last = rankEntry{v: pv[n-1], j: pc[n-1]}
-	a.exact = !a.byDist || !u.colMoved[a.last.j]
-	if !a.byDist {
-		return a
-	}
-	if a.exact {
-		a.last.d2 = sqDistAsc(q, u.e.Dst.Row(a.last.j))
-		return a
-	}
-	a.passed, a.failed = math.NaN(), math.NaN()
-	for idx := n - 2; idx >= 0; idx-- {
+	for idx := len(pc) - 1; idx >= 0; idx-- {
 		if j := pc[idx]; !u.colMoved[j] {
-			a.survivor = rankEntry{d2: sqDistAsc(q, u.e.Dst.Row(j)), v: pv[idx], j: j}
-			a.survivorOK = true
-			break
+			return rankEntry{d2: matrix.SqDist(q, u.e.Dst.Row(j)), v: pv[idx], j: j}, true
 		}
 	}
-	return a
-}
-
-// admits reports whether the moved entry x may enter: it ranks no later
-// than the previous last entry. When that entry's column moved, an
-// Embedding no longer knows its distance, only its value: a strictly
-// larger value still proves x ranks before it (SimFromDist2 is monotone
-// and maps only NaN to NaN); otherwise x must rank before the last
-// survivor. Every moved column left out then ranks after every entry kept.
-func (a *admission) admits(x rankEntry, sim func(float64) float64) bool {
-	switch {
-	case a.all:
-		return true
-	case a.exact:
-		return !x.after(a.last, a.byDist)
-	}
-	return a.byValue(x.d2, sim) || (a.survivorOK && a.survivor.after(x, true))
-}
-
-// byValue reports whether sim(d2) is a number above the previous last
-// entry's value. It calls the kernel only for distances the row has not
-// bracketed yet: the kernel is monotone non-increasing, so a distance no
-// larger than one that passed passes and one no smaller than one that
-// failed fails.
-func (a *admission) byValue(d2 float64, sim func(float64) float64) bool {
-	switch {
-	case a.last.v != a.last.v || d2 >= a.failed:
-		return false
-	case d2 <= a.passed:
-		return true
-	}
-	v := sim(d2)
-	if v != v {
-		return false
-	}
-	if v > a.last.v {
-		a.passed = d2
-		return true
-	}
-	a.failed = d2
-	return false
+	return rankEntry{}, false
 }
 
 // splice writes row i of next: prev's surviving entries (pc, pv minus the
@@ -366,16 +280,15 @@ func (u *reserveUpdate) splice(i int, pc []int, pv []float64, ins []rankEntry, q
 }
 
 // movedFirst reports whether the moved entry x ranks before the surviving
-// entry (j, v). Distinct non-NaN values decide by themselves
-// (SimFromDist2 is monotone non-increasing); on equal or NaN values an
-// Embedding recomputes the survivor's distance, bitwise the bulk scan's,
-// rather than trust the value.
+// entry (j, v). Values decide for a value scorer, and for an Embedding when
+// they are distinct numbers (SimFromDist2 is monotone non-increasing); on
+// equal or NaN values an Embedding recomputes the survivor's distance,
+// bitwise the bulk scan's, rather than trust the value.
 func (u *reserveUpdate) movedFirst(x rankEntry, j int, v float64, q []float64) bool {
-	if x.v == x.v && v == v && x.v != v {
-		return x.v > v
+	y := rankEntry{v: v, j: j}
+	if u.e == nil || (x.v == x.v && v == v && x.v != v) {
+		return y.after(x, false)
 	}
-	if u.e == nil {
-		return x.j < j
-	}
-	return rankEntry{d2: sqDistAsc(q, u.e.Dst.Row(j)), j: j}.after(x, true)
+	y.d2 = matrix.SqDist(q, u.e.Dst.Row(j))
+	return y.after(x, true)
 }

@@ -175,7 +175,7 @@ func checkReserve(t *testing.T, tag string, c *Candidates, s Scorer, k int) {
 	e, byDist := s.(*Embedding)
 	key := func(i, j int) rankEntry {
 		if byDist {
-			d2 := sqDistAsc(e.Src.Row(i), e.Dst.Row(j))
+			d2 := matrix.SqDist(e.Src.Row(i), e.Dst.Row(j))
 			return rankEntry{d2: d2, v: e.SimFromDist2(d2), j: j}
 		}
 		return rankEntry{v: s.Score(i, j), j: j}
@@ -235,6 +235,63 @@ func checkReserveChain(t *testing.T, tag string, s Scorer, k, r, steps int, edit
 		}
 		res, s = next, s2
 	}
+}
+
+// lineEmbedding places source rows and target rows on a line (d=1), so a
+// test can say exactly which target ranks where for each source row.
+func lineEmbedding(src, dst []float64) *Embedding {
+	return &Embedding{Src: matrix.DenseFromRows(columnOf(src)), Dst: matrix.DenseFromRows(columnOf(dst)),
+		SimFromDist2: func(d2 float64) float64 { return -d2 }}
+}
+
+func columnOf(xs []float64) [][]float64 {
+	rows := make([][]float64, len(xs))
+	for i, x := range xs {
+		rows[i] = []float64{x}
+	}
+	return rows
+}
+
+// checkLineUpdate moves the listed targets of lineEmbedding(src, dst) to
+// the given positions, updates a depth-r reserve and checks the head
+// against TopK bitwise, the reserve invariant and the number of rescans.
+func checkLineUpdate(t *testing.T, tag string, src, dst []float64, moves map[int]float64, k, r, wantRescans int) {
+	t.Helper()
+	e := lineEmbedding(src, dst)
+	moved := append([]float64(nil), dst...)
+	var cols []int
+	for j, x := range moves {
+		moved[j] = x
+		cols = append(cols, j)
+	}
+	e2 := lineEmbedding(src, moved)
+	next, _, rescans := UpdateTopK(TopK(e, r, 1), e2, nil, cols, k, 1)
+	candsEqual(t, tag, next.Head(k), TopK(e2, k, 1))
+	checkReserve(t, tag, next, e2, k)
+	if rescans != wantRescans {
+		t.Fatalf("%s: %d rows rescanned, want %d", tag, rescans, wantRescans)
+	}
+}
+
+// When a row's last entry moved, its distance is unknown, so the bound
+// falls back to the last entry whose column did not move: row 0 holds
+// targets 0–3 and target 3 moves. Moved to 2.5 it ranks before the bound
+// (target 2) and stays; moved to 7 it ranks after it and leaves, the row
+// keeping three entries, still at least k. Neither case rescans.
+func TestUpdateTopKBoundFallsBackToLastUnmoved(t *testing.T) {
+	src := []float64{0, 100}
+	dst := []float64{1, 2, 3, 4, 5, 6, 10, 11}
+	checkLineUpdate(t, "moves in", src, dst, map[int]float64{3: 2.5}, 2, 4, 0)
+	checkLineUpdate(t, "moves out", src, dst, map[int]float64{3: 7}, 2, 4, 0)
+}
+
+// A row whose every entry moved has no entry left to bound the moved
+// columns with, so it is rescanned; row 1, whose entries stayed, admits the
+// moved targets that now rank before its last entry without a rescan.
+func TestUpdateTopKEveryEntryMovedRescans(t *testing.T) {
+	src := []float64{0, 100}
+	dst := []float64{1, 2, 3, 4, 5, 6, 10, 11}
+	checkLineUpdate(t, "all moved", src, dst, map[int]float64{0: 50, 1: 51, 2: 52, 3: 53}, 2, 4, 1)
 }
 
 // nanRows overwrites one coordinate of about a third of the given rows

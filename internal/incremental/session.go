@@ -570,7 +570,8 @@ func changedFactorRows(old, fresh [][]float64, tol float64) []int {
 // rowChanged implements the Options.ColTolerance comparison for one vector.
 // At tolerance 0 it compares bits, so an unchanged NaN is unchanged; above
 // it, an entry that is NaN on exactly one side has moved however far the
-// others did.
+// others did, and so has a row whose ratio is NaN (an entry leaving or
+// crossing ±Inf makes it Inf/Inf).
 func rowChanged(old, fresh []float64, tol float64) bool {
 	if tol < 0 {
 		return true
@@ -595,7 +596,8 @@ func rowChanged(old, fresh []float64, tol float64) bool {
 			maxAbs = a
 		}
 	}
-	return maxDiff/(maxAbs+1e-12) > tol
+	r := maxDiff / (maxAbs + 1e-12)
+	return r > tol || r != r
 }
 
 // sameWeights compares factor weight vectors bitwise (nil means all-ones,

@@ -90,6 +90,32 @@ func (a degreeAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*
 	return e.Similarity(), nil
 }
 
+// nanAligner is localAligner with NaN in one coordinate of every fifth
+// embedding row on both sides, so some candidate distances are NaN.
+type nanAligner struct{ localAligner }
+
+func (nanAligner) Name() string { return "nan-test" }
+func nanEmbed(g *graph.Graph) *matrix.Dense {
+	m := localEmbed(g)
+	for u := 0; u < m.Rows; u += 5 {
+		m.Row(u)[1] = math.NaN()
+	}
+	return m
+}
+
+func (nanAligner) ScorerCtx(_ context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
+	return &assign.Embedding{
+		Src:          nanEmbed(src),
+		Dst:          nanEmbed(dst),
+		SimFromDist2: func(d2 float64) float64 { return -d2 },
+	}, nil
+}
+
+func (a nanAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+	e, _ := a.ScorerCtx(ctx, src, dst)
+	return e.Similarity(), nil
+}
+
 // denseOnlyAligner exposes neither embeddings nor factors.
 type denseOnlyAligner struct{}
 
@@ -339,6 +365,27 @@ func TestColdSessionMatchesSparseRun(t *testing.T) {
 	}
 }
 
+// A session over an embedding with NaN rows starts and applies edits with a
+// one-to-one mapping: the auction refuses the NaN candidates, and the dense
+// JV fallback it degrades to ranks NaN below every number (it used to index
+// column -1 on a row of NaN).
+func TestSessionNaNEmbedding(t *testing.T) {
+	src, dst := testPair(t, 30, 16)
+	ctx := context.Background()
+	s, err := NewSession(ctx, nanAligner{}, src, dst, Options{TopK: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPermutation(t, "cold", s.Mapping(), dst.N())
+	rng := rand.New(rand.NewSource(17))
+	for step := 0; step < 3; step++ {
+		if _, err := s.Apply(ctx, randomBatch(t, s.Target(), 2, rng)); err != nil {
+			t.Fatal(err)
+		}
+		checkPermutation(t, "apply", s.Mapping(), dst.N())
+	}
+}
+
 // Dense-only aligners cannot run incrementally and must be rejected.
 func TestSessionRejectsDenseOnly(t *testing.T) {
 	src, dst := testPair(t, 10, 10)
@@ -411,9 +458,10 @@ func TestDirtyScopeHugeHops(t *testing.T) {
 
 // rowChanged must see NaN: at tolerance 0 an unchanged NaN is unchanged
 // (bitwise), and above 0 an entry turning NaN, or back, has moved however
-// small the other entries' drift.
+// small the other entries' drift, as has one reaching, leaving or crossing
+// ±Inf; an unchanged +Inf is unchanged.
 func TestRowChangedNaN(t *testing.T) {
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name       string
 		old, fresh []float64
@@ -429,6 +477,12 @@ func TestRowChangedNaN(t *testing.T) {
 		{"tolerant unchanged NaN", []float64{1, nan}, []float64{1, nan}, 0.2, false},
 		{"tolerant within bound", []float64{1, 2}, []float64{1, 2.1}, 0.2, false},
 		{"tolerant past bound", []float64{1, 2}, []float64{1, 3}, 0.2, true},
+		{"tolerant reaches +Inf", []float64{5, 1}, []float64{inf, 1}, 0.2, true},
+		{"tolerant reaches -Inf", []float64{5, 1}, []float64{-inf, 1}, 0.2, true},
+		{"tolerant leaves +Inf", []float64{inf, 1}, []float64{5, 1}, 0.2, true},
+		{"tolerant leaves -Inf", []float64{-inf, 1}, []float64{5, 1}, 0.2, true},
+		{"tolerant crosses Inf", []float64{inf, 1}, []float64{-inf, 1}, 0.2, true},
+		{"tolerant unchanged Inf", []float64{inf, 1}, []float64{inf, 1}, 0.2, false},
 	} {
 		if got := rowChanged(tc.old, tc.fresh, tc.tol); got != tc.want {
 			t.Errorf("%s: rowChanged(%v, %v, %v) = %v, want %v", tc.name, tc.old, tc.fresh, tc.tol, got, tc.want)

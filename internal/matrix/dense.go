@@ -17,6 +17,16 @@ import (
 // computed by exactly one goroutine in the same inner-loop order.
 const parallelFlops = 1 << 21
 
+// rowBlocks runs rows(lo, hi) over [0, n): row-blocked across the worker
+// pool when work reaches parallelFlops, else serially in one call.
+func rowBlocks(work, n int, rows func(lo, hi int)) {
+	if work >= parallelFlops {
+		parallel.Blocks(0, n, rows)
+	} else {
+		rows(0, n)
+	}
+}
+
 // Dense is a row-major dense matrix of float64.
 type Dense struct {
 	Rows, Cols int
@@ -119,12 +129,7 @@ func MulTo(out, a, b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out.mustShape(a.Rows, b.Cols)
-	mulRows := func(lo, hi int) { mulKernel(out, a, b, lo, hi) }
-	if work := a.Rows * a.Cols * b.Cols; work >= parallelFlops {
-		parallel.Blocks(0, a.Rows, mulRows)
-	} else {
-		mulRows(0, a.Rows)
-	}
+	rowBlocks(a.Rows*a.Cols*b.Cols, a.Rows, func(lo, hi int) { mulKernel(out, a, b, lo, hi) })
 	return out
 }
 
@@ -189,12 +194,7 @@ func MulABTTo(out, a, b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: mulABT shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out.mustShape(a.Rows, b.Rows)
-	mulRows := func(lo, hi int) { mulABTKernel(out, a, b, lo, hi) }
-	if work := a.Rows * a.Cols * b.Rows; work >= parallelFlops {
-		parallel.Blocks(0, a.Rows, mulRows)
-	} else {
-		mulRows(0, a.Rows)
-	}
+	rowBlocks(a.Rows*a.Cols*b.Rows, a.Rows, func(lo, hi int) { mulABTKernel(out, a, b, lo, hi) })
 	return out
 }
 
@@ -273,26 +273,18 @@ func PairwiseSqDistTo(out, a, b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: pairwiseSqDist dim mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out.mustShape(a.Rows, b.Rows)
-	distRows := func(lo, hi int) {
+	rowBlocks(a.Rows*a.Cols*b.Rows, a.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			SqDistInto(out.Row(i), a.Row(i), b)
 		}
-	}
-	if work := a.Rows * a.Cols * b.Rows; work >= parallelFlops {
-		parallel.Blocks(0, a.Rows, distRows)
-	} else {
-		distRows(0, a.Rows)
-	}
+	})
 	return out
 }
 
 // SqDistInto writes the squared Euclidean distance from q to every row of b
 // into out (len b.Rows) and is the single-row kernel behind PairwiseSqDist:
-// each distance accumulates dimension-ascending in its own chain, so values
-// are bitwise identical to the one-row-at-a-time loop. Rows are processed
-// eight at a time — eight independent accumulators hide the FP add latency —
-// which is also what makes the sparse pipeline's brute-force candidate scan
-// competitive without materializing the full matrix.
+// rows go through SqDist8 eight at a time and the tail through SqDist, so
+// every value is bitwise the one-chain SqDist.
 func SqDistInto(out, q []float64, b *Dense) {
 	if len(q) != b.Cols {
 		panic(fmt.Sprintf("matrix: sqDistInto dim mismatch %d vs %dx%d", len(q), b.Rows, b.Cols))
@@ -303,46 +295,63 @@ func SqDistInto(out, q []float64, b *Dense) {
 	d := b.Cols
 	j := 0
 	for ; j+8 <= b.Rows; j += 8 {
-		base := j * d
-		r0 := b.Data[base : base+d : base+d]
-		r1 := b.Data[base+d : base+2*d : base+2*d]
-		r2 := b.Data[base+2*d : base+3*d : base+3*d]
-		r3 := b.Data[base+3*d : base+4*d : base+4*d]
-		r4 := b.Data[base+4*d : base+5*d : base+5*d]
-		r5 := b.Data[base+5*d : base+6*d : base+6*d]
-		r6 := b.Data[base+6*d : base+7*d : base+7*d]
-		r7 := b.Data[base+7*d : base+8*d : base+8*d]
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for k, v := range q {
-			d0 := v - r0[k]
-			s0 += d0 * d0
-			d1 := v - r1[k]
-			s1 += d1 * d1
-			d2 := v - r2[k]
-			s2 += d2 * d2
-			d3 := v - r3[k]
-			s3 += d3 * d3
-			d4 := v - r4[k]
-			s4 += d4 * d4
-			d5 := v - r5[k]
-			s5 += d5 * d5
-			d6 := v - r6[k]
-			s6 += d6 * d6
-			d7 := v - r7[k]
-			s7 += d7 * d7
-		}
-		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
-		out[j+4], out[j+5], out[j+6], out[j+7] = s4, s5, s6, s7
+		out[j], out[j+1], out[j+2], out[j+3], out[j+4], out[j+5], out[j+6], out[j+7] = SqDist8(q, b.Data[j*d:(j+8)*d])
 	}
 	for ; j < b.Rows; j++ {
-		rj := b.Row(j)
-		var d2 float64
-		for k, v := range q {
-			d := v - rj[k]
-			d2 += d * d
-		}
-		out[j] = d2
+		out[j] = SqDist(q, b.Row(j))
 	}
+}
+
+// SqDist returns the squared Euclidean distance between q and r[:len(q)],
+// accumulated dimension-ascending in one chain: the reference every
+// distance kernel here is bitwise equal to.
+func SqDist(q, r []float64) float64 {
+	r = r[:len(q)]
+	var s float64
+	for k, v := range q {
+		d := v - r[k]
+		s += d * d
+	}
+	return s
+}
+
+// SqDist8 returns the squared distances from q to the eight consecutive
+// len(q)-wide rows of block, each accumulated dimension-ascending in its own
+// chain, so each is bitwise SqDist. The eight chains are interleaved: one
+// load of q feeds eight independent accumulators, which hides the FP add
+// latency. Callers that compare each distance while it is still in a
+// register (the sparse pipeline's fused k-NN scan) call it directly.
+func SqDist8(q, block []float64) (s0, s1, s2, s3, s4, s5, s6, s7 float64) {
+	d := len(q)
+	// Re-slicing each row to len(q) lets the compiler prove k in bounds for
+	// every load below.
+	r0 := block[0:d:d][:d]
+	r1 := block[d : 2*d : 2*d][:d]
+	r2 := block[2*d : 3*d : 3*d][:d]
+	r3 := block[3*d : 4*d : 4*d][:d]
+	r4 := block[4*d : 5*d : 5*d][:d]
+	r5 := block[5*d : 6*d : 6*d][:d]
+	r6 := block[6*d : 7*d : 7*d][:d]
+	r7 := block[7*d : 8*d : 8*d][:d]
+	for k, v := range q {
+		d0 := v - r0[k]
+		s0 += d0 * d0
+		d1 := v - r1[k]
+		s1 += d1 * d1
+		d2 := v - r2[k]
+		s2 += d2 * d2
+		d3 := v - r3[k]
+		s3 += d3 * d3
+		d4 := v - r4[k]
+		s4 += d4 * d4
+		d5 := v - r5[k]
+		s5 += d5 * d5
+		d6 := v - r6[k]
+		s6 += d6 * d6
+		d7 := v - r7[k]
+		s7 += d7 * d7
+	}
+	return
 }
 
 // MulVec returns m*x.

@@ -3,8 +3,6 @@ package matrix
 import (
 	"fmt"
 	"sort"
-
-	"graphalign/internal/parallel"
 )
 
 // CSR is a compressed sparse row matrix of float64.
@@ -106,7 +104,7 @@ func (m *CSR) MulDenseTo(out, d *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: csr muldense shape mismatch %dx%d * %dx%d", m.NumRows, m.NumCols, d.Rows, d.Cols))
 	}
 	out.mustShape(m.NumRows, d.Cols)
-	mulRows := func(lo0, hi0 int) {
+	rowBlocks(m.NNZ()*d.Cols, m.NumRows, func(lo0, hi0 int) {
 		for r := lo0; r < hi0; r++ {
 			lo, hi := m.RowPtr[r], m.RowPtr[r+1]
 			orow := out.Row(r)
@@ -119,12 +117,7 @@ func (m *CSR) MulDenseTo(out, d *Dense) *Dense {
 				}
 			}
 		}
-	}
-	if work := m.NNZ() * d.Cols; work >= parallelFlops {
-		parallel.Blocks(0, m.NumRows, mulRows)
-	} else {
-		mulRows(0, m.NumRows)
-	}
+	})
 	return out
 }
 
