@@ -74,7 +74,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel fan-out of candidates, auction, shards or refresh (0 = one per CPU; the mapping is the same for any value)")
 		edits    = flag.String("edits", "", "edit-stream file of blank-line-separated 'add u v'/'del u v' batches: replay incrementally against the target graph")
 		incrOut  = flag.String("incr-out", "", "write the incr_* metrics registry snapshot as JSON to this file (only with -edits)")
-		incrTol  = flag.Float64("incr-tol", 0, "incremental embedding-row change tolerance: 0 = bitwise, >0 = relative, <0 = refresh everything")
+		incrTol  = flag.Float64("incr-tol", 0, "incremental embedding-row change tolerance: 0 = bitwise, >0 = relative (negative or NaN is rejected)")
 		incrHops = flag.Int("incr-hops", 0, "restrict incremental target refresh to nodes within this many hops of an edit (0 = tolerance only)")
 		drift    = flag.Float64("drift", 0, "dirty-row fraction above which incremental re-alignment falls back to a cold solve (0 = default 0.5, >=1 = never)")
 	)

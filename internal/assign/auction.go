@@ -23,9 +23,6 @@ type SparseStats struct {
 	// FellBack reports that the candidate graph left rows unmatchable and
 	// the solve was redone by dense JV over the materialized matrix.
 	FellBack bool
-	// WarmStart reports the solve was seeded from a previous AuctionState
-	// (see SolveAuctionWarm).
-	WarmStart bool
 	// RebidRows is the number of real rows that entered a warm solve
 	// unassigned: the caller's dirty rows plus any seeds rejected by the
 	// feasibility repair pass. Zero for cold solves.

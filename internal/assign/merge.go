@@ -42,21 +42,20 @@ func mergeWorthwhile(changedRows, n, changedCols, m int) bool {
 // themselves are fully rescanned with TopK's row kernels; every other row
 // merges its surviving entries with fresh scores of the changed columns
 // (see the file comment for the exactness contract), dropping NaN scores as
-// TopK does. Returns the new candidate set, the rows whose lists changed,
-// ascending, and the number of rows fully rescanned. prev is not mutated.
+// TopK does. Returns the new candidate set and the number of rows fully
+// rescanned; prev is not mutated.
 // Deltas too large for per-row work fall back to the bulk rebuild, making
 // the result exact.
-func MergeTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, workers int) (*Candidates, []int, int) {
+func MergeTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, workers int) (*Candidates, int) {
 	n, m := prev.Rows, prev.Cols
 	rescan, rows := markIndices(n, changedRows)
 	changed, cols := markIndices(m, changedCols)
 	if !mergeWorthwhile(len(rows), n, len(cols), m) {
-		next := TopK(s, prev.K, workers)
-		return next, DiffRows(prev, next), n
+		return TopK(s, prev.K, workers), n
 	}
 	next := prev.Clone()
 	if len(rows) == 0 && len(cols) == 0 {
-		return next, nil, 0
+		return next, 0
 	}
 	mergeRows := func(lo, hi int) {
 		arr := make([]rankEntry, 0, prev.K)
@@ -94,5 +93,5 @@ func MergeTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, worke
 		selectRows(s, next, rows, workers)
 	}
 	next.syncLen()
-	return next, DiffRows(prev, next), len(rows)
+	return next, len(rows)
 }

@@ -11,14 +11,13 @@ import (
 // checkMergeInvariants merges TopK(s, k) to the edited scorer s2 and checks
 // the merge contract: stored values are the exact current scores, rows are
 // in candidate storage order, fully rescanned rows match the bulk rebuild
-// bitwise, every bulk entry drawn from the merge's pool (previous entries
-// plus moved columns) survives, and the dirty list is exactly the rows that
-// differ from prev.
+// bitwise, and every bulk entry drawn from the merge's pool (previous entries
+// plus moved columns) survives.
 func checkMergeInvariants(t *testing.T, tag string, s, s2 Scorer, k int, changedRows, changedCols []int) {
 	t.Helper()
 	prev := TopK(s, k, 1)
 	bulk := TopK(s2, k, 1)
-	merged, dirty, _ := MergeTopK(prev, s2, changedRows, changedCols, 1)
+	merged, _ := MergeTopK(prev, s2, changedRows, changedCols, 1)
 	rescan := make([]bool, merged.Rows)
 	for _, i := range changedRows {
 		rescan[i] = true
@@ -63,9 +62,6 @@ func checkMergeInvariants(t *testing.T, tag string, s, s2 Scorer, k int, changed
 			}
 		}
 	}
-	if want := DiffRows(prev, merged); !reflect.DeepEqual(dirty, want) {
-		t.Fatalf("%s: dirty = %v, want %v", tag, dirty, want)
-	}
 }
 
 func TestMergeTopKEmbeddingInvariants(t *testing.T) {
@@ -91,22 +87,16 @@ func TestMergeTopKEmbeddingFullPoolExact(t *testing.T) {
 	changedCols := perturbRows(e2.Dst, 3, rng)
 
 	bulk := TopK(e2, k, 1)
-	merged, dirty, _ := MergeTopK(prev, e2, nil, changedCols, 1)
+	merged, _ := MergeTopK(prev, e2, nil, changedCols, 1)
 	candsEqual(t, "embedding-merge-full", merged, bulk)
-	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
-		t.Fatalf("dirty = %v, want %v", dirty, want)
-	}
 }
 
 func TestMergeTopKEmbeddingNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := randEmbedding(30, 40, 8, rng)
 	prev := TopK(e, 4, 1)
-	merged, dirty, _ := MergeTopK(prev, e, nil, nil, 1)
+	merged, _ := MergeTopK(prev, e, nil, nil, 1)
 	candsEqual(t, "embedding-merge-nochange", merged, prev)
-	if len(dirty) != 0 {
-		t.Fatalf("no-op merge reported dirty rows %v", dirty)
-	}
 	if &merged.Col[0] == &prev.Col[0] {
 		t.Fatal("merge aliases previous candidate storage")
 	}
@@ -123,11 +113,8 @@ func TestMergeTopKEmbeddingLargeDeltaShortcut(t *testing.T) {
 	changedCols := perturbRows(e2.Dst, m/2, rng)
 
 	bulk := TopK(e2, k, 1)
-	merged, dirty, _ := MergeTopK(prev, e2, nil, changedCols, 1)
+	merged, _ := MergeTopK(prev, e2, nil, changedCols, 1)
 	candsEqual(t, "embedding-merge-shortcut", merged, bulk)
-	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
-		t.Fatalf("dirty = %v, want %v", dirty, want)
-	}
 }
 
 func TestMergeTopKFactorInvariants(t *testing.T) {
@@ -153,7 +140,7 @@ func TestMergeTopKFactorNaNPruning(t *testing.T) {
 	for r := 0; r < rank; r++ {
 		f2.Vs[r][poisoned] = math.NaN()
 	}
-	merged, _, _ := MergeTopK(prev, f2, nil, []int{poisoned}, 1)
+	merged, _ := MergeTopK(prev, f2, nil, []int{poisoned}, 1)
 	for i := 0; i < n; i++ {
 		cols, vals := merged.Row(i)
 		for idx, j := range cols {
@@ -179,7 +166,7 @@ func TestMergeTopKRepeatedColumn(t *testing.T) {
 		f2.Vs[r][j] = 10
 	}
 	prev := TopK(f, 5, 1)
-	merged, _, _ := MergeTopK(prev, f2, []int{4, 4}, []int{j, j}, 1)
+	merged, _ := MergeTopK(prev, f2, []int{4, 4}, []int{j, j}, 1)
 	for i := 0; i < merged.Rows; i++ {
 		cols, _ := merged.Row(i)
 		seen := map[int]bool{}
@@ -190,6 +177,6 @@ func TestMergeTopKRepeatedColumn(t *testing.T) {
 			seen[c] = true
 		}
 	}
-	once, _, _ := MergeTopK(prev, f2, []int{4}, []int{j}, 1)
+	once, _ := MergeTopK(prev, f2, []int{4}, []int{j}, 1)
 	candsEqual(t, "repeat", merged, once)
 }

@@ -38,41 +38,35 @@ func (c *Candidates) Head(k int) *Candidates {
 	return h
 }
 
-// DiffRows returns the rows whose candidate lists differ between two
-// candidate sets of identical shape, in ascending order — the dirty set a
-// warm-started auction re-bids.
+// DiffRows returns, ascending, the rows whose candidate lists differ between
+// a and b — the dirty set SolveAuctionWarm re-bids. Each row compares as its
+// live entries (Row), so the two sets may differ in width: a head of stride K
+// against an Augment result of stride K+1 with Len differs exactly in the
+// rows that gained, lost or changed a repair entry. Values compare bitwise,
+// so an unchanged NaN is unchanged.
 func DiffRows(a, b *Candidates) []int {
-	return diffHeads(a, b, max(a.K, b.K))
-}
-
-// diffHeads returns, ascending, the rows whose first k candidates differ
-// between a and b. Values compare bitwise, so an unchanged NaN is unchanged.
-func diffHeads(a, b *Candidates, k int) []int {
 	var dirty []int
 	for i := 0; i < a.Rows; i++ {
-		if headDiffers(a, b, i, k) {
+		ac, av := a.Row(i)
+		bc, bv := b.Row(i)
+		if !sameRow(ac, av, bc, bv) {
 			dirty = append(dirty, i)
 		}
 	}
 	return dirty
 }
 
-// headDiffers reports whether row i's first k candidates differ between a
-// and b.
-func headDiffers(a, b *Candidates, i, k int) bool {
-	ac, av := a.Row(i)
-	bc, bv := b.Row(i)
-	ac, av = ac[:min(k, len(ac))], av[:min(k, len(av))]
-	bc, bv = bc[:min(k, len(bc))], bv[:min(k, len(bv))]
+// sameRow reports whether two live candidate rows are bitwise equal.
+func sameRow(ac []int, av []float64, bc []int, bv []float64) bool {
 	if len(ac) != len(bc) {
-		return true
+		return false
 	}
 	for idx := range ac {
 		if ac[idx] != bc[idx] || math.Float64bits(av[idx]) != math.Float64bits(bv[idx]) {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // UpdateTopK incrementally maintains a top-k reserve after a similarity
@@ -101,10 +95,10 @@ func headDiffers(a, b *Candidates, i, k int) bool {
 // moved column touches. Only when every row or every column moved does it
 // run the bulk TopK(s, R).
 //
-// Returns the new reserve (prev is not mutated), the rows whose first k
-// entries changed, ascending — the warm-started auction's dirty set — and
-// the number of rows fully rescanned.
-func UpdateTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, k, workers int) (*Candidates, []int, int) {
+// Returns the new reserve (prev is not mutated) and the number of rows fully
+// rescanned. Which rows the solver must re-bid is the caller's to derive,
+// with DiffRows over the sets it actually solves.
+func UpdateTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, k, workers int) (*Candidates, int) {
 	n, m := prev.Rows, prev.Cols
 	if k <= 0 || k > prev.K {
 		k = prev.K
@@ -112,8 +106,7 @@ func UpdateTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, k, w
 	rescan, rows := markIndices(n, changedRows)
 	colMoved, cols := markIndices(m, changedCols)
 	if len(rows) == n || len(cols) == m {
-		next := TopK(s, prev.K, workers)
-		return next, diffHeads(prev, next, k), n
+		return TopK(s, prev.K, workers), n
 	}
 	next := prev.Clone()
 	if len(cols) > 0 {
@@ -141,7 +134,7 @@ func UpdateTopK(prev *Candidates, s Scorer, changedRows, changedCols []int, k, w
 		selectRows(s, next, list, workers)
 	}
 	next.syncLen()
-	return next, diffHeads(prev, next, k), len(list)
+	return next, len(list)
 }
 
 // markIndices returns the membership flags of idx over [0, n) and the

@@ -58,17 +58,13 @@ func candsEqual(t *testing.T, tag string, a, b *Candidates) {
 
 // checkUpdateMatchesBulk: the exact update of TopK(s, k) to the edited
 // scorer s2 is bitwise a bulk TopK(s2, k) — including rows that shrink or
-// grow through NaN pruning — and its dirty set is exactly the rows whose
-// lists changed.
+// grow through NaN pruning.
 func checkUpdateMatchesBulk(t *testing.T, tag string, s, s2 Scorer, k int, changedRows, changedCols []int) {
 	t.Helper()
 	prev := TopK(s, k, 1)
 	bulk := TopK(s2, k, 1)
-	upd, dirty, _ := UpdateTopK(prev, s2, changedRows, changedCols, k, 1)
+	upd, _ := UpdateTopK(prev, s2, changedRows, changedCols, k, 1)
 	candsEqual(t, tag, upd, bulk)
-	if want := DiffRows(prev, bulk); !reflect.DeepEqual(dirty, want) {
-		t.Fatalf("%s: dirty = %v, want %v", tag, dirty, want)
-	}
 }
 
 // editEmbedding returns a copy of e with a few source rows and target rows
@@ -116,11 +112,8 @@ func TestUpdateTopKEmbeddingNoChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := randEmbedding(30, 40, 8, rng)
 	prev := TopK(e, 4, 1)
-	upd, dirty, _ := UpdateTopK(prev, e, nil, nil, 4, 1)
+	upd, _ := UpdateTopK(prev, e, nil, nil, 4, 1)
 	candsEqual(t, "embedding-nochange", upd, prev)
-	if len(dirty) != 0 {
-		t.Fatalf("no-op update reported dirty rows %v", dirty)
-	}
 	// The update returns a private copy, never an alias of prev's storage.
 	if &upd.Col[0] == &prev.Col[0] {
 		t.Fatal("update aliases previous candidate storage")
@@ -210,28 +203,23 @@ func checkReserve(t *testing.T, tag string, c *Candidates, s Scorer, k int) {
 
 // checkReserveChain maintains a depth-r reserve over steps edits of s
 // without a rebuild. After every update the head must be bitwise TopK(s, k),
-// the dirty set exactly the rows whose head changed, the reserve invariant
-// must hold, and four workers must reproduce one.
+// the reserve invariant must hold, and four workers must reproduce one.
 func checkReserveChain(t *testing.T, tag string, s Scorer, k, r, steps int, edit func(Scorer) (Scorer, []int, []int)) {
 	t.Helper()
 	res := TopK(s, r, 1)
 	for step := 0; step < steps; step++ {
 		s2, rows, cols := edit(s)
 		at := fmt.Sprintf("%s r=%d step %d", tag, r, step)
-		next, dirty, rescanned := UpdateTopK(res, s2, rows, cols, k, 1)
-		want := TopK(s2, k, 1)
-		candsEqual(t, at, next.Head(k), want)
-		if wantDirty := DiffRows(TopK(s, k, 1), want); !reflect.DeepEqual(dirty, wantDirty) {
-			t.Fatalf("%s: dirty = %v, want %v", at, dirty, wantDirty)
-		}
+		next, rescanned := UpdateTopK(res, s2, rows, cols, k, 1)
+		candsEqual(t, at, next.Head(k), TopK(s2, k, 1))
 		if rescanned < 0 || rescanned > next.Rows {
 			t.Fatalf("%s: rescanned %d rows of %d", at, rescanned, next.Rows)
 		}
 		checkReserve(t, at, next, s2, k)
-		par, parDirty, parRescanned := UpdateTopK(res, s2, rows, cols, k, 4)
+		par, parRescanned := UpdateTopK(res, s2, rows, cols, k, 4)
 		candsEqual(t, at+" workers=4", par, next)
-		if !reflect.DeepEqual(parDirty, dirty) || parRescanned != rescanned {
-			t.Fatalf("%s: workers=4 dirty/rescans differ", at)
+		if parRescanned != rescanned {
+			t.Fatalf("%s: workers=4 rescans differ", at)
 		}
 		res, s = next, s2
 	}
@@ -265,7 +253,7 @@ func checkLineUpdate(t *testing.T, tag string, src, dst []float64, moves map[int
 		cols = append(cols, j)
 	}
 	e2 := lineEmbedding(src, moved)
-	next, _, rescans := UpdateTopK(TopK(e, r, 1), e2, nil, cols, k, 1)
+	next, rescans := UpdateTopK(TopK(e, r, 1), e2, nil, cols, k, 1)
 	candsEqual(t, tag, next.Head(k), TopK(e2, k, 1))
 	checkReserve(t, tag, next, e2, k)
 	if rescans != wantRescans {
@@ -389,11 +377,55 @@ func TestUpdateTopKReserveParallel(t *testing.T) {
 	e2 := e.Clone()
 	cols := perturbRows(e2.Dst, 450, rng)
 	prev := TopK(e, 20, 1)
-	seq, seqDirty, seqRescans := UpdateTopK(prev, e2, nil, cols, 10, 1)
-	par, parDirty, parRescans := UpdateTopK(prev, e2, nil, cols, 10, 4)
+	seq, seqRescans := UpdateTopK(prev, e2, nil, cols, 10, 1)
+	par, parRescans := UpdateTopK(prev, e2, nil, cols, 10, 4)
 	candsEqual(t, "parallel", par, seq)
-	if !reflect.DeepEqual(parDirty, seqDirty) || parRescans != seqRescans {
-		t.Fatal("workers=4 dirty/rescans differ from workers=1")
+	if parRescans != seqRescans {
+		t.Fatal("workers=4 rescans differ from workers=1")
 	}
 	candsEqual(t, "parallel head", seq.Head(10), TopK(e2, 10, 1))
+}
+
+// candRows builds a candidate set of stride k from per-row (col, val)
+// entries, padding short rows with Col -1 / Val 0 and setting Len as TopK
+// and Augment do.
+func candRows(k int, rows [][][2]float64) *Candidates {
+	c := &Candidates{Rows: len(rows), Cols: 8, K: k, Col: make([]int, len(rows)*k), Val: make([]float64, len(rows)*k)}
+	for i, row := range rows {
+		cols, vals := c.slots(i)
+		for idx := range cols {
+			cols[idx], vals[idx] = -1, 0
+			if idx < len(row) {
+				cols[idx], vals[idx] = int(row[idx][0]), row[idx][1]
+			}
+		}
+	}
+	c.syncLen()
+	return c
+}
+
+// DiffRows compares live entries, so a head of stride K and an augmented
+// set of stride K+1 with Len differ exactly in the rows whose repair entry
+// appeared, went, moved or was rescored; values compare bitwise.
+func TestDiffRowsMixedWidths(t *testing.T) {
+	nan := math.NaN()
+	head := [][][2]float64{{{1, 0.9}, {2, 0.5}}, {{3, 0.8}, {4, 0.7}}, {{5, nan}}}
+	repaired := [][][2]float64{{{1, 0.9}, {2, 0.5}}, {{3, 0.8}, {4, 0.7}, {6, 0.1}}, {{5, nan}}}
+	for _, tc := range []struct {
+		name string
+		a, b *Candidates
+		want []int
+	}{
+		{"same lists, stride K and K+1", candRows(2, head), candRows(3, head), nil},
+		{"row gains a repair entry", candRows(2, head), candRows(3, repaired), []int{1}},
+		{"row loses its repair entry", candRows(3, repaired), candRows(2, head), []int{1}},
+		{"repair entry rescored", candRows(3, repaired), candRows(3, [][][2]float64{head[0], {{3, 0.8}, {4, 0.7}, {6, 0.2}}, head[2]}), []int{1}},
+		{"repair entry moves column", candRows(3, repaired), candRows(3, [][][2]float64{head[0], {{3, 0.8}, {4, 0.7}, {7, 0.1}}, head[2]}), []int{1}},
+		{"unchanged NaN value", candRows(2, head), candRows(2, head), nil},
+		{"NaN value turns number", candRows(2, head), candRows(2, [][][2]float64{head[0], head[1], {{5, 0.3}}}), []int{2}},
+	} {
+		if got := DiffRows(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: DiffRows = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }

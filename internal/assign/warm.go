@@ -4,8 +4,9 @@ import "math"
 
 // SolveAuctionWarm re-solves the assignment over an edited candidate set,
 // seeded from a previous solve's mapping and AuctionState. dirty lists the
-// rows whose candidate lists changed since that solve; every other row's list
-// must be bitwise-unchanged. The solver seeds clean rows with their previous
+// rows whose candidate lists changed since that solve — DiffRows(prevSet, c)
+// over the very sets the two solves read, repair entries included — and
+// every other row's list must be bitwise-unchanged. The solver seeds clean rows with their previous
 // columns and re-bids only the dirty rows (plus any rows they displace), in a
 // single phase at ε = max(new ε_final, prev.FinalEps).
 //
@@ -27,7 +28,7 @@ import "math"
 // prev and c, an unmatchable candidate graph, or a tripped round cap);
 // callers should fall back to a cold solve.
 func SolveAuctionWarm(c *Candidates, prevMapping []int, prev AuctionState, dirty []int, workers int) ([]int, AuctionState, SparseStats, bool) {
-	stats := SparseStats{CandidatesPerRow: c.K, WarmStart: true}
+	stats := SparseStats{CandidatesPerRow: c.K}
 	if c.Rows == 0 {
 		return nil, AuctionState{}, stats, true
 	}

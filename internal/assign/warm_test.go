@@ -28,8 +28,8 @@ func TestWarmAuctionEmptyDirtyByteIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: warm solve failed", trial)
 		}
-		if !wstats.WarmStart || wstats.RebidRows != 0 {
-			t.Fatalf("trial %d: stats = %+v, want WarmStart with 0 rebid rows", trial, wstats)
+		if wstats.RebidRows != 0 {
+			t.Fatalf("trial %d: stats = %+v, want 0 rebid rows", trial, wstats)
 		}
 		if wstats.Rounds != 0 {
 			t.Fatalf("trial %d: empty dirty set ran %d rounds, want 0", trial, wstats.Rounds)
@@ -155,5 +155,10 @@ func TestWarmAuctionRejectsShapeMismatch(t *testing.T) {
 	short := AuctionState{Price: state.Price[:1], FinalEps: state.FinalEps, Spread: state.Spread}
 	if _, _, _, ok := SolveAuctionWarm(c, mapping, short, nil, 1); ok {
 		t.Error("short price vector accepted")
+	}
+	// A dense-JV fallback leaves the empty state; the incremental session
+	// relies on this rejection to solve cold after one.
+	if _, _, _, ok := SolveAuctionWarm(c, SolveJV(sim), AuctionState{}, nil, 1); ok {
+		t.Error("empty state accepted")
 	}
 }

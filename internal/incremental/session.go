@@ -38,7 +38,7 @@ type Options struct {
 	// one apply before the warm start is abandoned for a cold solve (a warm
 	// start that re-bids most rows does strictly more work than a cold
 	// ε-scaled solve and loses its price-seeding advantage). <= 0 means the
-	// default 0.5; >= 1 disables the gate.
+	// default 0.5; >= 1 disables the gate; NaN is rejected.
 	DriftThreshold float64
 	// ColTolerance controls which embedding rows count as changed after a
 	// refresh. 0 compares bitwise — exact, but global-basis methods (REGAL's
@@ -47,8 +47,8 @@ type Options struct {
 	// only when max|new-old| / (max|old| + 1e-12) exceeds it; rows within
 	// tolerance keep their previous embedding (and hence candidate lists)
 	// until accumulated movement since their last refresh crosses the
-	// threshold, bounding the staleness. < 0 forces every row dirty on every
-	// apply (a debugging knob: full rebuild through the incremental path).
+	// threshold, bounding the staleness. A negative or NaN tolerance is
+	// rejected.
 	ColTolerance float64
 	// DirtyHops, when positive, restricts each apply's target-side refresh
 	// to nodes within that many hops (pre- or post-edit adjacency) of an
@@ -75,8 +75,9 @@ type ApplyStats struct {
 	// columns (target side) that moved beyond ColTolerance in the refresh.
 	ChangedRows int
 	ChangedCols int
-	// DirtyRows is the number of candidate rows whose top-k lists actually
-	// changed — the warm auction's re-bid set.
+	// DirtyRows is the number of rows whose solver-facing candidate list
+	// (top-k head plus repair entry) differs bitwise from the previous
+	// solve's — the warm auction's re-bid set.
 	DirtyRows int
 	// RescanRows is the number of candidate rows the top-k update rebuilt
 	// with a full scan over every target column.
@@ -121,21 +122,25 @@ type Session struct {
 	scorer assign.Scorer
 	// reserve holds each row's candidate list at the update's depth (see
 	// depth). Its first-TopK head, bitwise assign.TopK(scorer, TopK), is
-	// what Augment, the solver and the drift gate see; the head and its
-	// augmented solver set are rebuilt on every apply, not kept.
+	// what Augment repairs into solve.
 	reserve *assign.Candidates
+	// solve is the solver-facing set of the last solve: the head made
+	// row-saturating by assign.Augment, so the auction never has to refuse
+	// the instance (low-rank similarities routinely violate Hall's condition
+	// and would otherwise force the dense-JV fallback, which leaves no
+	// auction state to warm-start from). The next apply's dirty rows are
+	// DiffRows against it.
+	solve *assign.Candidates
 	// augCol records each row's repair column; augSeed is the base-graph
-	// matching the repair grew from, fed back as the next apply's seed so the
-	// unmatched set stays stable across small edits.
+	// matching the repair grew from. Both feed the next Augment, so the
+	// repair entries stay stable across small edits.
 	augCol  []int
 	augSeed []int
 	mapping []int
+	// state is the last auction's price vector, empty after a dense-JV
+	// fallback, which SolveAuctionWarm then rejects.
 	state   assign.AuctionState
-	// warmable is false when the last solve left no usable auction state
-	// (dense-JV fallback); the next Apply then cold-solves regardless of
-	// drift.
-	warmable bool
-	applies  int
+	applies int
 }
 
 // ErrNotIncremental reports an aligner without a scorer — the incremental
@@ -148,6 +153,12 @@ var ErrNotIncremental = errors.New("incremental: aligner exposes no scorer")
 func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts Options) (*Session, error) {
 	if opts.TopK <= 0 {
 		return nil, fmt.Errorf("incremental: TopK must be positive, got %d", opts.TopK)
+	}
+	if !(opts.ColTolerance >= 0) {
+		return nil, fmt.Errorf("incremental: ColTolerance must be a non-negative number, got %v", opts.ColTolerance)
+	}
+	if math.IsNaN(opts.DriftThreshold) {
+		return nil, errors.New("incremental: DriftThreshold is NaN")
 	}
 	if opts.DriftThreshold <= 0 {
 		opts.DriftThreshold = 0.5
@@ -168,8 +179,8 @@ func NewSession(ctx context.Context, a algo.Aligner, src, dst *graph.Graph, opts
 	}
 	s.scorer = s.own(sc)
 	s.reserve = assign.TopK(s.scorer, s.depth(), opts.Workers)
-	solve, _ := s.augment(s.reserve.Head(opts.TopK), nil, nil)
-	s.coldSolve(solve)
+	s.solve, s.augCol, s.augSeed = assign.Augment(s.reserve.Head(opts.TopK), s.scorer, nil, nil)
+	s.coldSolve()
 	reg.Counter("incr_sessions_total").Add(1)
 	return s, nil
 }
@@ -242,19 +253,16 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 	// staleness, so the merge-based candidate update (exact values, bounded
 	// membership staleness, K-wide lists) runs; exact mode keeps the
 	// bitwise-exact reserve update.
-	var next *assign.Candidates
-	var dirty []int
 	if s.opts.ColTolerance > 0 {
-		next, dirty, st.RescanRows = assign.MergeTopK(s.reserve, s.scorer, changedRows, changedCols, s.opts.Workers)
+		s.reserve, st.RescanRows = assign.MergeTopK(s.reserve, s.scorer, changedRows, changedCols, s.opts.Workers)
 	} else {
-		next, dirty, st.RescanRows = assign.UpdateTopK(s.reserve, s.scorer, changedRows, changedCols, s.opts.TopK, s.opts.Workers)
+		s.reserve, st.RescanRows = assign.UpdateTopK(s.reserve, s.scorer, changedRows, changedCols, s.opts.TopK, s.opts.Workers)
 	}
-	s.reserve = next
-	// Re-derive the solver-facing augmented set from the updated head; rows
-	// whose augmented entry moved join the dirty set (their solver-visible
-	// bytes changed even when their base list did not).
-	solve, augDirty := s.augment(next.Head(s.opts.TopK), changedRows, changedCols)
-	dirty = unionAsc(dirty, augDirty)
+	// The warm solve re-bids exactly the rows whose solver-facing list,
+	// repair entry included, differs from the last solve's.
+	prev := s.solve
+	s.solve, s.augCol, s.augSeed = assign.Augment(s.reserve.Head(s.opts.TopK), s.scorer, s.augSeed, s.augCol)
+	dirty := assign.DiffRows(prev, s.solve)
 	st.CandidateTime = time.Since(t1)
 	sp.Set("dirty_rows", len(dirty))
 	sp.Set("rescan_rows", st.RescanRows)
@@ -268,10 +276,9 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 
 	sp = run.Phase("solve")
 	t2 := time.Now()
-	tryWarm := s.warmable &&
-		float64(len(dirty)) <= s.opts.DriftThreshold*float64(solve.Rows)
+	tryWarm := float64(len(dirty)) <= s.opts.DriftThreshold*float64(s.solve.Rows)
 	if tryWarm {
-		mapping, state, stats, ok := assign.SolveAuctionWarm(solve, s.mapping, s.state, dirty, s.opts.Workers)
+		mapping, state, stats, ok := assign.SolveAuctionWarm(s.solve, s.mapping, s.state, dirty, s.opts.Workers)
 		if ok {
 			s.mapping, s.state = mapping, state
 			st.Warm, st.RebidRows, st.Rounds = true, stats.RebidRows, stats.Rounds
@@ -280,7 +287,7 @@ func (s *Session) Apply(ctx context.Context, edits []graph.Edit) (ApplyStats, er
 		}
 	}
 	if !tryWarm {
-		s.coldSolve(solve)
+		s.coldSolve()
 		s.reg.Counter("incr_cold_fallbacks_total").Add(1)
 	}
 	st.SolveTime = time.Since(t2)
@@ -400,86 +407,17 @@ func sameShape(a, b assign.Scorer) bool {
 	return an == bn && am == bm
 }
 
-// augment returns the solver-facing candidate set: the head lists made
-// row-saturating by assign.Augment so the auction never has to refuse the
-// instance (low-rank similarities routinely violate Hall's condition and
-// would otherwise force the dense-JV fallback on every apply, which leaves
-// no auction state to warm-start from). It also returns, ascending, the
-// rows whose augmented entry changed since the previous solve — they must
-// join the warm solve's dirty set. changedRows/changedCols are this apply's
-// refresh deltas: an augmented entry's value is a pure function of its
-// row's source vector and its column's target vector, so it can only move
-// when one of those did, or when the repair picked a different column.
-func (s *Session) augment(head *assign.Candidates, changedRows, changedCols []int) (*assign.Candidates, []int) {
-	prev := s.augCol
-	var solve *assign.Candidates
-	solve, s.augCol, s.augSeed = assign.Augment(head, s.scorer, s.augSeed, prev)
-	if prev == nil && s.augCol == nil {
-		return solve, nil
-	}
-	cr := make(map[int]bool, len(changedRows))
-	for _, i := range changedRows {
-		cr[i] = true
-	}
-	cc := make(map[int]bool, len(changedCols))
-	for _, j := range changedCols {
-		cc[j] = true
-	}
-	var out []int
-	for i := 0; i < head.Rows; i++ {
-		pc, nc := -1, -1
-		if prev != nil {
-			pc = prev[i]
-		}
-		if s.augCol != nil {
-			nc = s.augCol[i]
-		}
-		if pc != nc || (nc >= 0 && (cc[nc] || cr[i])) {
-			out = append(out, i)
-		}
-	}
-	return solve, out
-}
-
-// unionAsc merges two ascending index lists without duplicates.
-func unionAsc(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// coldSolve runs the ε-scaling auction from scratch over the (augmented)
-// candidates c, capturing its price vector for the next warm start; a
-// tripped round cap degrades to the dense JV fallback, which yields no
+// coldSolve runs the ε-scaling auction from scratch over s.solve, capturing
+// its price vector for the next warm start; a tripped round cap or an
+// unmatchable set degrades to the dense JV fallback, which yields no
 // reusable auction state.
-func (s *Session) coldSolve(c *assign.Candidates) {
-	mapping, state, _, ok := assign.SolveAuction(c, s.opts.Workers)
+func (s *Session) coldSolve() {
+	mapping, state, _, ok := assign.SolveAuction(s.solve, s.opts.Workers)
 	if ok {
-		s.mapping, s.state, s.warmable = mapping, state, true
+		s.mapping, s.state = mapping, state
 		return
 	}
-	s.mapping, s.state, s.warmable = assign.SolveJV(s.scorer.Similarity()), assign.AuctionState{}, false
+	s.mapping, s.state = assign.SolveJV(s.scorer.Similarity()), assign.AuctionState{}
 }
 
 // dirtyScope returns the Options.DirtyHops target-side node filter: true
@@ -573,9 +511,6 @@ func changedFactorRows(old, fresh [][]float64, tol float64) []int {
 // others did, and so has a row whose ratio is NaN (an entry leaving or
 // crossing ±Inf makes it Inf/Inf).
 func rowChanged(old, fresh []float64, tol float64) bool {
-	if tol < 0 {
-		return true
-	}
 	if tol == 0 {
 		for t := range old {
 			if math.Float64bits(old[t]) != math.Float64bits(fresh[t]) {

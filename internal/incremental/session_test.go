@@ -386,6 +386,80 @@ func TestSessionNaNEmbedding(t *testing.T) {
 	}
 }
 
+// edgeNaNAligner is nanAligner while the target holds edge {u, v} and
+// localAligner once it does not: the auction refuses the NaN candidates,
+// so the solve falls back to dense JV until the edge goes.
+type edgeNaNAligner struct {
+	localAligner
+	u, v int
+}
+
+func (a edgeNaNAligner) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
+	if dst.HasEdge(a.u, a.v) {
+		return nanAligner{}.ScorerCtx(ctx, src, dst)
+	}
+	return a.localAligner.ScorerCtx(ctx, src, dst)
+}
+
+func (a edgeNaNAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
+	sc, _ := a.ScorerCtx(ctx, src, dst)
+	return sc.Similarity(), nil
+}
+
+// After a solve that fell back to dense JV the session holds no auction
+// prices, so the next non-empty apply solves cold even when its candidates
+// are auction-solvable and the drift gate is off, and counts one cold
+// fallback; the apply after that is warm again.
+func TestSessionColdAfterJVFallback(t *testing.T) {
+	src, dst := testPair(t, 30, 16)
+	u := 0
+	for dst.Degree(u) == 0 {
+		u++
+	}
+	v := dst.Neighbors(u)[0]
+	ctx := context.Background()
+	reg := obsv.NewRegistry()
+	s, err := NewSession(ctx, edgeNaNAligner{u: u, v: v}, src, dst, Options{TopK: 6, DriftThreshold: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.state.Price) != 0 {
+		t.Fatal("cold solve kept auction prices; the NaN candidates no longer force the JV fallback")
+	}
+	st, err := s.Apply(ctx, []graph.Edit{{Op: graph.EditRemove, U: u, V: v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Warm || len(s.state.Price) == 0 {
+		t.Fatalf("apply after a JV fallback: warm %v, %d prices; want a cold auction", st.Warm, len(s.state.Price))
+	}
+	if got := reg.Counter("incr_cold_fallbacks_total").Value(); got != 1 {
+		t.Fatalf("incr_cold_fallbacks_total = %d, want 1", got)
+	}
+	if st, err = s.Apply(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Warm {
+		t.Fatal("apply after the cold auction did not warm-start")
+	}
+}
+
+// A negative or NaN ColTolerance and a NaN DriftThreshold are rejected: NaN
+// tolerance would report no row as changed, so the session would never
+// refresh.
+func TestSessionRejectsBadTolerance(t *testing.T) {
+	src, dst := testPair(t, 10, 10)
+	for _, opts := range []Options{
+		{TopK: 4, ColTolerance: math.NaN()},
+		{TopK: 4, ColTolerance: -1},
+		{TopK: 4, DriftThreshold: math.NaN()},
+	} {
+		if _, err := NewSession(context.Background(), localAligner{}, src, dst, opts); err == nil {
+			t.Errorf("NewSession accepted ColTolerance %v, DriftThreshold %v", opts.ColTolerance, opts.DriftThreshold)
+		}
+	}
+}
+
 // Dense-only aligners cannot run incrementally and must be rejected.
 func TestSessionRejectsDenseOnly(t *testing.T) {
 	src, dst := testPair(t, 10, 10)

@@ -304,12 +304,6 @@ func (t *Tracer) StartRun(algorithm string, fields map[string]any) *Span {
 	return t.startSpan("run", algorithm, 0, 0, fields)
 }
 
-// StartSpan opens a top-level phase span that emits a single phase event
-// when ended.
-func (t *Tracer) StartSpan(name string) *Span {
-	return t.startSpan("phase", name, 0, 0, nil)
-}
-
 func (t *Tracer) startSpan(kind, name string, parent, run uint64, fields map[string]any) *Span {
 	if t == nil {
 		return nil

@@ -174,11 +174,17 @@ func TestRunAndTraceIDsOnEvents(t *testing.T) {
 func TestSpanEndIdempotent(t *testing.T) {
 	sink := &collectSink{}
 	tr := New(sink)
-	sp := tr.StartSpan("phase1")
+	run := tr.StartRun("NSD", nil)
+	sp := run.Phase("phase1")
 	sp.End()
 	sp.End()
+	run.End()
+	run.End()
 	if got := len(sink.byType("phase")); got != 1 {
 		t.Fatalf("double End emitted %d phase events, want 1", got)
+	}
+	if got := len(sink.byType("run_end")); got != 1 {
+		t.Fatalf("double End emitted %d run_end events, want 1", got)
 	}
 }
 

@@ -271,8 +271,8 @@ func TestResolveEditLabels(t *testing.T) {
 }
 
 // TestHTTPSessionTableBounds: the session table is bounded; a full table
-// rejects with 429 until a slot frees up, and a dense-only algorithm is a
-// client error.
+// rejects with 429 until a slot frees up, and a dense-only algorithm or a
+// negative col_tolerance is a client error.
 func TestHTTPSessionTableBounds(t *testing.T) {
 	s, ts := newAPI(t, Options{Workers: 1, Factory: sessionFactory(), MaxSessions: 1}, HTTPOptions{}, nil)
 	mk := func() (*http.Response, []byte) {
@@ -307,6 +307,12 @@ func TestHTTPSessionTableBounds(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Algo: "boom", Src: edgeListText(8), Dst: edgeListText(8)})
 	if body = readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("dense-only create status %d (%s), want 400", resp.StatusCode, body)
+	}
+	// So is a negative col_tolerance, and the rejected creates left the one
+	// slot free (a full table would answer 429).
+	resp = postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Algo: "emb", ColTolerance: -1, Src: edgeListText(8), Dst: edgeListText(8)})
+	if body = readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("col_tolerance -1 create status %d (%s), want 400", resp.StatusCode, body)
 	}
 }
 

@@ -18,7 +18,9 @@ if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
 fi
 gover="$(go env GOVERSION)"
 
-go test ./internal/assign -run NONE -bench . -benchmem -count=1 | tee "$tmp" >&2
+# -cpu 1 pins GOMAXPROCS to the committed baseline's: the pooled solvers
+# allocate per worker, so allocs/op depend on it.
+go test ./internal/assign -run NONE -bench . -benchmem -count=1 -cpu 1 | tee "$tmp" >&2
 
 awk -v commit="$commit" -v gover="$gover" '
 BEGIN { n = 0; maxprocs = 1 }
