@@ -123,7 +123,7 @@ func TestAlignShardPanicIsolated(t *testing.T) {
 }
 
 // slowAligner spins until its context is cancelled — the stand-in for a
-// shard that blows its wall-clock budget.
+// shard that outlives its run.
 type slowAligner struct{}
 
 func (slowAligner) Name() string { return "slow" }
@@ -137,15 +137,6 @@ func (slowAligner) Similarity(ctx context.Context, src, dst *graph.Graph) (*matr
 	}
 }
 func (slowAligner) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
-
-func TestAlignShardBudget(t *testing.T) {
-	g1, g2 := testGraphs(t, 40, 50)
-	_, _, err := Align(context.Background(), func() (algo.Aligner, error) { return slowAligner{}, nil },
-		g1, g2, assign.JonkerVolgenant, Options{K: 2, ShardBudget: 20 * time.Millisecond})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded through the shard budget, got %v", err)
-	}
-}
 
 func TestAlignCancellation(t *testing.T) {
 	g1, g2 := testGraphs(t, 40, 50)
