@@ -21,11 +21,11 @@
 // -partitions K (K >= 2) routes the run through the partition-align-stitch
 // sharding layer: the graphs are co-partitioned into K matched cluster
 // pairs, each pair is aligned independently across -workers goroutines with
-// a fresh aligner instance, and the shard mappings are stitched with an
-// auction-based boundary-refinement pass. Combine with -topk to keep the
-// per-shard assignment sparse. This is what makes n=100k alignments fit in
-// commodity memory (see DESIGN.md §15); 0 = off, byte-identical to the
-// monolithic path.
+// a fresh aligner instance, and the shard mappings are stitched, then
+// refined on the cross-shard boundary by greedy rounds (refine.Rounds).
+// Combine with -topk to keep the per-shard assignment sparse. This is what
+// makes n=100k alignments fit in commodity memory (see DESIGN.md §15); 0 =
+// off, byte-identical to the monolithic path.
 //
 // -edits stream.edits replays an evolving-graph workload (DESIGN.md §16):
 // the pair is cold-aligned once, then each blank-line-separated batch of

@@ -111,11 +111,11 @@ func RunConformance(t *testing.T, cases []Conformance) {
 
 // partitionedSelfMinAcc is the quality bar for partitioned self-alignment
 // at conformance sizes. The co-partition of identical graphs is identical
-// chunk pairs, and the full-boundary auction re-bid repairs the ties that
-// near-empty low-degree shards leave behind, so every built-in aligner
-// measures >= 0.97 here. 0.9 leaves margin for float variation across
-// platforms while still catching a broken co-partition, stitch, or
-// refinement pass outright.
+// chunk pairs, and the greedy boundary refinement (refine.Rounds) repairs
+// the ties that near-empty low-degree shards leave behind, so every
+// built-in aligner measures >= 0.96 here. 0.9 leaves margin for float
+// variation across platforms while still catching a broken co-partition,
+// stitch, or refinement pass outright.
 const partitionedSelfMinAcc = 0.9
 
 // CheckPartitionedSelfAlignment asserts the sharded path recovers an

@@ -109,10 +109,11 @@ type Options struct {
 	// Partitions, when >= 2, routes every run through the partition-align-
 	// stitch sharding layer: the instance's graphs are co-partitioned into
 	// that many matched cluster pairs, each pair is aligned independently
-	// (with a fresh aligner per shard) and the shard mappings are stitched
-	// with an auction-based boundary-refinement pass. 0 (the default) and 1
-	// are off and byte-identical to the monolithic path; sharding trades a
-	// bounded amount of accuracy for memory and scale (see DESIGN.md §15).
+	// (with a fresh aligner per shard) and the shard mappings are stitched,
+	// then refined on the cross-shard boundary by greedy rounds
+	// (refine.Rounds). 0 (the default) and 1 are off and byte-identical to
+	// the monolithic path; sharding trades a bounded amount of accuracy for
+	// memory and scale (see DESIGN.md §15).
 	// The knob behind alignbench's -partitions flag.
 	Partitions int
 

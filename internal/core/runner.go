@@ -72,10 +72,11 @@ type RunSpec struct {
 	// stitch layer (internal/partition): both graphs are co-partitioned
 	// into that many matched cluster pairs by structural-signature
 	// chunking, every shard pair is aligned independently on the parallel
-	// pool by its own aligner, and the shard mappings are stitched with an
-	// auction-based boundary-refinement pass. 0 and 1 are off and
-	// byte-identical to the monolithic path. Composes with AssignTopK (each
-	// shard's matching then runs the sparse pipeline). See DESIGN.md §15.
+	// pool by its own aligner, and the shard mappings are stitched, then
+	// refined on the cross-shard boundary by greedy rounds (refine.Rounds).
+	// 0 and 1 are off and byte-identical to the monolithic path. Composes
+	// with AssignTopK (each shard's matching then runs the sparse
+	// pipeline). See DESIGN.md §15.
 	Partitions int
 	// Cache, when non-nil, is handed to every aligner the run builds — the
 	// monolithic one and each shard's. Cached artifacts are keyed per graph

@@ -4,15 +4,15 @@
 // of Degree Matrix Comparison, Wang & Chin 2024, and the canonical-labeling
 // seeding of Dai et al. 2018), aligns every shard pair independently with
 // any inner algo.Aligner on the shared worker pool, and stitches the shard
-// mappings into one global mapping with an auction-based boundary-refinement
-// pass. It is what lets an n=100k alignment run on commodity memory: no
-// stage ever materializes an n×n structure, only per-shard ones.
+// mappings into one global mapping, then re-bids the cross-shard boundary
+// with refine.Rounds. It is what lets an n=100k alignment run on commodity
+// memory: no stage ever materializes an n×n structure, only per-shard ones.
 //
 // Everything in this package is deterministic: no RNG is consumed anywhere,
 // all parallel fan-outs write to disjoint pre-allocated slots, and the only
 // solvers invoked (assign.SolveJV on the K×K cluster-matching problem,
-// assign.SolveAuction on the boundary re-bid) are themselves deterministic
-// for any worker count. Partitioning the same inputs therefore yields the
+// SortGreedy on the boundary re-bid) are themselves deterministic for any
+// worker count. Partitioning the same inputs therefore yields the
 // same shards, the same stitched mapping and the same refinement trajectory
 // regardless of Workers. See DESIGN.md §15 for the full contract.
 package partition

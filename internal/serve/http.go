@@ -320,8 +320,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, opt
 		writeError(w, http.StatusBadRequest, "", "bad request body: %v", err)
 		return
 	}
-	if req.TopK < 0 || req.DirtyHops < 0 || req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "", "topk, dirty_hops and workers must be non-negative")
+	if req.TopK < 0 || req.DirtyHops < 0 || req.Workers < 0 || req.Drift < 0 {
+		writeError(w, http.StatusBadRequest, "", "topk, dirty_hops, workers and drift must be non-negative")
 		return
 	}
 	src, srcLabels, err := parseGraphLimited("src", req.Src, opts)
