@@ -221,37 +221,119 @@ func Run(ctx context.Context, a Aligner, src, dst *graph.Graph, plan Plan) (Resu
 }
 
 // DegreePrior computes the paper's degree-based prior similarity
-// (Section 6.1): sim(u, v) = 1 - |deg(u) - deg(v)| / max(deg(u), deg(v)).
-// Isolated pairs (both degree zero) get similarity 1.
+// (Section 6.1) as a dense ns x nd matrix; entries are degreePriorEntry.
 func DegreePrior(src, dst *graph.Graph) *matrix.Dense {
 	e := matrix.NewDense(src.N(), dst.N())
-	dsrc := src.Degrees()
 	ddst := dst.Degrees()
-	for i, du := range dsrc {
+	for i, du := range src.Degrees() {
 		row := e.Row(i)
 		for j, dv := range ddst {
-			maxD := du
-			if dv > maxD {
-				maxD = dv
-			}
-			if maxD == 0 {
-				row[j] = 1
-				continue
-			}
-			diff := du - dv
-			if diff < 0 {
-				diff = -diff
-			}
-			row[j] = 1 - float64(diff)/float64(maxD)
+			row[j] = degreePriorEntry(du, dv)
 		}
 	}
 	return e
 }
 
+// degreePriorEntry is the Section 6.1 prior of a node pair with degrees du
+// and dv: 1 - |du - dv| / max(du, dv). Isolated pairs (both degree zero)
+// get similarity 1.
+func degreePriorEntry(du, dv int) float64 {
+	maxD := du
+	if dv > maxD {
+		maxD = dv
+	}
+	if maxD == 0 {
+		return 1
+	}
+	diff := du - dv
+	if diff < 0 {
+		diff = -diff
+	}
+	return 1 - float64(diff)/float64(maxD)
+}
+
+// DegreeClassPrior is DegreePrior as a linear operator (linalg.Operator),
+// factored by degree class. A prior row depends only on its source node's
+// degree and a prior column only on its target node's, so the operator
+// keeps one row per distinct source degree (Ds x nd) and one column per
+// distinct target degree (Dd x ns): O((Ds+Dd)·n) memory where the dense
+// prior takes ns·nd.
+type DegreeClassPrior struct {
+	srcClass, dstClass []int         // node -> degree class on each side
+	rows               *matrix.Dense // Ds x nd: the prior row of each source class
+	cols               *matrix.Dense // Dd x ns: the prior column of each target class
+}
+
+// NewDegreeClassPrior builds the class operator of the (src, dst) prior.
+func NewDegreeClassPrior(src, dst *graph.Graph) *DegreeClassPrior {
+	dsrc, ddst := src.Degrees(), dst.Degrees()
+	srcClass, srcDegs := degreeClasses(dsrc)
+	dstClass, dstDegs := degreeClasses(ddst)
+	rows := matrix.NewDense(len(srcDegs), len(ddst))
+	for c, du := range srcDegs {
+		row := rows.Row(c)
+		for j, dv := range ddst {
+			row[j] = degreePriorEntry(du, dv)
+		}
+	}
+	cols := matrix.NewDense(len(dstDegs), len(dsrc))
+	for c, dv := range dstDegs {
+		col := cols.Row(c)
+		for i, du := range dsrc {
+			col[i] = degreePriorEntry(du, dv)
+		}
+	}
+	return &DegreeClassPrior{srcClass: srcClass, dstClass: dstClass, rows: rows, cols: cols}
+}
+
+// degreeClasses numbers the distinct values of deg in order of first
+// appearance: class[i] is node i's class and degs[c] the degree of class c.
+func degreeClasses(deg []int) (class, degs []int) {
+	class = make([]int, len(deg))
+	index := make(map[int]int)
+	for i, d := range deg {
+		c, ok := index[d]
+		if !ok {
+			c = len(degs)
+			index[d] = c
+			degs = append(degs, d)
+		}
+		class[i] = c
+	}
+	return class, degs
+}
+
+// Dims returns the prior's shape (ns, nd).
+func (p *DegreeClassPrior) Dims() (int, int) { return len(p.srcClass), len(p.dstClass) }
+
+// Mul returns prior·X (ns x p) for X (nd x p). Each source class's row is
+// multiplied once and copied to every member of the class. matrix.Mul
+// forms an output row from its input row alone, so every copy is bitwise
+// the row DegreePrior·X holds.
+func (p *DegreeClassPrior) Mul(x *matrix.Dense) *matrix.Dense {
+	return expandClasses(matrix.Mul(p.rows, x), p.srcClass)
+}
+
+// MulT returns priorᵀ·Y (nd x p) for Y (ns x p), once per target class
+// like Mul, bitwise DegreePrior(src, dst).T()·Y.
+func (p *DegreeClassPrior) MulT(y *matrix.Dense) *matrix.Dense {
+	return expandClasses(matrix.Mul(p.cols, y), p.dstClass)
+}
+
+// expandClasses returns the matrix whose row i is perClass's row class[i].
+func expandClasses(perClass *matrix.Dense, class []int) *matrix.Dense {
+	out := matrix.NewDense(len(class), perClass.Cols)
+	for i, c := range class {
+		copy(out.Row(i), perClass.Row(c))
+	}
+	return out
+}
+
 // DegreePriorCached is DegreePrior drawn through the artifact cache, keyed by
-// the (src, dst) pair fingerprint. The returned matrix is shared across the
-// algorithms of a cell: treat it as READ-ONLY (clone before mutating, as
-// IsoRank does before normalizing). A nil cache computes directly.
+// the (src, dst) pair fingerprint; IsoRank reads it (NSD decomposes a
+// DegreeClassPrior instead). The returned matrix is shared across the
+// runs of a cell: treat it as READ-ONLY (clone before mutating, as IsoRank
+// does before normalizing). A nil cache computes directly.
 func DegreePriorCached(c *cache.Cache, src, dst *graph.Graph) *matrix.Dense {
 	v, _ := c.GetOrCompute(context.Background(), cache.PairKey(src, dst)+"/degprior", func() (any, int64, error) {
 		m := DegreePrior(src, dst)

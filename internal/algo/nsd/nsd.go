@@ -120,12 +120,15 @@ func (n *NSD) computeFactors(ctx context.Context, src, dst *graph.Graph) (*assig
 		comps = 1
 	}
 
-	prior := algo.DegreePriorCached(n.cache, src, dst) // ns x nd, shared: read-only
-	// Top-s SVD of the prior gives the component vectors: prior ≈
+	// Top-s SVD of the degree prior gives the component vectors: prior ≈
 	// Σ s_i u_i v_iᵀ, so z_i = sqrt(s_i) u_i (source side) and w_i =
 	// sqrt(s_i) v_i (target side). The prior's spectrum decays fast, so the
-	// randomized truncated SVD recovers the leading triplets at O(n^2 s)
-	// cost (the full Jacobi SVD would dominate NSD's runtime).
+	// randomized truncated SVD recovers the leading triplets from a few
+	// products with s+6 columns (the full Jacobi SVD would dominate NSD's
+	// runtime). The prior stays in degree-class form: each product costs
+	// O((Ds+Dd)·n·s) for Ds, Dd distinct degrees, and no ns x nd matrix is
+	// ever built.
+	prior := algo.NewDegreeClassPrior(src, dst)
 	rng := rand.New(rand.NewSource(1))
 	u, sv, v, err := linalg.TruncatedSVDCtx(ctx, prior, comps, 3, rng)
 	if err != nil {

@@ -2,6 +2,7 @@ package nsd
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"graphalign/internal/algo"
@@ -62,5 +63,40 @@ func TestIterationCountStabilizes(t *testing.T) {
 	a30 := algotest.Accuracy(t, n30, p, assign.JonkerVolgenant)
 	if diff := a15 - a30; diff > 0.2 || diff < -0.2 {
 		t.Errorf("iteration count unstable: %v vs %v", a15, a30)
+	}
+}
+
+// TestScorerCtxAllocatesBelowDensePrior guards the degree-class prior: the
+// factored NSD scorer on an n=2000 pair must allocate less than one dense
+// ns x nd float64 matrix in total. Materializing the prior (and its
+// transpose) for the SVD would take more than twice that.
+func TestScorerCtxAllocatesBelowDensePrior(t *testing.T) {
+	p := algotest.Pair(t, 2000, 0.01, 1)
+	ns, nd := p.Source.N(), p.Target.N()
+	a := New()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := a.ScorerCtx(context.Background(), p.Source, p.Target); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(ns*nd*8)
+	t.Logf("ScorerCtx allocated %d bytes, limit %d", got, limit)
+	if got >= limit {
+		t.Errorf("ScorerCtx allocated %d bytes on a %dx%d pair, want < %d (one dense prior)", got, ns, nd, limit)
+	}
+}
+
+func BenchmarkScorerCtx(b *testing.B) {
+	p := algotest.Pair(b, 2000, 0.01, 1)
+	a := New()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.ScorerCtx(ctx, p.Source, p.Target); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

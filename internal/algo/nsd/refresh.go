@@ -13,18 +13,18 @@ import (
 // target, so across target-side edit batches the whole Us half of the bundle
 // is bitwise static, and a refresh only re-runs the w iterates — per
 // component, Iters sparse MulVecs through the target's re-normalized
-// adjacency, a vanishing fraction of the cold cost (which is dominated by
-// the dense ns×nd degree prior and its truncated SVD).
+// adjacency — skipping the source iterates, the degree-class prior and its
+// truncated SVD.
 //
 // The bounded staleness the algo.IncrementalScorer contract allows lives
 // in the starting vectors: z_c^(0)/w_c^(0) come from the SVD of the degree
 // prior captured at the last full compute and are frozen across refreshes,
 // so degree drift from edits reaches the iteration only through the
-// adjacency operator, not through a re-decomposed prior. Re-deriving the
-// prior would re-materialize the dense ns×nd matrix per batch and forfeit
-// the speedup; small edit batches perturb its leading singular triplets
-// marginally. A new source fingerprint or a changed node count on either
-// side recaptures everything.
+// adjacency operator, not through a re-decomposed prior. Re-deriving them
+// per batch would change every session's mapping; small edit batches
+// perturb the prior's leading singular triplets marginally. A new source
+// fingerprint or a changed node count on either side recaptures
+// everything.
 
 // refreshState is the captured factor bundle RefreshScorerCtx re-iterates
 // across edit batches. f is owned by the state and handed out as a
@@ -69,7 +69,7 @@ func (n *NSD) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, _ []b
 	return st.f, nil
 }
 
-// recapture runs the full pipeline (dense prior, truncated SVD, both
+// recapture runs the full pipeline (degree-class prior, truncated SVD, both
 // iterations) and replaces the instance state. It deliberately bypasses the
 // artifact-cache memoization: an evolving target mints a new pair key per
 // batch, and caching those bundles would only churn the budget.

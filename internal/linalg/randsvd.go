@@ -7,16 +7,30 @@ import (
 	"graphalign/internal/matrix"
 )
 
+// Operator is a linear map A (m x n) seen only through its products with
+// tall matrices, which is all the randomized SVD reads of it. A structured
+// A (a prior that depends only on node degrees, say) can form both products
+// without ever holding its m x n entries.
+type Operator interface {
+	// Dims returns A's shape (m, n).
+	Dims() (m, n int)
+	// Mul returns A·X (m x p) for X (n x p).
+	Mul(x *matrix.Dense) *matrix.Dense
+	// MulT returns Aᵀ·Y (n x p) for Y (m x p).
+	MulT(y *matrix.Dense) *matrix.Dense
+}
+
 // TruncatedSVDCtx computes an approximate rank-k SVD of a (m x n) with
 // randomized subspace iteration (Halko, Martinsson, Tropp): a random
 // test matrix is pushed through (A Aᵀ)^q A to capture the dominant
 // subspace, and the small projected problem is solved exactly with the
 // Jacobi SVD. For the strongly decaying spectra the alignment priors have,
-// q = 2 already gives near-exact leading triplets at O(mnk) cost instead of
-// the O(mn^2)-per-sweep full decomposition. Cancellation is checked once
-// per subspace iteration; it returns ctx.Err() when interrupted.
-func TruncatedSVDCtx(ctx context.Context, a *matrix.Dense, k, iters int, rng *rand.Rand) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
-	m, n := a.Rows, a.Cols
+// q = 2 already gives near-exact leading triplets at the cost of 2q+2
+// products of a with p = k+6 columns instead of the O(mn^2)-per-sweep full
+// decomposition. Cancellation is checked once per subspace iteration; it
+// returns ctx.Err() when interrupted.
+func TruncatedSVDCtx(ctx context.Context, a Operator, k, iters int, rng *rand.Rand) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
+	m, n := a.Dims()
 	if k > m {
 		k = m
 	}
@@ -39,23 +53,27 @@ func TruncatedSVDCtx(ctx context.Context, a *matrix.Dense, k, iters int, rng *ra
 	for i := range omega.Data {
 		omega.Data[i] = rng.NormFloat64()
 	}
-	y := matrix.Mul(a, omega) // m x p
+	y := a.Mul(omega) // m x p
 	orthonormalizeColumns(y)
 	if iters < 1 {
 		iters = 1
 	}
-	at := a.T()
 	for q := 0; q < iters; q++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		z := matrix.Mul(at, y) // n x p
+		z := a.MulT(y) // n x p
 		orthonormalizeColumns(z)
-		y = matrix.Mul(a, z) // m x p
+		y = a.Mul(z) // m x p
 		orthonormalizeColumns(y)
 	}
-	// Project: B = Yᵀ A (p x n); exact SVD of the small factor.
-	b := matrix.Mul(y.T(), a)
+	// Project: B = Yᵀ A = (Aᵀ Y)ᵀ (p x n); exact SVD of the small factor.
+	// Forming it as (Aᵀ Y)ᵀ sums each entry over the same ascending rows of
+	// A, skipping zero A entries where Yᵀ A skipped zero Y entries. Every
+	// term kept by one and skipped by the other is an exact ±0 product of
+	// finite values, and a sum started at +0 never reaches -0, so both
+	// forms agree bit for bit.
+	b := a.MulT(y).T()
 	ub, sb, vb, err := SVDAnyCtx(ctx, b)
 	if err != nil {
 		return nil, nil, nil, err
