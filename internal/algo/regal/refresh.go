@@ -147,32 +147,17 @@ func (r *REGAL) RefreshScorerCtx(ctx context.Context, src, dst *graph.Graph, sco
 			continue
 		}
 		copy(old, fresh)
-		drifted = append(drifted, u)
-	}
-	if len(drifted) == 0 {
-		st.dstKey = dstKey
-		return st.embedding(), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		drifted = append(drifted, st.n1+u)
 	}
 
-	// Reproject the drifted rows: C rows against the (unchanged) landmark
-	// signatures, then y = C·scaled through matrix.Mul — the product the
-	// full pipeline runs — and the usual row normalization: bitwise what
-	// the full pipeline would store for the same signature rows.
-	c := matrix.NewDense(len(drifted), len(st.landmarks))
-	for k, u := range drifted {
-		row := c.Row(k)
-		for j, l := range st.landmarks {
-			row[j] = regalSim(st.sig, st.n1+u, l, r.GammaStruc)
-		}
-	}
-	y := matrix.Mul(c, st.scaled)
-	for k, u := range drifted {
-		yRow := st.yDst.Row(u)
-		copy(yRow, y.Row(k))
-		matrix.Normalize(yRow)
+	// Reproject the drifted rows against the (unchanged) landmark
+	// signatures through the full pipeline's own projection: bitwise what it
+	// would store for the same signature rows. A cancelled projection leaves
+	// signatures ahead of their rows, so the state is dropped and the next
+	// call recaptures.
+	if err := st.project(ctx, drifted, r.GammaStruc); err != nil {
+		r.state = nil
+		return nil, err
 	}
 	st.dstKey = dstKey
 	return st.embedding(), nil

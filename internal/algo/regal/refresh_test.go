@@ -173,6 +173,43 @@ func TestRefreshScopeBoundsWork(t *testing.T) {
 	}
 }
 
+// A refresh cancelled after it has taken in drifted signatures must not
+// leave them ahead of their embedding rows: the next call recaptures the
+// full pipeline for the edited target instead of treating those rows as
+// current.
+func TestRefreshCancelledRecaptures(t *testing.T) {
+	src, dst := refreshPair(t, 60, 26)
+	r := New()
+	r.RefreshTol = 0
+	if _, err := refresh(context.Background(), r, src, dst, nil); err != nil {
+		t.Fatal(err)
+	}
+	batchEdits, err := noise.EditBatch(dst, 0.05, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst2, err := graph.ApplyEdits(dst, batchEdits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := refresh(cancelled, r, src, dst2, nil); err == nil {
+		t.Fatal("refresh under a cancelled context returned no error")
+	}
+	got, err := refresh(context.Background(), r, src, dst2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := batch(context.Background(), New(), src, dst2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Src, want.Src) || !reflect.DeepEqual(got.Dst, want.Dst) {
+		t.Fatal("refresh after a cancelled one did not recapture the full pipeline")
+	}
+}
+
 // A new source graph invalidates the captured state: the refresher must fall
 // back to the full pipeline for the new pair.
 func TestRefreshSourceChangeRecaptures(t *testing.T) {

@@ -152,6 +152,51 @@ func regalSim(sig *matrix.Dense, i, l int, gamma float64) float64 {
 	return math.Exp(-gamma * matrix.SqDist(sig.Row(i), sig.Row(l)))
 }
 
+// projectBlock is the most rows project holds in its landmark-kernel and
+// product scratch at once.
+const projectBlock = 64
+
+// project writes the embedding row of each joint node index in rows
+// (source nodes below n1, target nodes from n1 on) into its row of ySrc or
+// yDst: the node's landmark-kernel row C_i against the current signatures,
+// times the Nyström projection through matrix.MulTo, normalized. Rows go
+// through in blocks of at most projectBlock, so neither the (n1+n2)×p kernel
+// C nor the product C·scaled is ever materialized. MulTo computes each
+// output row on its own (the nonzero k in ascending order, from +0), so a
+// block's rows are bitwise those of the full product. Cancellation is
+// checked once per block.
+func (st *refreshState) project(ctx context.Context, rows []int, gamma float64) error {
+	p, rank := len(st.landmarks), st.scaled.Cols
+	b := min(len(rows), projectBlock)
+	c := matrix.NewDense(b, p)
+	y := matrix.NewDense(b, rank)
+	for lo := 0; lo < len(rows); lo += projectBlock {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		blk := rows[lo:min(lo+projectBlock, len(rows))]
+		cb := &matrix.Dense{Rows: len(blk), Cols: p, Data: c.Data[:len(blk)*p]}
+		for k, i := range blk {
+			row := cb.Row(k)
+			for j, l := range st.landmarks {
+				row[j] = regalSim(st.sig, i, l, gamma)
+			}
+		}
+		yb := matrix.MulTo(&matrix.Dense{Rows: len(blk), Cols: rank, Data: y.Data[:len(blk)*rank]}, cb, st.scaled)
+		for k, i := range blk {
+			var out []float64
+			if i < st.n1 {
+				out = st.ySrc.Row(i)
+			} else {
+				out = st.yDst.Row(i - st.n1)
+			}
+			copy(out, yb.Row(k))
+			matrix.Normalize(out)
+		}
+	}
+	return nil
+}
+
 // embedState runs the full xNetMF pipeline and returns every intermediate
 // the incremental refresher needs alongside the embeddings: the joint
 // signature matrix, the landmark set, and the Nyström projection. EmbedCtx
@@ -186,29 +231,20 @@ func (r *REGAL) embedState(ctx context.Context, src, dst *graph.Graph) (*refresh
 	rng := rand.New(rand.NewSource(r.Seed))
 	landmarks := rng.Perm(total)[:p]
 
-	// C: node-to-landmark similarity; W: landmark-to-landmark.
-	c := matrix.NewDense(total, p)
-	for i := 0; i < total; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := c.Row(i)
-		for j, l := range landmarks {
-			row[j] = regalSim(sig, i, l, r.GammaStruc)
-		}
-	}
+	// W: landmark-to-landmark similarity.
 	w := matrix.NewDense(p, p)
 	for a, la := range landmarks {
 		for b, lb := range landmarks {
 			w.Set(a, b, regalSim(sig, la, lb, r.GammaStruc))
 		}
 	}
-	// Nyström: S ~ C W† Cᵀ; embeddings Y = C U Σ^-1/2 from the SVD of W†.
+	// Nyström: S ~ C W† Cᵀ; embeddings Y = C U Σ^-1/2 from the SVD of W†,
+	// whose V is never used.
 	wPinv, err := linalg.PseudoInverseCtx(ctx, w, 1e-10)
 	if err != nil {
 		return nil, err
 	}
-	u, s, _, err := linalg.SVDAnyCtx(ctx, wPinv)
+	u, s, err := linalg.LeftSVDCtx(ctx, wPinv)
 	if err != nil {
 		return nil, err
 	}
@@ -220,21 +256,22 @@ func (r *REGAL) embedState(ctx context.Context, src, dst *graph.Graph) (*refresh
 			scaled.Set(i, j, u.At(i, j)*f)
 		}
 	}
-	y := matrix.Mul(c, scaled) // total x p
-	// Row-normalize embeddings as xNetMF does before matching.
-	for i := 0; i < total; i++ {
-		matrix.Normalize(y.Row(i))
-	}
-	ySrc := matrix.NewDense(n1, y.Cols)
-	yDst := matrix.NewDense(n2, y.Cols)
-	copy(ySrc.Data, y.Data[:n1*y.Cols])
-	copy(yDst.Data, y.Data[n1*y.Cols:])
-	return &refreshState{
+	st := &refreshState{
 		srcKey: cache.GraphKey(src), dstKey: cache.GraphKey(dst),
 		n1: n1, n2: n2, buckets: buckets,
 		sig: sig, landmarks: landmarks, scaled: scaled,
-		ySrc: ySrc, yDst: yDst,
-	}, nil
+		ySrc: matrix.NewDense(n1, len(s)), yDst: matrix.NewDense(n2, len(s)),
+	}
+	// Y = C·scaled, row-normalized as xNetMF does before matching; C is
+	// the node-to-landmark similarity.
+	rows := make([]int, total)
+	for i := range rows {
+		rows[i] = i
+	}
+	if err := st.project(ctx, rows, r.GammaStruc); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // Similarity implements algo.Aligner: sim(u, v) = exp(-||y_u - y_v||²).

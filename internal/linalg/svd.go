@@ -15,27 +15,47 @@ import (
 // first — SVDAnyCtx handles that). Cancellation is checked once per Jacobi
 // sweep; it returns ctx.Err() and nil factors when interrupted.
 func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
-	ut, s, vt, err := jacobiT(ctx, a.T())
+	ut, s, vt, err := jacobiT(ctx, a.T(), true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return transposed(ut), s, transposed(vt), nil
 }
 
+// LeftSVDCtx returns U and s of the thin SVD of a, any shape, bitwise those
+// of SVDAnyCtx. For m >= n the sweeps skip the V accumulation and its row
+// swaps: V's rotations never feed U, s or the convergence test. For m < n U
+// is the factor the sweeps accumulate, so nothing is saved there.
+// Cancellation is as for SVDCtx.
+func LeftSVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, err error) {
+	if a.Rows < a.Cols {
+		u, s, _, err = SVDAnyCtx(ctx, a)
+		return u, s, err
+	}
+	ut, s, _, err := jacobiT(ctx, a.T(), false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return transposed(ut), s, nil
+}
+
 // jacobiT is the one-sided Jacobi SVD of a = utᵀ, run on the transposed
 // factors so that the columns the sweeps pair up are contiguous rows. It
 // overwrites ut (n x m) with Uᵀ and returns it with the descending singular
-// values and Vᵀ (n x n). Every sum and rotation runs in the same index order
-// as the column form, so the factors are bitwise those of the textbook
-// column sweep.
-func jacobiT(ctx context.Context, ut *matrix.Dense) (*matrix.Dense, []float64, *matrix.Dense, error) {
+// values and, when withV is set, Vᵀ (n x n; nil otherwise). Every sum and
+// rotation runs in the same index order as the column form, so the factors
+// are bitwise those of the textbook column sweep.
+func jacobiT(ctx context.Context, ut *matrix.Dense, withV bool) (*matrix.Dense, []float64, *matrix.Dense, error) {
 	n := ut.Rows
-	vt := matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		vt.Set(i, i, 1)
+	var vt *matrix.Dense
+	if withV {
+		vt = matrix.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			vt.Set(i, i, 1)
+		}
 	}
 	// One-sided Jacobi: repeatedly orthogonalize pairs of columns of U
-	// (rows of ut), accumulating rotations in V (rows of vt).
+	// (rows of ut), accumulating rotations in V (rows of vt) if wanted.
 	const maxSweeps = 60
 	eps := 1e-14
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -44,7 +64,7 @@ func jacobiT(ctx context.Context, ut *matrix.Dense) (*matrix.Dense, []float64, *
 		}
 		off := 0.0
 		for p := 0; p < n-1; p++ {
-			up, vp := ut.Row(p), vt.Row(p)
+			up := ut.Row(p)
 			for q := p + 1; q < n; q++ {
 				// Re-slicing to len(up) lets the compiler drop the bounds
 				// checks on uq in the loops below.
@@ -69,11 +89,14 @@ func jacobiT(ctx context.Context, ut *matrix.Dense) (*matrix.Dense, []float64, *
 					up[i] = c*x - sn*y
 					uq[i] = sn*x + c*y
 				}
-				vq := vt.Row(q)[:len(vp)]
-				for i, x := range vp {
-					y := vq[i]
-					vp[i] = c*x - sn*y
-					vq[i] = sn*x + c*y
+				if vt != nil {
+					vp := vt.Row(p)
+					vq := vt.Row(q)[:len(vp)]
+					for i, x := range vp {
+						y := vq[i]
+						vp[i] = c*x - sn*y
+						vq[i] = sn*x + c*y
+					}
 				}
 			}
 		}
@@ -108,7 +131,9 @@ func jacobiT(ctx context.Context, ut *matrix.Dense) (*matrix.Dense, []float64, *
 		if best != j {
 			s[j], s[best] = s[best], s[j]
 			swapRows(ut, j, best)
-			swapRows(vt, j, best)
+			if vt != nil {
+				swapRows(vt, j, best)
+			}
 		}
 	}
 	return ut, s, vt, nil
@@ -144,7 +169,7 @@ func SVDAnyCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float
 	}
 	// The Jacobi sweeps on aᵀ = U' s V'ᵀ work on (aᵀ)ᵀ = a itself and
 	// return U'ᵀ and V'ᵀ; a = V' s U'ᵀ.
-	upT, s, vpT, err := jacobiT(ctx, a.Clone())
+	upT, s, vpT, err := jacobiT(ctx, a.Clone(), true)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -269,15 +269,58 @@ func TestSVDCancelled(t *testing.T) {
 	}
 }
 
+// TestLeftSVDMatchesReferenceBitwise pins the V-free sweeps: U and s of
+// LeftSVDCtx must be bitwise those of the reference on every shape — tall,
+// square (the REGAL-like landmark kernel) and wide — and leave the input
+// untouched.
+func TestLeftSVDMatchesReferenceBitwise(t *testing.T) {
+	ctx := context.Background()
+	for name, a := range svdOracleCases() {
+		orig := a.Clone()
+		u, s, err := LeftSVDCtx(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ru, rs, _, _ := svdAnyReference(ctx, a)
+		sameBits(t, name+" LeftSVD u", u, ru)
+		sameSliceBits(t, name+" LeftSVD s", s, rs)
+		sameBits(t, name+" input", a, orig)
+	}
+}
+
+// TestLeftSVDCancelled checks that a cancelled context stops the V-free
+// sweeps too, returning an error and no factors.
+func TestLeftSVDCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, a := range []*matrix.Dense{randomMat(5, 3, 1), rbfLandmarks(20, 3), randomMat(3, 5, 2)} {
+		u, s, err := LeftSVDCtx(ctx, a)
+		if err == nil || u != nil || s != nil {
+			t.Errorf("%dx%d: got err %v, u nil %v, s nil %v; want a context error and no factors", a.Rows, a.Cols, err, u == nil, s == nil)
+		}
+	}
+}
+
 // BenchmarkSVD times the Jacobi SVD on a REGAL-sized landmark matrix
-// (p = 101), the per-shard cost of REGAL's pseudo-inverse.
+// (p = 101). REGAL runs two per embedding: the full SVD inside the
+// pseudo-inverse of its landmark kernel W, and the V-free one of W†.
 func BenchmarkSVD(b *testing.B) {
 	w := rbfLandmarks(101, 1)
 	ctx := context.Background()
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, _, _, err := SVDAnyCtx(ctx, w); err != nil {
-			b.Fatal(err)
+	b.Run("UsV", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, _, err := SVDAnyCtx(ctx, w); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("Us", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, err := LeftSVDCtx(ctx, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
