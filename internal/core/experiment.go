@@ -176,14 +176,17 @@ func DefaultOptions(f Factory) Options {
 	}
 }
 
-// AllAlgorithms is the paper's Table 1 order.
-var AllAlgorithms = []string{"IsoRank", "GRAAL", "NSD", "LREA", "REGAL", "GWL", "S-GWL", "CONE", "GRASP"}
-
+// algorithms returns the selected aligners: Algorithms, or else all nine in
+// the paper's Table 1 order.
 func (o *Options) algorithms() []string {
 	if len(o.Algorithms) > 0 {
 		return o.Algorithms
 	}
-	return AllAlgorithms
+	names := make([]string, len(table1Rows))
+	for i, r := range table1Rows {
+		names[i] = r.Name
+	}
+	return names
 }
 
 // declareCells announces how many grid cells the running experiment will
@@ -452,4 +455,48 @@ func runAveraged(opts Options, cell, name string, pairs []noise.Pair, method ass
 	mean.Algorithm = name
 	mean.Assign = method
 	return mean, nil
+}
+
+// runAlgorithms applies the study's protocol to one grid cell: every
+// selected aligner runs on the cell's instances with the given assignment
+// method (runAveraged), and each result is reported through addResult with
+// labels plus "algorithm". Only an unknown algorithm name is an error.
+func runAlgorithms(opts Options, t *Table, cell string, labels map[string]string, pairs []noise.Pair, method assign.Method) error {
+	for _, name := range opts.algorithms() {
+		mean, err := runAveraged(opts, cell, name, pairs, method)
+		if err != nil {
+			return err
+		}
+		row := map[string]string{"algorithm": name}
+		for k, v := range labels {
+			row[k] = v
+		}
+		opts.addResult(t, fmt.Sprintf("%s %s %s", cell, name, method), row, mean)
+	}
+	return nil
+}
+
+// runVariant is runAlgorithms for one configured aligner variant that the
+// Factory does not build: build(i) makes the aligner for instance i, the
+// runs use JV and are journaled under the label "variant", and the result
+// is reported through addResult with labels as they are. cell must be
+// unique per variant within its experiment.
+func runVariant(t *Table, opts Options, cell string, build func(i int) algo.Aligner, labels map[string]string, pairs []noise.Pair) {
+	runs := runInstances(opts, cell, "variant", func(i int) (algo.Aligner, error) { return build(i), nil }, pairs, assign.JonkerVolgenant)
+	mean, _ := Average(runs)
+	opts.addResult(t, fmt.Sprintf("%s %s %s", cell, mean.Algorithm, assign.JonkerVolgenant), labels, mean)
+}
+
+// addResult reports one averaged result as a progress line led by what and,
+// when at least one of its runs succeeded, adds its row to t. A cell whose
+// runs all failed gets no row, as the paper reports nothing for runs past
+// its limits. It returns whether the row was added.
+func (o *Options) addResult(t *Table, what string, labels map[string]string, mean RunResult) bool {
+	if mean.Err != nil {
+		o.Tracer.Progress(fmt.Sprintf("%s failed: %v", what, mean.Err))
+		return false
+	}
+	t.addRun(labels, mean)
+	o.Tracer.Progress(fmt.Sprintf("%s acc=%.3f sim=%s", what, mean.Scores.Accuracy, mean.SimilarityTime.Round(time.Millisecond)))
+	return true
 }

@@ -10,7 +10,6 @@ import (
 	"graphalign/internal/algo/isorank"
 	"graphalign/internal/algo/lrea"
 	"graphalign/internal/algo/sgwl"
-	"graphalign/internal/assign"
 	"graphalign/internal/gen"
 	"graphalign/internal/noise"
 )
@@ -57,24 +56,6 @@ func ablationInstances(opts Options, rng *rand.Rand) ([]noise.Pair, error) {
 	return noisyInstances(base, noise.OneWay, 0.01, opts, noise.Options{}, "ablation-pl")
 }
 
-// runVariant runs a configured aligner variant over instances with JV and
-// records a row keyed by the variant label. build is invoked once per
-// instance so the runs can fan out across the worker pool without sharing
-// aligner state between goroutines. cell keys the runs in the checkpoint
-// journal and must be unique per variant within its experiment.
-func runVariant(t *Table, opts Options, cell string, build func() algo.Aligner, label map[string]string, pairs []noise.Pair) {
-	runs := runInstances(opts, cell, "variant", func(int) (algo.Aligner, error) { return build(), nil }, pairs, assign.JonkerVolgenant)
-	mean, ok := Average(runs)
-	if ok == 0 {
-		return
-	}
-	t.Add(label, map[string]float64{
-		"accuracy": mean.Scores.Accuracy,
-		"s3":       mean.Scores.S3,
-		"sim_time": mean.SimilarityTime.Seconds(),
-	})
-}
-
 func runAblationIsoRankPrior(opts Options) (*Table, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	pairs, err := ablationInstances(opts, rng)
@@ -85,26 +66,19 @@ func runAblationIsoRankPrior(opts Options) (*Table, error) {
 		[]string{"prior"}, []string{"accuracy", "s3", "sim_time"})
 	opts.declareCells(2)
 	// Degree-similarity prior (the study's Section 6.1 choice).
-	runVariant(t, opts, "isorank-prior/degree-similarity", func() algo.Aligner { return isorank.New() },
+	runVariant(t, opts, "isorank-prior/degree-similarity", func(int) algo.Aligner { return isorank.New() },
 		map[string]string{"prior": "degree-similarity"}, pairs)
 	opts.cellDone("ablation-isorank-prior/degree-similarity")
 	// Uniform prior (what earlier comparisons effectively used). The prior
 	// must match each instance's shape, so build it instance-by-instance.
-	runs := runInstances(opts, "isorank-prior/uniform", "variant", func(i int) (algo.Aligner, error) {
+	runVariant(t, opts, "isorank-prior/uniform", func(i int) algo.Aligner {
 		p := pairs[i]
 		ir := isorank.New()
 		uniform := algo.DegreePrior(p.Source, p.Target)
 		uniform.Fill(1)
 		ir.Prior = uniform
-		return ir, nil
-	}, pairs, assign.JonkerVolgenant)
-	if mean, ok := Average(runs); ok > 0 {
-		t.Add(map[string]string{"prior": "uniform"}, map[string]float64{
-			"accuracy": mean.Scores.Accuracy,
-			"s3":       mean.Scores.S3,
-			"sim_time": mean.SimilarityTime.Seconds(),
-		})
-	}
+		return ir
+	}, map[string]string{"prior": "uniform"}, pairs)
 	opts.cellDone("ablation-isorank-prior/uniform")
 	return t, nil
 }
@@ -121,7 +95,7 @@ func runAblationLREARank(opts Options) (*Table, error) {
 	opts.declareCells(len(sweep))
 	for _, iters := range sweep {
 		iters := iters
-		runVariant(t, opts, fmt.Sprintf("lrea-rank/%d", iters), func() algo.Aligner {
+		runVariant(t, opts, fmt.Sprintf("lrea-rank/%d", iters), func(int) algo.Aligner {
 			l := lrea.New()
 			l.Iters = iters
 			return l
@@ -146,11 +120,11 @@ func runAblationLREAvsEigenAlign(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		runVariant(t, opts, fmt.Sprintf("lrea-ea/LREA/%d", n), func() algo.Aligner { return lrea.New() }, map[string]string{
+		runVariant(t, opts, fmt.Sprintf("lrea-ea/LREA/%d", n), func(int) algo.Aligner { return lrea.New() }, map[string]string{
 			"n": fmt.Sprintf("%d", n), "algorithm": "LREA",
 		}, pairs)
 		opts.cellDone(fmt.Sprintf("ablation-lrea-ea/LREA/%d", n))
-		runVariant(t, opts, fmt.Sprintf("lrea-ea/EigenAlign/%d", n), func() algo.Aligner { return lrea.NewEigenAlign() }, map[string]string{
+		runVariant(t, opts, fmt.Sprintf("lrea-ea/EigenAlign/%d", n), func(int) algo.Aligner { return lrea.NewEigenAlign() }, map[string]string{
 			"n": fmt.Sprintf("%d", n), "algorithm": "EigenAlign",
 		}, pairs)
 		opts.cellDone(fmt.Sprintf("ablation-lrea-ea/EigenAlign/%d", n))
@@ -172,7 +146,7 @@ func runAblationGRASPParams(opts Options) (*Table, error) {
 	for _, k := range ks {
 		for _, q := range qs {
 			k, q := k, q
-			runVariant(t, opts, fmt.Sprintf("grasp/k=%d/q=%d", k, q), func() algo.Aligner {
+			runVariant(t, opts, fmt.Sprintf("grasp/k=%d/q=%d", k, q), func(int) algo.Aligner {
 				g := grasp.New()
 				g.K = k
 				g.Q = q
@@ -199,7 +173,7 @@ func runAblationSGWLBeta(opts Options) (*Table, error) {
 	run := func(name string, pairs []noise.Pair) {
 		for _, beta := range betas {
 			beta := beta
-			runVariant(t, opts, fmt.Sprintf("sgwl/%s/beta=%.3f", name, beta), func() algo.Aligner {
+			runVariant(t, opts, fmt.Sprintf("sgwl/%s/beta=%.3f", name, beta), func(int) algo.Aligner {
 				s := sgwl.New()
 				s.Beta = beta
 				return s
@@ -235,7 +209,7 @@ func runAblationCONEDim(opts Options) (*Table, error) {
 	opts.declareCells(len(dims))
 	for _, dim := range dims {
 		dim := dim
-		runVariant(t, opts, fmt.Sprintf("cone/dim=%d", dim), func() algo.Aligner {
+		runVariant(t, opts, fmt.Sprintf("cone/dim=%d", dim), func(int) algo.Aligner {
 			c := cone.New()
 			c.Dim = dim
 			return c

@@ -61,25 +61,12 @@ func runAblationAdaptive(opts Options) (*Table, error) {
 	opts.declareCells(len(regimes))
 	for _, rg := range regimes {
 		// The adaptive dispatcher first.
-		runVariant(t, opts, "adaptive/"+rg.name, func() algo.Aligner { return adaptive.New() }, map[string]string{
+		runVariant(t, opts, "adaptive/"+rg.name, func(int) algo.Aligner { return adaptive.New() }, map[string]string{
 			"regime": rg.name, "algorithm": "Adaptive",
 		}, rg.pairs)
 		// Then every fixed algorithm from the study's set.
-		for _, name := range opts.algorithms() {
-			mean, err := runAveraged(opts, "adaptive/"+rg.name, name, rg.pairs, assign.JonkerVolgenant)
-			if err != nil {
-				return nil, err
-			}
-			if mean.Err != nil {
-				continue
-			}
-			t.Add(map[string]string{
-				"regime": rg.name, "algorithm": name,
-			}, map[string]float64{
-				"accuracy": mean.Scores.Accuracy,
-				"sim_time": mean.SimilarityTime.Seconds(),
-			})
-			opts.Tracer.Progress(fmt.Sprintf("ablation-adaptive %s %s acc=%.3f", rg.name, name, mean.Scores.Accuracy))
+		if err := runAlgorithms(opts, t, "adaptive/"+rg.name, map[string]string{"regime": rg.name}, rg.pairs, assign.JonkerVolgenant); err != nil {
+			return nil, err
 		}
 		opts.cellDone("ablation-adaptive/" + rg.name)
 	}

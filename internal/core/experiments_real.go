@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"graphalign/internal/assign"
 	"graphalign/internal/data"
@@ -54,29 +53,11 @@ func runRealNoise(opts Options, datasets []string, noiseTypes []noise.Type, leve
 					return nil, err
 				}
 				cell := fmt.Sprintf("%s/%s/%.2f", dsName, nt, level)
-				for _, name := range opts.algorithms() {
-					mean, err := runAveraged(opts, cell, name, pairs, assign.JonkerVolgenant)
-					if err != nil {
-						return nil, err
-					}
-					if mean.Err != nil {
-						opts.Tracer.Progress(fmt.Sprintf("%s/%s/%v: %s failed: %v", dsName, nt, level, name, mean.Err))
-						continue
-					}
-					t.Add(map[string]string{
-						"dataset":   dsName,
-						"noise":     string(nt),
-						"level":     fmt.Sprintf("%.2f", level),
-						"algorithm": name,
-					}, map[string]float64{
-						"accuracy": mean.Scores.Accuracy,
-						"s3":       mean.Scores.S3,
-						"mnc":      mean.Scores.MNC,
-						"sim_time": mean.SimilarityTime.Seconds(),
-					})
-					opts.Tracer.Progress(fmt.Sprintf("%s %s level=%.2f %s acc=%.3f", dsName, nt, level, name, mean.Scores.Accuracy))
+				labels := map[string]string{"dataset": dsName, "noise": string(nt), "level": fmt.Sprintf("%.2f", level)}
+				if err := runAlgorithms(opts, t, cell, labels, pairs, assign.JonkerVolgenant); err != nil {
+					return nil, err
 				}
-				opts.cellDone(fmt.Sprintf("%s/%s/%.2f", dsName, nt, level))
+				opts.cellDone(cell)
 			}
 		}
 	}
@@ -126,25 +107,10 @@ func runFig9(opts Options) (*Table, error) {
 			return nil, err
 		}
 		cell := fmt.Sprintf("fig9/%.2f", level)
-		for _, name := range opts.algorithms() {
-			mean, err := runAveraged(opts, cell, name, pairs, assign.JonkerVolgenant)
-			if err != nil {
-				return nil, err
-			}
-			if mean.Err != nil {
-				continue
-			}
-			t.Add(map[string]string{
-				"level":     fmt.Sprintf("%.2f", level),
-				"algorithm": name,
-			}, map[string]float64{
-				"accuracy":    mean.Scores.Accuracy,
-				"sim_time":    mean.SimilarityTime.Seconds(),
-				"assign_time": mean.AssignTime.Seconds(),
-			})
-			opts.Tracer.Progress(fmt.Sprintf("fig9 level=%.2f %s acc=%.3f t=%s", level, name, mean.Scores.Accuracy, mean.SimilarityTime.Round(time.Millisecond)))
+		if err := runAlgorithms(opts, t, cell, map[string]string{"level": fmt.Sprintf("%.2f", level)}, pairs, assign.JonkerVolgenant); err != nil {
+			return nil, err
 		}
-		opts.cellDone(fmt.Sprintf("fig9/%.2f", level))
+		opts.cellDone(cell)
 	}
 	t.Sort()
 	return t, nil
@@ -168,27 +134,11 @@ func runFig10(opts Options) (*Table, error) {
 		}
 		for i, p := range pairs {
 			cell := fmt.Sprintf("fig10/%s/%.2f", dsName, fractions[i])
-			for _, name := range opts.algorithms() {
-				mean, err := runAveraged(opts, cell, name, []noise.Pair{p}, assign.JonkerVolgenant)
-				if err != nil {
-					return nil, err
-				}
-				if mean.Err != nil {
-					opts.Tracer.Progress(fmt.Sprintf("fig10 %s/%v: %s failed: %v", dsName, fractions[i], name, mean.Err))
-					continue
-				}
-				t.Add(map[string]string{
-					"dataset":   dsName,
-					"fraction":  fmt.Sprintf("%.2f", fractions[i]),
-					"algorithm": name,
-				}, map[string]float64{
-					"accuracy": mean.Scores.Accuracy,
-					"mnc":      mean.Scores.MNC,
-					"s3":       mean.Scores.S3,
-				})
-				opts.Tracer.Progress(fmt.Sprintf("fig10 %s f=%.2f %s acc=%.3f", dsName, fractions[i], name, mean.Scores.Accuracy))
+			labels := map[string]string{"dataset": dsName, "fraction": fmt.Sprintf("%.2f", fractions[i])}
+			if err := runAlgorithms(opts, t, cell, labels, []noise.Pair{p}, assign.JonkerVolgenant); err != nil {
+				return nil, err
 			}
-			opts.cellDone(fmt.Sprintf("fig10/%s/%.2f", dsName, fractions[i]))
+			opts.cellDone(cell)
 		}
 	}
 	t.Sort()

@@ -136,7 +136,8 @@ func runScalability(opts Options, byNodes, memory bool) (*Table, error) {
 		base := gen.ConfigurationModel(degseq, rng)
 		repOpts := opts
 		repOpts.Reps = reps
-		pairs, err := noisyInstances(base, noise.OneWay, 0.01, repOpts, noise.Options{}, fmt.Sprintf("scal/%s/%d", xLabel, x))
+		cell := fmt.Sprintf("scal/%s/%d", xLabel, x)
+		pairs, err := noisyInstances(base, noise.OneWay, 0.01, repOpts, noise.Options{}, cell)
 		if err != nil {
 			return nil, err
 		}
@@ -145,12 +146,12 @@ func runScalability(opts Options, byNodes, memory bool) (*Table, error) {
 				continue
 			}
 			start := time.Now()
-			mean, err := runAveraged(opts, fmt.Sprintf("scal/%s/%d", xLabel, x), name, pairs, assign.SortGreedy)
+			mean, err := runAveraged(opts, cell, name, pairs, assign.SortGreedy)
 			if err != nil {
 				return nil, err
 			}
-			if mean.Err != nil {
-				opts.Tracer.Progress(fmt.Sprintf("scalability %s=%d: %s failed: %v", xLabel, x, name, mean.Err))
+			labels := map[string]string{xLabel: fmt.Sprintf("%d", x), "algorithm": name}
+			if !opts.addResult(t, fmt.Sprintf("%s %s %s", cell, name, assign.SortGreedy), labels, mean) {
 				skipped[name] = true
 				continue
 			}
@@ -158,17 +159,8 @@ func runScalability(opts Options, byNodes, memory bool) (*Table, error) {
 				skipped[name] = true
 				opts.Tracer.Progress(fmt.Sprintf("scalability: %s exceeded budget at %s=%d; skipping larger points", name, xLabel, x))
 			}
-			val := mean.SimilarityTime.Seconds()
-			if memory {
-				val = float64(mean.AllocBytes)
-			}
-			t.Add(map[string]string{
-				xLabel:      fmt.Sprintf("%d", x),
-				"algorithm": name,
-			}, map[string]float64{valueCol: val})
-			opts.Tracer.Progress(fmt.Sprintf("scalability %s=%d %s %s=%.3g", xLabel, x, name, valueCol, val))
 		}
-		opts.cellDone(fmt.Sprintf("scal/%s/%d", xLabel, x))
+		opts.cellDone(cell)
 	}
 	t.Sort()
 	return t, nil
@@ -229,27 +221,13 @@ func fig15Point(opts Options, t *Table, rng *rand.Rand, sweep string, n, k int, 
 		k++
 	}
 	base := gen.NewmanWatts(n, k, p, rng)
-	pairs, err := noisyInstances(base, noise.OneWay, 0.01, opts, noise.Options{}, fmt.Sprintf("fig15/%s/%g/%d", sweep, p, k))
+	cell := fmt.Sprintf("fig15/%s/%g/%d", sweep, p, k)
+	pairs, err := noisyInstances(base, noise.OneWay, 0.01, opts, noise.Options{}, cell)
 	if err != nil {
 		return err
 	}
-	cell := fmt.Sprintf("fig15/%s/%g/%d", sweep, p, k)
-	for _, name := range opts.algorithms() {
-		mean, err := runAveraged(opts, cell, name, pairs, assign.JonkerVolgenant)
-		if err != nil {
-			return err
-		}
-		if mean.Err != nil {
-			opts.Tracer.Progress(fmt.Sprintf("fig15 %s p=%.1f k=%d: %s failed: %v", sweep, p, k, name, mean.Err))
-			continue
-		}
-		t.Add(map[string]string{
-			"sweep": sweep, "p": fmt.Sprintf("%.1f", p),
-			"k": fmt.Sprintf("%d", k), "algorithm": name,
-		}, map[string]float64{"accuracy": mean.Scores.Accuracy})
-		opts.Tracer.Progress(fmt.Sprintf("fig15 %s p=%.1f k=%d %s acc=%.3f", sweep, p, k, name, mean.Scores.Accuracy))
-	}
-	return nil
+	labels := map[string]string{"sweep": sweep, "p": fmt.Sprintf("%.1f", p), "k": fmt.Sprintf("%d", k)}
+	return runAlgorithms(opts, t, cell, labels, pairs, assign.JonkerVolgenant)
 }
 
 // runFig16 reproduces the size study: growing Newman–Watts graphs at
@@ -291,25 +269,16 @@ func runFig16(opts Options) (*Table, error) {
 	opts.declareCells(len(cells))
 	for _, c := range cells {
 		base := gen.NewmanWatts(c.n, c.k, 0.5, rng)
-		pairs, err := noisyInstances(base, noise.OneWay, 0.01, opts, noise.Options{}, fmt.Sprintf("fig16/%s/%d", c.regime, c.n))
+		cell := fmt.Sprintf("fig16/%s/%d", c.regime, c.n)
+		pairs, err := noisyInstances(base, noise.OneWay, 0.01, opts, noise.Options{}, cell)
 		if err != nil {
 			return nil, err
 		}
-		cell := fmt.Sprintf("fig16/%s/%d", c.regime, c.n)
-		for _, name := range opts.algorithms() {
-			mean, err := runAveraged(opts, cell, name, pairs, assign.JonkerVolgenant)
-			if err != nil {
-				return nil, err
-			}
-			if mean.Err != nil {
-				continue
-			}
-			t.Add(map[string]string{
-				"regime": c.regime, "n": fmt.Sprintf("%d", c.n), "algorithm": name,
-			}, map[string]float64{"accuracy": mean.Scores.Accuracy})
-			opts.Tracer.Progress(fmt.Sprintf("fig16 %s n=%d %s acc=%.3f", c.regime, c.n, name, mean.Scores.Accuracy))
+		labels := map[string]string{"regime": c.regime, "n": fmt.Sprintf("%d", c.n)}
+		if err := runAlgorithms(opts, t, cell, labels, pairs, assign.JonkerVolgenant); err != nil {
+			return nil, err
 		}
-		opts.cellDone(fmt.Sprintf("fig16/%s/%d", c.regime, c.n))
+		opts.cellDone(cell)
 	}
 	t.Sort()
 	return t, nil

@@ -67,28 +67,11 @@ func runModelFigure(opts Options, model gen.Model) (*Table, error) {
 				return nil, err
 			}
 			cell := fmt.Sprintf("%s/%s/%.2f", model, nt, level)
-			for _, name := range opts.algorithms() {
-				mean, err := runAveraged(opts, cell, name, pairs, assign.JonkerVolgenant)
-				if err != nil {
-					return nil, err
-				}
-				if mean.Err != nil {
-					opts.Tracer.Progress(fmt.Sprintf("fig %s: %s failed at %s/%v: %v", model, name, nt, level, mean.Err))
-					continue
-				}
-				t.Add(map[string]string{
-					"noise":     string(nt),
-					"level":     fmt.Sprintf("%.2f", level),
-					"algorithm": name,
-				}, map[string]float64{
-					"accuracy": mean.Scores.Accuracy,
-					"s3":       mean.Scores.S3,
-					"mnc":      mean.Scores.MNC,
-					"sim_time": mean.SimilarityTime.Seconds(),
-				})
-				opts.Tracer.Progress(fmt.Sprintf("%s %s level=%.2f %s acc=%.3f", model, nt, level, name, mean.Scores.Accuracy))
+			labels := map[string]string{"noise": string(nt), "level": fmt.Sprintf("%.2f", level)}
+			if err := runAlgorithms(opts, t, cell, labels, pairs, assign.JonkerVolgenant); err != nil {
+				return nil, err
 			}
-			opts.cellDone(fmt.Sprintf("%s/%s/%.2f", model, nt, level))
+			opts.cellDone(cell)
 		}
 	}
 	t.Sort()
@@ -123,28 +106,13 @@ func runFig1(opts Options) (*Table, error) {
 				return nil, err
 			}
 			cell := fmt.Sprintf("fig1/%s/%.2f", ds.name, level)
-			for _, name := range opts.algorithms() {
-				for _, method := range assign.Methods() {
-					mean, err := runAveraged(opts, cell, name, pairs, method)
-					if err != nil {
-						return nil, err
-					}
-					if mean.Err != nil {
-						continue
-					}
-					t.Add(map[string]string{
-						"dataset":   ds.name,
-						"algorithm": name,
-						"assign":    string(method),
-						"level":     fmt.Sprintf("%.2f", level),
-					}, map[string]float64{
-						"accuracy":    mean.Scores.Accuracy,
-						"assign_time": mean.AssignTime.Seconds(),
-					})
+			for _, method := range assign.Methods() {
+				labels := map[string]string{"dataset": ds.name, "assign": string(method), "level": fmt.Sprintf("%.2f", level)}
+				if err := runAlgorithms(opts, t, cell, labels, pairs, method); err != nil {
+					return nil, err
 				}
-				opts.Tracer.Progress(fmt.Sprintf("fig1 %s level=%.2f %s done", ds.name, level, name))
 			}
-			opts.cellDone(fmt.Sprintf("fig1/%s/%.2f", ds.name, level))
+			opts.cellDone(cell)
 		}
 	}
 	t.Sort()

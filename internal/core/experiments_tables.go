@@ -77,55 +77,43 @@ func runTable3(opts Options) (*Table, error) {
 		[]string{"algorithm"},
 		[]string{"ER", "BA", "WS", "NW", "PL", "mean"},
 	)
-	scores := make(map[string]map[string]float64) // algorithm -> model -> acc
+	// One accuracy row per (model, algorithm), pivoted below.
+	runs := NewTable("", []string{"model", "algorithm"}, []string{"accuracy"})
 	opts.declareCells(len(gen.Models()))
 	for _, model := range gen.Models() {
 		base, err := gen.GenerateScaled(model, n, rng)
 		if err != nil {
 			return nil, err
 		}
+		cell := "table3/" + string(model)
 		var pairs []noise.Pair
 		for _, nt := range noise.Types() {
-			ps, err := noisyInstances(base, nt, 0.02, opts, noise.Options{}, "table3/"+string(model))
+			ps, err := noisyInstances(base, nt, 0.02, opts, noise.Options{}, cell)
 			if err != nil {
 				return nil, err
 			}
 			pairs = append(pairs, ps...)
 		}
-		for _, name := range opts.algorithms() {
-			mean, err := runAveraged(opts, "table3/"+string(model), name, pairs, assign.JonkerVolgenant)
-			if err != nil {
-				return nil, err
-			}
-			if mean.Err != nil {
-				continue
-			}
-			if scores[name] == nil {
-				scores[name] = make(map[string]float64)
-			}
-			scores[name][string(model)] = mean.Scores.Accuracy
-			opts.Tracer.Progress(fmt.Sprintf("table3 %s %s acc=%.3f", model, name, mean.Scores.Accuracy))
+		if err := runAlgorithms(opts, runs, cell, map[string]string{"model": string(model)}, pairs, assign.JonkerVolgenant); err != nil {
+			return nil, err
 		}
-		opts.cellDone("table3/" + string(model))
+		opts.cellDone(cell)
 	}
+	// runs holds each algorithm's rows in model order, so the mean sums
+	// them in that order.
 	for _, name := range opts.algorithms() {
-		row := scores[name]
-		if row == nil {
-			continue
-		}
 		vals := map[string]float64{}
 		var sum float64
-		var cnt int
-		for _, model := range gen.Models() {
-			if v, ok := row[string(model)]; ok {
-				vals[string(model)] = v
-				sum += v
-				cnt++
+		for _, r := range runs.Rows {
+			if r.Labels["algorithm"] == name {
+				vals[r.Labels["model"]] = r.Values["accuracy"]
+				sum += r.Values["accuracy"]
 			}
 		}
-		if cnt > 0 {
-			vals["mean"] = sum / float64(cnt)
+		if len(vals) == 0 {
+			continue
 		}
+		vals["mean"] = sum / float64(len(vals))
 		t.Add(map[string]string{"algorithm": name}, vals)
 	}
 	return t, nil

@@ -35,6 +35,31 @@ func (t *Table) Add(labels map[string]string, values map[string]float64) {
 	t.Rows = append(t.Rows, Row{Labels: labels, Values: values})
 }
 
+// runColumns binds every value column an experiment table may carry to the
+// RunResult field it reports.
+var runColumns = map[string]func(RunResult) float64{
+	"accuracy":    func(r RunResult) float64 { return r.Scores.Accuracy },
+	"s3":          func(r RunResult) float64 { return r.Scores.S3 },
+	"mnc":         func(r RunResult) float64 { return r.Scores.MNC },
+	"sim_time":    func(r RunResult) float64 { return r.SimilarityTime.Seconds() },
+	"assign_time": func(r RunResult) float64 { return r.AssignTime.Seconds() },
+	"mem":         func(r RunResult) float64 { return float64(r.AllocBytes) },
+}
+
+// addRun appends a row reporting r in each of the table's value columns. It
+// panics on a value column that runColumns does not bind.
+func (t *Table) addRun(labels map[string]string, r RunResult) {
+	values := make(map[string]float64, len(t.ValueCols))
+	for _, c := range t.ValueCols {
+		field, ok := runColumns[c]
+		if !ok {
+			panic("core: table column " + c + " is not a RunResult field")
+		}
+		values[c] = field(r)
+	}
+	t.Add(labels, values)
+}
+
 // Sort orders rows lexicographically by the label columns (numeric-aware
 // for labels that parse as numbers).
 func (t *Table) Sort() {
