@@ -48,11 +48,22 @@ func Similarity(ctx context.Context, a Aligner, src, dst *graph.Graph) (*matrix.
 // ScoringAligner is optionally implemented by aligners whose similarity has
 // a form the sparse pipeline can read row by row without materializing the
 // dense |V_src| x |V_dst| matrix: an embedding distance kernel (REGAL, CONE,
-// GRASP) or an explicit low-rank factor product (NSD, LREA). The contract is
-// bitwise: the scorer's Similarity() must equal what Similarity returns
-// under the same ctx, and the returned scorer is private to the caller.
+// GRASP) or an explicit low-rank factor product (NSD, LREA). The returned
+// scorer is private to the caller. The aligner's dense Similarity is the
+// scorer's materialization (see Materialize), possibly memoized, so the two
+// agree bitwise under the same ctx.
 type ScoringAligner interface {
 	ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error)
+}
+
+// Materialize returns the dense matrix of a's scorer on (src, dst): the
+// Similarity of every ScoringAligner.
+func Materialize(ctx context.Context, a ScoringAligner, src, dst *graph.Graph) (*matrix.Dense, error) {
+	s, err := a.ScorerCtx(ctx, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return s.Similarity(), nil
 }
 
 // IncrementalScorer is an optional refinement of ScoringAligner for
@@ -85,7 +96,7 @@ type IncrementalScorer interface {
 // Instrumented is optionally implemented by aligners that can report the
 // inner phases of Similarity (eigendecompositions, optimal-transport
 // recursions, power-iteration convergence) through an observability span.
-// The experiment runner calls SetSpan with the enclosing run's span before
+// Run calls SetSpan with Plan.Span, the enclosing run's span, before
 // invoking Similarity; with tracing disabled the span is nil, which is a
 // valid value — obsv.Span methods no-op on nil, so implementations store
 // and use it unconditionally.

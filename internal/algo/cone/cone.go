@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"graphalign/internal/algo"
 	"graphalign/internal/algo/nsd"
 	"graphalign/internal/algo/regal"
 	"graphalign/internal/assign"
@@ -326,17 +327,13 @@ func alignmentDim(n int) int {
 // ctx reaches the embedding factorizations, the warm-start similarities,
 // and every pilot and full alternation round.
 func (c *CONE) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
-	rot, yd, err := c.alignedEmbeddingsCtx(ctx, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return regal.EmbeddingSimilarity(rot, yd), nil
+	return algo.Materialize(ctx, c, src, dst)
 }
 
 // ScorerCtx implements algo.ScoringAligner: the subspace-aligned
 // embeddings in factored form with the exp(-d²) kernel CONE shares with
 // REGAL, for the sparse assignment pipeline's k-NN candidate search.
-// Materializing the returned Embedding reproduces Similarity exactly.
+// Similarity materializes it.
 func (c *CONE) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	rot, yd, err := c.alignedEmbeddingsCtx(ctx, src, dst)
 	if err != nil {

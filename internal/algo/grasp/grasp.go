@@ -69,39 +69,30 @@ func (g *GRASP) Name() string { return "GRASP" }
 // DefaultAssignment implements algo.Aligner; GRASP uses JV.
 func (g *GRASP) DefaultAssignment() assign.Method { return assign.JonkerVolgenant }
 
-// Similarity implements algo.Aligner. Higher similarity = smaller distance
-// between aligned spectral feature rows. ctx is threaded through the
-// Lanczos/dense eigendecompositions and the base-alignment SVD, and checked
-// per heat-kernel time step and per feature-distance row.
+// Similarity implements algo.Aligner: the materialization of ScorerCtx's
+// feature rows, timed as the feature_distance phase. Higher similarity =
+// smaller distance between aligned spectral feature rows. ctx is threaded
+// through the Lanczos/dense eigendecompositions and the base-alignment SVD,
+// checked per heat-kernel time step, and once more after the feature
+// distances.
 func (g *GRASP) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
-	featSrc, featDst, err := g.featuresCtx(ctx, src, dst)
+	s, err := g.ScorerCtx(ctx, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	n1, n2 := src.N(), dst.N()
-	// Similarity = negative distance, shifted positive.
 	sp := g.span.Phase("feature_distance")
-	sim := matrix.NewDense(n1, n2)
-	for i := 0; i < n1; i++ {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return nil, err
-		}
-		row := sim.Row(i)
-		matrix.SqDistInto(row, featSrc.Row(i), featDst)
-		for j, d2 := range row {
-			row[j] = -d2
-		}
-	}
+	sim := s.Similarity()
 	sp.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return sim, nil
 }
 
 // ScorerCtx implements algo.ScoringAligner: the aligned spectral
 // feature rows in factored form with GRASP's negated-squared-distance
 // similarity, for the sparse assignment pipeline's k-NN candidate search.
-// Materializing the returned Embedding reproduces Similarity exactly
-// (same squared-distance accumulation order).
+// Similarity materializes it.
 func (g *GRASP) ScorerCtx(ctx context.Context, src, dst *graph.Graph) (assign.Scorer, error) {
 	featSrc, featDst, err := g.featuresCtx(ctx, src, dst)
 	if err != nil {

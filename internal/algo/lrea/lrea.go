@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 
+	"graphalign/internal/algo"
 	"graphalign/internal/assign"
 	"graphalign/internal/cache"
 	"graphalign/internal/graph"
@@ -81,16 +82,10 @@ type factored struct {
 	us, vs [][]float64
 }
 
-// Similarity implements algo.Aligner; ctx is checked once per factored
-// power iteration. Densification runs the same AddOuterScaled
-// calls in the same term order as FactorEmbedding.Similarity, so this and
-// the ScorerCtx path agree bitwise.
+// Similarity implements algo.Aligner: the materialization of ScorerCtx's
+// factors; ctx is checked once per factored power iteration.
 func (l *LREA) Similarity(ctx context.Context, src, dst *graph.Graph) (*matrix.Dense, error) {
-	x, err := l.computeFactors(ctx, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return x.Similarity(), nil
+	return algo.Materialize(ctx, l, src, dst)
 }
 
 // ScorerCtx implements algo.ScoringAligner: the final factored iterate X as

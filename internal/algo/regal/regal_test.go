@@ -53,7 +53,7 @@ func TestEmbedShapesAndNorms(t *testing.T) {
 func TestEmbeddingSimilarityRange(t *testing.T) {
 	a := matrix.DenseFromRows([][]float64{{1, 0}, {0, 1}})
 	b := matrix.DenseFromRows([][]float64{{1, 0}})
-	sim := EmbeddingSimilarity(a, b)
+	sim := (&assign.Embedding{Src: a, Dst: b, SimFromDist2: ExpKernel}).Similarity()
 	if sim.Rows != 2 || sim.Cols != 1 {
 		t.Fatal("similarity shape wrong")
 	}

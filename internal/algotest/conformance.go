@@ -3,6 +3,7 @@ package algotest
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"graphalign/internal/assign"
 	"graphalign/internal/cache"
 	"graphalign/internal/graph"
+	"graphalign/internal/matrix"
 	"graphalign/internal/metrics"
 	"graphalign/internal/noise"
 	"graphalign/internal/partition"
@@ -54,7 +56,8 @@ type Conformance struct {
 
 // RunConformance runs the four framework-level contracts every aligner
 // must satisfy — self-alignment, relabeling invariance, cache
-// byte-identity and cancellation — as subtests of t.
+// byte-identity and cancellation — as subtests of t, plus the scorer
+// contract for every algo.ScoringAligner.
 func RunConformance(t *testing.T, cases []Conformance) {
 	for _, c := range cases {
 		c := c
@@ -78,6 +81,12 @@ func RunConformance(t *testing.T, cases []Conformance) {
 			t.Parallel()
 			CheckCancellation(t, c.New(), c.N)
 		})
+		if _, ok := c.New().(algo.ScoringAligner); ok {
+			t.Run(c.Name+"/scorer_is_similarity", func(t *testing.T) {
+				t.Parallel()
+				CheckScorerIsSimilarity(t, c.New, c.N)
+			})
+		}
 		if c.SparseTopK > 0 {
 			t.Run(c.Name+"/sparse_self_alignment", func(t *testing.T) {
 				t.Parallel()
@@ -304,14 +313,46 @@ func CheckCacheByteIdentity(t *testing.T, mk func() algo.Aligner, n int) {
 		if err != nil {
 			t.Fatalf("%s (pass %d): %v", label, pass, err)
 		}
-		if got.Rows != uncached.Rows || got.Cols != uncached.Cols {
-			t.Fatalf("%s: shape %dx%d vs uncached %dx%d", label, got.Rows, got.Cols, uncached.Rows, uncached.Cols)
+		requireSameDense(t, label+" vs uncached", got, uncached)
+	}
+}
+
+// CheckScorerIsSimilarity asserts the factored-similarity contract of an
+// algo.ScoringAligner: the scorer's materialized matrix is bitwise the
+// aligner's Similarity, with no cache, through a cold cache and through a
+// warm one.
+func CheckScorerIsSimilarity(t *testing.T, mk func() algo.Aligner, n int) {
+	t.Helper()
+	p := Pair(t, n, 0.02, 99991)
+	ctx := context.Background()
+	c := cache.New(0)
+	for _, label := range []string{"uncached", "cold cache", "warm cache"} {
+		a := mk()
+		if label != "uncached" {
+			algo.ApplyCache(a, c)
 		}
-		for i := range uncached.Data {
-			if got.Data[i] != uncached.Data[i] {
-				t.Fatalf("%s: similarity differs from uncached at index %d: %v vs %v",
-					label, i, got.Data[i], uncached.Data[i])
-			}
+		sim, err := a.Similarity(ctx, p.Source, p.Target)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		s, err := a.(algo.ScoringAligner).ScorerCtx(ctx, p.Source, p.Target)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameDense(t, label+": scorer vs Similarity", s.Similarity(), sim)
+	}
+}
+
+// requireSameDense fails t unless got and want have the same shape and
+// bitwise the same entries.
+func requireSameDense(t *testing.T, what string, got, want *matrix.Dense) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: differs at index %d: %v vs %v", what, i, got.Data[i], want.Data[i])
 		}
 	}
 }
