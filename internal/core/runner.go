@@ -137,9 +137,6 @@ func RunInstance(ctx context.Context, newAligner func() (algo.Aligner, error), p
 		"n_src":  pair.Source.N(),
 		"n_dst":  pair.Target.N(),
 	})
-	if inst, ok := a.(algo.Instrumented); ok {
-		inst.SetSpan(run)
-	}
 	reg := tr.Registry()
 	reg.Counter("runs_total").Add(1)
 	defer func() {
@@ -159,12 +156,11 @@ func RunInstance(ctx context.Context, newAligner func() (algo.Aligner, error), p
 		run.Set("partitions", spec.Partitions)
 		var pstats partition.Stats
 		mapping, pstats, err = partition.Align(ctx, build, pair.Source, pair.Target, method, partition.Options{
-			K:        spec.Partitions,
-			Workers:  spec.Workers,
-			TopK:     spec.AssignTopK,
-			Tracer:   tr,
-			Span:     run,
-			Registry: reg,
+			K:       spec.Partitions,
+			Workers: spec.Workers,
+			TopK:    spec.AssignTopK,
+			Tracer:  tr,
+			Span:    run,
 		})
 		res.SimilarityTime, res.AssignTime = pstats.AlignTime, pstats.StitchTime
 	} else {

@@ -32,12 +32,11 @@ type Options struct {
 	// shard_start / shard_done events around a run span holding the shard's
 	// similarity and assign phases, so a daemon job's progress stream shows
 	// shards as they complete and a trace shows where each shard's time went.
+	// The tracer's registry receives the partition_* metrics.
 	Tracer *obsv.Tracer
 	// Span, when non-nil, is the enclosing run span; the partition, shard,
 	// stitch and refine stages become phases under it.
 	Span *obsv.Span
-	// Registry receives the partition_* metrics; nil disables them.
-	Registry *obsv.Registry
 }
 
 // Stats reports what a partitioned alignment did.
@@ -83,7 +82,7 @@ func Align(ctx context.Context, mk func() (algo.Aligner, error), src, dst *graph
 	if src.N() == 0 {
 		return []int{}, st, nil
 	}
-	reg := opts.Registry
+	reg := opts.Tracer.Registry()
 	reg.Counter("partition_runs_total").Add(1)
 
 	t0 := time.Now()
@@ -173,7 +172,7 @@ func alignShard(ctx context.Context, mk func() (algo.Aligner, error), src, dst *
 	}
 	run.End()
 	wall := time.Since(t0)
-	opts.Registry.Histogram("partition_shard_seconds", obsv.DurationBuckets()).Observe(wall.Seconds())
+	opts.Tracer.Registry().Histogram("partition_shard_seconds", obsv.DurationBuckets()).Observe(wall.Seconds())
 	fields := map[string]any{"shard": i, "seconds": wall.Seconds()}
 	if err != nil {
 		fields["err"] = err.Error()

@@ -168,9 +168,9 @@ func TestAlignObservability(t *testing.T) {
 	g1, g2 := testGraphs(t, 120, 140)
 	reg := obsv.NewRegistry()
 	sink := &captureSink{}
-	tr := obsv.New(sink).SetTraceID("test-root")
+	tr := obsv.New(sink).SetTraceID("test-root").SetRegistry(reg)
 	_, st, err := Align(context.Background(), nsdFactory, g1, g2, assign.JonkerVolgenant,
-		Options{K: 3, Workers: 1, Tracer: tr, Registry: reg})
+		Options{K: 3, Workers: 1, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
