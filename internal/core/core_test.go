@@ -171,6 +171,31 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestTableAddRun checks the column binding: each value column reads its
+// RunResult field, and a column with no binding panics.
+func TestTableAddRun(t *testing.T) {
+	r := RunResult{
+		Scores:         metrics.Scores{Accuracy: 0.5, S3: 0.25, MNC: 0.125},
+		SimilarityTime: 1500 * time.Millisecond,
+		AssignTime:     250 * time.Millisecond,
+		AllocBytes:     4096,
+	}
+	tab := NewTable("", []string{"x"}, []string{"accuracy", "s3", "mnc", "sim_time", "assign_time", "mem"})
+	tab.addRun(map[string]string{"x": "1"}, r)
+	want := map[string]float64{"accuracy": 0.5, "s3": 0.25, "mnc": 0.125, "sim_time": 1.5, "assign_time": 0.25, "mem": 4096}
+	for c, v := range want {
+		if got := tab.Rows[0].Values[c]; got != v {
+			t.Errorf("%s = %v, want %v", c, got, v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("addRun accepted a column with no RunResult field")
+		}
+	}()
+	NewTable("", []string{"x"}, []string{"ecc"}).addRun(nil, r)
+}
+
 func TestExperimentRegistry(t *testing.T) {
 	ids := IDs()
 	wantIDs := []string{
