@@ -21,7 +21,7 @@ import (
 // O(|scope|·deg^K + |drifted|·p·d).
 //
 // The Nyström basis itself — the landmark signatures, the kernel matrix W
-// and the projection derived from its SVD — is pinned at the last full
+// and the projection derived from its eigenpairs — is pinned at the last full
 // capture: target-side landmarks keep their captured signature (and hence
 // their captured embedding row) even when edits move their neighborhoods.
 // Re-deriving the basis whenever any of the ~10·log2(n) landmarks drifts

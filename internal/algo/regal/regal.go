@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"graphalign/internal/algo"
 	"graphalign/internal/assign"
@@ -79,7 +80,7 @@ func (r *REGAL) DefaultAssignment() assign.Method { return assign.NearestNeighbo
 // EmbedCtx computes xNetMF embeddings for both graphs jointly and returns
 // the two embedding matrices (rows are nodes). Cancellation is checked
 // between the signature, kernel, and factorization stages and threaded
-// into the SVDs.
+// into the eigensolve.
 func (r *REGAL) EmbedCtx(ctx context.Context, src, dst *graph.Graph) (ySrc, yDst *matrix.Dense, err error) {
 	st, err := r.embedState(ctx, src, dst)
 	if err != nil {
@@ -239,29 +240,39 @@ func (r *REGAL) embedState(ctx context.Context, src, dst *graph.Graph) (*refresh
 			w.Set(a, b, regalSim(sig, la, lb, r.GammaStruc))
 		}
 	}
-	// Nyström: S ~ C W† Cᵀ; embeddings Y = C U Σ^-1/2 from the SVD of W†,
-	// whose V is never used.
-	wPinv, err := linalg.PseudoInverseCtx(ctx, w, 1e-10)
+	// Nyström: S ~ C W† Cᵀ, so Y = C·Q_r·|Λ_r|^-1/2 from the eigenpairs of
+	// the symmetric kernel W = QΛQᵀ. W's singular values are the |λ|, so
+	// the pseudo-inverse cutoff keeps |λ| > 1e-10·max|λ|, and the columns
+	// run in ascending |λ|, the order of W†'s singular values. The width is
+	// W's numerical rank r ≤ p.
+	vals, q, err := linalg.SymEigenCtx(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	u, s, err := linalg.LeftSVDCtx(ctx, wPinv)
-	if err != nil {
-		return nil, err
+	lmax := 0.0
+	for _, v := range vals {
+		lmax = math.Max(lmax, math.Abs(v))
 	}
-	// Scale columns by sqrt of singular values.
-	scaled := matrix.NewDense(p, len(s))
-	for j, sv := range s {
-		f := math.Sqrt(math.Max(sv, 0))
+	var keep []int
+	for k, v := range vals {
+		if math.Abs(v) > 1e-10*lmax {
+			keep = append(keep, k)
+		}
+	}
+	sort.SliceStable(keep, func(a, b int) bool { return math.Abs(vals[keep[a]]) < math.Abs(vals[keep[b]]) })
+	rank := len(keep)
+	scaled := matrix.NewDense(p, rank)
+	for j, k := range keep {
+		f := 1 / math.Sqrt(math.Abs(vals[k]))
 		for i := 0; i < p; i++ {
-			scaled.Set(i, j, u.At(i, j)*f)
+			scaled.Set(i, j, q.At(i, k)*f)
 		}
 	}
 	st := &refreshState{
 		srcKey: cache.GraphKey(src), dstKey: cache.GraphKey(dst),
 		n1: n1, n2: n2, buckets: buckets,
 		sig: sig, landmarks: landmarks, scaled: scaled,
-		ySrc: matrix.NewDense(n1, len(s)), yDst: matrix.NewDense(n2, len(s)),
+		ySrc: matrix.NewDense(n1, rank), yDst: matrix.NewDense(n2, rank),
 	}
 	// Y = C·scaled, row-normalized as xNetMF does before matching; C is
 	// the node-to-landmark similarity.

@@ -10,44 +10,6 @@ import (
 	"graphalign/internal/matrix"
 )
 
-func TestInverseKnown(t *testing.T) {
-	a := matrix.DenseFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := PseudoInverseCtx(context.Background(), a, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matrix.DenseFromRows([][]float64{{0.6, -0.7}, {-0.2, 0.4}})
-	if d := maxDiff(inv, want); d > 1e-12 {
-		t.Fatalf("inverse wrong by %v", d)
-	}
-}
-
-func TestPropertyInverse(t *testing.T) {
-	f := func(seed int64) bool {
-		a := randomMat(6, 6, seed)
-		inv, err := PseudoInverseCtx(context.Background(), a, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prod := matrix.Mul(a, inv)
-		for i := 0; i < 6; i++ {
-			for j := 0; j < 6; j++ {
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if math.Abs(prod.At(i, j)-want) > 1e-8 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPolarOrthogonalIsOrthogonal(t *testing.T) {
 	f := func(seed int64) bool {
 		m := randomMat(5, 5, seed)

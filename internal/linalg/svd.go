@@ -15,47 +15,27 @@ import (
 // first — SVDAnyCtx handles that). Cancellation is checked once per Jacobi
 // sweep; it returns ctx.Err() and nil factors when interrupted.
 func SVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, v *matrix.Dense, err error) {
-	ut, s, vt, err := jacobiT(ctx, a.T(), true)
+	ut, s, vt, err := jacobiT(ctx, a.T())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return transposed(ut), s, transposed(vt), nil
 }
 
-// LeftSVDCtx returns U and s of the thin SVD of a, any shape, bitwise those
-// of SVDAnyCtx. For m >= n the sweeps skip the V accumulation and its row
-// swaps: V's rotations never feed U, s or the convergence test. For m < n U
-// is the factor the sweeps accumulate, so nothing is saved there.
-// Cancellation is as for SVDCtx.
-func LeftSVDCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float64, err error) {
-	if a.Rows < a.Cols {
-		u, s, _, err = SVDAnyCtx(ctx, a)
-		return u, s, err
-	}
-	ut, s, _, err := jacobiT(ctx, a.T(), false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return transposed(ut), s, nil
-}
-
 // jacobiT is the one-sided Jacobi SVD of a = utᵀ, run on the transposed
 // factors so that the columns the sweeps pair up are contiguous rows. It
 // overwrites ut (n x m) with Uᵀ and returns it with the descending singular
-// values and, when withV is set, Vᵀ (n x n; nil otherwise). Every sum and
-// rotation runs in the same index order as the column form, so the factors
-// are bitwise those of the textbook column sweep.
-func jacobiT(ctx context.Context, ut *matrix.Dense, withV bool) (*matrix.Dense, []float64, *matrix.Dense, error) {
+// values and Vᵀ (n x n). Every sum and rotation runs in the same index order
+// as the column form, so the factors are bitwise those of the textbook
+// column sweep.
+func jacobiT(ctx context.Context, ut *matrix.Dense) (*matrix.Dense, []float64, *matrix.Dense, error) {
 	n := ut.Rows
-	var vt *matrix.Dense
-	if withV {
-		vt = matrix.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			vt.Set(i, i, 1)
-		}
+	vt := matrix.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		vt.Set(i, i, 1)
 	}
 	// One-sided Jacobi: repeatedly orthogonalize pairs of columns of U
-	// (rows of ut), accumulating rotations in V (rows of vt) if wanted.
+	// (rows of ut), accumulating rotations in V (rows of vt).
 	const maxSweeps = 60
 	eps := 1e-14
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -89,14 +69,12 @@ func jacobiT(ctx context.Context, ut *matrix.Dense, withV bool) (*matrix.Dense, 
 					up[i] = c*x - sn*y
 					uq[i] = sn*x + c*y
 				}
-				if vt != nil {
-					vp := vt.Row(p)
-					vq := vt.Row(q)[:len(vp)]
-					for i, x := range vp {
-						y := vq[i]
-						vp[i] = c*x - sn*y
-						vq[i] = sn*x + c*y
-					}
+				vp := vt.Row(p)
+				vq := vt.Row(q)[:len(vp)]
+				for i, x := range vp {
+					y := vq[i]
+					vp[i] = c*x - sn*y
+					vq[i] = sn*x + c*y
 				}
 			}
 		}
@@ -131,9 +109,7 @@ func jacobiT(ctx context.Context, ut *matrix.Dense, withV bool) (*matrix.Dense, 
 		if best != j {
 			s[j], s[best] = s[best], s[j]
 			swapRows(ut, j, best)
-			if vt != nil {
-				swapRows(vt, j, best)
-			}
+			swapRows(vt, j, best)
 		}
 	}
 	return ut, s, vt, nil
@@ -169,41 +145,11 @@ func SVDAnyCtx(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s []float
 	}
 	// The Jacobi sweeps on aᵀ = U' s V'ᵀ work on (aᵀ)ᵀ = a itself and
 	// return U'ᵀ and V'ᵀ; a = V' s U'ᵀ.
-	upT, s, vpT, err := jacobiT(ctx, a.Clone(), true)
+	upT, s, vpT, err := jacobiT(ctx, a.Clone())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return transposed(vpT), s, transposed(upT), nil
-}
-
-// PseudoInverseCtx returns the Moore–Penrose pseudo-inverse of a, computed
-// from the SVD; singular values below rcond * s_max are treated as zero.
-// Cancellation is inherited from the underlying Jacobi SVD.
-func PseudoInverseCtx(ctx context.Context, a *matrix.Dense, rcond float64) (*matrix.Dense, error) {
-	u, s, v, err := SVDAnyCtx(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	r := len(s)
-	smax := 0.0
-	for _, sv := range s {
-		if sv > smax {
-			smax = sv
-		}
-	}
-	cutoff := rcond * smax
-	// pinv = V diag(1/s) Uᵀ
-	scaled := matrix.NewDense(v.Rows, r)
-	for j := 0; j < r; j++ {
-		inv := 0.0
-		if s[j] > cutoff && s[j] > 0 {
-			inv = 1 / s[j]
-		}
-		for i := 0; i < v.Rows; i++ {
-			scaled.Set(i, j, v.At(i, j)*inv)
-		}
-	}
-	return matrix.MulABT(scaled, u), nil // scaled * uᵀ
 }
 
 // TopKSVDSymCtx returns the top-k singular triplets of a symmetric matrix

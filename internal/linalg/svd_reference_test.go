@@ -118,34 +118,6 @@ func svdAnyReference(ctx context.Context, a *matrix.Dense) (u *matrix.Dense, s [
 	return ut, s, vt, nil
 }
 
-// pinvReference is PseudoInverseCtx over svdAnyReference.
-func pinvReference(ctx context.Context, a *matrix.Dense, rcond float64) (*matrix.Dense, error) {
-	u, s, v, err := svdAnyReference(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	r := len(s)
-	smax := 0.0
-	for _, sv := range s {
-		if sv > smax {
-			smax = sv
-		}
-	}
-	cutoff := rcond * smax
-	// pinv = V diag(1/s) Uᵀ
-	scaled := matrix.NewDense(v.Rows, r)
-	for j := 0; j < r; j++ {
-		inv := 0.0
-		if s[j] > cutoff && s[j] > 0 {
-			inv = 1 / s[j]
-		}
-		for i := 0; i < v.Rows; i++ {
-			scaled.Set(i, j, v.At(i, j)*inv)
-		}
-	}
-	return matrix.MulABT(scaled, u), nil // scaled * uᵀ
-}
-
 // svdOracleCases are the shapes and conditionings the bitwise tests cover.
 func svdOracleCases() map[string]*matrix.Dense {
 	cases := map[string]*matrix.Dense{
@@ -223,8 +195,8 @@ func sameSliceBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestSVDMatchesReferenceBitwise pins the column-contiguous Jacobi sweeps
-// to the At/Set reference: U, s and V of SVDCtx and SVDAnyCtx, and the
-// pseudo-inverse, must be bitwise identical on every shape.
+// to the At/Set reference: U, s and V of SVDCtx and SVDAnyCtx must be
+// bitwise identical on every shape.
 func TestSVDMatchesReferenceBitwise(t *testing.T) {
 	ctx := context.Background()
 	for name, a := range svdOracleCases() {
@@ -247,13 +219,6 @@ func TestSVDMatchesReferenceBitwise(t *testing.T) {
 		sameBits(t, name+" SVDAny u", u, ru)
 		sameSliceBits(t, name+" SVDAny s", s, rs)
 		sameBits(t, name+" SVDAny v", v, rv)
-
-		p, err := PseudoInverseCtx(ctx, a, 1e-10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, _ := pinvReference(ctx, a, 1e-10)
-		sameBits(t, name+" pinv", p, rp)
 		sameBits(t, name+" input", a, orig)
 	}
 }
@@ -269,58 +234,15 @@ func TestSVDCancelled(t *testing.T) {
 	}
 }
 
-// TestLeftSVDMatchesReferenceBitwise pins the V-free sweeps: U and s of
-// LeftSVDCtx must be bitwise those of the reference on every shape — tall,
-// square (the REGAL-like landmark kernel) and wide — and leave the input
-// untouched.
-func TestLeftSVDMatchesReferenceBitwise(t *testing.T) {
-	ctx := context.Background()
-	for name, a := range svdOracleCases() {
-		orig := a.Clone()
-		u, s, err := LeftSVDCtx(ctx, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ru, rs, _, _ := svdAnyReference(ctx, a)
-		sameBits(t, name+" LeftSVD u", u, ru)
-		sameSliceBits(t, name+" LeftSVD s", s, rs)
-		sameBits(t, name+" input", a, orig)
-	}
-}
-
-// TestLeftSVDCancelled checks that a cancelled context stops the V-free
-// sweeps too, returning an error and no factors.
-func TestLeftSVDCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, a := range []*matrix.Dense{randomMat(5, 3, 1), rbfLandmarks(20, 3), randomMat(3, 5, 2)} {
-		u, s, err := LeftSVDCtx(ctx, a)
-		if err == nil || u != nil || s != nil {
-			t.Errorf("%dx%d: got err %v, u nil %v, s nil %v; want a context error and no factors", a.Rows, a.Cols, err, u == nil, s == nil)
-		}
-	}
-}
-
 // BenchmarkSVD times the Jacobi SVD on a REGAL-sized landmark matrix
-// (p = 101). REGAL runs two per embedding: the full SVD inside the
-// pseudo-inverse of its landmark kernel W, and the V-free one of W†.
+// (p = 101).
 func BenchmarkSVD(b *testing.B) {
 	w := rbfLandmarks(101, 1)
 	ctx := context.Background()
-	b.Run("UsV", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, _, _, err := SVDAnyCtx(ctx, w); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, _, err := SVDAnyCtx(ctx, w); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("Us", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if _, _, err := LeftSVDCtx(ctx, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -99,40 +99,6 @@ func TestPropertySVDSingularValuesMatchGram(t *testing.T) {
 	}
 }
 
-func TestPseudoInverseProperties(t *testing.T) {
-	a := randomMat(6, 4, 3)
-	pinv, err := PseudoInverseCtx(context.Background(), a, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinv.Rows != 4 || pinv.Cols != 6 {
-		t.Fatalf("pinv shape %dx%d", pinv.Rows, pinv.Cols)
-	}
-	// A A+ A = A.
-	apa := matrix.Mul(matrix.Mul(a, pinv), a)
-	if d := maxDiff(apa, a); d > 1e-8 {
-		t.Fatalf("A A+ A != A (diff %v)", d)
-	}
-	// A+ A A+ = A+.
-	pap := matrix.Mul(matrix.Mul(pinv, a), pinv)
-	if d := maxDiff(pap, pinv); d > 1e-8 {
-		t.Fatalf("A+ A A+ != A+ (diff %v)", d)
-	}
-}
-
-func TestPseudoInverseRankDeficient(t *testing.T) {
-	// Rank-1 matrix.
-	a := matrix.Outer([]float64{1, 2, 3}, []float64{4, 5})
-	pinv, err := PseudoInverseCtx(context.Background(), a, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apa := matrix.Mul(matrix.Mul(a, pinv), a)
-	if d := maxDiff(apa, a); d > 1e-8 {
-		t.Fatalf("rank-deficient A A+ A != A (diff %v)", d)
-	}
-}
-
 func TestTopKSVDSymMatchesJacobi(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomSymmetric(8, seed)
