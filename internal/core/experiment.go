@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -246,6 +247,19 @@ func (o *Options) scaledN(paperN int) int {
 		n = paperN
 	}
 	return n
+}
+
+// scaledSizes returns the distinct scaledN of each paper size, in order. The
+// floor can clamp several paper sizes of a sweep to one node count, and a
+// sweep runs each count, and so each cell key, once.
+func (o *Options) scaledSizes(paperNs ...int) []int {
+	var out []int
+	for _, paperN := range paperNs {
+		if n := o.scaledN(paperN); !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // loadDataset loads a Table 2 stand-in at the experiment's effective scale,

@@ -112,7 +112,7 @@ func runAblationLREAvsEigenAlign(opts Options) (*Table, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	t := NewTable("LREA vs exact EigenAlign (isomorphic powerlaw instances)",
 		[]string{"n", "algorithm"}, []string{"accuracy", "sim_time"})
-	sizes := []int{opts.scaledN(400), opts.scaledN(800), opts.scaledN(1600)}
+	sizes := opts.scaledSizes(400, 800, 1600)
 	opts.declareCells(len(sizes) * 2)
 	for _, n := range sizes {
 		base := gen.PowerlawCluster(n, 4, 0.4, rng)

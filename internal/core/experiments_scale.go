@@ -240,10 +240,7 @@ func runFig16(opts Options) (*Table, error) {
 		[]string{"regime", "n", "algorithm"},
 		[]string{"accuracy"},
 	)
-	sizes := []int{}
-	for _, paperN := range []int{500, 1000, 2000, 4000} {
-		sizes = append(sizes, opts.scaledN(paperN))
-	}
+	sizes := opts.scaledSizes(500, 1000, 2000, 4000)
 	// Precompute the (regime, n) grid passing the degree guards so the cell
 	// total is known before any point runs.
 	type cell struct {

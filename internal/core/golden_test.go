@@ -15,6 +15,7 @@ import (
 	"graphalign/internal/algo/lrea"
 	"graphalign/internal/algo/nsd"
 	"graphalign/internal/cache"
+	"graphalign/internal/obsv"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fixtures from current output")
@@ -216,4 +217,54 @@ func TestGoldenAllExperiments(t *testing.T) {
 		}
 	}
 	t.Fatalf("experiment output has %d lines, %s has %d", len(g), path, len(w))
+}
+
+// TestClampedSweepsRunEachSizeOnce runs the two size sweeps whose paper
+// sizes scaledN clamps to its floor at Scale 0.05 (fig16's 500, 1000 and
+// 2000 nodes, the LREA-vs-EigenAlign ablation's 400, 800 and 1600): every
+// cell_done key must be distinct and their count the declared total, and
+// a run journaling to a fresh checkpoint must render the same masked CSV
+// as one without, which it cannot when a repeated cell key replays an
+// earlier cell's record.
+func TestClampedSweepsRunEachSizeOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment driver test")
+	}
+	for _, id := range []string{"fig16", "ablation-lrea-vs-eigenalign"} {
+		t.Run(id, func(t *testing.T) {
+			sink := &eventSink{}
+			opts := goldenOptions()
+			opts.Tracer = obsv.New(sink)
+			plain, err := RunExperiment(id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := sink.byType("cell_done")
+			seen := make(map[string]bool)
+			for _, e := range cells {
+				if seen[e.Name] {
+					t.Errorf("cell %s ran twice", e.Name)
+				}
+				seen[e.Name] = true
+			}
+			if last := cells[len(cells)-1].Fields; last["done"] != last["total"] {
+				t.Errorf("%v cells done, %v declared", last["done"], last["total"])
+			}
+
+			ckOpts := goldenOptions()
+			ck, err := OpenCheckpoint(filepath.Join(t.TempDir(), "run.ckpt"), ckOpts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck.Close()
+			ckOpts.Checkpoint = ck
+			journaled, err := RunExperiment(id, ckOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := maskedCSV(t, journaled), maskedCSV(t, plain); !bytes.Equal(got, want) {
+				t.Errorf("checkpointed run differs\n--- without checkpoint\n%s\n--- with checkpoint\n%s", want, got)
+			}
+		})
+	}
 }
