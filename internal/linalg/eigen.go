@@ -29,6 +29,21 @@ import (
 // Cancellation is checked once per eigenvalue in the QL phase; it returns
 // ctx.Err() when interrupted.
 func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *matrix.Dense, err error) {
+	var w eigenWork
+	return w.decompose(ctx, a)
+}
+
+// eigenWork holds SymEigenCtx's buffers so that a caller decomposing many
+// same-sized matrices (Polar) allocates them once.
+type eigenWork struct {
+	z, vecs    *matrix.Dense
+	d, e, vals []float64
+	idx        []int
+}
+
+// decompose is SymEigenCtx in w's buffers: vals and vecs are w's own,
+// valid until the next call.
+func (w *eigenWork) decompose(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *matrix.Dense, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("linalg: SymEigenCtx requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
@@ -36,22 +51,25 @@ func SymEigenCtx(ctx context.Context, a *matrix.Dense) (vals []float64, vecs *ma
 	if n == 0 {
 		return []float64{}, matrix.NewDense(0, 0), nil
 	}
-	z := a.Clone() // will be overwritten with eigenvectors
-	d := make([]float64, n)
-	e := make([]float64, n)
+	if w.z == nil || w.z.Rows != n {
+		w.z, w.vecs = matrix.NewDense(n, n), matrix.NewDense(n, n)
+		w.d, w.e, w.vals = make([]float64, n), make([]float64, n), make([]float64, n)
+		w.idx = make([]int, n)
+	}
+	z, d, e := w.z, w.d, w.e
+	copy(z.Data, a.Data) // will be overwritten with eigenvectors
 	tred2(z, d, e)
 	transposeInPlace(z) // row k is now column k of the transform
 	if err := tqli(ctx, d, e, z); err != nil {
 		return nil, nil, err
 	}
 	// Sort ascending by eigenvalue; row src of z becomes column k of vecs.
-	idx := make([]int, n)
+	idx := w.idx
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(i, j int) bool { return d[idx[i]] < d[idx[j]] })
-	vals = make([]float64, n)
-	vecs = matrix.NewDense(n, n)
+	vals, vecs = w.vals, w.vecs
 	for k, src := range idx {
 		vals[k] = d[src]
 		for i, v := range z.Row(src) {
@@ -125,10 +143,7 @@ func tred2(z *matrix.Dense, d, e []float64) {
 					for t, v := range zk {
 						s += v * zi[t]
 					}
-					zik := zi[k]
-					for j, v := range zk[:k] {
-						g[j] += v * zik
-					}
+					matrix.AxpyVec(g[:k], zk[:k], zi[k])
 					g[k] = s
 				}
 				f = 0.0
@@ -141,10 +156,7 @@ func tred2(z *matrix.Dense, d, e []float64) {
 				for j, f := range zi {
 					gj := e[j] - hh*f
 					e[j] = gj
-					zj := z.Row(j)[:j+1]
-					for k := range zj {
-						zj[k] -= f*e[k] + gj*zi[k]
-					}
+					matrix.SubMul2Vec(z.Row(j)[:j+1], f, e[:j+1], gj, zi[:j+1])
 				}
 			}
 		} else {
@@ -163,16 +175,10 @@ func tred2(z *matrix.Dense, d, e []float64) {
 			gs := g[:i]
 			clear(gs)
 			for k, zik := range zi[:i] {
-				for j, v := range z.Row(k)[:i] {
-					gs[j] += zik * v
-				}
+				matrix.AxpyVec(gs, z.Row(k)[:i], zik)
 			}
 			for k := 0; k < i; k++ {
-				zk := z.Row(k)[:i]
-				zki := z.Data[k*n+i]
-				for j, gj := range gs {
-					zk[j] -= gj * zki
-				}
+				matrix.SubScaledVec(z.Row(k)[:i], gs, z.Data[k*n+i])
 			}
 		}
 		d[i] = zi[i]
@@ -255,12 +261,7 @@ func tqli(ctx context.Context, d, e []float64, z *matrix.Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				zi := z.Row(i)
-				zi1 := z.Row(i + 1)[:len(zi)]
-				for k, f := range zi1 {
-					zi1[k] = s*zi[k] + c*f
-					zi[k] = c*zi[k] - s*f
-				}
+				matrix.RotateVec(z.Row(i), z.Row(i+1), c, s)
 			}
 			if r == 0 && m-1 >= l {
 				continue

@@ -103,7 +103,13 @@ func (m *Dense) AddScaled(other *Dense, s float64) *Dense {
 
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
-	t := NewDense(m.Cols, m.Rows)
+	return m.TTo(NewDense(m.Cols, m.Rows))
+}
+
+// TTo writes the transpose into t (m.Cols x m.Rows, overwritten; it must
+// not alias m) and returns t.
+func (m *Dense) TTo(t *Dense) *Dense {
+	t.mustShape(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
@@ -134,10 +140,10 @@ func MulTo(out, a, b *Dense) *Dense {
 }
 
 // mulKernel computes rows [lo, hi) of out = a*b. The nonzero k of a row are
-// gathered first and applied four at a time: each output element is loaded
-// once per four b rows and its four products are added in ascending k, so
-// the per-element summation order is that of the one-k-at-a-time loop
-// while the loads and stores of out drop fourfold.
+// gathered first and applied four at a time through addMul4: each output
+// element is loaded once per four b rows and its four products are added in
+// ascending k, so the per-element summation order is that of the
+// one-k-at-a-time loop while the loads and stores of out drop fourfold.
 func mulKernel(out, a, b *Dense, lo, hi int) {
 	n := b.Cols
 	ks := make([]int, 0, a.Cols)
@@ -154,27 +160,12 @@ func mulKernel(out, a, b *Dense, lo, hi int) {
 		p := 0
 		for ; p+4 <= len(ks); p += 4 {
 			k0, k1, k2, k3 := ks[p], ks[p+1], ks[p+2], ks[p+3]
-			a0, a1, a2, a3 := arow[k0], arow[k1], arow[k2], arow[k3]
-			b0 := b.Data[k0*n : (k0+1)*n : (k0+1)*n][:len(orow)]
-			b1 := b.Data[k1*n : (k1+1)*n : (k1+1)*n][:len(orow)]
-			b2 := b.Data[k2*n : (k2+1)*n : (k2+1)*n][:len(orow)]
-			b3 := b.Data[k3*n : (k3+1)*n : (k3+1)*n][:len(orow)]
-			for j := range orow {
-				o := orow[j]
-				o += a0 * b0[j]
-				o += a1 * b1[j]
-				o += a2 * b2[j]
-				o += a3 * b3[j]
-				orow[j] = o
-			}
+			addMul4(orow, b.Data[k0*n:(k0+1)*n], b.Data[k1*n:(k1+1)*n], b.Data[k2*n:(k2+1)*n], b.Data[k3*n:(k3+1)*n],
+				arow[k0], arow[k1], arow[k2], arow[k3])
 		}
 		for ; p < len(ks); p++ {
 			k := ks[p]
-			av := arow[k]
-			brow := b.Data[k*n : (k+1)*n : (k+1)*n][:len(orow)]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(orow, b.Data[k*n:(k+1)*n], arow[k])
 		}
 	}
 }
@@ -194,63 +185,35 @@ func MulABTTo(out, a, b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: mulABT shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out.mustShape(a.Rows, b.Rows)
-	rowBlocks(a.Rows*a.Cols*b.Rows, a.Rows, func(lo, hi int) { mulABTKernel(out, a, b, lo, hi) })
+	rowBlocks(a.Rows*a.Cols*b.Rows, a.Rows, func(lo, hi int) { tiled(out, a, b, lo, hi, abtTile, Dot) })
 	return out
 }
 
-// mulABTKernel computes rows [lo, hi) of out = a*bᵀ in 2x4 tiles: two rows
-// of a against four rows of b with eight independent accumulator chains,
-// which hides the FP add latency and loads each a and b value once per tile
-// instead of once per dot product. Every chain still runs k-ascending, so
-// each element is bitwise the plain dot product. An odd last row and the
-// columns past the last multiple of four fall back to single chains.
-func mulABTKernel(out, a, b *Dense, lo, hi int) {
-	d := a.Cols
-	m := b.Rows
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		x0 := a.Row(i)
-		x1 := a.Row(i + 1)[:len(x0)]
-		o0, o1 := out.Row(i), out.Row(i+1)
-		j := 0
-		for ; j+4 <= m; j += 4 {
-			base := j * d
-			y0 := b.Data[base : base+d : base+d][:len(x0)]
-			y1 := b.Data[base+d : base+2*d : base+2*d][:len(x0)]
-			y2 := b.Data[base+2*d : base+3*d : base+3*d][:len(x0)]
-			y3 := b.Data[base+3*d : base+4*d : base+4*d][:len(x0)]
-			var s00, s01, s02, s03, s10, s11, s12, s13 float64
-			for k, u := range x0 {
-				v := x1[k]
-				c0, c1, c2, c3 := y0[k], y1[k], y2[k], y3[k]
-				s00 += u * c0
-				s01 += u * c1
-				s02 += u * c2
-				s03 += u * c3
-				s10 += v * c0
-				s11 += v * c1
-				s12 += v * c2
-				s13 += v * c3
+// tiled computes rows [lo, hi) of an a.Rows x b.Rows output whose element
+// (i, j) is a reduction of row i of a against row j of b: tile writes four
+// rows by four columns at a time, one column per SIMD lane, and single
+// computes the columns past the last multiple of four. The last rows of a
+// block that do not fill a tile repeat one row through a zero stride.
+func tiled(out, a, b *Dense, lo, hi int, tile func(out []float64, ldo int, a []float64, lda int, b []float64, ldb, k int), single func(x, y []float64) float64) {
+	d, m := a.Cols, b.Rows
+	m4 := m &^ 3
+	for i := lo; i < hi; {
+		rows, lda, ldo := 4, d, m
+		if hi-i < 4 {
+			rows, lda, ldo = 1, 0, 0
+		}
+		x := a.Data[i*d : (i+rows)*d]
+		o := out.Data[i*m : (i+rows)*m]
+		for j := 0; j < m4; j += 4 {
+			tile(o[j:], ldo, x, lda, b.Data[j*d:(j+4)*d], d, d)
+		}
+		for r := 0; r < rows; r++ {
+			xr := x[r*d : (r+1)*d]
+			for j := m4; j < m; j++ {
+				o[r*m+j] = single(xr, b.Row(j))
 			}
-			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
-			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
 		}
-		for ; j < m; j++ {
-			y := b.Row(j)[:len(x0)]
-			var s0, s1 float64
-			for k, u := range x0 {
-				s0 += u * y[k]
-				s1 += x1[k] * y[k]
-			}
-			o0[j], o1[j] = s0, s1
-		}
-	}
-	if i < hi {
-		x := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < m; j++ {
-			orow[j] = Dot(x, b.Row(j))
-		}
+		i += rows
 	}
 }
 
@@ -274,9 +237,7 @@ func PairwiseSqDistTo(out, a, b *Dense) *Dense {
 	}
 	out.mustShape(a.Rows, b.Rows)
 	rowBlocks(a.Rows*a.Cols*b.Rows, a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			SqDistInto(out.Row(i), a.Row(i), b)
-		}
+		tiled(out, a, b, lo, hi, sqDistTile, SqDist)
 	})
 	return out
 }
@@ -486,14 +447,4 @@ func Normalize(v []float64) float64 {
 		v[i] /= n
 	}
 	return n
-}
-
-// AxpyVec computes y += s*x in place.
-func AxpyVec(y []float64, x []float64, s float64) {
-	if len(x) != len(y) {
-		panic("matrix: axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += s * v
-	}
 }

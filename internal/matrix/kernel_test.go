@@ -60,10 +60,12 @@ func requireBitwise(t *testing.T, what string, got, want *Dense) {
 
 // kernelShapes covers the tile edges: empty operands, inner dimensions
 // below the four-way unroll, odd row counts and column counts that are not
-// a multiple of four.
+// a multiple of four, and widths 33 and 67 that run the vector kernels'
+// bodies and tails.
 var kernelShapes = [][3]int{ // rows, inner, cols
 	{0, 5, 3}, {3, 0, 4}, {4, 3, 0}, {1, 1, 1}, {1, 3, 2}, {2, 2, 4},
 	{3, 5, 7}, {5, 4, 9}, {7, 9, 6}, {8, 8, 8}, {9, 13, 11}, {17, 6, 5},
+	{6, 33, 67}, {5, 67, 33}, {33, 67, 67},
 }
 
 // TestKernelsMatchNaiveBitwise pins Mul, MulTo, MulABT and MulABTTo to the
@@ -129,23 +131,5 @@ func TestMulToShapePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func BenchmarkMul(b *testing.B) {
-	x, y := randomDense(200, 200, 1), randomDense(200, 200, 2)
-	out := NewDense(200, 200)
-	b.ReportAllocs()
-	for b.Loop() {
-		MulTo(out, x, y)
-	}
-}
-
-func BenchmarkMulABT(b *testing.B) {
-	x, y := randomDense(200, 200, 1), randomDense(200, 200, 2)
-	out := NewDense(200, 200)
-	b.ReportAllocs()
-	for b.Loop() {
-		MulABTTo(out, x, y)
 	}
 }

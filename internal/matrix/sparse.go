@@ -96,9 +96,11 @@ func (m *CSR) MulDense(d *Dense) *Dense {
 
 // MulDenseTo writes m * d into out (NumRows x d.Cols, overwritten; it must
 // not alias d) and returns out, so iterative callers reuse one buffer.
-// Large products are row-blocked across the worker pool (each goroutine
-// owns a contiguous range of output rows); the result is bitwise identical
-// to the serial computation.
+// Each output element adds v·d(c, j) over the row's nonzeros in stored
+// order from +0; the nonzeros go through AddMul4 four at a time, which
+// keeps that order. Large products are row-blocked across the worker pool
+// (each goroutine owns a contiguous range of output rows); the result is
+// bitwise identical to the serial computation.
 func (m *CSR) MulDenseTo(out, d *Dense) *Dense {
 	if m.NumCols != d.Rows {
 		panic(fmt.Sprintf("matrix: csr muldense shape mismatch %dx%d * %dx%d", m.NumRows, m.NumCols, d.Rows, d.Cols))
@@ -106,15 +108,16 @@ func (m *CSR) MulDenseTo(out, d *Dense) *Dense {
 	out.mustShape(m.NumRows, d.Cols)
 	rowBlocks(m.NNZ()*d.Cols, m.NumRows, func(lo0, hi0 int) {
 		for r := lo0; r < hi0; r++ {
-			lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+			cols, vals := m.RowRange(r)
 			orow := out.Row(r)
 			clear(orow)
-			for k := lo; k < hi; k++ {
-				v := m.Val[k]
-				drow := d.Row(m.ColIdx[k])
-				for j, dv := range drow {
-					orow[j] += v * dv
-				}
+			k := 0
+			for ; k+4 <= len(cols); k += 4 {
+				addMul4(orow, d.Row(cols[k]), d.Row(cols[k+1]), d.Row(cols[k+2]), d.Row(cols[k+3]),
+					vals[k], vals[k+1], vals[k+2], vals[k+3])
+			}
+			for ; k < len(cols); k++ {
+				axpy(orow, d.Row(cols[k]), vals[k])
 			}
 		}
 	})

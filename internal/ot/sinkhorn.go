@@ -118,53 +118,29 @@ func scaleToPlan(ctx context.Context, out, k *matrix.Dense, mu, nu []float64, it
 }
 
 // sinkhornRound sets u = mu ./ (K v) and ktu = Kᵀ u in one pass over K. Rows
-// are taken four at a time: four independent row-sum chains for u, then
-// each ktu[j] is loaded and stored once per four rows and adds their terms
-// in ascending row order. Every element is therefore bitwise the plain
-// two-pass loop (all of u, then all of Kᵀ u, one row at a time), while K is
-// read once per round instead of twice.
+// are taken four at a time: matrix.Dot4 forms their four row sums for u in
+// independent chains, then matrix.AddMul4 loads and stores each ktu[j] once
+// per four rows and adds their terms in ascending row order. Every element
+// is therefore bitwise the plain two-pass loop (all of u, then all of Kᵀ u,
+// one row at a time), while K is read once per round instead of twice.
 func sinkhornRound(k *matrix.Dense, mu, u, v, ktu []float64) {
-	m := k.Cols
 	clear(ktu)
 	i := 0
 	for ; i+4 <= k.Rows; i += 4 {
-		base := i * m
-		r0 := k.Data[base : base+m : base+m][:len(v)]
-		r1 := k.Data[base+m : base+2*m : base+2*m][:len(v)]
-		r2 := k.Data[base+2*m : base+3*m : base+3*m][:len(v)]
-		r3 := k.Data[base+3*m : base+4*m : base+4*m][:len(v)]
-		var s0, s1, s2, s3 float64
-		for j, vj := range v {
-			s0 += r0[j] * vj
-			s1 += r1[j] * vj
-			s2 += r2[j] * vj
-			s3 += r3[j] * vj
-		}
+		r0, r1, r2, r3 := k.Row(i), k.Row(i+1), k.Row(i+2), k.Row(i+3)
+		s0, s1, s2, s3 := matrix.Dot4(r0, r1, r2, r3, v)
 		u0 := mu[i] / atLeastTiny(s0)
 		u1 := mu[i+1] / atLeastTiny(s1)
 		u2 := mu[i+2] / atLeastTiny(s2)
 		u3 := mu[i+3] / atLeastTiny(s3)
 		u[i], u[i+1], u[i+2], u[i+3] = u0, u1, u2, u3
-		acc := ktu[:len(v)]
-		for j, x := range acc {
-			x += r0[j] * u0
-			x += r1[j] * u1
-			x += r2[j] * u2
-			x += r3[j] * u3
-			acc[j] = x
-		}
+		matrix.AddMul4(ktu, r0, r1, r2, r3, u0, u1, u2, u3)
 	}
 	for ; i < k.Rows; i++ {
-		row := k.Row(i)[:len(v)]
-		var s float64
-		for j, vj := range v {
-			s += row[j] * vj
-		}
-		ui := mu[i] / atLeastTiny(s)
+		row := k.Row(i)
+		ui := mu[i] / atLeastTiny(matrix.Dot(row, v))
 		u[i] = ui
-		for j, kv := range row {
-			ktu[j] += kv * ui
-		}
+		matrix.AxpyVec(ktu, row, ui)
 	}
 }
 
