@@ -194,6 +194,7 @@ type alternation struct {
 	target *matrix.Dense // n1 x d: n1 · P · Ydst
 	cross  *matrix.Dense // d x d: Ysrcᵀ · target
 	rot    *matrix.Dense // n1 x d: the rotated source embeddings
+	polar  linalg.Polar  // the Procrustes step's d x d scratch
 }
 
 func (c *CONE) newAlternation(ySrc, yDst *matrix.Dense) *alternation {
@@ -242,7 +243,7 @@ func (a *alternation) run(ctx context.Context, rounds int) error {
 // polar factor of Ysrcᵀ (n1 P Ydst).
 func (a *alternation) procrustes(ctx context.Context, p *matrix.Dense) error {
 	matrix.MulTo(a.target, p, a.yDst).Scale(float64(a.ySrc.Rows))
-	q, err := linalg.PolarOrthogonal(ctx, matrix.MulTo(a.cross, a.ySrcT, a.target))
+	q, err := a.polar.Orthogonal(ctx, matrix.MulTo(a.cross, a.ySrcT, a.target))
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,10 @@ package linalg
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -94,5 +96,65 @@ func TestPolarOrthogonalEmpty(t *testing.T) {
 	}
 	if q.Rows != 0 || q.Cols != 0 {
 		t.Fatalf("polar factor is %dx%d, want 0x0", q.Rows, q.Cols)
+	}
+}
+
+// TestPolarReuseMatchesPolarOrthogonal runs one Polar over a sequence of
+// matrices whose sizes change and repeat, rank-deficient and zero ones
+// included: every factor must be bitwise PolarOrthogonal's, so reused
+// scratch carries nothing from one call into the next.
+func TestPolarReuseMatchesPolarOrthogonal(t *testing.T) {
+	ctx := context.Background()
+	rankDef := randomMat(6, 6, 3)
+	for i := 0; i < 6; i++ {
+		rankDef.Set(i, 2, 0)
+		rankDef.Set(i, 4, rankDef.At(i, 1))
+	}
+	seq := []*matrix.Dense{
+		randomMat(6, 6, 1), randomMat(6, 6, 2), rankDef, randomMat(9, 9, 4),
+		matrix.NewDense(6, 6), randomMat(66, 66, 5), randomMat(6, 6, 6), randomMat(66, 66, 7),
+	}
+	var p Polar
+	for k, m := range seq {
+		want, err := PolarOrthogonal(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Orthogonal(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("matrix %d (%dx%d)", k, m.Rows, m.Cols), got, want)
+	}
+}
+
+// TestPolarReuseAllocates bounds what a warm Polar allocates per call at
+// CONE's embedding width: small per-call scratch (MulTo's index list,
+// tred2's row, the eigenvalue sort, the worker-pool closures), not the six
+// d x d matrices of a fresh PolarOrthogonal.
+func TestPolarReuseAllocates(t *testing.T) {
+	ctx := context.Background()
+	const d = 66
+	m := randomMat(d, d, 8)
+	perCall := func(f func(context.Context, *matrix.Dense) (*matrix.Dense, error)) uint64 {
+		if _, err := f(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := f(ctx, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	var p Polar
+	warm, fresh := perCall(p.Orthogonal), perCall(PolarOrthogonal)
+	t.Logf("bytes per call: warm Polar %d, PolarOrthogonal %d", warm, fresh)
+	if one := uint64(d * d * 8); warm >= one {
+		t.Fatalf("warm Polar allocates %d bytes per call, more than one %dx%d matrix (%d)", warm, d, d, one)
 	}
 }
